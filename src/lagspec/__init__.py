@@ -6,7 +6,6 @@ matrix, large- and moderate-deviation rate functions, and a seeded Monte
 Carlo harness that checks the limit theorems at desk scale.
 """
 
-from ._kernels import USING_NUMBA
 from .ensembles import (
     EnsembleParams,
     RescalingMode,
@@ -69,7 +68,6 @@ __all__ = [
     "PowerLawGamma",
     "RescalingMode",
     "SpectralMeasure",
-    "USING_NUMBA",
     "arcsine_moments",
     "d_inverse_apply",
     "d_matrix",

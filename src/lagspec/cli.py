@@ -7,8 +7,8 @@ failures, 2 for usage, parameter, and I/O errors. Identical invocations
 (seed included) produce byte-identical output.
 
 An optional flat key-value config file (JSON object, keys matching flag
-names) supplies defaults; explicit flags win. Seeds are always explicit,
-never ambient.
+names) can set any flag: an explicit flag beats the config file, which
+beats the built-in default. Seeds are always explicit, never ambient.
 """
 
 from __future__ import annotations
@@ -404,9 +404,8 @@ def _cmd_mp_sanity(args) -> int:
         statistic=int(args.k),
         mode=RescalingMode.NONE,
     )
-    report = run_mp_sanity(config, workers=args.workers)
-    emit_report(report, args.format, args.out)
-    return 0 if report.verdict else 1
+    report = run_mp_sanity(config, workers=args.workers, keep_samples=args.hist_out is not None)
+    return _finish_experiment(args, report)
 
 
 def _identity_checks(order: int):
@@ -473,10 +472,13 @@ def _require(args, names) -> None:
             raise ValueError(f"missing required option {flag}")
 
 
-def _add(sub, dests, converters, *names, **kwargs):
+def _add(sub, dests, converters, *names, default=None, **kwargs):
+    # argparse sees no defaults, so after parsing None means "not given";
+    # _merge_config fills config values and then the defaults kept in
+    # ``dests`` into the gaps: flag beats config file beats default.
     conv = kwargs.get("type")
     action = sub.add_argument(*names, **kwargs)
-    dests.add(action.dest)
+    dests[action.dest] = default
     if conv is not None:
         converters[action.dest] = conv
 
@@ -491,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def new_command(name, run, help_text):
         sub = subs.add_parser(name, help=help_text)
-        dests: set = set()
+        dests: dict = {}
         converters: dict = {}
         _add(sub, dests, converters, "--config", type=str, default=None,
              help="flat JSON config file; flags win")
@@ -569,10 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args) -> None:
-    if getattr(args, "config", None) is None:
-        return
-    with open(args.config) as fh:
-        data = json.load(fh)
+    """Fill unset options from the config file, then from the defaults."""
+    data = {}
+    if args.config is not None:
+        with open(args.config) as fh:
+            data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a flat JSON object")
     for key, value in data.items():
@@ -586,6 +589,9 @@ def _merge_config(args) -> None:
             elif conv in (int, float) and isinstance(value, (int, float)):
                 value = conv(value)
             setattr(args, dest, value)
+    for dest, default in args._dests.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._kernels import tridiag_moments
 from .ensembles import (
     EnsembleParams,
     RescalingMode,
@@ -38,6 +37,7 @@ from .moments import (
     nu_moments,
     semicircle_moments,
 )
+from .spectral import JacobiCoefficients, moments_via_operator
 
 __all__ = [
     "ExperimentConfig",
@@ -235,7 +235,7 @@ def _clt_statistic(config: ExperimentConfig):
 
     def stat(rng: np.random.Generator) -> float:
         coeffs = rescale(sample_laguerre_tridiagonal(rng, params), params)
-        m = tridiag_moments(coeffs.diag, coeffs.offdiag, degree)
+        m = moments_via_operator(coeffs, degree)
         return float(scale * np.dot(tail, m - msc))
 
     return stat
@@ -247,7 +247,7 @@ def _moment_statistic(config: ExperimentConfig, k: int, center: bool, prefactor:
 
     def stat(rng: np.random.Generator) -> float:
         coeffs = rescale(sample_laguerre_tridiagonal(rng, params), params)
-        m = tridiag_moments(coeffs.diag, coeffs.offdiag, k)
+        m = moments_via_operator(coeffs, k)
         return prefactor * (float(m[k - 1]) - m_sc_k)
 
     return stat
@@ -446,7 +446,7 @@ def run_mp_sanity(
     Needs the linear gamma rule and no centering; the sampled matrix is
     divided by 2*gamma_n, the normalization under which the spectral
     measure converges to MP(tau). Verdict: replicate-average moment within
-    5 percent relative of the quadrature moment, k <= 4.
+    5 percent relative of the closed-form moment, k <= 4.
     """
     _require_verdict_grade(config)
     if not isinstance(config.gamma_rule, LinearGamma):
@@ -463,7 +463,7 @@ def run_mp_sanity(
 
     def stat(rng: np.random.Generator) -> float:
         raw = sample_laguerre_tridiagonal(rng, params)
-        m = tridiag_moments(raw.diag * scale, raw.offdiag * scale, k)
+        m = moments_via_operator(JacobiCoefficients(raw.diag * scale, raw.offdiag * scale), k)
         return float(m[k - 1])
 
     start = time.perf_counter()

@@ -18,7 +18,6 @@ import enum
 import math
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "NuVariant",
@@ -97,30 +96,24 @@ def arcsine_moments(order: int) -> np.ndarray:
 
 
 def mp_moments(order: int, tau: float) -> np.ndarray:
-    """m_1..m_order of the Marchenko-Pastur law, by adaptive quadrature.
+    """m_1..m_order of the Marchenko-Pastur law with ratio tau.
 
-    The density sqrt((tau_plus - x)(x - tau_minus)) / (2 pi tau x) on
-    [tau_minus, tau_plus] with tau_pm = (1 +- sqrt(tau))^2 is integrated
-    directly; quadrature doubles as an oracle independent of any closed
-    form.
+    The law has density sqrt((tau_plus - x)(x - tau_minus)) / (2 pi tau x)
+    on [tau_minus, tau_plus] with tau_pm = (1 +- sqrt(tau))^2. Its moments
+    are the Narayana polynomials
+    m_k = sum_{j=1..k} C(k, j) C(k, j-1) / k * tau^(j-1), whose integer
+    coefficients are exact; the sum is evaluated by Horner's rule.
     """
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must lie in (0, 1], got {tau!r}")
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
-    lo = (1.0 - np.sqrt(tau)) ** 2
-    hi = (1.0 + np.sqrt(tau)) ** 2
-
-    def density(x):
-        return np.sqrt((hi - x) * (x - lo)) / (2.0 * np.pi * tau * x)
-
     out = np.empty(order)
     for k in range(1, order + 1):
-        val, _ = integrate.quad(
-            lambda x, k=k: x**k * density(x), lo, hi,
-            epsabs=1e-12, epsrel=1e-12, limit=200,
-        )
-        out[k - 1] = val
+        value = 0.0
+        for j in range(k, 0, -1):
+            value = value * tau + math.comb(k, j) * math.comb(k, j - 1) // k
+        out[k - 1] = value
     return out
 
 

@@ -4,8 +4,9 @@ A symmetric tridiagonal matrix with positive subdiagonal is held as a
 :class:`JacobiCoefficients` value. Its spectral measure (eigenvalues as
 atoms, squared first eigenvector components as weights) is a
 :class:`SpectralMeasure`. The two representations are bijective at finite
-size; :func:`eigen_spectral` and :func:`measure_to_coefficients` implement
-the two directions, and :func:`moments_via_operator` /
+size; :func:`eigen_spectral` (LAPACK's symmetric tridiagonal eigensolver)
+and :func:`measure_to_coefficients` (the Stieltjes procedure) implement the
+two directions, and :func:`moments_via_operator` /
 :func:`moments_of_measure` compute moments on either side without ever
 leaving it.
 """
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import NumericalError
 
 __all__ = [
@@ -99,14 +99,23 @@ def free_jacobi(n: int) -> JacobiCoefficients:
 
 
 def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
-    """Spectral measure of a Jacobi matrix via the first-row eigensolver.
+    """Spectral measure of a Jacobi matrix via LAPACK's tridiagonal eigensolver.
 
     The atoms are the eigenvalues; weight i is the squared first component
-    of the i-th normalized eigenvector, obtained from an implicit-shift QL
-    sweep that accumulates only the first row of the rotation product.
+    of the i-th normalized eigenvector. Raises NumericalError when the
+    eigensolver fails to converge.
     """
-    lam, w = _kernels.tridiag_eigen_firstrow(coeffs.diag, coeffs.offdiag)
-    return SpectralMeasure(lam, w)
+    # Imported here: only the measure path needs LAPACK, and the moment
+    # experiments and reference commands should not pay scipy's import.
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
+
+    try:
+        lam, vecs = eigh_tridiagonal(coeffs.diag, coeffs.offdiag)
+    except LinAlgError as exc:
+        raise NumericalError(
+            f"tridiagonal eigensolver failed for matrix of size {coeffs.n}: {exc}"
+        ) from exc
+    return SpectralMeasure(lam, vecs[0] ** 2)
 
 
 def moments_via_operator(coeffs: JacobiCoefficients, order: int) -> np.ndarray:
@@ -114,9 +123,27 @@ def moments_via_operator(coeffs: JacobiCoefficients, order: int) -> np.ndarray:
 
     No eigendecomposition is involved; this is the operator-side route to
     the same numbers :func:`moments_of_measure` produces on the measure
-    side.
+    side. Only the leading window of size min(order + 1, n) is read: J^k e1
+    is supported on the first k + 1 coordinates, so the cost is O(order^2)
+    whatever the matrix size.
     """
-    return _kernels.tridiag_moments(coeffs.diag, coeffs.offdiag, order)
+    if order < 1:
+        raise ValueError(f"moment order must be >= 1, got {order}")
+    w = min(order + 1, coeffs.n)
+    dw = coeffs.diag[:w]
+    ew = coeffs.offdiag[: w - 1]
+    out = np.empty(order)
+    v = np.zeros(w)
+    v[0] = 1.0
+    for k in range(order):
+        u = dw * v
+        # Left neighbour first: floating-point addition is not associative,
+        # and the seeded clt/mdp report bytes were fixed with this order.
+        u[1:] += ew * v[:-1]
+        u[:-1] += ew * v[1:]
+        v = u
+        out[k] = v[0]
+    return out
 
 
 def moments_of_measure(measure: SpectralMeasure, order: int) -> np.ndarray:

@@ -271,6 +271,22 @@ class TestConfigFile:
         assert cli.main(["sample", "--config", str(config), "--out", str(out)]) == 0
         assert out.read_text().startswith("atom,weight")
 
+    def test_config_sets_flags_that_have_defaults(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"format": "json", "order": 4}))
+        assert cli.main(["moments", "--measure", "semicircle", "--config", str(config)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [row["value"] for row in data] == [0.0, 1.0, 0.0, 2.0]
+
+    def test_flag_beats_config_beats_default(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"format": "json", "xi": 2.0}))
+        assert cli.main(["moments", "--measure", "nu", "--order", "3", "--format", "csv",
+                         "--config", str(config)]) == 0
+        assert capsys.readouterr().out == "k,value\n1,0\n2,0\n3,2\n"
+        assert cli.main(["moments", "--measure", "nu", "--order", "3"]) == 0
+        assert capsys.readouterr().out == "k,value\n1,0\n2,0\n3,1\n"
+
 
 class TestMpSanityCommand:
     def test_json_report_parses_with_nan_prediction_variance(self, tmp_path):
@@ -282,3 +298,14 @@ class TestMpSanityCommand:
         data = json.loads(out.read_text())
         assert data["predicted_mean"] == pytest.approx(1.0, abs=1e-9)
         assert np.isnan(data["predicted_var"])
+
+    def test_histogram_emission(self, tmp_path):
+        hist_path = tmp_path / "h.txt"
+        code = cli.main(["mp-sanity", "--n", "200", "--beta", "2", "--tau", "0.5",
+                         "--k", "2", "--replicates", "120", "--seed", "3",
+                         "--out", str(tmp_path / "r.csv"), "--hist-bins", "6",
+                         "--hist-out", str(hist_path)])
+        assert code in (0, 1)
+        lines = hist_path.read_text().strip().split("\n")
+        assert len(lines) == 6
+        assert sum(int(line.split()[1]) for line in lines) == 120

@@ -78,7 +78,20 @@ class TestMarchenkoPastur:
         # m2 = 1 + tau, m3 = 1 + 3 tau + tau^2, m4 = 1 + 6 tau + 6 tau^2 + tau^3
         tau = 0.5
         m = mp_moments(4, tau)
-        np.testing.assert_allclose(m, [1.0, 1.5, 2.75, 5.625], atol=1e-9)
+        assert m.tolist() == [1.0, 1.5, 2.75, 5.625]  # exact in binary at tau = 1/2
+
+    @pytest.mark.parametrize("tau", [0.25, 0.5, 1.0])
+    def test_closed_form_matches_quadrature(self, tau):
+        # Independent oracle: integrate x^k against the density directly.
+        lo = (1 - np.sqrt(tau)) ** 2
+        hi = (1 + np.sqrt(tau)) ** 2
+        m = mp_moments(8, tau)
+        for k in range(1, 9):
+            ref, _ = quad(
+                lambda x: x**k * np.sqrt((hi - x) * (x - lo)) / (2 * np.pi * tau * x),
+                lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200,
+            )
+            assert m[k - 1] == pytest.approx(ref, rel=1e-10)
 
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError):
