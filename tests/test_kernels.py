@@ -1,94 +1,98 @@
-"""Kernel-level checks: QL eigensolver and windowed moments vs dense oracles."""
+"""Kernel-level checks: the tridiagonal eigensolver behind eigen_spectral and the
+windowed moment recursion, against closed forms and dense oracles."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from lagspec import _kernels
-from lagspec._kernels import (
-    MAX_QL_SWEEPS,
-    USING_NUMBA,
-    _eigen_firstrow_numpy,
-    _ql_firstrow_impl,
-    tridiag_eigen_firstrow,
-    tridiag_moments,
-)
 from lagspec.errors import NumericalError
+from lagspec.spectral import JacobiCoefficients, eigen_spectral, moments_via_operator
 
 
-def _run_ql_python(diag, offdiag, max_sweeps=MAX_QL_SWEEPS):
-    n = diag.size
-    d = diag.astype(np.float64).copy()
-    e = np.zeros(n)
-    e[: n - 1] = offdiag
-    z = np.zeros(n)
-    z[0] = 1.0
-    status = _ql_firstrow_impl(d, e, z, max_sweeps)
-    assert status == 0
-    order = np.argsort(d)
-    return d[order], (z * z)[order]
+def dense(diag, offdiag):
+    return np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+
+
+def dense_firstrow_eigh(diag, offdiag):
+    """Oracle: dense LAPACK eigh, first row of the eigenvectors squared."""
+    vals, vecs = np.linalg.eigh(dense(diag, offdiag))
+    return vals, vecs[0] ** 2
+
+
+def eigen_firstrow(diag, offdiag):
+    mu = eigen_spectral(JacobiCoefficients(diag, offdiag))
+    return mu.atoms, mu.weights
 
 
 class TestQLAlgorithm:
-    """The un-jitted QL implementation against closed forms and LAPACK."""
+    """The eigensolver against closed forms and the dense oracle."""
 
     def test_free_jacobi_n3_closed_form(self):
-        lam, w = _run_ql_python(np.zeros(3), np.ones(2))
+        lam, w = eigen_firstrow(np.zeros(3), np.ones(2))
         np.testing.assert_allclose(lam, [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-14)
         np.testing.assert_allclose(w, [0.25, 0.5, 0.25], atol=1e-14)
 
     def test_free_jacobi_general_n_closed_form(self):
         n = 10
-        lam, w = _run_ql_python(np.zeros(n), np.ones(n - 1))
+        lam, w = eigen_firstrow(np.zeros(n), np.ones(n - 1))
         j = np.arange(n, 0, -1)
         np.testing.assert_allclose(lam, 2 * np.cos(j * np.pi / (n + 1)), atol=1e-10)
         np.testing.assert_allclose(
             w, (2.0 / (n + 1)) * np.sin(j * np.pi / (n + 1)) ** 2, atol=1e-10
         )
 
-    @pytest.mark.parametrize("n", [2, 5, 30, 150])
+    @pytest.mark.parametrize("n", [2, 5, 30])
     def test_matches_dense_eigh(self, n):
         rng = np.random.default_rng(n)
         diag = rng.uniform(-1, 1, n)
         off = rng.uniform(0.5, 1.5, n - 1)
-        lam, w = _run_ql_python(diag, off)
-        lam_ref, w_ref = _eigen_firstrow_numpy(diag, off)
+        lam, w = eigen_firstrow(diag, off)
+        lam_ref, w_ref = dense_firstrow_eigh(diag, off)
         np.testing.assert_allclose(lam, lam_ref, atol=1e-12)
         np.testing.assert_allclose(w, w_ref, atol=1e-12)
 
-    def test_sweep_cap_reports_failure(self):
-        d = np.array([0.0, 0.0, 0.0])
-        e = np.array([1.0, 1.0, 0.0])
-        z = np.array([1.0, 0.0, 0.0])
-        status = _ql_firstrow_impl(d, e, z, 0)
-        assert status != 0
-
 
 class TestActiveBackend:
-    """The dispatching wrapper, whichever backend is live."""
+    """eigen_spectral as the package calls it: edge cases and failures."""
 
     def test_single_entry(self):
-        lam, w = tridiag_eigen_firstrow(np.array([3.5]), np.array([]))
+        lam, w = eigen_firstrow(np.array([3.5]), np.array([]))
         assert lam[0] == 3.5 and w[0] == 1.0
 
     def test_matches_dense_eigh(self):
         rng = np.random.default_rng(7)
         diag = rng.uniform(-1, 1, 80)
         off = rng.uniform(0.5, 1.5, 79)
-        lam, w = tridiag_eigen_firstrow(diag, off)
-        lam_ref, w_ref = _eigen_firstrow_numpy(diag, off)
+        lam, w = eigen_firstrow(diag, off)
+        lam_ref, w_ref = dense_firstrow_eigh(diag, off)
         np.testing.assert_allclose(lam, lam_ref, atol=1e-11)
         np.testing.assert_allclose(w, w_ref, atol=1e-11)
 
-    def test_weights_sum_to_one(self):
-        rng = np.random.default_rng(8)
-        lam, w = tridiag_eigen_firstrow(rng.normal(size=200), rng.uniform(0.2, 2, 199))
-        assert abs(w.sum() - 1.0) < 1e-12
+    @pytest.mark.parametrize(
+        "seed,n,diag_normal", [(150, 150, False), (8, 200, True)], ids=["150", "200"]
+    )
+    def test_underflowed_weight_raises_value_error(self, seed, n, diag_normal):
+        # Some first-row weights lie below the double range and come out as
+        # exact zeros, from dense LAPACK as well; a measure with a zero
+        # weight is rejected.
+        rng = np.random.default_rng(seed)
+        if diag_normal:
+            diag, off = rng.normal(size=n), rng.uniform(0.2, 2, n - 1)
+        else:
+            diag, off = rng.uniform(-1, 1, n), rng.uniform(0.5, 1.5, n - 1)
+        _, w_ref = dense_firstrow_eigh(diag, off)
+        assert np.any(w_ref == 0.0)
+        assert abs(w_ref.sum() - 1.0) < 1e-12
+        with pytest.raises(ValueError, match="strictly positive"):
+            eigen_firstrow(diag, off)
 
-    @pytest.mark.skipif(not USING_NUMBA, reason="needs the jitted path")
-    def test_ql_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "MAX_QL_SWEEPS", 0)
+    def test_solver_failure_raises(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
         with pytest.raises(NumericalError, match="size 3"):
-            tridiag_eigen_firstrow(np.zeros(3), np.ones(2))
+            eigen_firstrow(np.zeros(3), np.ones(2))
 
 
 class TestTridiagMoments:
@@ -97,9 +101,9 @@ class TestTridiagMoments:
         n, order = 12, 10
         diag = rng.uniform(-1, 1, n)
         off = rng.uniform(0.5, 1.5, n - 1)
-        a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        a = dense(diag, off)
         expected = [np.linalg.matrix_power(a, k)[0, 0] for k in range(1, order + 1)]
-        got = tridiag_moments(diag, off, order)
+        got = moments_via_operator(JacobiCoefficients(diag, off), order)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     def test_window_equals_full_matrix(self):
@@ -108,10 +112,10 @@ class TestTridiagMoments:
         diag = rng.uniform(-1, 1, 2000)
         off = rng.uniform(0.5, 1.5, 1999)
         order = 6
-        full = tridiag_moments(diag, off, order)
-        head = tridiag_moments(diag[: order + 1], off[:order], order)
+        full = moments_via_operator(JacobiCoefficients(diag, off), order)
+        head = moments_via_operator(JacobiCoefficients(diag[: order + 1], off[:order]), order)
         np.testing.assert_array_equal(full, head)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            tridiag_moments(np.zeros(3), np.ones(2), 0)
+            moments_via_operator(JacobiCoefficients(np.zeros(3), np.ones(2)), 0)

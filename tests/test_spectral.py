@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.integrate import quad
 
 import lagspec
@@ -26,21 +25,6 @@ from lagspec.spectral import (
 def random_jacobi(seed, n):
     rng = np.random.default_rng(seed)
     return JacobiCoefficients(rng.uniform(-1, 1, n), rng.uniform(0.5, 1.5, n - 1))
-
-
-def normal_jacobi(seed, n):
-    rng = np.random.default_rng(seed)
-    return JacobiCoefficients(rng.normal(size=n), rng.uniform(0.2, 2, n - 1))
-
-
-def dense(coeffs):
-    return np.diag(coeffs.diag) + np.diag(coeffs.offdiag, 1) + np.diag(coeffs.offdiag, -1)
-
-
-def dense_firstrow_eigh(coeffs):
-    """Oracle: dense LAPACK eigh, first row of the eigenvectors squared."""
-    vals, vecs = np.linalg.eigh(dense(coeffs))
-    return vals, vecs[0] ** 2
 
 
 class TestValidation:
@@ -88,35 +72,6 @@ class TestEigenSpectral:
         mu = eigen_spectral(random_jacobi(5, 120))
         assert abs(mu.weights.sum() - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("n", [2, 5, 30, 80])
-    def test_matches_dense_eigh(self, n):
-        coeffs = random_jacobi(n, n)
-        mu = eigen_spectral(coeffs)
-        lam_ref, w_ref = dense_firstrow_eigh(coeffs)
-        np.testing.assert_allclose(mu.atoms, lam_ref, atol=1e-12)
-        np.testing.assert_allclose(mu.weights, w_ref, atol=1e-12)
-
-    @pytest.mark.parametrize(
-        "coeffs", [random_jacobi(150, 150), normal_jacobi(8, 200)], ids=["150", "200"]
-    )
-    def test_underflowed_weight_raises_value_error(self, coeffs):
-        # Some first-row weights lie below the double range and come out as
-        # exact zeros, from dense LAPACK as well; a measure with a zero
-        # weight is rejected.
-        _, w_ref = dense_firstrow_eigh(coeffs)
-        assert np.any(w_ref == 0.0)
-        assert abs(w_ref.sum() - 1.0) < 1e-12
-        with pytest.raises(ValueError, match="strictly positive"):
-            eigen_spectral(coeffs)
-
-    def test_solver_failure_raises(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("no convergence")
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
-        with pytest.raises(NumericalError, match="size 3"):
-            eigen_spectral(free_jacobi(3))
-
 
 class TestMoments:
     def test_free_jacobi_catalan_moments(self):
@@ -142,24 +97,6 @@ class TestMoments:
     def test_symmetric_two_atoms(self):
         mu = SpectralMeasure([-1.0, 1.0], [0.5, 0.5])
         np.testing.assert_allclose(moments_of_measure(mu, 6), [0, 1, 0, 1, 0, 1])
-
-    def test_against_dense_matrix_powers(self):
-        coeffs = random_jacobi(12, 12)
-        expected = [np.linalg.matrix_power(dense(coeffs), k)[0, 0] for k in range(1, 11)]
-        np.testing.assert_allclose(moments_via_operator(coeffs, 10), expected,
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_window_equals_full_matrix(self):
-        # Entries beyond the reachable window must not matter.
-        full = random_jacobi(13, 2000)
-        order = 6
-        head = JacobiCoefficients(full.diag[: order + 1], full.offdiag[:order])
-        np.testing.assert_array_equal(moments_via_operator(full, order),
-                                      moments_via_operator(head, order))
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            moments_via_operator(free_jacobi(3), 0)
 
     @pytest.mark.parametrize("seed,n", [(1, 20), (2, 50), (3, 100)])
     def test_operator_equals_measure_route(self, seed, n):
