@@ -28,7 +28,6 @@ from .experiments import (
     run_mdp_centering,
     run_moment_convergence,
     run_mp_sanity,
-    run_replicated,
 )
 from .moments import (
     NuVariant,
@@ -94,7 +93,6 @@ __all__ = [
     "run_mdp_centering",
     "run_moment_convergence",
     "run_mp_sanity",
-    "run_replicated",
     "sample_chi_squared",
     "sample_dirichlet",
     "sample_laguerre_tridiagonal",

@@ -380,16 +380,14 @@ def _finish_experiment(args, report: ExperimentReport) -> int:
 def _cmd_clt(args) -> int:
     _require(args, ["n", "beta", "gamma_rule", "poly", "replicates", "seed"])
     config = _experiment_config(args, parse_poly(args.poly))
-    report = run_clt(config, workers=args.workers, keep_samples=args.hist_out is not None)
+    report = run_clt(config, keep_samples=args.hist_out is not None)
     return _finish_experiment(args, report)
 
 
 def _cmd_mdp(args) -> int:
     _require(args, ["n", "beta", "gamma_rule", "b_n", "k", "replicates", "seed"])
     config = _experiment_config(args, int(args.k))
-    report = run_mdp_centering(
-        config, workers=args.workers, keep_samples=args.hist_out is not None
-    )
+    report = run_mdp_centering(config, keep_samples=args.hist_out is not None)
     return _finish_experiment(args, report)
 
 
@@ -404,7 +402,7 @@ def _cmd_mp_sanity(args) -> int:
         statistic=int(args.k),
         mode=RescalingMode.NONE,
     )
-    report = run_mp_sanity(config, workers=args.workers, keep_samples=args.hist_out is not None)
+    report = run_mp_sanity(config, keep_samples=args.hist_out is not None)
     return _finish_experiment(args, report)
 
 
@@ -540,7 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
                  help="pow:<a>:<c> or lin:<tau>")
         _add(sub, dests, conv, "--replicates", type=int)
         _add(sub, dests, conv, "--seed", type=int)
-        _add(sub, dests, conv, "--workers", type=int, default=1)
+        _add(sub, dests, conv, "--workers", type=int, default=1,
+             help="accepted for compatibility; replicates run in one thread "
+             "and the output is identical at any value")
         _add(sub, dests, conv, "--hist-bins", type=int, default=20)
         _add(sub, dests, conv, "--hist-out", type=str, default=None)
 

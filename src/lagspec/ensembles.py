@@ -128,28 +128,48 @@ def sample_dirichlet(rng: np.random.Generator, n: int, beta_prime: float) -> np.
     return g / total
 
 
-def _chi_squared_dofs(params: EnsembleParams) -> np.ndarray:
-    """Degrees of freedom of z_1, ..., z_{2n-1} in model order."""
-    k = np.arange(1, 2 * params.n, dtype=np.float64)
-    return np.where(
+def _chi_squared_shapes(params: EnsembleParams, window: int) -> np.ndarray:
+    """Gamma shapes (dof / 2) of z_1, ..., z_{2w-1}, w = ``window``, in model order.
+
+    These are the draws behind the leading w x w block of the model; the
+    generator draws in order, so they are also the leading draws of the
+    full matrix.
+    """
+    k = np.arange(1, 2 * window, dtype=np.float64)
+    dofs = np.where(
         k % 2 == 1,
         2.0 * params.gamma - params.beta_prime * (k - 1.0),
         params.beta_prime * (2.0 * params.n - k),
     )
+    return dofs / 2.0
+
+
+def _assemble(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal from chi-square draws along the last axis."""
+    odd = z[..., 0::2]  # z_1, z_3, ..., z_{2w-1}
+    even = z[..., 1::2]  # z_2, z_4, ..., z_{2w-2}
+    diag = odd.copy()
+    diag[..., 1:] += even
+    return diag, np.sqrt(odd[..., :-1] * even)
+
+
+def _center(
+    diag: np.ndarray, offdiag: np.ndarray, params: EnsembleParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The standard or shifted centering of ``params.mode``, along the last axis."""
+    denom = np.sqrt(2.0 * params.gamma * params.n * params.beta)
+    shift = 2.0 * params.gamma
+    if params.mode is RescalingMode.SHIFTED:
+        shift += params.n * params.beta
+    return (diag - shift) / denom, offdiag / denom
 
 
 def sample_laguerre_tridiagonal(
     rng: np.random.Generator, params: EnsembleParams
 ) -> JacobiCoefficients:
     """Raw (unscaled) tridiagonal coefficients of the Laguerre model."""
-    dofs = _chi_squared_dofs(params)
-    z = rng.gamma(dofs / 2.0, 2.0)
-    odd = z[0::2]  # z_1, z_3, ..., z_{2n-1}
-    even = z[1::2]  # z_2, z_4, ..., z_{2n-2}
-    diag = odd.copy()
-    diag[1:] += even
-    offdiag = np.sqrt(odd[:-1] * even)
-    return JacobiCoefficients(diag, offdiag)
+    z = rng.gamma(_chi_squared_shapes(params, params.n), 2.0)
+    return JacobiCoefficients(*_assemble(z))
 
 
 def rescale(coeffs: JacobiCoefficients, params: EnsembleParams) -> JacobiCoefficients:
@@ -165,11 +185,7 @@ def rescale(coeffs: JacobiCoefficients, params: EnsembleParams) -> JacobiCoeffic
         )
     if params.mode is RescalingMode.NONE:
         return coeffs
-    denom = np.sqrt(2.0 * params.gamma * params.n * params.beta)
-    shift = 2.0 * params.gamma
-    if params.mode is RescalingMode.SHIFTED:
-        shift += params.n * params.beta
-    return JacobiCoefficients((coeffs.diag - shift) / denom, coeffs.offdiag / denom)
+    return JacobiCoefficients(*_center(coeffs.diag, coeffs.offdiag, params))
 
 
 def sample_spectral_measure(

@@ -52,14 +52,30 @@ class JacobiCoefficients:
                 f"offdiag must have length n-1 = {self.diag.size - 1}, "
                 f"got {self.offdiag.size}"
             )
-        if not np.all(np.isfinite(self.diag)) or not np.all(np.isfinite(self.offdiag)):
-            raise ValueError("coefficients must be finite")
-        if self.offdiag.size and not np.all(self.offdiag > 0):
-            raise ValueError("off-diagonal entries must be strictly positive")
+        fault = _first_fault(self.diag, self.offdiag)
+        if fault is not None:
+            raise ValueError(fault[1])
 
     @property
     def n(self) -> int:
         return self.diag.size
+
+
+def _first_fault(diag: np.ndarray, offdiag: np.ndarray) -> tuple[int, str] | None:
+    """Row index and reason of the first invalid Jacobi data, or None.
+
+    Rows are stacked on the leading axes and the coefficients run along the
+    last one; a 1-D pair is a single row 0. A row is invalid when an entry
+    is not finite or an off-diagonal entry is not strictly positive.
+    """
+    finite = np.isfinite(diag).all(axis=-1) & np.isfinite(offdiag).all(axis=-1)
+    valid = np.ravel(finite & (offdiag > 0).all(axis=-1))
+    if valid.all():
+        return None
+    row = int(np.argmin(valid))
+    if not np.ravel(finite)[row]:
+        return row, "coefficients must be finite"
+    return row, "off-diagonal entries must be strictly positive"
 
 
 @dataclass
@@ -130,19 +146,28 @@ def moments_via_operator(coeffs: JacobiCoefficients, order: int) -> np.ndarray:
     if order < 1:
         raise ValueError(f"moment order must be >= 1, got {order}")
     w = min(order + 1, coeffs.n)
-    dw = coeffs.diag[:w]
-    ew = coeffs.offdiag[: w - 1]
-    out = np.empty(order)
-    v = np.zeros(w)
-    v[0] = 1.0
+    return _window_moments(coeffs.diag[:w], coeffs.offdiag[: w - 1], order)
+
+
+def _window_moments(diag: np.ndarray, offdiag: np.ndarray, order: int) -> np.ndarray:
+    """m_1..m_order of leading windows stacked on the leading axes.
+
+    ``diag`` and ``offdiag`` hold the first w and w - 1 coefficients of each
+    matrix along the last axis, with w = min(order + 1, n); the result has
+    the moments along the last axis. Every row is computed with the same
+    floating-point operations, in the same order, as a single window.
+    """
+    out = np.empty(diag.shape[:-1] + (order,))
+    v = np.zeros(diag.shape)
+    v[..., 0] = 1.0
     for k in range(order):
-        u = dw * v
+        u = diag * v
         # Left neighbour first: floating-point addition is not associative,
         # and the seeded clt/mdp report bytes were fixed with this order.
-        u[1:] += ew * v[:-1]
-        u[:-1] += ew * v[1:]
+        u[..., 1:] += offdiag * v[..., :-1]
+        u[..., :-1] += offdiag * v[..., 1:]
         v = u
-        out[k] = v[0]
+        out[..., k] = v[..., 0]
     return out
 
 

@@ -134,6 +134,19 @@ class TestExitCodes:
                          "--seed", "1", "--out", str(tmp_path / "r.csv")])
         assert code == 1
 
+    def test_failed_replicate_is_usage_error(self, capsys):
+        # beta = 0.001 at n = 3: replicate 0's trailing chi-square draw
+        # underflows to 0, leaving a zero off-diagonal entry.
+        code = cli.main(["clt", "--n", "3", "--beta", "0.001", "--gamma-rule",
+                         "pow:2:1", "--poly", "x^2", "--replicates", "100",
+                         "--seed", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: replicate 0 failed: off-diagonal entries must be strictly positive\n"
+        )
+
     def test_unwritable_path(self, capsys):
         code = cli.main(["identities", "--order", "5",
                          "--out", "/nonexistent-dir/x.csv"])

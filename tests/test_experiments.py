@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lagspec.ensembles import RescalingMode, derive_seed, make_rng
+from lagspec.ensembles import (
+    RescalingMode,
+    derive_seed,
+    make_rng,
+    rescale,
+    sample_laguerre_tridiagonal,
+)
+from lagspec.errors import NumericalError
 from lagspec.experiments import (
+    _BLOCK,
     ExperimentConfig,
     LinearGamma,
     PowerLawGamma,
@@ -15,12 +23,13 @@ from lagspec.experiments import (
     run_mdp_centering,
     run_moment_convergence,
     run_mp_sanity,
-    run_replicated,
 )
-from lagspec.moments import NuVariant, nu_moments
+from lagspec.moments import NuVariant, nu_moments, semicircle_moments
+from lagspec.spectral import JacobiCoefficients, moments_via_operator
 
 X2 = np.array([0.0, 0.0, 1.0])
 X3 = np.array([0.0, 0.0, 0.0, 1.0])
+X5 = np.array([0.5, -1.0, 0.25, 2.0, -0.75, 1.5])
 
 
 def clt_config(**kw):
@@ -98,42 +107,115 @@ class TestPredictedClt:
         assert mean_sh - mean_std == expected
 
 
-class TestRunReplicated:
-    def test_single_replicate_matches_direct_call(self):
-        config = clt_config(replicates=1)
-        stat = lambda rng: float(rng.normal())
-        vec = run_replicated(config, stat)
-        direct = stat(make_rng(derive_seed(config.master_seed, 0)))
-        assert vec.shape == (1,) and vec[0] == direct
+def reference_samples(config, order, statistic, count=None):
+    """Replicate statistics rebuilt one replicate at a time from the public stages.
+
+    Each replicate draws the full model; uncentered (Marchenko-Pastur) runs
+    divide it by 2*gamma as run_mp_sanity documents.
+    """
+    params = config.ensemble_params()
+    out = []
+    for i in range(config.replicates if count is None else count):
+        raw = sample_laguerre_tridiagonal(make_rng(derive_seed(config.master_seed, i)), params)
+        if params.mode is RescalingMode.NONE:
+            scale = 1.0 / (2.0 * params.gamma)
+            coeffs = JacobiCoefficients(raw.diag * scale, raw.offdiag * scale)
+        else:
+            coeffs = rescale(raw, params)
+        out.append(statistic(moments_via_operator(coeffs, order)))
+    return np.array(out)
+
+
+def clt_reference(config, count=None):
+    poly = np.asarray(config.statistic, dtype=np.float64)
+    degree = poly.size - 1
+    scale = np.sqrt(config.n * config.beta / 2.0)
+    msc = semicircle_moments(degree).astype(np.float64)
+    return reference_samples(
+        config, degree, lambda m: float(scale * np.dot(poly[1:], m - msc)), count
+    )
+
+
+def mdp_reference(config):
+    k = config.statistic
+    prefactor = float(np.sqrt(config.n * config.beta / 2.0 / config.b_n))
+    m_sc_k = float(semicircle_moments(k)[k - 1])
+    return reference_samples(config, k, lambda m: prefactor * (float(m[k - 1]) - m_sc_k))
+
+
+def moment_reference(config):
+    k = config.statistic
+    return reference_samples(config, k, lambda m: float(m[k - 1]))
+
+
+ORACLE_CASES = {
+    "clt-x3": (run_clt, clt_reference, clt_config(statistic=X3, replicates=200)),
+    "clt-degree5-shifted": (run_clt, clt_reference, clt_config(
+        n=200, gamma_rule=PowerLawGamma(2.0), statistic=X5, replicates=200,
+        mode=RescalingMode.SHIFTED)),
+    "mdp-k3": (run_mdp_centering, mdp_reference, ExperimentConfig(
+        n=300, beta=2.0, gamma_rule=PowerLawGamma(2.0), replicates=200, master_seed=5,
+        statistic=3, b_n=20.0)),
+    "moment-convergence-k4": (run_moment_convergence, moment_reference,
+                              clt_config(statistic=4, replicates=200)),
+    "mp-sanity-k2": (run_mp_sanity, moment_reference, ExperimentConfig(
+        n=300, beta=2.0, gamma_rule=LinearGamma(0.5), replicates=200, master_seed=9,
+        statistic=2, mode=RescalingMode.NONE)),
+    # 17 coefficients: long enough for BLAS's vectorized dot kernel.
+    "clt-degree17": (run_clt, clt_reference, clt_config(
+        n=100, statistic=np.linspace(-1.0, 1.0, 18), replicates=150)),
+    "clt-n3-degree5-window-clipped": (run_clt, clt_reference, clt_config(
+        n=3, gamma_rule=PowerLawGamma(2.0), statistic=X5, replicates=150)),
+    "clt-partial-last-block": (run_clt, clt_reference, clt_config(
+        n=20, replicates=_BLOCK + 77, master_seed=3)),
+}
+
+
+class TestReplicateDriver:
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_samples_match_per_replicate_reference(self, case):
+        # The driver draws only the window the moments read and reduces a
+        # block of replicates at a time; the samples must still equal the
+        # full per-replicate pipeline bit for bit.
+        run, reference, config = ORACLE_CASES[case]
+        report = run(config, keep_samples=True)
+        assert np.array_equal(report.samples, reference(config))
 
     def test_same_config_twice(self):
-        config = clt_config(replicates=150)
-        stat = lambda rng: float(rng.gamma(2.0, 2.0))
-        np.testing.assert_array_equal(
-            run_replicated(config, stat), run_replicated(config, stat)
-        )
-
-    @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_worker_count_invariance(self, workers):
-        config = clt_config(replicates=200)
-        stat = lambda rng: float(rng.normal())
-        np.testing.assert_array_equal(
-            run_replicated(config, stat, workers=1),
-            run_replicated(config, stat, workers=workers),
-        )
+        config = clt_config(statistic=X3, replicates=150)
+        first = run_clt(config, keep_samples=True)
+        second = run_clt(config, keep_samples=True)
+        np.testing.assert_array_equal(first.samples, second.samples)
 
     def test_failure_reports_index(self):
-        config = clt_config(replicates=5)
+        # beta = 0.02 at n = 3: a trailing chi-square draw occasionally
+        # underflows to 0, and the first replicate where that happens lies
+        # past the first block of replicates.
+        config = clt_config(n=3, beta=0.02, gamma_rule=PowerLawGamma(2.0),
+                            replicates=1500, master_seed=2)
+        params = config.ensemble_params()
+        first_bad = None
+        for i in range(config.replicates):
+            try:
+                sample_laguerre_tridiagonal(make_rng(derive_seed(config.master_seed, i)), params)
+            except ValueError:
+                first_bad = i
+                break
+        assert first_bad is not None and first_bad > _BLOCK
+        with pytest.raises(NumericalError, match=f"^replicate {first_bad} failed: off-diagonal"):
+            run_clt(config)
 
-        def stat(rng):
-            if stat.count == 3:
-                raise ValueError("boom")
-            stat.count += 1
-            return 0.0
-
-        stat.count = 0
-        with pytest.raises(RuntimeError, match="replicate 3"):
-            run_replicated(config, stat)
+    def test_small_beta_reads_only_the_window(self):
+        # At beta = 0.01, n = 50 replicate 51 of the full model has an
+        # off-diagonal entry that underflows to 0 outside the leading window.
+        # m_1 and m_2 read only that window, so the run completes.
+        config = clt_config(n=50, beta=0.01, gamma_rule=PowerLawGamma(2.0),
+                            replicates=1000, master_seed=42)
+        with pytest.raises(ValueError, match="strictly positive"):
+            clt_reference(config, count=52)
+        report = run_clt(config, keep_samples=True)
+        assert report.samples.shape == (1000,)
+        assert np.array_equal(report.samples[:51], clt_reference(config, count=51))
 
 
 class TestRunClt:
