@@ -539,8 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add(sub, dests, conv, "--replicates", type=int)
         _add(sub, dests, conv, "--seed", type=int)
         _add(sub, dests, conv, "--workers", type=int, default=1,
-             help="accepted for compatibility; replicates run in one thread "
-             "and the output is identical at any value")
+             help="accepted for compatibility and ignored with a warning; "
+             "replicates run in one thread")
         _add(sub, dests, conv, "--hist-bins", type=int, default=20)
         _add(sub, dests, conv, "--hist-out", type=str, default=None)
 
@@ -589,6 +589,9 @@ def _merge_config(args) -> None:
             elif conv in (int, float) and isinstance(value, (int, float)):
                 value = conv(value)
             setattr(args, dest, value)
+    if getattr(args, "workers", None) is not None:
+        print("warning: --workers has no effect; replicates run in one thread",
+              file=sys.stderr)
     for dest, default in args._dests.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)

@@ -5,10 +5,10 @@ A symmetric tridiagonal matrix with positive subdiagonal is held as a
 atoms, squared first eigenvector components as weights) is a
 :class:`SpectralMeasure`. The two representations are bijective at finite
 size; :func:`eigen_spectral` (LAPACK's symmetric tridiagonal eigensolver)
-and :func:`measure_to_coefficients` (the Stieltjes procedure) implement the
-two directions, and :func:`moments_via_operator` /
-:func:`moments_of_measure` compute moments on either side without ever
-leaving it.
+and :func:`measure_to_coefficients` (LAPACK's Householder reduction of the
+bordered matrix of the measure) implement the two directions, and
+:func:`moments_via_operator` / :func:`moments_of_measure` compute moments
+on either side without ever leaving it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ __all__ = [
     "moments_via_operator",
 ]
 
-# Relative gap below which the Stieltjes recursion is declared broken down.
+# Relative off-diagonal (the Stieltjes recursion norm) below which inverting
+# a measure is declared broken down.
 _STIELTJES_BREAKDOWN = 1e-12
 
 _WEIGHT_SUM_TOL = 1e-10
@@ -192,49 +193,45 @@ def moments_of_measure(measure: SpectralMeasure, order: int) -> np.ndarray:
 def measure_to_coefficients(measure: SpectralMeasure, order: int) -> JacobiCoefficients:
     """Recursion coefficients of the orthonormal polynomials of a measure.
 
-    Runs the Stieltjes procedure on the atoms with full reorthogonalization
-    against all previously computed polynomial values, returning the first
-    ``order`` diagonal and ``order - 1`` off-diagonal entries. This inverts
-    :func:`eigen_spectral` when ``order`` equals the number of atoms.
+    Lanczos from sqrt(w) on diag(lambda) yields them, and so does LAPACK's
+    Householder tridiagonalization (dsytrd, in place) of the bordered matrix
+    [[0, sqrt(w)^T], [sqrt(w), diag(lambda)]], which keeps e1 fixed and is
+    backward stable (Gragg & Harrod, Numer. Math. 44, 1984; Gautschi,
+    Orthogonal Polynomials, 2004, section 2.2). Its trailing block is the
+    Jacobi matrix; the first ``order`` diagonal and ``order - 1``
+    off-diagonal entries are returned, which inverts :func:`eigen_spectral`
+    when ``order`` equals the number of atoms n. The cost is O(n^3) at any
+    order: a smaller ``order`` truncates the full reduction.
 
-    Raises ValueError when ``order`` exceeds the number of atoms and
-    NumericalError when a recursion norm collapses (numerical breakdown,
+    Raises ValueError when ``order`` exceeds n and NumericalError when LAPACK
+    fails or an off-diagonal up to ``order`` collapses (numerical breakdown,
     typically from nearly coincident atoms).
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if order > measure.n:
-        raise ValueError(
-            f"order {order} exceeds the number of atoms {measure.n}"
+        raise ValueError(f"order {order} exceeds the number of atoms {measure.n}")
+    # Imported here for the same reason as in eigen_spectral.
+    from scipy.linalg.lapack import dsytrd, dsytrd_lwork
+
+    n = measure.n
+    # Heaviest atoms first: J does not depend on the order, but this one
+    # keeps tiny (small-beta) weights as accurate as the Stieltjes procedure.
+    heavy_first = np.argsort(-measure.weights, kind="stable")
+    # Fortran order lets LAPACK overwrite the matrix instead of copying it.
+    bordered = np.zeros((n + 1, n + 1), order="F")
+    bordered[1:, 0] = np.sqrt(measure.weights[heavy_first])
+    np.fill_diagonal(bordered[1:, 1:], measure.atoms[heavy_first])
+    lwork, _ = dsytrd_lwork(n + 1, lower=1)
+    _, d, e, _, info = dsytrd(bordered, lower=1, lwork=int(lwork), overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"Householder tridiagonalization failed: LAPACK info {info}")
+    off = np.abs(e[1:order])
+    scale = max(1.0, float(np.max(np.abs(measure.atoms))))
+    collapsed = ~(off > _STIELTJES_BREAKDOWN * scale)  # NaN counts as collapsed
+    if collapsed.any():
+        k = int(np.argmax(collapsed))
+        raise NumericalError(
+            f"Householder reduction broke down at step {k + 1}: off-diagonal {off[k]:.3g}"
         )
-    lam = measure.atoms
-    w = measure.weights
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    basis = np.empty((order, lam.size))
-    diag = np.empty(order)
-    off = np.empty(order - 1)
-    p_prev = np.zeros_like(lam)
-    p_cur = np.ones_like(lam)
-    c_prev = 0.0
-    for k in range(order):
-        basis[k] = p_cur
-        a = float(np.sum(w * lam * p_cur * p_cur))
-        diag[k] = a
-        if k == order - 1:
-            break
-        r = (lam - a) * p_cur - c_prev * p_prev
-        # Full reorthogonalization in the w-weighted inner product.
-        proj = basis[: k + 1] @ (w * r)
-        r = r - proj @ basis[: k + 1]
-        norm2 = float(np.sum(w * r * r))
-        if not np.isfinite(norm2) or norm2 <= (_STIELTJES_BREAKDOWN * scale) ** 2:
-            raise NumericalError(
-                f"Stieltjes recursion broke down at step {k + 1}: "
-                f"squared norm {norm2!r}"
-            )
-        c = float(np.sqrt(norm2))
-        off[k] = c
-        p_prev = p_cur
-        p_cur = r / c
-        c_prev = c
-    return JacobiCoefficients(diag, off)
+    return JacobiCoefficients(d[1 : order + 1], off)

@@ -257,6 +257,36 @@ class TestCltCommand:
         assert sum(int(line.split()[1]) for line in lines) == 150
 
 
+class TestWorkersFlag:
+    WARNING = "warning: --workers has no effect; replicates run in one thread\n"
+    COMMANDS = {
+        "clt": ["clt", "--n", "120", "--beta", "2", "--gamma-rule", "pow:3:1",
+                "--poly", "x^2", "--replicates", "150", "--seed", "7"],
+        "mdp": ["mdp", "--n", "200", "--beta", "2", "--gamma-rule", "pow:2:1",
+                "--b-n", "50", "--k", "3", "--replicates", "300", "--seed", "7"],
+        "mp-sanity": ["mp-sanity", "--n", "200", "--beta", "2", "--tau", "0.5",
+                      "--k", "2", "--replicates", "100", "--seed", "7"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_warns_once_and_output_unchanged(self, command, source, tmp_path, capsys):
+        args = self.COMMANDS[command]
+        assert cli.main(args) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        if source == "flag":
+            extra = ["--workers", "4"]
+        else:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"workers": 4}))
+            extra = ["--config", str(config)]
+        assert cli.main(args + extra) == 0
+        warned = capsys.readouterr()
+        assert warned.out == plain.out
+        assert warned.err == self.WARNING
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
         config = tmp_path / "c.json"

@@ -12,6 +12,8 @@ from scipy import stats
 from lagspec.ensembles import (
     EnsembleParams,
     RescalingMode,
+    _assemble,
+    _chi_squared_shapes,
     derive_seed,
     make_rng,
     rescale,
@@ -114,24 +116,36 @@ class TestDirichlet:
         assert ks < 0.01
 
 
+def sampled_models(seed, params, draws):
+    """Diagonals and off-diagonals of ``draws`` successive models from one seed.
+
+    One gamma call draws them all: the generator draws in order, so row i
+    is the i-th call of :func:`sample_laguerre_tridiagonal` on the same
+    generator. The first 1000 rows are checked against those calls.
+    """
+    shapes = _chi_squared_shapes(params, params.n)
+    z = make_rng(seed).gamma(np.broadcast_to(shapes, (draws, shapes.size)), 2.0)
+    diag, offdiag = _assemble(z)
+    rng = make_rng(seed)
+    for row in range(1000):
+        coeffs = sample_laguerre_tridiagonal(rng, params)
+        np.testing.assert_array_equal(coeffs.diag, diag[row])
+        np.testing.assert_array_equal(coeffs.offdiag, offdiag[row])
+    return diag, offdiag
+
+
 class TestLaguerreSampler:
     def test_one_by_one_is_chi_squared(self):
         gamma = 10.0
         params = EnsembleParams(1, 2.0, gamma)
-        rng = make_rng(7)
-        draws = np.array(
-            [sample_laguerre_tridiagonal(rng, params).diag[0] for _ in range(100_000)]
-        )
+        draws = sampled_models(7, params, 100_000)[0][:, 0]
         assert abs(draws.mean() - 2 * gamma) < 0.01 * 2 * gamma
 
     def test_trace_mean(self):
         # Diagonal collects z1 + (z2 + z3): dofs 2*gamma, beta'(2n-2),
         # 2*gamma - 2*beta' sum to 40 at n=2, beta=2, gamma=10.
         params = EnsembleParams(2, 2.0, 10.0)
-        rng = make_rng(8)
-        traces = np.array(
-            [sample_laguerre_tridiagonal(rng, params).diag.sum() for _ in range(100_000)]
-        )
+        traces = sampled_models(8, params, 100_000)[0].sum(axis=1)
         assert abs(traces.mean() - 40.0) < 0.01 * 40.0
 
     def test_offdiag_strictly_positive(self):
@@ -166,17 +180,13 @@ class TestLaguerreSampler:
         oracle = np.sort(np.vstack(accepted)[:draws], axis=1)
 
         params = EnsembleParams(2, 2.0, 3.0, RescalingMode.NONE)
-        model_rng = make_rng(11)
-        lo = np.empty(draws)
-        hi = np.empty(draws)
-        for i in range(draws):
-            coeffs = sample_laguerre_tridiagonal(model_rng, params)
-            d1, d2 = coeffs.diag
-            c1 = coeffs.offdiag[0]
-            half_gap = np.sqrt((d1 - d2) ** 2 + 4 * c1 * c1) / 2.0
-            mid = (d1 + d2) / 2.0
-            lo[i] = mid - half_gap
-            hi[i] = mid + half_gap
+        diag, offdiag = sampled_models(11, params, draws)
+        d1, d2 = diag[:, 0], diag[:, 1]
+        c1 = offdiag[:, 0]
+        half_gap = np.sqrt((d1 - d2) ** 2 + 4 * c1 * c1) / 2.0
+        mid = (d1 + d2) / 2.0
+        lo = mid - half_gap
+        hi = mid + half_gap
 
         grid = np.linspace(0.5, 25.0, 20)
         worst = 0.0

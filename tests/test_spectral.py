@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import lagspec
+from lagspec.ensembles import EnsembleParams, make_rng, rescale, sample_laguerre_tridiagonal
 from lagspec.errors import NumericalError
 from lagspec.spectral import (
     JacobiCoefficients,
@@ -25,6 +26,49 @@ from lagspec.spectral import (
 def random_jacobi(seed, n):
     rng = np.random.default_rng(seed)
     return JacobiCoefficients(rng.uniform(-1, 1, n), rng.uniform(0.5, 1.5, n - 1))
+
+
+def laguerre_jacobi(seed, n, beta=2.0, gamma_power=2):
+    """A rescaled Laguerre draw at gamma = n^gamma_power."""
+    params = EnsembleParams(n, beta, float(n) ** gamma_power)
+    return rescale(sample_laguerre_tridiagonal(make_rng(seed), params), params)
+
+
+def stieltjes_reference(measure, order):
+    """The Stieltjes procedure with full reorthogonalization, an independent oracle.
+
+    Recurses on the orthonormal polynomial values at the atoms, projecting
+    each new one against all earlier ones in the w-weighted inner product.
+    """
+    lam = measure.atoms
+    w = measure.weights
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    basis = np.empty((order, lam.size))
+    diag = np.empty(order)
+    off = np.empty(order - 1)
+    p_prev = np.zeros_like(lam)
+    p_cur = np.ones_like(lam)
+    c_prev = 0.0
+    for k in range(order):
+        basis[k] = p_cur
+        a = float(np.sum(w * lam * p_cur * p_cur))
+        diag[k] = a
+        if k == order - 1:
+            break
+        r = (lam - a) * p_cur - c_prev * p_prev
+        proj = basis[: k + 1] @ (w * r)
+        r = r - proj @ basis[: k + 1]
+        norm2 = float(np.sum(w * r * r))
+        if not np.isfinite(norm2) or norm2 <= (1e-12 * scale) ** 2:
+            raise NumericalError(
+                f"Stieltjes recursion broke down at step {k + 1}: squared norm {norm2!r}"
+            )
+        c = float(np.sqrt(norm2))
+        off[k] = c
+        p_prev = p_cur
+        p_cur = r / c
+        c_prev = c
+    return JacobiCoefficients(diag, off)
 
 
 class TestValidation:
@@ -129,11 +173,51 @@ class TestSzegoMap:
             measure_to_coefficients(SpectralMeasure([0.0, 1.0], [0.5, 0.5]), 3)
 
     def test_breakdown_on_coincident_atoms(self):
-        # A gap below resolution is accepted by the measure but breaks the
-        # third recursion step.
+        # A gap below resolution is accepted by the measure but collapses
+        # the second off-diagonal, where the Stieltjes recursion breaks too.
         mu = SpectralMeasure([0.0, 1e-13, 1.0], [0.3, 0.3, 0.4])
-        with pytest.raises(NumericalError, match="broke down"):
+        with pytest.raises(NumericalError, match="broke down at step 2"):
             measure_to_coefficients(mu, 3)
+        with pytest.raises(NumericalError, match="broke down at step 2"):
+            stieltjes_reference(mu, 3)
+
+    @pytest.mark.parametrize("order", [5, 50, 300])
+    def test_matches_stieltjes_reference(self, order):
+        mu = eigen_spectral(laguerre_jacobi(41, 300))
+        got = measure_to_coefficients(mu, order)
+        ref = stieltjes_reference(mu, order)
+        np.testing.assert_allclose(got.diag, ref.diag, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.offdiag, ref.offdiag, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed,n,beta,gamma_power", [
+        # The benchmark's slice and inversion oracle: n = 1000, atol 1e-9.
+        pytest.param(42, 1000, 2.0, 2, id="benchmark-size"),
+        # Weights down to 4e-19: taking the atoms in their given order
+        # instead of heaviest first loses this round trip to 2.6e-8.
+        pytest.param(1, 400, 0.5, 3, id="tiny-weights"),
+    ])
+    def test_laguerre_roundtrip(self, seed, n, beta, gamma_power):
+        coeffs = laguerre_jacobi(seed, n, beta, gamma_power)
+        back = measure_to_coefficients(eigen_spectral(coeffs), n)
+        np.testing.assert_allclose(back.diag, coeffs.diag, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(back.offdiag, coeffs.offdiag, rtol=0, atol=1e-9)
+
+    def test_input_measure_unchanged(self):
+        mu = eigen_spectral(random_jacobi(7, 40))
+        atoms, weights = mu.atoms.copy(), mu.weights.copy()
+        measure_to_coefficients(mu, 40)
+        np.testing.assert_array_equal(mu.atoms, atoms)
+        np.testing.assert_array_equal(mu.weights, weights)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        def failing(a, **kwargs):
+            return a, np.zeros(a.shape[0]), np.zeros(a.shape[0] - 1), None, -1
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", failing)
+        with pytest.raises(NumericalError, match="LAPACK info -1"):
+            measure_to_coefficients(SpectralMeasure([0.0, 1.0], [0.5, 0.5]), 2)
 
 
 class TestFreeJacobi:
