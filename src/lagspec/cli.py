@@ -587,6 +587,8 @@ def _merge_config(args) -> None:
             if conv is not None and isinstance(value, str):
                 value = conv(value)
             elif conv in (int, float) and isinstance(value, (int, float)):
+                if conv is int and isinstance(value, float) and not value.is_integer():
+                    raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
                 value = conv(value)
             setattr(args, dest, value)
     if getattr(args, "workers", None) is not None:

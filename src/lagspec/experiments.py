@@ -9,11 +9,13 @@ coefficients, which is the same random variable the eigendecomposition
 route produces, at a fraction of the cost.
 
 m_1..m_k read only the leading (k+1) x (k+1) window of the model, so a
-replicate draws only the chi-squares behind that window. Replicates are
-drawn one generator at a time, in index order, and then assembled,
-centered and pushed through the moment recursion a block at a time; every
-reported number is the same as drawing and reducing each replicate on its
-own.
+replicate draws only the chi-squares behind that window. Replicates run a
+block at a time: the block's child seeds and generator states are computed
+in one vectorized pass, every replicate draws through one reused
+generator, and the block is then assembled, centered and pushed through
+the moment recursion at once. Every reported number is the same as drawing
+each replicate from its own ``make_rng(derive_seed(master_seed, i))`` and
+reducing it on its own.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .ensembles import (
     _assemble,
     _center,
     _chi_squared_shapes,
-    derive_seed,
-    make_rng,
+    _integer,
+    _replicate_draws,
 )
 from .errors import NumericalError
 from .moments import (
@@ -119,6 +121,7 @@ class ExperimentConfig:
     mode: RescalingMode = RescalingMode.STANDARD
 
     def __post_init__(self):
+        _integer(self.master_seed, "master_seed")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.b_n is not None and not (self.b_n > 0):
@@ -245,9 +248,11 @@ def _run(
     """Draw every replicate, evaluate its statistic, summarize and judge.
 
     Replicate i reads the leading w x w window of the model, w = min(order
-    + 1, n), drawn from make_rng(derive_seed(master_seed, i)); only its
-    first 2w - 1 chi-squares are drawn, which are exactly the leading
-    draws of the full matrix. The window is centered by ``params.mode``,
+    + 1, n), with the draws of make_rng(derive_seed(master_seed, i)); only
+    its first 2w - 1 chi-squares are drawn, which are exactly the leading
+    draws of the full matrix. Each block of replicates is seeded in one
+    vectorized pass and drawn through one reused generator
+    (ensembles._replicate_draws). The window is centered by ``params.mode``,
     or multiplied by ``scale`` when one is given, and ``statistic`` maps
     the moments m_1..m_order (one row per replicate) to one value per
     replicate. ``verdict`` receives the sample mean, variance and
@@ -259,10 +264,7 @@ def _run(
     samples = np.empty(config.replicates)
     for first in range(0, config.replicates, _BLOCK):
         block = range(first, min(first + _BLOCK, config.replicates))
-        z = np.empty((len(block), shapes.size))
-        for row, i in enumerate(block):
-            z[row] = make_rng(derive_seed(config.master_seed, i)).gamma(shapes, 2.0)
-        diag, offdiag = _assemble(z)
+        diag, offdiag = _assemble(_replicate_draws(config.master_seed, block, shapes))
         if scale is None:
             diag, offdiag = _center(diag, offdiag, params)
         else:

@@ -321,6 +321,17 @@ class TestConfigFile:
         data = json.loads(capsys.readouterr().out)
         assert [row["value"] for row in data] == [0.0, 1.0, 0.0, 2.0]
 
+    def test_non_integral_seed_rejected(self, tmp_path, capsys):
+        # A JSON float for an integer flag is an error, not truncated to 1.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"seed": 1.5}))
+        assert cli.main(["clt", "--n", "20", "--beta", "2", "--gamma-rule", "pow:2:1",
+                         "--poly", "x^2", "--replicates", "100",
+                         "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "seed" in captured.err
+
     def test_flag_beats_config_beats_default(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"format": "json", "xi": 2.0}))

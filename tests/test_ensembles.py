@@ -7,6 +7,8 @@ distributional content.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from lagspec.ensembles import (
@@ -14,6 +16,8 @@ from lagspec.ensembles import (
     RescalingMode,
     _assemble,
     _chi_squared_shapes,
+    _pcg64_states,
+    _replicate_draws,
     derive_seed,
     make_rng,
     rescale,
@@ -60,6 +64,61 @@ class TestSeeds:
         a = make_rng(99).gamma(2.0, 2.0, size=10)
         b = make_rng(99).gamma(2.0, 2.0, size=10)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "4"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="integer"):
+            derive_seed(seed, 0)
+        with pytest.raises(ValueError, match="integer"):
+            make_rng(seed)
+
+    def test_numpy_integer_seeds_accepted(self):
+        assert derive_seed(np.int64(-3), np.int32(2)) == derive_seed(-3, 2)
+        assert derive_seed(np.uint64(2**64 - 1), 0) == derive_seed(2**64 - 1, 0)
+        np.testing.assert_array_equal(make_rng(np.uint64(5)).random(3), make_rng(5).random(3))
+
+
+def per_replicate_draws(master, block, shapes):
+    """The reference for _replicate_draws: one seeded generator per replicate."""
+    return np.array([make_rng(derive_seed(master, i)).gamma(shapes, 2.0) for i in block])
+
+
+class TestBlockSeeding:
+    def test_make_rng_is_pcg64(self):
+        assert type(make_rng(1).bit_generator) is np.random.PCG64
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_state_step_matches_pcg64(self, seed):
+        # The whole state dict, buffered-uint32 fields included.
+        assert next(_pcg64_states(np.array([seed], dtype=np.uint64))) == np.random.PCG64(seed).state
+
+    @pytest.mark.parametrize("master", [0, 1, -1, 2**64 - 1, 2**64 + 5, -(2**70)])
+    def test_block_matches_per_replicate_generators(self, master):
+        # 6 masters x 512 derived seeds; shapes of a beta = 2 window and of a
+        # beta = 0.1 one, whose shapes below 1 take another gamma branch.
+        block = range(0, 512)
+        for params in (EnsembleParams(2000, 2.0, 2000.0**2), EnsembleParams(40, 0.1, 3.0)):
+            shapes = _chi_squared_shapes(params, 4)
+            assert np.array_equal(
+                _replicate_draws(master, block, shapes), per_replicate_draws(master, block, shapes)
+            )
+
+    @settings(deadline=None)
+    @given(
+        master=st.integers(-(2**70), 2**70),
+        start=st.integers(0, 10**6),
+        length=st.integers(1, 50),
+        beta=st.floats(0.01, 8.0),
+        n=st.integers(1, 30),
+        extra=st.floats(0.01, 1e4),
+    )
+    def test_block_property(self, master, start, length, beta, n, extra):
+        params = EnsembleParams(n, beta, (n - 1) * beta / 2.0 + extra)
+        shapes = _chi_squared_shapes(params, n)
+        block = range(start, start + length)
+        assert np.array_equal(
+            _replicate_draws(master, block, shapes), per_replicate_draws(master, block, shapes)
+        )
 
 
 class TestChiSquared:

@@ -55,6 +55,19 @@ class TestGammaRules:
         assert LinearGamma(0.5).gamma_at(100, 1.0) == 200.0
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize("seed", [1.5, 101.0, np.float64(7.0)])
+    def test_non_integer_master_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            clt_config(master_seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(101), np.uint64(101)])
+    def test_numpy_integer_master_seed_accepted(self, seed):
+        config = clt_config(master_seed=seed, statistic=X3, replicates=100)
+        reference = run_clt(clt_config(statistic=X3, replicates=100), keep_samples=True)
+        assert np.array_equal(run_clt(config, keep_samples=True).samples, reference.samples)
+
+
 class TestPredictedClt:
     def test_x_squared(self):
         for zeta in (0.0, 0.5, 2.0):
