@@ -7,8 +7,11 @@ failures, 2 for usage, parameter, and I/O errors. Identical invocations
 (seed included) produce byte-identical output.
 
 An optional flat key-value config file (JSON object, keys matching flag
-names) can set any flag: an explicit flag beats the config file, which
-beats the built-in default. Seeds are always explicit, never ambient.
+names exactly) can set any flag. Each entry becomes one ``--key=value``
+token placed ahead of the command-line flags, so argparse checks it like
+any flag and the last value given wins: an explicit flag beats the config
+file, which beats the built-in default. Every usage error prints one
+``error:`` line. Seeds are always explicit, never ambient.
 """
 
 from __future__ import annotations
@@ -45,11 +48,16 @@ from .moments import (
 from .rates import AcPlusAtoms, f_outlier, kl_semicircle, ldp_rate, mdp_rate_series
 from .spectral import eigen_spectral
 
-REPORT_COLUMNS = [
-    "statistic", "n", "beta", "gamma", "zeta_or_xi", "replicates",
-    "predicted_mean", "sample_mean", "se_mean", "z_score",
-    "predicted_var", "sample_var", "verdict",
-]
+# (column, ExperimentReport attribute), in report order.
+REPORT_FIELDS = (
+    ("statistic", "statistic"), ("n", "n"), ("beta", "beta"), ("gamma", "gamma"),
+    ("zeta_or_xi", "zeta_or_xi"), ("replicates", "replicates"),
+    ("predicted_mean", "predicted_mean"), ("sample_mean", "sample_mean"),
+    ("se_mean", "standard_error_mean"), ("z_score", "z_score"),
+    ("predicted_var", "predicted_variance"), ("sample_var", "sample_variance"),
+    ("verdict", "verdict"),
+)
+REPORT_COLUMNS = [column for column, _ in REPORT_FIELDS]
 
 _NU_QUAD_TOL = 1e-8
 
@@ -170,20 +178,6 @@ def parse_gamma_rule(text: str):
     raise ValueError(f"gamma rule must be 'pow:<a>:<c>' or 'lin:<tau>', got {text!r}")
 
 
-def _parse_mode(text: str) -> RescalingMode:
-    try:
-        return RescalingMode(text)
-    except ValueError:
-        raise ValueError(f"mode must be standard, shifted, or none, got {text!r}") from None
-
-
-def _parse_variant(text: str) -> NuVariant:
-    try:
-        return NuVariant(text)
-    except ValueError:
-        raise ValueError(f"variant must be standard or shifted, got {text!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # emission
 
@@ -196,33 +190,17 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _csv(header, rows) -> str:
+    text = ",".join(header) + "\n"
+    return text + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+
+
 def report_csv(report: ExperimentReport) -> str:
-    values = [
-        report.statistic, report.n, report.beta, report.gamma,
-        report.zeta_or_xi, report.replicates, report.predicted_mean,
-        report.sample_mean, report.standard_error_mean, report.z_score,
-        report.predicted_variance, report.sample_variance, report.verdict,
-    ]
-    return ",".join(REPORT_COLUMNS) + "\n" + ",".join(_fmt(v) for v in values) + "\n"
+    return _csv(REPORT_COLUMNS, [[getattr(report, attr) for _, attr in REPORT_FIELDS]])
 
 
 def report_json(report: ExperimentReport) -> str:
-    payload = {
-        "statistic": report.statistic,
-        "n": report.n,
-        "beta": report.beta,
-        "gamma": report.gamma,
-        "zeta_or_xi": report.zeta_or_xi,
-        "replicates": report.replicates,
-        "predicted_mean": report.predicted_mean,
-        "sample_mean": report.sample_mean,
-        "se_mean": report.standard_error_mean,
-        "z_score": report.z_score,
-        "predicted_var": report.predicted_variance,
-        "sample_var": report.sample_variance,
-        "verdict": report.verdict,
-    }
-    return json.dumps(payload) + "\n"
+    return json.dumps({column: getattr(report, attr) for column, attr in REPORT_FIELDS}) + "\n"
 
 
 def emit_report(report: ExperimentReport, fmt: str = "csv", out: str | None = None) -> None:
@@ -255,14 +233,9 @@ def emit_histogram(samples: np.ndarray, bins: int, out: str | None = None) -> No
 
 def _emit_rows(rows, header, fmt, out):
     if fmt == "csv":
-        text = ",".join(header) + "\n"
-        text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
-        _write_text(text, out)
-    elif fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _write_text(json.dumps(payload) + "\n", out)
+        _write_text(_csv(header, rows), out)
     else:
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
+        _write_text(json.dumps([dict(zip(header, row)) for row in rows]) + "\n", out)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +243,7 @@ def _emit_rows(rows, header, fmt, out):
 
 
 def _cmd_sample(args) -> int:
-    _require(args, ["n", "beta", "gamma", "seed"])
-    params = EnsembleParams(args.n, args.beta, args.gamma, _parse_mode(args.mode))
+    params = EnsembleParams(args.n, args.beta, args.gamma, RescalingMode(args.mode))
     rng = make_rng(args.seed)
     coeffs = rescale(sample_laguerre_tridiagonal(rng, params), params)
     if args.what == "coeffs":
@@ -280,17 +252,14 @@ def _cmd_sample(args) -> int:
             for k in range(coeffs.n)
         ]
         _emit_rows(rows, ["index", "diag", "offdiag"], args.format, args.out)
-    elif args.what == "measure":
+    else:
         measure = eigen_spectral(coeffs)
         rows = list(zip(measure.atoms.tolist(), measure.weights.tolist()))
         _emit_rows(rows, ["atom", "weight"], args.format, args.out)
-    else:
-        raise ValueError(f"--what must be measure or coeffs, got {args.what!r}")
     return 0
 
 
 def _cmd_moments(args) -> int:
-    _require(args, ["measure", "order"])
     name = args.measure
     if name == "semicircle":
         values = semicircle_moments(args.order).astype(np.float64)
@@ -300,11 +269,9 @@ def _cmd_moments(args) -> int:
         if args.tau is None:
             raise ValueError("--tau is required for Marchenko-Pastur moments")
         values = mp_moments(args.order, args.tau)
-    elif name in ("nu", "nu-hat"):
+    else:
         variant = NuVariant.STANDARD if name == "nu" else NuVariant.SHIFTED
         values = nu_moments(args.order, args.xi, variant)
-    else:
-        raise ValueError(f"unknown measure {name!r}")
     rows = [(k + 1, float(values[k])) for k in range(len(values))]
     _emit_rows(rows, ["k", "value"], args.format, args.out)
     return 0
@@ -351,22 +318,22 @@ def _cmd_rate(args) -> int:
         trunc = args.trunc if args.trunc is not None else min(15, m.size)
         rows.append(
             ("mdp_rate",
-             mdp_rate_series(m, args.xi, _parse_variant(args.variant), trunc))
+             mdp_rate_series(m, args.xi, NuVariant(args.variant), trunc))
         )
     _emit_rows(rows, ["quantity", "value"], args.format, args.out)
     return 0
 
 
-def _experiment_config(args, statistic) -> ExperimentConfig:
+def _experiment_config(args, statistic, gamma_rule, mode: str) -> ExperimentConfig:
     return ExperimentConfig(
         n=args.n,
         beta=args.beta,
-        gamma_rule=parse_gamma_rule(args.gamma_rule),
+        gamma_rule=gamma_rule,
         replicates=args.replicates,
         master_seed=args.seed,
         statistic=statistic,
         b_n=getattr(args, "b_n", None),
-        mode=_parse_mode(args.mode),
+        mode=RescalingMode(mode),
     )
 
 
@@ -378,30 +345,20 @@ def _finish_experiment(args, report: ExperimentReport) -> int:
 
 
 def _cmd_clt(args) -> int:
-    _require(args, ["n", "beta", "gamma_rule", "poly", "replicates", "seed"])
-    config = _experiment_config(args, parse_poly(args.poly))
+    config = _experiment_config(args, parse_poly(args.poly),
+                                parse_gamma_rule(args.gamma_rule), args.mode)
     report = run_clt(config, keep_samples=args.hist_out is not None)
     return _finish_experiment(args, report)
 
 
 def _cmd_mdp(args) -> int:
-    _require(args, ["n", "beta", "gamma_rule", "b_n", "k", "replicates", "seed"])
-    config = _experiment_config(args, int(args.k))
+    config = _experiment_config(args, args.k, parse_gamma_rule(args.gamma_rule), args.mode)
     report = run_mdp_centering(config, keep_samples=args.hist_out is not None)
     return _finish_experiment(args, report)
 
 
 def _cmd_mp_sanity(args) -> int:
-    _require(args, ["n", "beta", "tau", "k", "replicates", "seed"])
-    config = ExperimentConfig(
-        n=args.n,
-        beta=args.beta,
-        gamma_rule=LinearGamma(args.tau),
-        replicates=args.replicates,
-        master_seed=args.seed,
-        statistic=int(args.k),
-        mode=RescalingMode.NONE,
-    )
+    config = _experiment_config(args, args.k, LinearGamma(args.tau), "none")
     report = run_mp_sanity(config, keep_samples=args.hist_out is not None)
     return _finish_experiment(args, report)
 
@@ -426,22 +383,14 @@ def _identity_checks(order: int):
         ok = bool(np.array_equal(d15 @ w, nu_moments(15, 1.0, variant)))
         checks.append((f"dw_telescoping_{tag}_order15", ok))
 
-    k20 = 20
-    d20 = d_matrix(k20)
-    inv = np.zeros((k20, k20), dtype=np.int64)
-    for j in range(k20):
-        col = np.zeros(k20, dtype=np.int64)
-        col[j] = 1
-        for i in range(k20):
-            col[i] -= d20[i, :i] @ col[:i]
-        inv[:, j] = col
-    rows_ok = True
-    for i in range(1, k20 + 1):
-        coeffs = semicircle_orthonormal_poly(i)
-        padded = np.zeros(k20, dtype=np.int64)
-        padded[: i] = coeffs[1:]
-        rows_ok = rows_ok and bool(np.array_equal(inv[i - 1], padded))
-    checks.append(("dinv_rows_polynomials_order20", rows_ok))
+    # Row i of P holds p_i's coefficients of x^1..x^i. D is unit lower
+    # triangular, so the exact integer product P D = I holds iff P = D^-1.
+    # sum_k |P_ik D_kj| <= 2.4e6, so no int64 sum can wrap.
+    p = np.zeros((20, 20), dtype=np.int64)
+    for i in range(1, 21):
+        p[i - 1, :i] = semicircle_orthonormal_poly(i)[1:]
+    checks.append(("dinv_rows_polynomials_order20",
+                   bool(np.array_equal(p @ d_matrix(20), np.eye(20, dtype=np.int64)))))
 
     for variant, tag in ((NuVariant.STANDARD, "nu"), (NuVariant.SHIFTED, "nu_hat")):
         closed = nu_moments(15, 1.0, variant)
@@ -460,157 +409,126 @@ def _cmd_identities(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly and config-file merging
+# parser assembly and config-file tokens
 
 
-def _require(args, names) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"missing required option {flag}")
+class _Parser(argparse.ArgumentParser):
+    """Raise usage errors as ValueError, so main reports them like any other."""
 
-
-def _add(sub, dests, converters, *names, default=None, **kwargs):
-    # argparse sees no defaults, so after parsing None means "not given";
-    # _merge_config fills config values and then the defaults kept in
-    # ``dests`` into the gaps: flag beats config file beats default.
-    conv = kwargs.get("type")
-    action = sub.add_argument(*names, **kwargs)
-    dests[action.dest] = default
-    if conv is not None:
-        converters[action.dest] = conv
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lagspec",
         description="Laguerre beta-ensemble spectral measures: sampling, "
         "rate functions, and Monte Carlo limit-theorem checks.",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    modes = [mode.value for mode in RescalingMode]
 
     def new_command(name, run, help_text):
-        sub = subs.add_parser(name, help=help_text)
-        dests: dict = {}
-        converters: dict = {}
-        _add(sub, dests, converters, "--config", type=str, default=None,
-             help="flat JSON config file; flags win")
-        _add(sub, dests, converters, "--format", type=str, default="csv",
-             choices=("csv", "json"))
-        _add(sub, dests, converters, "--out", type=str, default=None,
-             help="output path (default: stdout)")
-        sub.set_defaults(_run=run, _dests=dests, _converters=converters)
-        return sub, dests, converters
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        sub.add_argument("--config", help="flat JSON config file; flags win")
+        sub.add_argument("--format", default="csv", choices=("csv", "json"))
+        sub.add_argument("--out", help="output path (default: stdout)")
+        sub.set_defaults(_run=run)
+        return sub
 
-    sub, dests, conv = new_command("sample", _cmd_sample,
-                                   "draw one rescaled tridiagonal model")
-    _add(sub, dests, conv, "--n", type=int)
-    _add(sub, dests, conv, "--beta", type=float)
-    _add(sub, dests, conv, "--gamma", type=float)
-    _add(sub, dests, conv, "--seed", type=int)
-    _add(sub, dests, conv, "--mode", type=str, default="standard")
-    _add(sub, dests, conv, "--what", type=str, default="measure",
-         choices=("measure", "coeffs"))
+    sub = new_command("sample", _cmd_sample, "draw one rescaled tridiagonal model")
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--beta", type=float, required=True)
+    sub.add_argument("--gamma", type=float, required=True)
+    sub.add_argument("--seed", type=int, required=True)
+    sub.add_argument("--mode", default="standard", choices=modes)
+    sub.add_argument("--what", default="measure", choices=("measure", "coeffs"))
 
-    sub, dests, conv = new_command("moments", _cmd_moments,
-                                   "reference moment sequences")
-    _add(sub, dests, conv, "--measure", type=str,
-         choices=("semicircle", "arcsine", "mp", "nu", "nu-hat"))
-    _add(sub, dests, conv, "--order", type=int)
-    _add(sub, dests, conv, "--tau", type=float, default=None)
-    _add(sub, dests, conv, "--xi", type=float, default=1.0)
+    sub = new_command("moments", _cmd_moments, "reference moment sequences")
+    sub.add_argument("--measure", required=True,
+                     choices=("semicircle", "arcsine", "mp", "nu", "nu-hat"))
+    sub.add_argument("--order", type=int, required=True)
+    sub.add_argument("--tau", type=float)
+    sub.add_argument("--xi", type=float, default=1.0)
 
-    sub, dests, conv = new_command("rate", _cmd_rate, "evaluate rate functions")
-    _add(sub, dests, conv, "--outlier", type=float, default=None)
-    _add(sub, dests, conv, "--semicircle-atoms", type=str, default=None,
-         help="loc:mass[,loc:mass...] on a rescaled semicircle bulk")
-    _add(sub, dests, conv, "--mdp-moments", type=str, default=None,
-         help="comma-separated moment sequence")
-    _add(sub, dests, conv, "--xi", type=float, default=0.0)
-    _add(sub, dests, conv, "--variant", type=str, default="standard")
-    _add(sub, dests, conv, "--trunc", type=int, default=None)
+    sub = new_command("rate", _cmd_rate, "evaluate rate functions")
+    sub.add_argument("--outlier", type=float)
+    sub.add_argument("--semicircle-atoms",
+                     help="loc:mass[,loc:mass...] on a rescaled semicircle bulk")
+    sub.add_argument("--mdp-moments", help="comma-separated moment sequence")
+    sub.add_argument("--xi", type=float, default=0.0)
+    sub.add_argument("--variant", default="standard",
+                     choices=[variant.value for variant in NuVariant])
+    sub.add_argument("--trunc", type=int)
 
-    def experiment_flags(sub, dests, conv, with_rule=True):
-        _add(sub, dests, conv, "--n", type=int)
-        _add(sub, dests, conv, "--beta", type=float)
-        if with_rule:
-            _add(sub, dests, conv, "--gamma-rule", type=str,
-                 help="pow:<a>:<c> or lin:<tau>")
-        _add(sub, dests, conv, "--replicates", type=int)
-        _add(sub, dests, conv, "--seed", type=int)
-        _add(sub, dests, conv, "--workers", type=int, default=1,
-             help="accepted for compatibility and ignored with a warning; "
-             "replicates run in one thread")
-        _add(sub, dests, conv, "--hist-bins", type=int, default=20)
-        _add(sub, dests, conv, "--hist-out", type=str, default=None)
+    def experiment_command(name, run, help_text):
+        sub = new_command(name, run, help_text)
+        sub.add_argument("--n", type=int, required=True)
+        sub.add_argument("--beta", type=float, required=True)
+        sub.add_argument("--replicates", type=int, required=True)
+        sub.add_argument("--seed", type=int, required=True)
+        sub.add_argument("--hist-bins", type=int, default=20)
+        sub.add_argument("--hist-out")
+        return sub
 
-    sub, dests, conv = new_command("clt", _cmd_clt,
-                                   "central-limit check for a polynomial statistic")
-    experiment_flags(sub, dests, conv)
-    _add(sub, dests, conv, "--poly", type=str, help="e.g. x^3 or 1+2x-0.5x^2")
-    _add(sub, dests, conv, "--mode", type=str, default="standard")
+    sub = experiment_command("clt", _cmd_clt, "central-limit check for a polynomial statistic")
+    sub.add_argument("--gamma-rule", required=True, help="pow:<a>:<c> or lin:<tau>")
+    sub.add_argument("--poly", required=True, help="e.g. x^3 or 1+2x-0.5x^2")
+    sub.add_argument("--mode", default="standard", choices=modes)
 
-    sub, dests, conv = new_command("mdp", _cmd_mdp,
-                                   "moderate-deviation centering check")
-    experiment_flags(sub, dests, conv)
-    _add(sub, dests, conv, "--b-n", type=float)
-    _add(sub, dests, conv, "--k", type=int)
-    _add(sub, dests, conv, "--mode", type=str, default="standard")
+    sub = experiment_command("mdp", _cmd_mdp, "moderate-deviation centering check")
+    sub.add_argument("--gamma-rule", required=True, help="pow:<a>:<c> or lin:<tau>")
+    sub.add_argument("--b-n", type=float, required=True)
+    sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--mode", default="standard", choices=modes)
 
-    sub, dests, conv = new_command("mp-sanity", _cmd_mp_sanity,
-                                   "Marchenko-Pastur law-of-large-numbers check")
-    experiment_flags(sub, dests, conv, with_rule=False)
-    _add(sub, dests, conv, "--tau", type=float)
-    _add(sub, dests, conv, "--k", type=int)
+    sub = experiment_command("mp-sanity", _cmd_mp_sanity,
+                             "Marchenko-Pastur law-of-large-numbers check")
+    sub.add_argument("--tau", type=float, required=True)
+    sub.add_argument("--k", type=int, required=True)
 
-    sub, dests, conv = new_command("identities", _cmd_identities,
-                                   "exact combinatorial identity checks")
-    _add(sub, dests, conv, "--order", type=int, default=12)
+    sub = new_command("identities", _cmd_identities, "exact combinatorial identity checks")
+    sub.add_argument("--order", type=int, default=12)
 
     return parser
 
 
-def _merge_config(args) -> None:
-    """Fill unset options from the config file, then from the defaults."""
-    data = {}
-    if args.config is not None:
-        with open(args.config) as fh:
-            data = json.load(fh)
-    if not isinstance(data, dict):
+def _config_tokens(argv) -> list:
+    """The --config file's entries as ``--key=value`` tokens, in file order.
+
+    The ``--key=value`` form keeps a value such as ``-x`` from reading as a
+    flag. An integral JSON float is written as an int, so an integer flag
+    takes ``2.0``; float flags read ``2`` as the same number.
+    """
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict) or any(isinstance(v, (dict, list)) for v in data.values()):
         raise ValueError("config file must hold a flat JSON object")
+    if "config" in data:
+        raise ValueError("a config file cannot name another config file")
+    tokens = []
     for key, value in data.items():
-        dest = str(key).replace("-", "_")
-        if dest not in args._dests or dest in ("config",):
-            raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, dest) is None:
-            conv = args._converters.get(dest)
-            if conv is not None and isinstance(value, str):
-                value = conv(value)
-            elif conv in (int, float) and isinstance(value, (int, float)):
-                if conv is int and isinstance(value, float) and not value.is_integer():
-                    raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-                value = conv(value)
-            setattr(args, dest, value)
-    if getattr(args, "workers", None) is not None:
-        print("warning: --workers has no effect; replicates run in one thread",
-              file=sys.stderr)
-    for dest, default in args._dests.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        tokens.append(f"--{key}={value if isinstance(value, str) else json.dumps(value)}")
+    return tokens
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code in (None, 0):
-            return 0
-        return int(code) if isinstance(code, int) else 2
-    try:
-        _merge_config(args)
+        # Config tokens go right after the subcommand, ahead of the user's
+        # flags: argparse keeps the last value, so a flag beats the file.
+        args = build_parser().parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
         return args._run(args)
+    except SystemExit:  # --help printed its text
+        return 0
     except (ValueError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

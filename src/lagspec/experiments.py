@@ -122,7 +122,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _integer(self.master_seed, "master_seed")
-        if self.replicates < 1:
+        if _integer(self.replicates, "replicates") < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.b_n is not None and not (self.b_n > 0):
             raise ValueError(f"b_n must be positive, got {self.b_n!r}")

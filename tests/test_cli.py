@@ -1,9 +1,13 @@
 """CLI parsing, emission formats, exit codes, and byte-level determinism."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagspec import cli
 from lagspec.experiments import ExperimentReport, LinearGamma, PowerLawGamma
@@ -108,7 +112,70 @@ class TestEmission:
             cli.emit_histogram(np.array([1.0]), 0)
 
 
+# The README's command-line examples, histogram path made relative.
+README_COMMANDS = {
+    "identities": ["identities", "--order", "12"],
+    "sample": ["sample", "--n", "50", "--beta", "2", "--gamma", "5000", "--seed", "7"],
+    "sample-coeffs": ["sample", "--n", "50", "--beta", "2", "--gamma", "5000", "--seed", "7",
+                      "--what", "coeffs", "--mode", "none"],
+    "moments-mp": ["moments", "--measure", "mp", "--order", "6", "--tau", "0.5"],
+    "moments-nu-hat": ["moments", "--measure", "nu-hat", "--order", "9", "--xi", "1"],
+    "rate-outlier": ["rate", "--outlier", "3.0"],
+    "rate-ldp": ["rate", "--semicircle-atoms", "3:0.1"],
+    "rate-mdp": ["rate", "--mdp-moments", "0,0,1,0,5", "--xi", "1", "--trunc", "5"],
+    "clt": ["clt", "--n", "2000", "--beta", "2", "--gamma-rule", "pow:2:1", "--poly", "x^3",
+            "--replicates", "10000", "--seed", "7"],
+    "mdp": ["mdp", "--n", "2000", "--beta", "2", "--gamma-rule", "pow:2:1", "--b-n", "50",
+            "--k", "3", "--replicates", "10000", "--seed", "7"],
+    "mp-sanity": ["mp-sanity", "--n", "2000", "--beta", "2", "--tau", "0.5", "--k", "2",
+                  "--replicates", "2000", "--seed", "7"],
+    "clt-hist": ["clt", "--n", "500", "--beta", "2", "--gamma-rule", "pow:3:1", "--poly", "x^2",
+                 "--replicates", "10000", "--seed", "7", "--hist-bins", "20",
+                 "--hist-out", "hist.txt"],
+}
+
+CLT_ARGS = ["clt", "--n", "120", "--beta", "2", "--gamma-rule", "pow:3:1",
+            "--poly", "x^2", "--replicates", "150", "--seed", "7"]
+
+
+def _json_value(text):
+    """A flag's text as the JSON value a config file would hold."""
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _take_files(directory):
+    """Read and remove every file in ``directory`` except the config."""
+    files = {}
+    for path in directory.iterdir():
+        if path.name != "c.json":
+            files[path.name] = path.read_bytes()
+            path.unlink()
+    return files
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--frobnicate", "1"],
+        ["dance"],
+        ["clt", "--n", "100"],
+        ["identities", "--ord", "5"],
+        CLT_ARGS + ["--workers", "1"],
+        ["sample", "--n", "4", "--beta", "2", "--gamma", "20", "--seed", "3",
+         "--mode", "sideways"],
+        ["rate", "--mdp-moments", "1,2", "--variant", "other"],
+    ], ids=["unknown-flag", "unknown-command", "missing-required", "abbreviation",
+            "workers", "mode-choice", "variant-choice"])
+    def test_usage_error_is_one_line(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_invalid_n_is_usage_error(self, capsys):
         code = cli.main(["sample", "--n", "-5", "--beta", "2", "--gamma", "10",
                          "--seed", "1"])
@@ -163,6 +230,20 @@ class TestIdentitiesCommand:
 
     def test_order_cap(self, capsys):
         assert cli.main(["identities", "--order", "25"]) == 2
+
+    def test_inverse_rows_check_catches_one_wrong_coefficient(self, monkeypatch):
+        exact = cli.semicircle_orthonormal_poly
+
+        def perturbed(k):
+            coeffs = exact(k).copy()
+            if k == 7:
+                coeffs[3] += 1
+            return coeffs
+
+        monkeypatch.setattr(cli, "semicircle_orthonormal_poly", perturbed)
+        checks = dict(cli._identity_checks(12))
+        assert checks["dinv_rows_polynomials_order20"] is False
+        assert checks["ddt_covariance_order12"] is True
 
 
 class TestSampleCommand:
@@ -230,64 +311,91 @@ class TestRateCommand:
 
 
 class TestCltCommand:
-    ARGS = ["clt", "--n", "120", "--beta", "2", "--gamma-rule", "pow:3:1",
-            "--poly", "x^2", "--replicates", "150", "--seed", "7"]
-
     def test_runs_and_emits(self, tmp_path):
         out = tmp_path / "r.csv"
-        assert cli.main(self.ARGS + ["--out", str(out)]) == 0
+        assert cli.main(CLT_ARGS + ["--out", str(out)]) == 0
         header, row = out.read_text().strip().split("\n")
         assert header.split(",") == cli.REPORT_COLUMNS
 
-    def test_byte_identical_across_worker_counts(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path):
         paths = []
-        for tag, workers in (("a", "1"), ("b", "4"), ("c", "1")):
+        for tag in "abc":
             path = tmp_path / f"{tag}.csv"
-            assert cli.main(self.ARGS + ["--workers", workers, "--out", str(path)]) == 0
+            assert cli.main(CLT_ARGS + ["--out", str(path)]) == 0
             paths.append(path.read_bytes())
         assert paths[0] == paths[1] == paths[2]
 
     def test_histogram_emission(self, tmp_path):
         report_path = tmp_path / "r.csv"
         hist_path = tmp_path / "h.txt"
-        assert cli.main(self.ARGS + ["--out", str(report_path), "--hist-bins", "8",
+        assert cli.main(CLT_ARGS + ["--out", str(report_path), "--hist-bins", "8",
                                      "--hist-out", str(hist_path)]) == 0
         lines = hist_path.read_text().strip().split("\n")
         assert len(lines) == 8
         assert sum(int(line.split()[1]) for line in lines) == 150
 
 
-class TestWorkersFlag:
-    WARNING = "warning: --workers has no effect; replicates run in one thread\n"
-    COMMANDS = {
-        "clt": ["clt", "--n", "120", "--beta", "2", "--gamma-rule", "pow:3:1",
-                "--poly", "x^2", "--replicates", "150", "--seed", "7"],
-        "mdp": ["mdp", "--n", "200", "--beta", "2", "--gamma-rule", "pow:2:1",
-                "--b-n", "50", "--k", "3", "--replicates", "300", "--seed", "7"],
-        "mp-sanity": ["mp-sanity", "--n", "200", "--beta", "2", "--tau", "0.5",
-                      "--k", "2", "--replicates", "100", "--seed", "7"],
-    }
-
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_warns_once_and_output_unchanged(self, command, source, tmp_path, capsys):
-        args = self.COMMANDS[command]
-        assert cli.main(args) == 0
-        plain = capsys.readouterr()
-        assert plain.err == ""
-        if source == "flag":
-            extra = ["--workers", "4"]
-        else:
-            config = tmp_path / "c.json"
-            config.write_text(json.dumps({"workers": 4}))
-            extra = ["--config", str(config)]
-        assert cli.main(args + extra) == 0
-        warned = capsys.readouterr()
-        assert warned.out == plain.out
-        assert warned.err == self.WARNING
-
-
 class TestConfigFile:
+    BASE = {"n": 120, "beta": 2, "gamma-rule": "pow:3:1", "poly": "x^2",
+            "replicates": 150, "seed": 7}
+
+    @pytest.mark.parametrize("name", sorted(README_COMMANDS))
+    def test_readme_command_same_bytes_from_config(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        command, *flags = README_COMMANDS[name]
+        assert cli.main([command] + flags) == 0
+        flagged = capsys.readouterr()
+        flagged_files = _take_files(tmp_path)
+        config = {flag[2:]: _json_value(value) for flag, value in zip(flags[::2], flags[1::2])}
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert cli.main([command, "--config", "c.json"]) == 0
+        assert capsys.readouterr() == flagged
+        assert _take_files(tmp_path) == flagged_files
+
+    @pytest.mark.parametrize("key,value", [
+        ("gamma-rule", 2), ("n", True), ("n", None), ("n", ""), ("beta", [2]),
+        ("seed", {"a": 1}), ("mode", "-x"), ("workers", 1), ("repl", 150),
+        ("gamma_rule", "pow:3:1"), ("config", "c.json"),
+    ])
+    def test_bad_value_is_one_error_line(self, key, value, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(dict(self.BASE, **{key: value})))
+        assert cli.main(["clt", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=st.dictionaries(
+        st.sampled_from(["order", "format", "xi", "help", "config", "ord"])
+        | st.text(max_size=6).filter(lambda key: key != "out"),
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+        | st.lists(st.integers(), max_size=2),
+        max_size=3,
+    ))
+    def test_any_flat_config_runs_or_is_one_error_line(self, config, tmp_path_factory):
+        path = tmp_path_factory.mktemp("config") / "c.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["identities", "--config", str(path)])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize("key,value", [("poly", 3), ("poly", "-x^2"), ("out", 7)])
+    def test_value_behaves_like_flag(self, key, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(self.BASE))
+        assert cli.main(["clt", "--config", "c.json", f"--{key}={value}"]) == 0
+        flagged = capsys.readouterr()
+        flagged_files = _take_files(tmp_path)
+        config.write_text(json.dumps(dict(self.BASE, **{key: value})))
+        assert cli.main(["clt", "--config", "c.json"]) == 0
+        assert capsys.readouterr() == flagged
+        assert _take_files(tmp_path) == flagged_files
+
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({

@@ -61,6 +61,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="master_seed must be an integer"):
             clt_config(master_seed=seed)
 
+    @pytest.mark.parametrize("replicates", [150.0, 150.5, np.float64(150.0), "150"],
+                             ids=["float", "fraction", "numpy-float", "str"])
+    def test_non_integer_replicates_rejected(self, replicates):
+        with pytest.raises(ValueError, match="replicates must be an integer"):
+            clt_config(replicates=replicates)
+
     @pytest.mark.parametrize("seed", [np.int64(101), np.uint64(101)])
     def test_numpy_integer_master_seed_accepted(self, seed):
         config = clt_config(master_seed=seed, statistic=X3, replicates=100)
