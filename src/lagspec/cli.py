@@ -63,7 +63,9 @@ _NU_QUAD_TOL = 1e-8
 
 
 def _fmt(value) -> str:
-    """Render a cell: reals at 17 significant digits, ints and strings as-is."""
+    """Render a cell: reals at 17 significant digits, None empty, ints and strings as-is."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "pass" if value else "fail"
     if isinstance(value, float):
@@ -248,7 +250,7 @@ def _cmd_sample(args) -> int:
     coeffs = rescale(sample_laguerre_tridiagonal(rng, params), params)
     if args.what == "coeffs":
         rows = [
-            (k + 1, coeffs.diag[k], coeffs.offdiag[k] if k < coeffs.n - 1 else "")
+            (k + 1, coeffs.diag[k], coeffs.offdiag[k] if k < coeffs.n - 1 else None)
             for k in range(coeffs.n)
         ]
         _emit_rows(rows, ["index", "diag", "offdiag"], args.format, args.out)
@@ -412,6 +414,21 @@ def _cmd_identities(args) -> int:
 # parser assembly and config-file tokens
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _one_line(message: str) -> str:
+    """``message`` with line breaks and other unprintable characters escaped."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raise usage errors as ValueError, so main reports them like any other."""
 
@@ -468,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--beta", type=float, required=True)
         sub.add_argument("--replicates", type=int, required=True)
         sub.add_argument("--seed", type=int, required=True)
-        sub.add_argument("--hist-bins", type=int, default=20)
+        sub.add_argument("--hist-bins", type=_positive_int, default=20)
         sub.add_argument("--hist-out")
         return sub
 
@@ -530,10 +547,10 @@ def main(argv=None) -> int:
     except SystemExit:  # --help printed its text
         return 0
     except (ValueError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
+        print(f"io error: {_one_line(str(exc))}", file=sys.stderr)
         return 2
 
 

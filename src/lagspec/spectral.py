@@ -5,14 +5,21 @@ A symmetric tridiagonal matrix with positive subdiagonal is held as a
 atoms, squared first eigenvector components as weights) is a
 :class:`SpectralMeasure`. The two representations are bijective at finite
 size; :func:`eigen_spectral` (LAPACK's symmetric tridiagonal eigensolver)
-and :func:`measure_to_coefficients` (LAPACK's Householder reduction of the
-bordered matrix of the measure) implement the two directions, and
+and :func:`measure_to_coefficients` implement the two directions, and
 :func:`moments_via_operator` / :func:`moments_of_measure` compute moments
 on either side without ever leaving it.
+
+The inverse direction costs O(n^2): a divide and conquer that merges the
+Jacobi matrices of two halves of the atoms with LAPACK's band reduction
+(dsbtrd), after Gragg & Harrod (Numer. Math. 44, 1984). scipy does not wrap
+dsbtrd, so it is reached through scipy's Cython LAPACK table on first use.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +41,15 @@ __all__ = [
 _STIELTJES_BREAKDOWN = 1e-12
 
 _WEIGHT_SUM_TOL = 1e-10
+
+# Measures with at most this many atoms are inverted by one dense reduction;
+# larger ones are split in two until the blocks are this small. Smaller
+# blocks are slightly faster but lose accuracy on small-beta measures.
+_LEAF_ATOMS = 128
+
+# dsbtrd(vect, uplo, n, kd, ab, ldab, d, e, q, ldq, work, info)
+_DSBTRD_SIGNATURE = ("void (char *, char *, int *, int *, double *, int *, double *, "
+                     "double *, double *, int *, double *, int *)")
 
 
 @dataclass
@@ -193,15 +209,21 @@ def moments_of_measure(measure: SpectralMeasure, order: int) -> np.ndarray:
 def measure_to_coefficients(measure: SpectralMeasure, order: int) -> JacobiCoefficients:
     """Recursion coefficients of the orthonormal polynomials of a measure.
 
-    Lanczos from sqrt(w) on diag(lambda) yields them, and so does LAPACK's
-    Householder tridiagonalization (dsytrd, in place) of the bordered matrix
-    [[0, sqrt(w)^T], [sqrt(w), diag(lambda)]], which keeps e1 fixed and is
-    backward stable (Gragg & Harrod, Numer. Math. 44, 1984; Gautschi,
-    Orthogonal Polynomials, 2004, section 2.2). Its trailing block is the
-    Jacobi matrix; the first ``order`` diagonal and ``order - 1``
-    off-diagonal entries are returned, which inverts :func:`eigen_spectral`
-    when ``order`` equals the number of atoms n. The cost is O(n^3) at any
-    order: a smaller ``order`` truncates the full reduction.
+    Lanczos from sqrt(w) on diag(lambda) yields them, and so does any
+    orthogonal reduction of the bordered matrix
+    [[0, sqrt(w)^T], [sqrt(w), diag(lambda)]] to tridiagonal form that keeps
+    e1 fixed: its trailing block is the Jacobi matrix. The reduction here is
+    a divide and conquer after Gragg & Harrod (Numer. Math. 44, 1984): the
+    atoms are dealt into two halves, each half is reduced on its own, and
+    LAPACK's band reduction (dsbtrd) merges the two Jacobi matrices; blocks
+    of at most 128 atoms get LAPACK's dense Householder reduction (dsytrd).
+    The cost is O(n^2) time at any ``order``, since a smaller ``order``
+    truncates the full reduction (see also Gautschi, Orthogonal Polynomials,
+    2004, section 2.2).
+
+    The first ``order`` diagonal and ``order - 1`` off-diagonal entries are
+    returned, which inverts :func:`eigen_spectral` when ``order`` equals the
+    number of atoms n.
 
     Raises ValueError when ``order`` exceeds n and NumericalError when LAPACK
     fails or an off-diagonal up to ``order`` collapses (numerical breakdown,
@@ -211,27 +233,113 @@ def measure_to_coefficients(measure: SpectralMeasure, order: int) -> JacobiCoeff
         raise ValueError(f"order must be >= 1, got {order}")
     if order > measure.n:
         raise ValueError(f"order {order} exceeds the number of atoms {measure.n}")
-    # Imported here for the same reason as in eigen_spectral.
-    from scipy.linalg.lapack import dsytrd, dsytrd_lwork
-
-    n = measure.n
     # Heaviest atoms first: J does not depend on the order, but this one
     # keeps tiny (small-beta) weights as accurate as the Stieltjes procedure.
     heavy_first = np.argsort(-measure.weights, kind="stable")
-    # Fortran order lets LAPACK overwrite the matrix instead of copying it.
-    bordered = np.zeros((n + 1, n + 1), order="F")
-    bordered[1:, 0] = np.sqrt(measure.weights[heavy_first])
-    np.fill_diagonal(bordered[1:, 1:], measure.atoms[heavy_first])
-    lwork, _ = dsytrd_lwork(n + 1, lower=1)
-    _, d, e, _, info = dsytrd(bordered, lower=1, lwork=int(lwork), overwrite_a=1)
-    if info != 0:
-        raise NumericalError(f"Householder tridiagonalization failed: LAPACK info {info}")
+    d, e = _bordered_tridiagonal(measure.atoms[heavy_first],
+                                 np.sqrt(measure.weights[heavy_first]))
     off = np.abs(e[1:order])
     scale = max(1.0, float(np.max(np.abs(measure.atoms))))
     collapsed = ~(off > _STIELTJES_BREAKDOWN * scale)  # NaN counts as collapsed
     if collapsed.any():
         k = int(np.argmax(collapsed))
         raise NumericalError(
-            f"Householder reduction broke down at step {k + 1}: off-diagonal {off[k]:.3g}"
+            f"tridiagonal reduction broke down at step {k + 1}: off-diagonal {off[k]:.3g}"
         )
     return JacobiCoefficients(d[1 : order + 1], off)
+
+
+def _bordered_tridiagonal(atoms: np.ndarray, masses: np.ndarray):
+    """Tridiagonal form (d, e) of [[0, masses^T], [masses, diag(atoms)]], e1 fixed.
+
+    d[0] is 0 and |e[0]| is the norm of ``masses``; the rest is the Jacobi
+    matrix of the measure with these atoms and squared masses, normalized.
+    """
+    if atoms.size <= _LEAF_ATOMS:
+        return _dense_reduction(atoms, masses)
+    # Dealing the ranks alternately keeps both halves heaviest first and
+    # spreads the tiny weights over both; splitting the list into a heavy
+    # and a light half loses accuracy on small-beta measures.
+    da, ea = _bordered_tridiagonal(atoms[0::2], masses[0::2])
+    db, eb = _bordered_tridiagonal(atoms[1::2], masses[1::2])
+    return _band_merge(da, ea, db, eb)
+
+
+def _dense_reduction(atoms: np.ndarray, masses: np.ndarray):
+    """LAPACK's in-place Householder reduction (dsytrd) of the bordered matrix."""
+    # Imported here for the same reason as in eigen_spectral.
+    from scipy.linalg.lapack import dsytrd, dsytrd_lwork
+
+    n = atoms.size
+    # Fortran order lets LAPACK overwrite the matrix instead of copying it.
+    bordered = np.zeros((n + 1, n + 1), order="F")
+    bordered[1:, 0] = masses
+    np.fill_diagonal(bordered[1:, 1:], atoms)
+    lwork, _ = dsytrd_lwork(n + 1, lower=1)
+    _, d, e, _, info = dsytrd(bordered, lower=1, lwork=int(lwork), overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"Householder tridiagonalization failed: LAPACK info {info}")
+    return d, e
+
+
+def _band_merge(da: np.ndarray, ea: np.ndarray, db: np.ndarray, eb: np.ndarray):
+    """Tridiagonal form (d, e), e1 fixed, of two bordered tridiagonals joined.
+
+    (da, ea) and (db, eb) come from :func:`_bordered_tridiagonal` on the two
+    halves, with at most one row more in the first. Joined at their border
+    row they give [[0, a e1^T, b e1^T], [a e1, J_a, 0], [b e1, 0, J_b]],
+    orthogonally similar to the bordered matrix of all the atoms with e1
+    fixed. In the row order (border, a_1, b_1, a_2, b_2, ...) it is a band
+    matrix of half-bandwidth 2, which dsbtrd reduces in O(n^2) by rotations
+    that leave the first row alone.
+    """
+    ma, mb = da.size - 1, db.size - 1
+    size = 1 + ma + mb
+    # LAPACK lower band storage: band[i - j, j] holds A[i, j] for i - j <= 2.
+    band = np.zeros((3, size), order="F")
+    band[0, 1::2] = da[1:]
+    band[0, 2::2] = db[1:]
+    band[1, 0] = ea[0]
+    band[2, 0] = eb[0]
+    band[2, 1 : 2 * ma - 1 : 2] = ea[1:]
+    band[2, 2 : 2 * mb : 2] = eb[1:]
+    d = np.empty(size)
+    e = np.empty(size - 1)
+    work = np.empty(size)
+    unused_q = np.empty(1)
+    info = ctypes.c_int(0)
+    _dsbtrd()(b"N", b"L", ctypes.c_int(size), ctypes.c_int(2), band, ctypes.c_int(3),
+              d, e, unused_q, ctypes.c_int(1), work, info)
+    if info.value != 0:
+        raise NumericalError(f"band tridiagonalization failed: LAPACK info {info.value}")
+    return d, e
+
+
+@functools.cache
+def _dsbtrd():
+    """LAPACK's dsbtrd as a ctypes function, resolved on first use.
+
+    scipy.linalg.lapack does not wrap it, but scipy.linalg.cython_lapack
+    exports every LAPACK routine as a capsule named by its C signature. The
+    name is checked against the prototype below before the pointer is used;
+    a mismatch raises ImportError.
+    """
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dsbtrd"]
+    # Private prototypes: setting restype on ctypes.pythonapi's shared
+    # function objects would change them for every other caller.
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    name = get_name(capsule)
+    # Cython spells double through a module-mangled typedef, __pyx_t_..._d.
+    signature = re.sub(r"__pyx_t_\w+_d\b", "double", name.decode())
+    if signature != _DSBTRD_SIGNATURE:
+        raise ImportError(f"scipy's LAPACK dsbtrd has an unexpected signature: {signature}")
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+    char, num = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
+    prototype = ctypes.CFUNCTYPE(None, char, char, num, num, f64, num, f64, f64, f64,
+                                 num, f64, num)
+    return prototype(get_pointer(capsule, name))

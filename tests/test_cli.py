@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagspec import cli
@@ -263,6 +263,12 @@ class TestSampleCommand:
         assert lines[0] == "index,diag,offdiag"
         assert lines[-1].endswith(",")  # no offdiag on the last row
 
+    def test_coeffs_json_has_null_last_offdiag(self, capsys):
+        assert cli.main(["sample", "--n", "3", "--beta", "2", "--gamma", "20",
+                         "--seed", "3", "--what", "coeffs", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [type(row["offdiag"]) for row in rows] == [float, float, type(None)]
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -334,6 +340,20 @@ class TestCltCommand:
         assert len(lines) == 8
         assert sum(int(line.split()[1]) for line in lines) == 150
 
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_nonpositive_hist_bins_rejected_before_run(self, bins, tmp_path, monkeypatch,
+                                                       capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("replicates ran")
+
+        monkeypatch.setattr(cli, "run_clt", no_run)
+        hist_path = tmp_path / "h.txt"
+        assert cli.main(CLT_ARGS + ["--hist-bins", bins, "--hist-out", str(hist_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: argument --hist-bins: must be >= 1, got {bins}\n"
+        assert not hist_path.exists()
+
 
 class TestConfigFile:
     BASE = {"n": 120, "beta": 2, "gamma-rule": "pow:3:1", "poly": "x^2",
@@ -373,6 +393,8 @@ class TestConfigFile:
         | st.lists(st.integers(), max_size=2),
         max_size=3,
     ))
+    # A control character in a key once split the error over two lines.
+    @example(config={"\n": None})
     def test_any_flat_config_runs_or_is_one_error_line(self, config, tmp_path_factory):
         path = tmp_path_factory.mktemp("config") / "c.json"
         path.write_text(json.dumps(config))

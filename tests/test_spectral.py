@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 import lagspec
+from lagspec import spectral
 from lagspec.ensembles import EnsembleParams, make_rng, rescale, sample_laguerre_tridiagonal
 from lagspec.errors import NumericalError
 from lagspec.spectral import (
@@ -181,7 +183,22 @@ class TestSzegoMap:
         with pytest.raises(NumericalError, match="broke down at step 2"):
             stieltjes_reference(mu, 3)
 
-    @pytest.mark.parametrize("order", [5, 50, 300])
+    def test_breakdown_on_coincident_atoms_after_band_merges(self):
+        # Three clusters of 50 atoms, each narrower than 1e-13: the measure
+        # is three atoms to working precision, and the band merges collapse
+        # the third off-diagonal as the Stieltjes recursion does.
+        atoms = np.concatenate([c + 1e-15 * np.arange(50) for c in (0.0, 1.0, 2.0)])
+        mu = SpectralMeasure(atoms, np.full(150, 1.0 / 150))
+        with pytest.raises(NumericalError, match="broke down at step 3"):
+            measure_to_coefficients(mu, 150)
+        with pytest.raises(NumericalError, match="broke down at step 3"):
+            stieltjes_reference(mu, 150)
+        # An order that stops short of the collapse is still answered.
+        measure_to_coefficients(mu, 3)
+
+    # 300 atoms take two levels of band merges over 128-atom blocks; the
+    # orders cover the leading block and the coefficients past it.
+    @pytest.mark.parametrize("order", [5, 50, 129, 300])
     def test_matches_stieltjes_reference(self, order):
         mu = eigen_spectral(laguerre_jacobi(41, 300))
         got = measure_to_coefficients(mu, order)
@@ -195,6 +212,12 @@ class TestSzegoMap:
         # Weights down to 4e-19: taking the atoms in their given order
         # instead of heaviest first loses this round trip to 2.6e-8.
         pytest.param(1, 400, 0.5, 3, id="tiny-weights"),
+        # The largest dense block, and one, two and four levels of band
+        # merges, the last with halves of unequal size.
+        pytest.param(3, 128, 2.0, 2, id="one-block"),
+        pytest.param(3, 129, 2.0, 2, id="one-merge"),
+        pytest.param(3, 257, 2.0, 2, id="two-merges"),
+        pytest.param(3, 1201, 2.0, 2, id="odd-size"),
     ])
     def test_laguerre_roundtrip(self, seed, n, beta, gamma_power):
         coeffs = laguerre_jacobi(seed, n, beta, gamma_power)
@@ -219,6 +242,63 @@ class TestSzegoMap:
         with pytest.raises(NumericalError, match="LAPACK info -1"):
             measure_to_coefficients(SpectralMeasure([0.0, 1.0], [0.5, 0.5]), 2)
 
+    def test_band_reduction_failure_raises(self, monkeypatch):
+        def failing(*args):
+            args[-1].value = -5  # LAPACK's info argument
+
+        monkeypatch.setattr(spectral, "_dsbtrd", lambda: failing)
+        mu = eigen_spectral(laguerre_jacobi(4, 200))
+        with pytest.raises(NumericalError, match="band tridiagonalization failed: LAPACK info -5"):
+            measure_to_coefficients(mu, 200)
+
+    def test_unexpected_band_routine_signature_refused(self, monkeypatch):
+        from scipy.linalg import cython_lapack
+
+        capsules = cython_lapack.__pyx_capi__
+        monkeypatch.setitem(capsules, "dsbtrd", capsules["dsytrd"])
+        spectral._dsbtrd.cache_clear()
+        with pytest.raises(ImportError, match="unexpected signature"):
+            spectral._dsbtrd()
+
+    @pytest.mark.parametrize("n", [1, 2, 60, 128])
+    def test_small_measures_use_one_dense_reduction(self, n, monkeypatch):
+        # Up to 128 atoms the result is bit for bit one dsytrd of the
+        # bordered matrix, heaviest atoms first, and no band merge runs.
+        from scipy.linalg.lapack import dsytrd, dsytrd_lwork
+
+        def no_merge(*args):
+            raise AssertionError("band merge ran")
+
+        monkeypatch.setattr(spectral, "_band_merge", no_merge)
+        rng = np.random.default_rng(n)
+        weights = rng.exponential(size=n) ** 4
+        mu = SpectralMeasure(np.sort(rng.normal(size=n)), weights / weights.sum())
+        got = measure_to_coefficients(mu, n)
+        heavy_first = np.argsort(-mu.weights, kind="stable")
+        bordered = np.zeros((n + 1, n + 1))
+        bordered[1:, 0] = np.sqrt(mu.weights[heavy_first])
+        bordered[1:, 1:] = np.diag(mu.atoms[heavy_first])
+        lwork, _ = dsytrd_lwork(n + 1, lower=1)
+        _, d, e, _, _ = dsytrd(bordered, lower=1, lwork=int(lwork))
+        np.testing.assert_array_equal(got.diag, d[1:])
+        np.testing.assert_array_equal(got.offdiag, np.abs(e[1:]))
+
+    def test_memory_stays_far_below_a_dense_matrix(self):
+        # One dense (n+1)^2 matrix at n = 2000 is 32 MB. The split keeps
+        # 129x129 dense blocks (0.13 MB) and 3-row band arrays (48 kB), and
+        # peaks near 0.3 MB; 2 MB leaves room for LAPACK's workspace choice
+        # and stays 16 times below a dense matrix.
+        n = 2000
+        mu = eigen_spectral(laguerre_jacobi(6, n))
+        measure_to_coefficients(mu, n)  # LAPACK resolved and imported outside the trace
+        tracemalloc.start()
+        try:
+            measure_to_coefficients(mu, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 class TestFreeJacobi:
     def test_small_cases(self):
@@ -234,9 +314,11 @@ class TestFreeJacobi:
 
 
 def test_cli_import_loads_no_scipy_subpackage():
-    # The measure path imports LAPACK on first use; start-up pays for numpy only.
+    # The measure path imports LAPACK on first use, scipy.linalg.cython_lapack
+    # included; start-up pays for numpy only.
     code = ("import sys, lagspec.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', "
+            "'scipy.linalg.cython_lapack') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(lagspec.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
