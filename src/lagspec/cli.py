@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -26,6 +27,7 @@ import numpy as np
 from .ensembles import EnsembleParams, RescalingMode, make_rng, rescale, sample_laguerre_tridiagonal
 from .errors import NumericalError
 from .experiments import (
+    MAX_POLY_DEGREE,
     ExperimentConfig,
     ExperimentReport,
     LinearGamma,
@@ -85,7 +87,8 @@ def parse_poly(text: str) -> np.ndarray:
 
     Returns coefficients low to high. Recursive descent over the grammar
     poly := [sign] term { (+|-) term }, term := number ['*']['x'['^'int]]
-    | 'x'['^'int].
+    | 'x'['^'int]. A power above MAX_POLY_DEGREE or a coefficient that is
+    not finite is rejected before any array is built.
     """
     tokens = []
     pos = 0
@@ -140,7 +143,12 @@ def parse_poly(text: str) -> np.ndarray:
             if peek() == "^":
                 take("^")
                 exponent = take("num")[1]
-                if exponent != int(exponent) or exponent < 0:
+                if exponent > MAX_POLY_DEGREE:
+                    raise ValueError(
+                        f"polynomial {text!r} has degree {exponent:g}, "
+                        f"above the cap {MAX_POLY_DEGREE}"
+                    )
+                if exponent != int(exponent):
                     raise ValueError(
                         f"could not parse polynomial {text!r}: exponent must be "
                         "a nonnegative integer"
@@ -162,6 +170,8 @@ def parse_poly(text: str) -> np.ndarray:
             raise ValueError(f"could not parse polynomial {text!r}: expected + or -")
         power, coeff = parse_term()
         terms[power] = terms.get(power, 0.0) + (coeff if op == "+" else -coeff)
+    if not all(math.isfinite(coeff) for coeff in terms.values()):
+        raise ValueError(f"polynomial {text!r} has a coefficient that is not finite")
 
     degree = max(terms)
     out = np.zeros(degree + 1)
@@ -201,8 +211,21 @@ def report_csv(report: ExperimentReport) -> str:
     return _csv(REPORT_COLUMNS, [[getattr(report, attr) for _, attr in REPORT_FIELDS]])
 
 
+def _json(value) -> str:
+    """JSON text of ``value`` (a dict or a list of dicts), with null for a NaN or infinite float.
+
+    Bare NaN and Infinity tokens are not JSON (RFC 8259).
+    """
+    def cells(row: dict) -> dict:
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in row.items()}
+
+    value = cells(value) if isinstance(value, dict) else [cells(row) for row in value]
+    return json.dumps(value, allow_nan=False) + "\n"
+
+
 def report_json(report: ExperimentReport) -> str:
-    return json.dumps({column: getattr(report, attr) for column, attr in REPORT_FIELDS}) + "\n"
+    return _json({column: getattr(report, attr) for column, attr in REPORT_FIELDS})
 
 
 def emit_report(report: ExperimentReport, fmt: str = "csv", out: str | None = None) -> None:
@@ -237,7 +260,7 @@ def _emit_rows(rows, header, fmt, out):
     if fmt == "csv":
         _write_text(_csv(header, rows), out)
     else:
-        _write_text(json.dumps([dict(zip(header, row)) for row in rows]) + "\n", out)
+        _write_text(_json([dict(zip(header, row)) for row in rows]), out)
 
 
 # ---------------------------------------------------------------------------

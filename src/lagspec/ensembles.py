@@ -11,14 +11,19 @@ Randomness flows through numpy Generators on the PCG64 bit generator. Every
 sampler is a pure function of (generator, parameters): identical seeds give
 bit-identical output. :func:`derive_seed` gives replicate i of a seeded
 Monte Carlo run its own child seed. The experiments draw a block of
-replicates at once: the block's seeds are derived and hashed in one
-vectorized pass and every replicate draws through one reused generator,
-with the same bits as ``make_rng(derive_seed(master, i))`` per replicate.
+replicates at once, with the same bits as ``make_rng(derive_seed(master,
+i))`` per replicate: the block's seeds are derived and hashed, and its
+PCG64 generators seeded and stepped, in vectorized uint64 arithmetic, and
+numpy's gamma sampler (Marsaglia & Tsang's squeeze method on ziggurat
+normals) is repeated in vectorized float arithmetic wherever it takes its
+fast branches. The rows that leave them are drawn again by numpy's own
+generator, set to the row's state.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -54,6 +59,23 @@ _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_INVERSE = pow(_PCG64_MULT, -1, 1 << 128)
+
+# PCG64's multiplier as uint64 words: high word, low word, and the low
+# word's 32-bit limbs (see _lcg_step).
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+_MULT_HI, _MULT_LO = _U64(_PCG64_MULT >> 64), _U64(_PCG64_MULT & _MASK64)
+_MULT_LO0, _MULT_LO1 = _U64(_PCG64_MULT & 0xFFFFFFFF), _U64((_PCG64_MULT >> 32) & 0xFFFFFFFF)
+
+# The gamma fast path (see _ziggurat and _fast_gamma): how far below its
+# ratio estimate each ziggurat rectangle bound is taken, the relative margin
+# of the log test, the increment of hand-built generator states, and the
+# seed and count of the raw output pairs that check the gamma arithmetic.
+_KI_MARGIN = 2.0**20
+_LOG_MARGIN = 1e-9
+_PROBE_INC = 1
+_CHECK_SEED, _CHECK_DRAWS = 2024, 64
 
 
 class RescalingMode(enum.Enum):
@@ -129,8 +151,27 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_integer(seed, "seed") & _MASK64))
 
 
-def _pcg64_states(seeds: np.ndarray) -> Iterator[dict]:
-    """Yield ``PCG64(seed).state`` for each uint64 seed, without a SeedSequence per seed.
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(a_hi, a_lo) + (b_hi, b_lo) modulo 2**128, over uint64 word arrays."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's state step, state * MULT + inc modulo 2**128, over uint64 word arrays.
+
+    The high word of lo * MULT_lo is summed from 32-bit limbs, whose
+    products fit in 64 bits; every other product is taken modulo 2**64.
+    """
+    lo0, lo1 = lo & _LOW32, lo >> _U64(32)
+    p00, p01, p10 = lo0 * _MULT_LO0, lo0 * _MULT_LO1, lo1 * _MULT_LO0
+    mid = (p00 >> _U64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = lo1 * _MULT_LO1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+    return _add128(carry + lo * _MULT_HI + hi * _MULT_LO, lo * _MULT_LO, inc_hi, inc_lo)
+
+
+def _pcg64_seed(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``PCG64(seed)``'s (state high, state low, inc high, inc low) words per uint64 seed.
 
     numpy's SeedSequence hashes the seed's 32-bit words, low first, into a
     pool of 4 words and mixes the pool; a 64-bit seed is 2 words here,
@@ -139,8 +180,8 @@ def _pcg64_states(seeds: np.ndarray) -> Iterator[dict]:
     words, paired little-endian into (initstate high, low, initseq high,
     low). Both steps run over the whole array, as 32-bit arithmetic done in
     uint64 and masked (no product of two 32-bit words overflows 64 bits).
-    PCG64 then seeds its 128-bit LCG per seed: inc = 2*initseq + 1 and
-    state = (inc + initstate)*MULT + inc.
+    PCG64 then seeds its 128-bit LCG: inc = 2*initseq + 1 and state =
+    (inc + initstate)*MULT + inc, also over the whole array.
     """
     u64 = np.uint64
     low32 = u64(0xFFFFFFFF)
@@ -164,32 +205,191 @@ def _pcg64_states(seeds: np.ndarray) -> Iterator[dict]:
                 mixed = (u64(_SS_MIX_L) * pool[dst] - u64(_SS_MIX_R) * mix_in(pool[src])) & low32
                 pool[dst] = mixed ^ (mixed >> u64(16))
     mix_out = hasher(_SS_INIT_B, _SS_MULT_B)
-    words = np.empty((seeds.size, 4), dtype=u64)
-    for k in range(4):
-        words[:, k] = mix_out(pool[2 * k % 4]) | (mix_out(pool[(2 * k + 1) % 4]) << u64(32))
-    del pool  # free the hashing arrays; rows are drawn while this generator waits
-    for row in words:
-        s_hi, s_lo, q_hi, q_lo = row.tolist()
-        inc = (((q_hi << 64 | q_lo) << 1) | 1) & _MASK128
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        yield {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    s_hi, s_lo, q_hi, q_lo = [
+        mix_out(pool[2 * k % 4]) | (mix_out(pool[(2 * k + 1) % 4]) << u64(32)) for k in range(4)
+    ]
+    inc_hi = (q_hi << u64(1)) | (q_lo >> u64(63))
+    inc_lo = (q_lo << u64(1)) | u64(1)
+    state = _lcg_step(*_add128(s_hi, s_lo, inc_hi, inc_lo), inc_hi, inc_lo)
+    return (*state, inc_hi, inc_lo)
+
+
+def _state_dicts(s_hi, s_lo, inc_hi, inc_lo) -> Iterator[dict]:
+    """A PCG64 ``state`` dict per row of the (state, inc) word arrays."""
+    for words in zip(s_hi.tolist(), s_lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
+        yield _state_dict(words[0] << 64 | words[1], words[2] << 64 | words[3])
+
+
+def _state_dict(state: int, inc: int) -> dict:
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _pcg64_states(seeds: np.ndarray) -> Iterator[dict]:
+    """Yield ``PCG64(seed).state`` for each uint64 seed, without a SeedSequence per seed."""
+    return _state_dicts(*_pcg64_seed(seeds))
+
+
+def _pcg64_outputs(s_hi, s_lo, inc_hi, inc_lo) -> Iterator[np.ndarray]:
+    """Each generator's successive raw 64-bit outputs, one array per step.
+
+    PCG64 steps its state, then outputs XSL-RR: the two state words xored,
+    rotated right by the top 6 bits of the high word. The left shift is
+    taken modulo 64, so that no shift reaches 64 when the rotation is 0.
+    """
+    while True:
+        s_hi, s_lo = _lcg_step(s_hi, s_lo, inc_hi, inc_lo)
+        x, rot = s_hi ^ s_lo, s_hi >> _U64(58)
+        yield (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+
+
+def _fast_gamma(outputs, shapes: np.ndarray, wi: np.ndarray, ki: np.ndarray):
+    """Standard gamma draws of ``shapes`` from two raw outputs each, on numpy's fast branches.
+
+    For a shape above 1, numpy's ``standard_gamma`` is Marsaglia & Tsang's
+    squeeze method (ACM TOMS 26, 2000): one ziggurat normal X from a raw
+    output r (layer r & 0xff, sign bit 8, 52-bit magnitude above), then
+    U = next_double, and b*V with b = shape - 1/3, V = (1 + c X)^3,
+    c = 1/sqrt(9b). This repeats numpy's operations in numpy's order for
+    the draws that take one normal and one uniform: the ziggurat's
+    rectangle (magnitude below ``ki`` of its layer), V > 0, and either the
+    squeeze test or a log test decided outside a relative margin, since
+    ``np.log`` and the C library's log may differ in the last bit.
+
+    ``outputs`` yields the generators' successive raw outputs, one array
+    (one entry per generator) at a time. Returns the draws, one row per
+    generator, and a mask of the rows whose every draw took those
+    branches; only those rows hold numpy's values.
+    """
+    outputs = iter(outputs)
+    draws, fast = [], True
+    for shape in shapes:
+        r, u = next(outputs), next(outputs)
+        layer = (r & _U64(0xFF)).astype(np.intp)
+        rabs = (r >> _U64(9)) & _U64((1 << 52) - 1)
+        fast = fast & (rabs < ki[layer])
+        x = rabs.astype(np.float64) * wi[layer]
+        np.negative(x, out=x, where=(r & _U64(0x100)).astype(bool))
+        b = shape - 1.0 / 3.0
+        c = 1.0 / np.sqrt(9 * b)
+        v = 1.0 + c * x
+        fast &= v > 0.0
+        v = v * v * v
+        u = (u >> _U64(11)).astype(np.float64) * 2.0**-53  # next_double, exact
+        xx = x * x
+        log_test = fast & ~(u < 1.0 - 0.0331 * xx * xx)
+        if log_test.any():
+            xs, vs = x[log_test], v[log_test]
+            with np.errstate(divide="ignore"):  # log(0) = -inf leaves a row to the fallback
+                log_u = np.log(u[log_test])
+            log_v = np.log(vs)
+            half_xx = 0.5 * xs * xs
+            margin = _LOG_MARGIN * (np.abs(log_u) + half_xx + b * (np.abs(1.0 - vs) + np.abs(log_v)))
+            fast[log_test] = log_u < half_xx + b * (1.0 - vs + log_v) - margin
+        draws.append(b * v)
+    return np.column_stack(draws), fast
+
+
+def _state_before(first: int, second: int | None = None) -> dict:
+    """A PCG64 state dict whose next raw output is ``first``, then ``second`` if given.
+
+    The state one step on is ``first`` itself: a high word of 0 rotates by
+    0, so XSL-RR outputs the low word. A second output fixes the increment:
+    the state two steps on has high word 0 or 1 (still no rotation), chosen
+    so that the increment is odd.
+    """
+    inc = _PROBE_INC
+    if second is not None:
+        high = 1 - ((first ^ second) & 1)
+        inc = (((high << 64) | (second ^ high)) - first * _PCG64_MULT) & _MASK128
+    return _state_dict(((first - inc) * _PCG64_INVERSE) & _MASK128, inc)
+
+
+def _ziggurat_widths() -> np.ndarray:
+    """numpy's ziggurat widths ``wi``, read from numpy's own normals.
+
+    Raw output ``layer | 1 << 9`` (layer in the low 8 bits, sign bit 8
+    clear, magnitude 1 above) falls in layer's rectangle, where numpy
+    returns exactly 1 * wi[layer]; layer 1, which has no rectangle, returns
+    it after one wedge test.
+    """
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    wi = np.empty(256)
+    for layer in range(256):
+        bitgen.state = _state_before(layer | 1 << 9)
+        wi[layer] = gen.standard_normal()
+    return wi
+
+
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray] | None:
+    """numpy's ziggurat widths ``wi`` and lower bounds on its rectangle bounds ``ki``.
+
+    numpy does not expose its tables, so they are read from numpy on first
+    use, not at import. Layer i's bound is 2**52 * wi[i-1] / wi[i] (layer 0
+    against layer 255; layer 1 has no rectangle), taken ``_KI_MARGIN``
+    lower so that rounding in that ratio cannot admit a magnitude numpy
+    rejects. None if numpy's draws disagree with the tables (see
+    :func:`_tables_agree`); every row is then drawn by the per-row
+    generator.
+    """
+    wi = _ziggurat_widths()
+    ratio = np.roll(wi, 1) / wi
+    ratio[1] = 0.0
+    ki = np.maximum(np.floor(ratio * 2.0**52) - _KI_MARGIN, 0.0).astype(np.uint64)
+    wi.setflags(write=False)
+    ki.setflags(write=False)
+    return (wi, ki) if _tables_agree(wi, ki) else None
+
+
+def _tables_agree(wi: np.ndarray, ki: np.ndarray) -> bool:
+    """Whether numpy's own draws confirm ``wi``, ``ki`` and the gamma arithmetic.
+
+    For every layer with a rectangle, magnitudes 1 and ki - 1 must take it
+    (numpy steps its state once) with value +-magnitude * wi; as the
+    rectangle test is magnitude < bound, this proves each ``ki`` entry is no
+    higher than numpy's. Then ``_CHECK_DRAWS`` fixed raw output pairs at
+    shape 1.5 must give numpy's gamma wherever :func:`_fast_gamma` takes
+    them, which a C build that fuses 1 + c*X into one rounding would fail.
+    """
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for layer in (0, *range(2, 256)):
+        for sign, rabs in ((1.0, 1), (-1.0, int(ki[layer]) - 1)):
+            raw = layer | (sign < 0) << 8 | rabs << 9
+            bitgen.state = _state_before(raw)
+            if gen.standard_normal() != sign * (rabs * wi[layer]):
+                return False
+            if bitgen.state["state"]["state"] != raw:
+                return False
+    raw = np.random.PCG64(_CHECK_SEED).random_raw((2, _CHECK_DRAWS))
+    draws, fast = _fast_gamma(raw, np.array([1.5]), wi, ki)
+    for row in np.flatnonzero(fast):
+        bitgen.state = _state_before(*raw[:, row].tolist())
+        if gen.standard_gamma(1.5) != draws[row, 0]:
+            return False
+    return True
 
 
 def _replicate_draws(master_seed: int, block: range, shapes: np.ndarray) -> np.ndarray:
     """Gamma(``shapes``, scale 2) draws for the replicate indices ``block``, one row each.
 
     Row r equals ``make_rng(derive_seed(master_seed, block[r])).gamma(shapes,
-    2.0)`` bit for bit, at a fraction of its numpy call overhead: the child
+    2.0)`` bit for bit, with no numpy call per row for most rows: the child
     seeds come from :func:`derive_seed`'s splitmix64 in wrapping uint64
     arithmetic over the whole block, their PCG64 states from
-    :func:`_pcg64_states`, and every row draws through one reused
-    generator with ``standard_gamma``, doubled at the end. The doubling is
-    exact, since numpy's gamma is scale * standard_gamma.
+    :func:`_pcg64_seed`, and when every shape exceeds 1 each row's raw
+    outputs from :func:`_pcg64_outputs` and its draws from
+    :func:`_fast_gamma`. A row with a draw off numpy's fast branches (about
+    10% of rows in a 7-draw window), and every row of a window with a shape
+    of 1 or less, is drawn again by one reused generator set to the row's
+    state, as numpy would draw it. The standard gamma draws are doubled at
+    the end, which is exact, since numpy's gamma is scale * standard_gamma.
     """
     u64 = np.uint64
     x = np.arange(block.start + 1, block.stop + 1, block.step, dtype=u64)
@@ -200,12 +400,19 @@ def _replicate_draws(master_seed: int, block: range, shapes: np.ndarray) -> np.n
     x ^= x >> u64(27)
     x *= u64(_SPLITMIX_B)
     x ^= x >> u64(31)
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    z = np.empty((len(block), shapes.size))
-    for row, state in enumerate(_pcg64_states(x)):
-        bitgen.state = state
-        gen.standard_gamma(shapes, out=z[row])
+    seeded = _pcg64_seed(x)
+    tables = _ziggurat() if shapes.min() > 1.0 else None
+    if tables is None:
+        z, redraw = np.empty((len(block), shapes.size)), np.arange(len(block))
+    else:
+        z, fast = _fast_gamma(_pcg64_outputs(*seeded), shapes, *tables)
+        redraw = np.flatnonzero(~fast)
+    if redraw.size:
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        for row, state in zip(redraw.tolist(), _state_dicts(*(w[redraw] for w in seeded))):
+            bitgen.state = state
+            gen.standard_gamma(shapes, out=z[row])
     z *= 2.0
     return z
 

@@ -60,6 +60,11 @@ def _check_order(order: int, cap: int = EXACT_ORDER_CAP) -> int:
     return int(order)
 
 
+def _check_xi(xi: float) -> None:
+    if not (0.0 <= xi < np.inf):
+        raise ValueError(f"xi must be finite and >= 0, got {xi!r}")
+
+
 def _binom(n: int, k: int) -> int:
     # math.comb with the C(n, -1) = 0 convention used by the D matrix.
     if k < 0 or k > n:
@@ -127,8 +132,7 @@ def nu_moments(order: int, xi: float, variant: NuVariant = NuVariant.STANDARD) -
     the density and the telescoping D-matrix identity both require.
     """
     order = _check_order(order)
-    if xi < 0:
-        raise ValueError(f"xi must be >= 0, got {xi!r}")
+    _check_xi(xi)
     out = np.zeros(order)
     for k in range(1, order + 1, 2):
         coeff = _binom(k, (k - 3) // 2)
@@ -145,8 +149,7 @@ def nu_density(x, xi: float, variant: NuVariant = NuVariant.STANDARD):
     endpoints are poles and raise. Shifted: -(xi / 2 pi) x sqrt(4 - x^2)
     on [-2, 2]. Both vanish outside [-2, 2].
     """
-    if xi < 0:
-        raise ValueError(f"xi must be >= 0, got {xi!r}")
+    _check_xi(xi)
     arr = np.asarray(x, dtype=np.float64)
     out = np.zeros_like(arr)
     if variant is NuVariant.STANDARD:
@@ -298,8 +301,7 @@ def dw_vector(order: int, xi: float, variant: NuVariant = NuVariant.STANDARD) ->
     Standard: (0, 0, xi, 0, xi, 0, xi, ...). Shifted: (-xi, 0, 0, ...).
     """
     order = _check_order(order)
-    if xi < 0:
-        raise ValueError(f"xi must be >= 0, got {xi!r}")
+    _check_xi(xi)
     out = np.zeros(order)
     if variant is NuVariant.STANDARD:
         out[2::2] = xi

@@ -82,6 +82,8 @@ class AcPlusAtoms:
                 raise ValueError(
                     f"atom at {loc} lies inside [-2, 2]; outliers only"
                 )
+            if not math.isfinite(loc):
+                raise ValueError(f"atom location must be finite, got {loc!r}")
             if not (mass > 0.0):
                 raise ValueError(f"atom mass must be positive, got {mass!r}")
         self.atoms = atoms
@@ -103,8 +105,8 @@ def f_outlier(x: float) -> float:
     defined for |x| >= 2 and zero at the edge.
     """
     a = abs(float(x))
-    if a < 2.0:
-        raise ValueError(f"|x| must be >= 2, got {x!r}")
+    if not (2.0 <= a < math.inf):
+        raise ValueError(f"|x| must be finite and >= 2, got {x!r}")
     root = math.sqrt(a * a - 4.0)
     return a * root / 2.0 - 2.0 * math.log((a + root) / 2.0)
 
@@ -157,6 +159,8 @@ def mdp_rate_series(
     the two forms must agree to 1e-10, else a NumericalError is raised.
     """
     m = np.asarray(m, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("moments must be finite")
     if k_trunc < 1:
         raise ValueError(f"k_trunc must be >= 1, got {k_trunc}")
     if m.size < k_trunc:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,24 @@ class TestPolyParser:
     @pytest.mark.parametrize("bad", ["", "x^", "x^-2", "2**x", "x^1.5", "y", "1+"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
+            cli.parse_poly(bad)
+
+    def test_degree_cap_is_accepted(self):
+        assert cli.parse_poly("x^20").size == 21
+
+    @pytest.mark.parametrize("bad, message", [
+        ("x^21", "degree 21, above the cap 20"),
+        ("x^999999999999", "degree 1e+12, above the cap 20"),
+        ("x^1e400", "degree inf, above the cap 20"),
+        ("1e400x", "coefficient that is not finite"),
+        ("1e308x+1e308x", "coefficient that is not finite"),
+    ])
+    def test_rejects_degree_and_nonfinite_before_allocating(self, bad, message, monkeypatch):
+        def no_array(*args, **kwargs):
+            raise AssertionError("array built")
+
+        monkeypatch.setattr(cli.np, "zeros", no_array)
+        with pytest.raises(ValueError, match=re.escape(message)):
             cli.parse_poly(bad)
 
 
@@ -71,6 +90,17 @@ class TestEmission:
         text = cli.report_csv(_report())
         assert "0.099500000000000005" in text or "0.0995" in text
         assert f"{1/3:.17g}" == "0.33333333333333331"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_json_writes_null_for_nonfinite_floats(self, value):
+        report = _report()
+        report.z_score = value
+        report.predicted_variance = value
+        text = cli.report_json(report)
+        data = json.loads(text, parse_constant=pytest.fail)
+        assert data["z_score"] is None and data["predicted_var"] is None
+        assert data["sample_mean"] == report.sample_mean
+        assert cli.report_csv(report).split("\n")[1].split(",")[9] == cli._fmt(value)
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "r.json"
@@ -213,6 +243,30 @@ class TestExitCodes:
         assert captured.err == (
             "error: replicate 0 failed: off-diagonal entries must be strictly positive\n"
         )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mdp", "--n", "2000", "--beta", "2", "--gamma-rule", "pow:2:1", "--b-n", "inf",
+          "--k", "3", "--replicates", "100", "--seed", "7"], "b_n must be positive and finite"),
+        (["rate", "--outlier", "nan"], "|x| must be finite and >= 2"),
+        (["rate", "--outlier", "inf"], "|x| must be finite and >= 2"),
+        (["rate", "--outlier=-inf"], "|x| must be finite and >= 2"),
+        (["rate", "--semicircle-atoms", "nan:0.1"], "atom location must be finite"),
+        (["rate", "--mdp-moments", "0,0,nan", "--xi", "1", "--trunc", "3"],
+         "moments must be finite"),
+        (["rate", "--mdp-moments", "0,0,1", "--xi", "inf", "--trunc", "3"],
+         "xi must be finite and >= 0"),
+        (["moments", "--measure", "nu-hat", "--order", "9", "--xi", "nan"],
+         "xi must be finite and >= 0"),
+        (CLT_ARGS + ["--poly", "x^999999999999"], "above the cap 20"),
+        (CLT_ARGS + ["--poly", "1e400x"], "not finite"),
+    ], ids=["b-n-inf", "outlier-nan", "outlier-inf", "outlier-minus-inf", "atom-nan",
+            "mdp-moment-nan", "xi-inf", "nu-hat-xi-nan", "poly-degree", "poly-coefficient"])
+    def test_nonfinite_parameter_is_one_error_line(self, argv, message, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
     def test_unwritable_path(self, capsys):
         code = cli.main(["identities", "--order", "5",
@@ -479,9 +533,10 @@ class TestMpSanityCommand:
                          "--k", "1", "--replicates", "100", "--seed", "3",
                          "--format", "json", "--out", str(out)])
         assert code in (0, 1)
-        data = json.loads(out.read_text())
+        # The NaN prediction is JSON null; a bare NaN token is not JSON.
+        data = json.loads(out.read_text(), parse_constant=pytest.fail)
         assert data["predicted_mean"] == pytest.approx(1.0, abs=1e-9)
-        assert np.isnan(data["predicted_var"])
+        assert data["predicted_var"] is None
 
     def test_histogram_emission(self, tmp_path):
         hist_path = tmp_path / "h.txt"

@@ -11,13 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from lagspec import ensembles
 from lagspec.ensembles import (
     EnsembleParams,
     RescalingMode,
     _assemble,
     _chi_squared_shapes,
+    _fast_gamma,
     _pcg64_states,
     _replicate_draws,
+    _state_before,
+    _ziggurat,
     derive_seed,
     make_rng,
     rescale,
@@ -83,6 +87,53 @@ def per_replicate_draws(master, block, shapes):
     return np.array([make_rng(derive_seed(master, i)).gamma(shapes, 2.0) for i in block])
 
 
+# Shapes of the README experiment windows: clt and mdp (n = 2000, beta = 2,
+# gamma = n^2, moments up to 3) share one; mp-sanity (gamma = 4000, moments
+# up to 2) has the other.
+README_CLT_MDP_SHAPES = _chi_squared_shapes(EnsembleParams(2000, 2.0, 2000.0**2), 4)
+README_MP_SANITY_SHAPES = _chi_squared_shapes(EnsembleParams(2000, 2.0, 4000.0), 3)
+
+
+def raw_output(layer, rabs, negative=False):
+    """The raw PCG64 output that numpy's ziggurat reads as (layer, sign, magnitude)."""
+    return layer | int(negative) << 8 | rabs << 9
+
+
+def raw_uniform(u):
+    """The raw PCG64 output whose next_double is ``u`` rounded down to a multiple of 2**-53."""
+    return int(u * 2.0**53) << 11
+
+
+def numpy_gamma(shape, first, second):
+    """numpy's standard gamma from a state whose next outputs are first, second.
+
+    Also returns whether numpy took exactly those two outputs.
+    """
+    bitgen = np.random.PCG64(0)
+    bitgen.state = _state_before(first, second)
+    value = np.random.Generator(bitgen).standard_gamma(shape)
+    after_two = _state_before(first, second)["state"]
+    for _ in range(2):
+        after_two["state"] = (after_two["state"] * ensembles._PCG64_MULT
+                              + after_two["inc"]) & ensembles._MASK128
+    return value, bitgen.state["state"]["state"] == after_two["state"]
+
+
+def fast_gamma(shape, first, second):
+    """_fast_gamma on one raw output pair: (value, whether the fast path decided it)."""
+    raw = np.array([[first], [second]], dtype=np.uint64)
+    draws, fast = _fast_gamma(raw, np.array([shape]), *_ziggurat())
+    return draws[0, 0], bool(fast[0])
+
+
+def takes_rectangle(bitgen, layer, rabs):
+    """Whether numpy's normal for this raw output takes one output (layer's rectangle)."""
+    raw = raw_output(layer, rabs)
+    bitgen.state = _state_before(raw)
+    np.random.Generator(bitgen).standard_normal()
+    return bitgen.state["state"]["state"] == raw
+
+
 class TestBlockSeeding:
     def test_make_rng_is_pcg64(self):
         assert type(make_rng(1).bit_generator) is np.random.PCG64
@@ -119,6 +170,141 @@ class TestBlockSeeding:
         assert np.array_equal(
             _replicate_draws(master, block, shapes), per_replicate_draws(master, block, shapes)
         )
+
+
+    def test_readme_windows_match_per_replicate_generators(self):
+        # 10^5 rows: 60,000 of the clt/mdp window and 40,000 of the mp-sanity
+        # window, both at the README seed.
+        for shapes, rows in ((README_CLT_MDP_SHAPES, 60_000), (README_MP_SANITY_SHAPES, 40_000)):
+            block = range(0, rows)
+            assert np.array_equal(
+                _replicate_draws(7, block, shapes), per_replicate_draws(7, block, shapes)
+            )
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [[1.0 + 2.0**-52, 1.0000001, 1.5], [1.0], [0.999, 0.5], [3.0, 1.0, 2.5, 0.3, 1e6],
+         [1e12, 1.01, 7.5]],
+        ids=["just-above-1", "exactly-1", "below-1", "mixed", "large-and-small"],
+    )
+    def test_shapes_around_one(self, shapes):
+        shapes = np.array(shapes)
+        block = range(100, 2100)
+        assert np.array_equal(
+            _replicate_draws(3, block, shapes), per_replicate_draws(3, block, shapes)
+        )
+
+    def test_pinned_fallback_rows(self, monkeypatch):
+        # Rows 0..1023 of the README clt window: 105 leave a fast branch.
+        # If the fast path were silently off, all 1024 would be redrawn.
+        redrawn = []
+        state_dicts = ensembles._state_dicts
+
+        def counting(*words):
+            for state in state_dicts(*words):
+                redrawn.append(state)
+                yield state
+
+        monkeypatch.setattr(ensembles, "_state_dicts", counting)
+        block = range(0, 1024)
+        z = _replicate_draws(7, block, README_CLT_MDP_SHAPES)
+        assert len(redrawn) == 105
+        assert np.array_equal(z, per_replicate_draws(7, block, README_CLT_MDP_SHAPES))
+
+    # Layer 255's rectangle reaches past 3, so X = magnitude * wi[255] there
+    # is a normal that takes the rectangle. At shape 5 and X ~ 1.5 the
+    # squeeze bound 1 - 0.0331 X^4 is about 0.83 and the log test accepts
+    # U up to about exp(-0.003).
+
+    def test_squeeze_accepts(self):
+        wi = _ziggurat()[0]
+        first = raw_output(255, int(0.5 / wi[255]))
+        value, fast = fast_gamma(5.0, first, raw_uniform(0.5))
+        assert fast and (value, True) == numpy_gamma(5.0, first, raw_uniform(0.5))
+
+    def test_squeeze_rejects_log_accepts(self):
+        wi = _ziggurat()[0]
+        rabs = int(1.5 / wi[255])
+        assert 0.9 > 1.0 - 0.0331 * (rabs * wi[255]) ** 4
+        value, fast = fast_gamma(5.0, raw_output(255, rabs), raw_uniform(0.9))
+        assert fast and (value, True) == numpy_gamma(5.0, raw_output(255, rabs), raw_uniform(0.9))
+
+    def test_log_rejects(self):
+        wi = _ziggurat()[0]
+        first = raw_output(255, int(1.5 / wi[255]))
+        assert not fast_gamma(5.0, first, raw_uniform(0.999))[1]
+        assert not numpy_gamma(5.0, first, raw_uniform(0.999))[1]
+
+    def test_log_near_tie_is_left_to_numpy(self):
+        wi = _ziggurat()[0]
+        shape, first = 5.0, raw_output(255, int(1.5 / wi[255]))
+        x = float(int(1.5 / wi[255]) * wi[255])
+        b = shape - 1.0 / 3.0
+        v = (1.0 + x / np.sqrt(9.0 * b)) ** 3
+        tie = np.exp(0.5 * x * x + b * (1.0 - v + np.log(v)))
+        for u in (tie * (1 - 1e-12), tie, tie * (1 + 1e-12)):
+            assert not fast_gamma(shape, first, raw_uniform(u))[1]
+
+    def test_nonpositive_v_is_left_to_numpy(self):
+        wi = _ziggurat()[0]
+        first = raw_output(255, int(3.2 / wi[255]), negative=True)  # 1 + c X < 0
+        assert not fast_gamma(1.01, first, raw_uniform(0.5))[1]
+        assert not numpy_gamma(1.01, first, raw_uniform(0.5))[1]
+
+    @pytest.mark.parametrize(
+        "layer, rabs",
+        [(0, 2**52 - 1), (1, 1), (1, 12345), (100, 2**52 - 1), (2, 2**52 - 1)],
+        ids=["layer0-tail", "layer1-small", "layer1", "slow-layer100", "slow-layer2"],
+    )
+    def test_ziggurat_slow_paths_are_left_to_numpy(self, layer, rabs):
+        first, second = raw_output(layer, rabs), raw_uniform(0.5)
+        assert not fast_gamma(5.0, first, second)[1]
+        assert not numpy_gamma(5.0, first, second)[1]
+
+    def test_rectangle_bounds_against_bisection(self):
+        # numpy's bound for each layer: the least magnitude whose normal takes
+        # more than one raw output. Ours must not exceed it, by at most the
+        # 2^20 margin plus rounding.
+        wi, ki = _ziggurat()
+        bitgen = np.random.PCG64(0)
+        for layer in range(256):
+            lo, hi = 0, 2**52  # takes_rectangle(lo) or lo == 0; not takes_rectangle(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if takes_rectangle(bitgen, layer, mid) else (lo, mid)
+            bound = hi if takes_rectangle(bitgen, layer, lo) else 0
+            if layer == 1:
+                assert bound == ki[1] == 0
+            else:
+                assert bound - 2**21 <= int(ki[layer]) <= bound, layer
+
+    @pytest.mark.parametrize("layer", [0, 1, 2, 128, 255])
+    @pytest.mark.parametrize("direction", [-np.inf, np.inf])
+    def test_corrupted_width_never_changes_bits(self, monkeypatch, layer, direction):
+        widths = ensembles._ziggurat_widths
+
+        def corrupted():
+            wi = widths()
+            wi[layer] = np.nextafter(wi[layer], direction)
+            return wi
+
+        monkeypatch.setattr(ensembles, "_ziggurat_widths", corrupted)
+        _ziggurat.cache_clear()
+        try:
+            if layer != 1:  # layer 1's width only bounds layer 2's rectangle
+                assert _ziggurat() is None
+            block = range(0, 300)
+            assert np.array_equal(
+                _replicate_draws(11, block, README_CLT_MDP_SHAPES),
+                per_replicate_draws(11, block, README_CLT_MDP_SHAPES),
+            )
+        finally:
+            _ziggurat.cache_clear()
+
+    def test_tables_are_read_only(self):
+        for table in _ziggurat():
+            with pytest.raises(ValueError):
+                table[3] = 0
 
 
 class TestChiSquared:

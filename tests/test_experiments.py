@@ -67,6 +67,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="replicates must be an integer"):
             clt_config(replicates=replicates)
 
+    @pytest.mark.parametrize("b_n", [np.inf, np.nan, 0.0, -1.0])
+    def test_non_finite_or_nonpositive_b_n_rejected(self, b_n):
+        with pytest.raises(ValueError, match="b_n must be positive and finite"):
+            clt_config(b_n=b_n)
+
     @pytest.mark.parametrize("seed", [np.int64(101), np.uint64(101)])
     def test_numpy_integer_master_seed_accepted(self, seed):
         config = clt_config(master_seed=seed, statistic=X3, replicates=100)

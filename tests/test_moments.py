@@ -133,6 +133,14 @@ class TestNuMoments:
     def test_scales_linearly_in_xi(self):
         np.testing.assert_array_equal(nu_moments(9, 3.0), 3.0 * nu_moments(9, 1.0))
 
+    @pytest.mark.parametrize("xi", [np.nan, np.inf, -1.0])
+    def test_xi_must_be_finite_and_nonnegative(self, xi):
+        for call in (nu_moments, dw_vector):
+            with pytest.raises(ValueError, match="xi must be finite and >= 0"):
+                call(5, xi)
+        with pytest.raises(ValueError, match="xi must be finite and >= 0"):
+            nu_density(0.5, xi)
+
 
 class TestNuDensity:
     def test_odd_function_vanishes_at_zero(self):

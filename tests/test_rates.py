@@ -37,6 +37,11 @@ class TestOutlierCost:
         with pytest.raises(ValueError):
             f_outlier(1.5)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            f_outlier(x)
+
     def test_closed_form_against_quadrature(self):
         for x in np.linspace(2.0, 10.0, 21):
             ref, _ = quad(lambda y: np.sqrt(y * y - 4.0), 2.0, x, epsabs=1e-13)
@@ -82,6 +87,10 @@ class TestCandidateMeasure:
         with pytest.raises(ValueError, match="mass"):
             AcPlusAtoms(lambda x: SC(x), [(3.0, 0.0)])
 
+    def test_nonfinite_atom_location_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            AcPlusAtoms(lambda x: 0.9 * SC(x), [(np.nan, 0.1)])
+
     def test_total_mass_checked(self):
         with pytest.raises(ValueError, match="total mass"):
             AcPlusAtoms(lambda x: 0.5 * SC(x))
@@ -107,6 +116,11 @@ class TestLdpRate:
 
 
 class TestMdpRateSeries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_moments_rejected(self, bad):
+        with pytest.raises(ValueError, match="moments must be finite"):
+            mdp_rate_series(np.array([0.0, 0.0, bad]), 1.0, k_trunc=3)
+
     @pytest.mark.parametrize("variant", list(NuVariant))
     @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0, 3.0])
     def test_exact_zero_at_minimizer(self, xi, variant):
