@@ -12,12 +12,12 @@ m_1..m_k read only the leading (k+1) x (k+1) window of the model, so a
 replicate draws only the chi-squares behind that window. Replicates run a
 block at a time: the block's chi-squares are drawn by
 ensembles._replicate_draws, which computes the block's generator states
-and most of its gamma draws in vectorized arithmetic and draws only the
-rest (about 10% of rows in the README windows) through numpy's generator,
-and the block is then assembled, centered and pushed through the moment
-recursion at once. Every reported number is the same as drawing each
-replicate from its own ``make_rng(derive_seed(master_seed, i))`` and
-reducing it on its own.
+and nearly all of its gamma draws in vectorized arithmetic and draws only
+the rest (about 0.2% of rows in the README windows) through numpy's
+generator, and the block is then assembled, centered and pushed through
+the moment recursion at once. Every reported number is the same as
+drawing each replicate from its own ``make_rng(derive_seed(master_seed,
+i))`` and reducing it on its own.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ MAX_POLY_DEGREE = 20
 # Replicates per vectorized block: large enough to spread numpy's per-call
 # overhead thin, small enough that peak memory beyond the sample vector does
 # not grow with the replicate count. README clt, 10^4 replicates, on a
-# 2-core x86-64 VM: blocks of 1024 draw in about 45 ms at a peak RSS of
-# 36.5 MB, blocks of 4096 in about 35 ms at 37.3 MB.
-_BLOCK = 1024
+# 2-core x86-64 VM: blocks of 1024 draw in about 13 ms at a peak RSS of
+# 36.5 MB, blocks of 2048 in about 8 ms at 36.6 MB, and blocks of 3584 or
+# 4096 (three blocks either way) in about 6.6 ms, at 36.9 and 37.3 MB.
+_BLOCK = 3584
 
 
 @dataclass(frozen=True)
@@ -258,12 +259,19 @@ def _run(
     or multiplied by ``scale`` when one is given, and ``statistic`` maps
     the moments m_1..m_order (one row per replicate) to one value per
     replicate. ``verdict`` receives the sample mean, variance and
-    standard error. Raises NumericalError naming the first replicate whose
-    window is not valid Jacobi data.
+    standard error. Raises ValueError when the replicates' statistics
+    cannot be held in memory, and NumericalError naming the first
+    replicate whose window is not valid Jacobi data.
     """
     start = time.perf_counter()
     shapes = _chi_squared_shapes(params, min(order + 1, params.n))
-    samples = np.empty(config.replicates)
+    try:
+        samples = np.empty(config.replicates)
+    except MemoryError:
+        raise ValueError(
+            f"{config.replicates} replicates need {config.replicates * 8:.3g} bytes "
+            "for their statistics, more than can be allocated"
+        ) from None
     for first in range(0, config.replicates, _BLOCK):
         block = range(first, min(first + _BLOCK, config.replicates))
         diag, offdiag = _assemble(_replicate_draws(config.master_seed, block, shapes))
@@ -322,9 +330,9 @@ def run_clt(config: ExperimentConfig, keep_samples: bool = False) -> ExperimentR
     def statistic(m: np.ndarray) -> np.ndarray:
         if degree < 1:  # a constant polynomial's statistic is identically 0
             return np.zeros(len(m))
-        # One np.dot per replicate: a batched product may sum in another
-        # order and change the last bits of the seeded reports.
-        return prefactor * np.array([np.dot(tail, row) for row in m - msc])
+        # One BLAS ddot per replicate, as np.dot makes: a batched product
+        # may sum in another order and change the last bits of the reports.
+        return prefactor * np.fromiter(map(tail.dot, m - msc), np.float64, len(m))
 
     def verdict(mean: float, var: float, se: float) -> bool:
         if predicted_var > 0.0:

@@ -3,13 +3,18 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lagspec
 from lagspec import cli
 from lagspec.experiments import ExperimentReport, LinearGamma, PowerLawGamma
 
@@ -268,6 +273,25 @@ class TestExitCodes:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
 
+    def test_unallocatable_replicate_count_is_one_error_line(self, monkeypatch, capsys):
+        # 10^12 replicates need 7.28 TiB for their statistics. The allocation
+        # is made to fail here, whatever this host's memory would allow.
+        empty = np.empty
+
+        def failing(shape, *args, **kwargs):
+            if np.prod(shape) >= 10**12:
+                raise MemoryError("Unable to allocate 7.28 TiB")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", failing)
+        argv = ["clt", "--n", "20", "--beta", "2", "--gamma-rule", "pow:2:1", "--poly", "x^2",
+                "--replicates", "1000000000000", "--seed", "1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: 1000000000000 replicates need 8e+12 bytes for their "
+                                "statistics, more than can be allocated\n")
+
     def test_unwritable_path(self, capsys):
         code = cli.main(["identities", "--order", "5",
                          "--out", "/nonexistent-dir/x.csv"])
@@ -371,6 +395,18 @@ class TestRateCommand:
 
 
 class TestCltCommand:
+    def test_run_imports_no_scipy(self):
+        # The experiment commands need numpy alone; importing scipy.linalg
+        # would cost about 0.3 s of start-up.
+        code = ("import sys, lagspec.cli; "
+                f"lagspec.cli.main({CLT_ARGS!r}); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)")
+        env = {**os.environ, "PYTHONPATH": str(Path(lagspec.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, check=True)
+        assert result.stdout.startswith("statistic,")
+        assert result.stderr == "[]\n"
+
     def test_runs_and_emits(self, tmp_path):
         out = tmp_path / "r.csv"
         assert cli.main(CLT_ARGS + ["--out", str(out)]) == 0

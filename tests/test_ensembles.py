@@ -120,10 +120,35 @@ def numpy_gamma(shape, first, second):
 
 
 def fast_gamma(shape, first, second):
-    """_fast_gamma on one raw output pair: (value, whether the fast path decided it)."""
-    raw = np.array([[first], [second]], dtype=np.uint64)
-    draws, fast = _fast_gamma(raw, np.array([shape]), *_ziggurat())
+    """_fast_gamma from numpy_gamma's state: (value, whether the fast path decided it)."""
+    state = _state_before(first, second)["state"]
+    words = [state["state"] >> 64, state["state"] & ensembles._MASK64,
+             state["inc"] >> 64, state["inc"] & ensembles._MASK64]
+    seeded = np.array(words, dtype=np.uint64)[:, None]
+    draws, fast = _fast_gamma(seeded, np.array([shape]), _ziggurat())
     return draws[0, 0], bool(fast[0])
+
+
+def count_redrawn(monkeypatch):
+    """The list of states that _replicate_draws hands to numpy's per-row generator."""
+    _ziggurat()  # the tables' self-check sets generator states too
+    redrawn = []
+    state_dicts = ensembles._state_dicts
+
+    def counting(*words):
+        for state in state_dicts(*words):
+            redrawn.append(state)
+            yield state
+
+    monkeypatch.setattr(ensembles, "_state_dicts", counting)
+    return redrawn
+
+
+def wedge_tie(layer, rabs):
+    """The uniform at which layer's wedge test at this magnitude ties, by the derived fi."""
+    wi, fi = _ziggurat().wi, _ziggurat().fi
+    x = rabs * wi[layer]
+    return (np.exp(-0.5 * x * x) - fi[layer]) / (fi[layer - 1] - fi[layer])
 
 
 def takes_rectangle(bitgen, layer, rabs):
@@ -195,21 +220,23 @@ class TestBlockSeeding:
         )
 
     def test_pinned_fallback_rows(self, monkeypatch):
-        # Rows 0..1023 of the README clt window: 105 leave a fast branch.
-        # If the fast path were silently off, all 1024 would be redrawn.
-        redrawn = []
-        state_dicts = ensembles._state_dicts
-
-        def counting(*words):
-            for state in state_dicts(*words):
-                redrawn.append(state)
-                yield state
-
-        monkeypatch.setattr(ensembles, "_state_dicts", counting)
+        # Rows 0..1023 of the README clt window: 2 leave the vectorized
+        # draws. If the fast path were silently off, all 1024 would be
+        # redrawn; with wedges left to numpy, about 100.
+        redrawn = count_redrawn(monkeypatch)
         block = range(0, 1024)
         z = _replicate_draws(7, block, README_CLT_MDP_SHAPES)
-        assert len(redrawn) == 105
+        assert len(redrawn) == 2
         assert np.array_equal(z, per_replicate_draws(7, block, README_CLT_MDP_SHAPES))
+
+    def test_shapes_at_most_one_fall_back(self, monkeypatch):
+        # A shape of 1 or less takes another numpy branch: every row is redrawn.
+        redrawn = count_redrawn(monkeypatch)
+        shapes = np.array([3.0, 1.0, 2.5])
+        block = range(0, 50)
+        z = _replicate_draws(5, block, shapes)
+        assert len(redrawn) == 50
+        assert np.array_equal(z, per_replicate_draws(5, block, shapes))
 
     # Layer 255's rectangle reaches past 3, so X = magnitude * wi[255] there
     # is a normal that takes the rectangle. At shape 5 and X ~ 1.5 the
@@ -230,10 +257,13 @@ class TestBlockSeeding:
         assert fast and (value, True) == numpy_gamma(5.0, raw_output(255, rabs), raw_uniform(0.9))
 
     def test_log_rejects(self):
+        # U = 0.999 fails the log test: numpy starts over with X from the
+        # third raw output, and the fast path follows it.
         wi = _ziggurat()[0]
         first = raw_output(255, int(1.5 / wi[255]))
-        assert not fast_gamma(5.0, first, raw_uniform(0.999))[1]
-        assert not numpy_gamma(5.0, first, raw_uniform(0.999))[1]
+        value, took_two = numpy_gamma(5.0, first, raw_uniform(0.999))
+        assert not took_two
+        assert fast_gamma(5.0, first, raw_uniform(0.999)) == (value, True)
 
     def test_log_near_tie_is_left_to_numpy(self):
         wi = _ziggurat()[0]
@@ -245,27 +275,69 @@ class TestBlockSeeding:
         for u in (tie * (1 - 1e-12), tie, tie * (1 + 1e-12)):
             assert not fast_gamma(shape, first, raw_uniform(u))[1]
 
-    def test_nonpositive_v_is_left_to_numpy(self):
+    def test_nonpositive_v_draws_a_new_normal(self):
+        # X ~ -3.2 gives 1 + c X < 0 at shape 1.01. numpy reads its next X
+        # from the second output (layer 0, magnitude 0: X = 0, so V = 1) and
+        # U from the third, which passes the squeeze test: the draw is b.
         wi = _ziggurat()[0]
-        first = raw_output(255, int(3.2 / wi[255]), negative=True)  # 1 + c X < 0
-        assert not fast_gamma(1.01, first, raw_uniform(0.5))[1]
-        assert not numpy_gamma(1.01, first, raw_uniform(0.5))[1]
+        first, second = raw_output(255, int(3.2 / wi[255]), negative=True), raw_uniform(0.5)
+        value, took_two = numpy_gamma(1.01, first, second)
+        assert not took_two and value == 1.01 - 1.0 / 3.0
+        assert fast_gamma(1.01, first, second) == (value, True)
 
     @pytest.mark.parametrize(
         "layer, rabs",
-        [(0, 2**52 - 1), (1, 1), (1, 12345), (100, 2**52 - 1), (2, 2**52 - 1)],
+        [(0, 2**52 - 1), (1, 1), (1, 12345), (100, None), (2, None)],
         ids=["layer0-tail", "layer1-small", "layer1", "slow-layer100", "slow-layer2"],
     )
     def test_ziggurat_slow_paths_are_left_to_numpy(self, layer, rabs):
-        first, second = raw_output(layer, rabs), raw_uniform(0.5)
-        assert not fast_gamma(5.0, first, second)[1]
-        assert not numpy_gamma(5.0, first, second)[1]
+        # The layer-0 tail, and the magnitudes between ki and kw, where the
+        # rectangle bound is known only to within 2^20 (layer 1's lie below
+        # 2^20; for the others, ki itself).
+        tables = _ziggurat()
+        rabs = int(tables.ki[layer]) if rabs is None else rabs
+        assert tables.ki[layer] <= rabs < tables.kw[layer]
+        assert not fast_gamma(5.0, raw_output(layer, rabs), raw_uniform(0.5))[1]
+
+    @pytest.mark.parametrize("layer", [1, 2, 100, 255])
+    def test_wedge_accept_matches_numpy(self, layer):
+        # Half way across the wedge, U' = 0.01 passes the wedge test: numpy
+        # keeps X and takes U from the third output.
+        rabs = (int(_ziggurat().kw[layer]) + 2**52) // 2
+        assert wedge_tie(layer, rabs) > 0.02
+        first, second = raw_output(layer, rabs), raw_uniform(0.01)
+        value, took_two = numpy_gamma(5.0, first, second)
+        assert not took_two
+        assert fast_gamma(5.0, first, second) == (value, True)
+
+    @pytest.mark.parametrize("layer", [1, 2, 100, 255])
+    def test_wedge_reject_draws_a_new_normal(self, layer):
+        # At the layer's outer edge U' = 0.99 fails the wedge test: numpy
+        # starts over with X from the third output.
+        assert wedge_tie(layer, 2**52 - 1) < 0.01
+        first, second = raw_output(layer, 2**52 - 1, negative=True), raw_uniform(0.99)
+        value, took_two = numpy_gamma(5.0, first, second)
+        assert not took_two
+        assert fast_gamma(5.0, first, second) == (value, True)
+
+    @pytest.mark.parametrize("layer", [1, 100, 255])
+    def test_wedge_near_tie_is_left_to_numpy(self, layer):
+        # fi is derived from wi, not read from numpy: within the margin of a
+        # tie the fast path does not decide; just outside it, it does, as
+        # numpy does.
+        rabs = (int(_ziggurat().kw[layer]) + 2**52) // 2
+        tie, first = wedge_tie(layer, rabs), raw_output(layer, rabs)
+        for u in (tie * (1 - 1e-12), tie, tie * (1 + 1e-12)):
+            assert not fast_gamma(5.0, first, raw_uniform(u))[1]
+        for u in (tie * (1 - 1e-6), tie * (1 + 1e-6)):
+            value, _ = numpy_gamma(5.0, first, raw_uniform(u))
+            assert fast_gamma(5.0, first, raw_uniform(u)) == (value, True)
 
     def test_rectangle_bounds_against_bisection(self):
         # numpy's bound for each layer: the least magnitude whose normal takes
         # more than one raw output. Ours must not exceed it, by at most the
         # 2^20 margin plus rounding.
-        wi, ki = _ziggurat()
+        wi, ki, kw = _ziggurat()[:3]
         bitgen = np.random.PCG64(0)
         for layer in range(256):
             lo, hi = 0, 2**52  # takes_rectangle(lo) or lo == 0; not takes_rectangle(hi)
@@ -277,6 +349,8 @@ class TestBlockSeeding:
                 assert bound == ki[1] == 0
             else:
                 assert bound - 2**21 <= int(ki[layer]) <= bound, layer
+            if layer != 0:  # kw: where the wedge starts, past numpy's bound
+                assert bound <= int(kw[layer]) <= bound + 2**21, layer
 
     @pytest.mark.parametrize("layer", [0, 1, 2, 128, 255])
     @pytest.mark.parametrize("direction", [-np.inf, np.inf])
@@ -291,8 +365,40 @@ class TestBlockSeeding:
         monkeypatch.setattr(ensembles, "_ziggurat_widths", corrupted)
         _ziggurat.cache_clear()
         try:
-            if layer != 1:  # layer 1's width only bounds layer 2's rectangle
+            if layer == 1:  # layer 1 has no rectangle: its width refuses the wedges
+                assert (_ziggurat().kw == 2**52).all()
+            else:
                 assert _ziggurat() is None
+            block = range(0, 300)
+            assert np.array_equal(
+                _replicate_draws(11, block, README_CLT_MDP_SHAPES),
+                per_replicate_draws(11, block, README_CLT_MDP_SHAPES),
+            )
+        finally:
+            _ziggurat.cache_clear()
+
+    @pytest.mark.parametrize("layer", [0, 1, 128, 254, 255])
+    @pytest.mark.parametrize("direction", [-1.0, 1.0])
+    @pytest.mark.parametrize("error", ["ulp", "1e-6"])
+    def test_corrupted_height_never_changes_bits(self, monkeypatch, layer, direction, error):
+        # One ulp of fi lies well inside the wedge test's margin and the
+        # wedges stay on; a relative 1e-6 lies outside it, and the margin
+        # edge probes refuse the wedges.
+        heights = ensembles._ziggurat_heights
+
+        def corrupted(wi):
+            fi = heights(wi)
+            if error == "ulp":
+                fi[layer] = np.nextafter(fi[layer], direction * np.inf)
+            else:
+                fi[layer] *= 1.0 + direction * 1e-6
+            return fi
+
+        monkeypatch.setattr(ensembles, "_ziggurat_heights", corrupted)
+        _ziggurat.cache_clear()
+        try:
+            wedges_on = (_ziggurat().kw[1:] < 2**52).all()
+            assert wedges_on == (error == "ulp")
             block = range(0, 300)
             assert np.array_equal(
                 _replicate_draws(11, block, README_CLT_MDP_SHAPES),

@@ -213,10 +213,10 @@ class TestReplicateDriver:
 
     def test_failure_reports_index(self):
         # beta = 0.02 at n = 3: a trailing chi-square draw occasionally
-        # underflows to 0, and the first replicate where that happens lies
-        # past the first block of replicates.
+        # underflows to 0, and the first replicate where that happens (4197
+        # at this seed) lies past the first block of replicates.
         config = clt_config(n=3, beta=0.02, gamma_rule=PowerLawGamma(2.0),
-                            replicates=1500, master_seed=2)
+                            replicates=4500, master_seed=14)
         params = config.ensemble_params()
         first_bad = None
         for i in range(config.replicates):
