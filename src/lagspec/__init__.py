@@ -4,99 +4,79 @@ Samplers for the tridiagonal model and its eigenvalue rescalings, finite
 Jacobi / spectral-measure machinery, exact reference moments and the D
 matrix, large- and moderate-deviation rate functions, and a seeded Monte
 Carlo harness that checks the limit theorems at desk scale.
+
+``import lagspec`` imports no submodule: each public name is imported from
+its defining module on first access (PEP 562), so a program pays only for
+the modules it uses.
 """
 
-from .ensembles import (
-    EnsembleParams,
-    RescalingMode,
-    derive_seed,
-    make_rng,
-    rescale,
-    sample_chi_squared,
-    sample_dirichlet,
-    sample_laguerre_tridiagonal,
-    sample_spectral_measure,
-)
-from .errors import NumericalError
-from .experiments import (
-    ExperimentConfig,
-    ExperimentReport,
-    LinearGamma,
-    PowerLawGamma,
-    predicted_clt,
-    run_clt,
-    run_mdp_centering,
-    run_moment_convergence,
-    run_mp_sanity,
-)
-from .moments import (
-    NuVariant,
-    arcsine_moments,
-    d_inverse_apply,
-    d_matrix,
-    dw_vector,
-    integrate_poly_against_moments,
-    mp_moments,
-    nu_density,
-    nu_moments,
-    semicircle_moments,
-    semicircle_orthonormal_poly,
-)
-from .rates import AcPlusAtoms, f_outlier, kl_semicircle, ldp_rate, mdp_rate_density, mdp_rate_series
-from .spectral import (
-    JacobiCoefficients,
-    SpectralMeasure,
-    eigen_spectral,
-    free_jacobi,
-    measure_to_coefficients,
-    moments_of_measure,
-    moments_via_operator,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcPlusAtoms",
-    "EnsembleParams",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "JacobiCoefficients",
-    "LinearGamma",
-    "NuVariant",
-    "NumericalError",
-    "PowerLawGamma",
-    "RescalingMode",
-    "SpectralMeasure",
-    "arcsine_moments",
-    "d_inverse_apply",
-    "d_matrix",
-    "derive_seed",
-    "dw_vector",
-    "eigen_spectral",
-    "f_outlier",
-    "free_jacobi",
-    "integrate_poly_against_moments",
-    "kl_semicircle",
-    "ldp_rate",
-    "make_rng",
-    "mdp_rate_density",
-    "mdp_rate_series",
-    "measure_to_coefficients",
-    "moments_of_measure",
-    "moments_via_operator",
-    "mp_moments",
-    "nu_density",
-    "nu_moments",
-    "predicted_clt",
-    "rescale",
-    "run_clt",
-    "run_mdp_centering",
-    "run_moment_convergence",
-    "run_mp_sanity",
-    "sample_chi_squared",
-    "sample_dirichlet",
-    "sample_laguerre_tridiagonal",
-    "sample_spectral_measure",
-    "semicircle_moments",
-    "semicircle_orthonormal_poly",
-]
+# Public name -> defining submodule.
+_EXPORTS = {
+    "EnsembleParams": "ensembles",
+    "RescalingMode": "ensembles",
+    "derive_seed": "ensembles",
+    "make_rng": "ensembles",
+    "rescale": "ensembles",
+    "sample_chi_squared": "ensembles",
+    "sample_dirichlet": "ensembles",
+    "sample_laguerre_tridiagonal": "ensembles",
+    "sample_spectral_measure": "ensembles",
+    "NumericalError": "errors",
+    "ExperimentConfig": "experiments",
+    "ExperimentReport": "experiments",
+    "LinearGamma": "experiments",
+    "PowerLawGamma": "experiments",
+    "predicted_clt": "experiments",
+    "run_clt": "experiments",
+    "run_mdp_centering": "experiments",
+    "run_moment_convergence": "experiments",
+    "run_mp_sanity": "experiments",
+    "NuVariant": "moments",
+    "arcsine_moments": "moments",
+    "d_inverse_apply": "moments",
+    "d_matrix": "moments",
+    "dw_vector": "moments",
+    "integrate_poly_against_moments": "moments",
+    "mp_moments": "moments",
+    "nu_density": "moments",
+    "nu_moments": "moments",
+    "semicircle_moments": "moments",
+    "semicircle_orthonormal_poly": "moments",
+    "AcPlusAtoms": "rates",
+    "f_outlier": "rates",
+    "kl_semicircle": "rates",
+    "ldp_rate": "rates",
+    "mdp_rate_density": "rates",
+    "mdp_rate_series": "rates",
+    "JacobiCoefficients": "spectral",
+    "SpectralMeasure": "spectral",
+    "eigen_spectral": "spectral",
+    "free_jacobi": "spectral",
+    "measure_to_coefficients": "spectral",
+    "moments_of_measure": "spectral",
+    "moments_via_operator": "spectral",
+}
+
+_SUBMODULES = frozenset(("cli", "ensembles", "errors", "experiments", "moments", "rates",
+                         "spectral"))
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -12,43 +12,26 @@ token placed ahead of the command-line flags, so argparse checks it like
 any flag and the last value given wins: an explicit flag beats the config
 file, which beats the built-in default. Every usage error prints one
 ``error:`` line. Seeds are always explicit, never ambient.
+
+Start-up pays only for the command being run: each command body imports
+the lagspec modules it uses, and ``main`` builds the flags of the invoked
+subcommand alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ensembles import EnsembleParams, RescalingMode, make_rng, rescale, sample_laguerre_tridiagonal
 from .errors import NumericalError
-from .experiments import (
-    MAX_POLY_DEGREE,
-    ExperimentConfig,
-    ExperimentReport,
-    LinearGamma,
-    PowerLawGamma,
-    run_clt,
-    run_mdp_centering,
-    run_mp_sanity,
-)
-from .moments import (
-    NuVariant,
-    arcsine_moments,
-    d_matrix,
-    dw_vector,
-    mp_moments,
-    nu_moments,
-    nu_moments_by_quadrature,
-    semicircle_moments,
-    semicircle_orthonormal_poly,
-)
-from .rates import AcPlusAtoms, f_outlier, kl_semicircle, ldp_rate, mdp_rate_series
-from .spectral import eigen_spectral
+
+if TYPE_CHECKING:
+    from .experiments import ExperimentConfig, ExperimentReport
 
 # (column, ExperimentReport attribute), in report order.
 REPORT_FIELDS = (
@@ -90,6 +73,8 @@ def parse_poly(text: str) -> np.ndarray:
     | 'x'['^'int]. A power above MAX_POLY_DEGREE or a coefficient that is
     not finite is rejected before any array is built.
     """
+    from .experiments import MAX_POLY_DEGREE
+
     tokens = []
     pos = 0
     while pos < len(text):
@@ -182,6 +167,8 @@ def parse_poly(text: str) -> np.ndarray:
 
 def parse_gamma_rule(text: str):
     """Parse ``pow:<a>:<c>`` or ``lin:<tau>``."""
+    from .experiments import LinearGamma, PowerLawGamma
+
     parts = text.split(":")
     if parts[0] == "pow" and len(parts) == 3:
         return PowerLawGamma(float(parts[1]), float(parts[2]))
@@ -216,6 +203,8 @@ def _json(value) -> str:
 
     Bare NaN and Infinity tokens are not JSON (RFC 8259).
     """
+    import json
+
     def cells(row: dict) -> dict:
         return {k: None if isinstance(v, float) and not math.isfinite(v) else v
                 for k, v in row.items()}
@@ -268,6 +257,10 @@ def _emit_rows(rows, header, fmt, out):
 
 
 def _cmd_sample(args) -> int:
+    from .ensembles import (EnsembleParams, RescalingMode, make_rng, rescale,
+                            sample_laguerre_tridiagonal)
+    from .spectral import eigen_spectral
+
     params = EnsembleParams(args.n, args.beta, args.gamma, RescalingMode(args.mode))
     rng = make_rng(args.seed)
     coeffs = rescale(sample_laguerre_tridiagonal(rng, params), params)
@@ -285,6 +278,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    from .moments import NuVariant, arcsine_moments, mp_moments, nu_moments, semicircle_moments
+
     name = args.measure
     if name == "semicircle":
         values = semicircle_moments(args.order).astype(np.float64)
@@ -314,6 +309,9 @@ def _parse_atoms(text: str):
 
 
 def _cmd_rate(args) -> int:
+    from .moments import NuVariant
+    from .rates import AcPlusAtoms, f_outlier, kl_semicircle, ldp_rate, mdp_rate_series
+
     chosen = [
         args.outlier is not None,
         args.semicircle_atoms is not None,
@@ -350,6 +348,9 @@ def _cmd_rate(args) -> int:
 
 
 def _experiment_config(args, statistic, gamma_rule, mode: str) -> ExperimentConfig:
+    from .ensembles import RescalingMode
+    from .experiments import ExperimentConfig
+
     return ExperimentConfig(
         n=args.n,
         beta=args.beta,
@@ -363,13 +364,17 @@ def _experiment_config(args, statistic, gamma_rule, mode: str) -> ExperimentConf
 
 
 def _finish_experiment(args, report: ExperimentReport) -> int:
-    emit_report(report, args.format, args.out)
+    # The histogram goes first: if its file cannot be written, no report
+    # has reached stdout.
     if args.hist_out is not None:
         emit_histogram(report.samples, args.hist_bins, args.hist_out)
+    emit_report(report, args.format, args.out)
     return 0 if report.verdict else 1
 
 
 def _cmd_clt(args) -> int:
+    from .experiments import run_clt
+
     config = _experiment_config(args, parse_poly(args.poly),
                                 parse_gamma_rule(args.gamma_rule), args.mode)
     report = run_clt(config, keep_samples=args.hist_out is not None)
@@ -377,12 +382,16 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_mdp(args) -> int:
+    from .experiments import run_mdp_centering
+
     config = _experiment_config(args, args.k, parse_gamma_rule(args.gamma_rule), args.mode)
     report = run_mdp_centering(config, keep_samples=args.hist_out is not None)
     return _finish_experiment(args, report)
 
 
 def _cmd_mp_sanity(args) -> int:
+    from .experiments import LinearGamma, run_mp_sanity
+
     config = _experiment_config(args, args.k, LinearGamma(args.tau), "none")
     report = run_mp_sanity(config, keep_samples=args.hist_out is not None)
     return _finish_experiment(args, report)
@@ -390,6 +399,9 @@ def _cmd_mp_sanity(args) -> int:
 
 def _identity_checks(order: int):
     """The exact and quadrature cross-identities, as (name, passed) pairs."""
+    from .moments import (NuVariant, d_matrix, dw_vector, nu_moments, nu_moments_by_quadrature,
+                          semicircle_moments, semicircle_orthonormal_poly)
+
     if order > 20:
         raise ValueError("identities --order is capped at 20 (64-bit products)")
     checks = []
@@ -453,46 +465,60 @@ def _one_line(message: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raise usage errors as ValueError, so main reports them like any other."""
+    """Raise usage errors as ValueError, so main reports them like any other.
+
+    A subcommand parser made with ``add_flags`` builds its flags on its
+    first parse, or at an explicit ``add_flags()`` call. argparse parses
+    only the subcommand it dispatches to, so a run builds no other
+    command's flags.
+    """
+
+    def __init__(self, *args, add_flags=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_flags = add_flags
 
     def error(self, message):
         raise ValueError(message)
 
+    def add_flags(self) -> None:
+        if self._add_flags is not None:
+            add, self._add_flags = self._add_flags, None
+            self.add_argument("--config", help="flat JSON config file; flags win")
+            self.add_argument("--format", default="csv", choices=("csv", "json"))
+            self.add_argument("--out", help="output path (default: stdout)")
+            add(self)
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lagspec",
-        description="Laguerre beta-ensemble spectral measures: sampling, "
-        "rate functions, and Monte Carlo limit-theorem checks.",
-        allow_abbrev=False,
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    modes = [mode.value for mode in RescalingMode]
+    def parse_known_args(self, args=None, namespace=None):
+        self.add_flags()
+        return super().parse_known_args(args, namespace)
 
-    def new_command(name, run, help_text):
-        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
-        sub.add_argument("--config", help="flat JSON config file; flags win")
-        sub.add_argument("--format", default="csv", choices=("csv", "json"))
-        sub.add_argument("--out", help="output path (default: stdout)")
-        sub.set_defaults(_run=run)
-        return sub
 
-    sub = new_command("sample", _cmd_sample, "draw one rescaled tridiagonal model")
+def _rescaling_modes() -> list:
+    from .ensembles import RescalingMode
+
+    return [mode.value for mode in RescalingMode]
+
+
+def _sample_flags(sub) -> None:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--beta", type=float, required=True)
     sub.add_argument("--gamma", type=float, required=True)
     sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--mode", default="standard", choices=modes)
+    sub.add_argument("--mode", default="standard", choices=_rescaling_modes())
     sub.add_argument("--what", default="measure", choices=("measure", "coeffs"))
 
-    sub = new_command("moments", _cmd_moments, "reference moment sequences")
+
+def _moments_flags(sub) -> None:
     sub.add_argument("--measure", required=True,
                      choices=("semicircle", "arcsine", "mp", "nu", "nu-hat"))
     sub.add_argument("--order", type=int, required=True)
     sub.add_argument("--tau", type=float)
     sub.add_argument("--xi", type=float, default=1.0)
 
-    sub = new_command("rate", _cmd_rate, "evaluate rate functions")
+
+def _rate_flags(sub) -> None:
+    from .moments import NuVariant
+
     sub.add_argument("--outlier", type=float)
     sub.add_argument("--semicircle-atoms",
                      help="loc:mass[,loc:mass...] on a rescaled semicircle bulk")
@@ -502,35 +528,72 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=[variant.value for variant in NuVariant])
     sub.add_argument("--trunc", type=int)
 
-    def experiment_command(name, run, help_text):
-        sub = new_command(name, run, help_text)
-        sub.add_argument("--n", type=int, required=True)
-        sub.add_argument("--beta", type=float, required=True)
-        sub.add_argument("--replicates", type=int, required=True)
-        sub.add_argument("--seed", type=int, required=True)
-        sub.add_argument("--hist-bins", type=_positive_int, default=20)
-        sub.add_argument("--hist-out")
-        return sub
 
-    sub = experiment_command("clt", _cmd_clt, "central-limit check for a polynomial statistic")
+def _experiment_flags(sub) -> None:
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--beta", type=float, required=True)
+    sub.add_argument("--replicates", type=int, required=True)
+    sub.add_argument("--seed", type=int, required=True)
+    sub.add_argument("--hist-bins", type=_positive_int, default=20)
+    sub.add_argument("--hist-out")
+
+
+def _clt_flags(sub) -> None:
+    _experiment_flags(sub)
     sub.add_argument("--gamma-rule", required=True, help="pow:<a>:<c> or lin:<tau>")
     sub.add_argument("--poly", required=True, help="e.g. x^3 or 1+2x-0.5x^2")
-    sub.add_argument("--mode", default="standard", choices=modes)
+    sub.add_argument("--mode", default="standard", choices=_rescaling_modes())
 
-    sub = experiment_command("mdp", _cmd_mdp, "moderate-deviation centering check")
+
+def _mdp_flags(sub) -> None:
+    _experiment_flags(sub)
     sub.add_argument("--gamma-rule", required=True, help="pow:<a>:<c> or lin:<tau>")
     sub.add_argument("--b-n", type=float, required=True)
     sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--mode", default="standard", choices=modes)
+    sub.add_argument("--mode", default="standard", choices=_rescaling_modes())
 
-    sub = experiment_command("mp-sanity", _cmd_mp_sanity,
-                             "Marchenko-Pastur law-of-large-numbers check")
+
+def _mp_sanity_flags(sub) -> None:
+    _experiment_flags(sub)
     sub.add_argument("--tau", type=float, required=True)
     sub.add_argument("--k", type=int, required=True)
 
-    sub = new_command("identities", _cmd_identities, "exact combinatorial identity checks")
+
+def _identities_flags(sub) -> None:
     sub.add_argument("--order", type=int, default=12)
 
+
+# name -> (help, body, flags), in --help order.
+_COMMANDS = {
+    "sample": ("draw one rescaled tridiagonal model", _cmd_sample, _sample_flags),
+    "moments": ("reference moment sequences", _cmd_moments, _moments_flags),
+    "rate": ("evaluate rate functions", _cmd_rate, _rate_flags),
+    "clt": ("central-limit check for a polynomial statistic", _cmd_clt, _clt_flags),
+    "mdp": ("moderate-deviation centering check", _cmd_mdp, _mdp_flags),
+    "mp-sanity": ("Marchenko-Pastur law-of-large-numbers check", _cmd_mp_sanity,
+                  _mp_sanity_flags),
+    "identities": ("exact combinatorial identity checks", _cmd_identities, _identities_flags),
+}
+
+
+def build_parser(lazy: bool = False) -> argparse.ArgumentParser:
+    """The lagspec parser, every subcommand's flags included.
+
+    With ``lazy``, a subcommand's flags are added only when it parses
+    (see ``_Parser``); ``main`` builds its parser this way.
+    """
+    parser = _Parser(
+        prog="lagspec",
+        description="Laguerre beta-ensemble spectral measures: sampling, "
+        "rate functions, and Monte Carlo limit-theorem checks.",
+        allow_abbrev=False,
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, run, add_flags) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False, add_flags=add_flags)
+        sub.set_defaults(_run=run)
+        if not lazy:
+            sub.add_flags()
     return parser
 
 
@@ -546,6 +609,8 @@ def _config_tokens(argv) -> list:
     path = pre.parse_known_args(argv)[0].config
     if path is None:
         return []
+    import json
+
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or any(isinstance(v, (dict, list)) for v in data.values()):
@@ -565,7 +630,7 @@ def main(argv=None) -> int:
     try:
         # Config tokens go right after the subcommand, ahead of the user's
         # flags: argparse keeps the last value, so a flag beats the file.
-        args = build_parser().parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
+        args = build_parser(lazy=True).parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
         return args._run(args)
     except SystemExit:  # --help printed its text
         return 0

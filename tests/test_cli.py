@@ -1,5 +1,6 @@
 """CLI parsing, emission formats, exit codes, and byte-level determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lagspec
-from lagspec import cli
+from lagspec import cli, experiments, moments
 from lagspec.experiments import ExperimentReport, LinearGamma, PowerLawGamma
 
 
@@ -230,7 +231,7 @@ class TestExitCodes:
         assert cli.main(["moments", "--measure", "mp", "--order", "3"]) == 2
 
     def test_verdict_failure_is_exit_one(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(cli, "run_clt", lambda *a, **k: _report(verdict=False))
+        monkeypatch.setattr(experiments, "run_clt", lambda *a, **k: _report(verdict=False))
         code = cli.main(["clt", "--n", "100", "--beta", "2", "--gamma-rule",
                          "pow:2:1", "--poly", "x^2", "--replicates", "100",
                          "--seed", "1", "--out", str(tmp_path / "r.csv")])
@@ -310,7 +311,7 @@ class TestIdentitiesCommand:
         assert cli.main(["identities", "--order", "25"]) == 2
 
     def test_inverse_rows_check_catches_one_wrong_coefficient(self, monkeypatch):
-        exact = cli.semicircle_orthonormal_poly
+        exact = moments.semicircle_orthonormal_poly
 
         def perturbed(k):
             coeffs = exact(k).copy()
@@ -318,7 +319,7 @@ class TestIdentitiesCommand:
                 coeffs[3] += 1
             return coeffs
 
-        monkeypatch.setattr(cli, "semicircle_orthonormal_poly", perturbed)
+        monkeypatch.setattr(moments, "semicircle_orthonormal_poly", perturbed)
         checks = dict(cli._identity_checks(12))
         assert checks["dinv_rows_polynomials_order20"] is False
         assert checks["ddt_covariance_order12"] is True
@@ -436,13 +437,27 @@ class TestCltCommand:
         def no_run(*args, **kwargs):
             raise AssertionError("replicates ran")
 
-        monkeypatch.setattr(cli, "run_clt", no_run)
+        monkeypatch.setattr(experiments, "run_clt", no_run)
         hist_path = tmp_path / "h.txt"
         assert cli.main(CLT_ARGS + ["--hist-bins", bins, "--hist-out", str(hist_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: argument --hist-bins: must be >= 1, got {bins}\n"
         assert not hist_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        CLT_ARGS,
+        ["mdp", "--n", "120", "--beta", "2", "--gamma-rule", "pow:3:1", "--b-n", "50",
+         "--k", "3", "--replicates", "150", "--seed", "7"],
+        ["mp-sanity", "--n", "120", "--beta", "2", "--tau", "0.5", "--k", "2",
+         "--replicates", "150", "--seed", "7"],
+    ], ids=["clt", "mdp", "mp-sanity"])
+    def test_unwritable_hist_out_leaves_stdout_empty(self, argv, tmp_path, capsys):
+        hist_path = tmp_path / "missing-dir" / "h.txt"
+        assert cli.main(argv + ["--hist-out", str(hist_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("io error: ") and captured.err.count("\n") == 1
 
 
 class TestConfigFile:
@@ -584,3 +599,85 @@ class TestMpSanityCommand:
         lines = hist_path.read_text().strip().split("\n")
         assert len(lines) == 6
         assert sum(int(line.split()[1]) for line in lines) == 120
+
+
+def _modules_loaded(argv) -> list:
+    """lagspec modules, json, numpy.random and scipy modules in ``sys.modules``
+    after ``import lagspec.cli`` and, unless ``argv`` is None, ``main(argv)``,
+    in a fresh interpreter."""
+    code = ("import contextlib, io, sys\n"
+            "import lagspec.cli\n"
+            f"argv = {argv!r}\n"
+            "if argv is not None:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert lagspec.cli.main(argv) == 0\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('lagspec', 'scipy', 'json') or m == 'numpy.random')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(lagspec.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    return out.split()
+
+
+class TestStartupImports:
+    """Each command loads the lagspec modules it runs and no others."""
+
+    def test_import_loads_errors_only(self):
+        assert _modules_loaded(None) == ["lagspec", "lagspec.cli", "lagspec.errors"]
+
+    @pytest.mark.parametrize("name", ["identities", "moments-mp", "moments-nu-hat"])
+    def test_reference_commands_load_moments_only(self, name):
+        assert _modules_loaded(README_COMMANDS[name]) == [
+            "lagspec", "lagspec.cli", "lagspec.errors", "lagspec.moments"]
+
+    @pytest.mark.parametrize("name", ["rate-outlier", "rate-ldp", "rate-mdp"])
+    def test_rate_loads_no_sampler(self, name):
+        loaded = _modules_loaded(README_COMMANDS[name])
+        assert "lagspec.rates" in loaded
+        assert not {"lagspec.ensembles", "lagspec.experiments", "lagspec.spectral"} & set(loaded)
+
+    def test_readme_clt_loads_no_rates_and_no_scipy(self):
+        loaded = _modules_loaded(README_COMMANDS["clt"])
+        assert "lagspec.experiments" in loaded
+        assert "lagspec.rates" not in loaded
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+SUBCOMMANDS = ["sample", "moments", "rate", "clt", "mdp", "mp-sanity", "identities"]
+
+
+def _subcommands(parser) -> dict:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _flags(parser) -> list:
+    return [(a.option_strings, a.dest, a.default, a.type, a.choices, a.required, a.help)
+            for a in parser._actions]
+
+
+class TestParserParity:
+    """main's parser, which builds the invoked command's flags only, reads
+    every command line like the full parser."""
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_command_flags_equal_full_parser(self, name):
+        full = _subcommands(cli.build_parser())
+        lazy = cli.build_parser(lazy=True)
+        with contextlib.suppress(ValueError):  # a missing required flag
+            lazy.parse_known_args([name])
+        built = {n: sub for n, sub in _subcommands(lazy).items() if len(sub._actions) > 1}
+        assert list(built) == [name]
+        assert _flags(built[name]) == _flags(full[name])
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], [], ["dance"], ["--frobnicate"], ["-x", "clt", "--n", "5"],
+        ["clt", "--rep", "5"], ["identities", "--ord", "3"], ["clt"],
+        ["moments", "--measure", "x"], ["rate", "--variant", "other"],
+    ] + [[name, "--help"] for name in SUBCOMMANDS])
+    def test_same_bytes_and_exit_code_as_full_parser(self, argv, monkeypatch, capsys):
+        got = (cli.main(argv), *capsys.readouterr())
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda lazy: full_parser())
+        want = (cli.main(argv), *capsys.readouterr())
+        assert got == want

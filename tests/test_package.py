@@ -1,0 +1,53 @@
+"""The lazy ``lagspec`` namespace: public names resolve on first access."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lagspec
+
+
+def test_all_names_listed_by_dir():
+    assert set(lagspec.__all__) <= set(dir(lagspec))
+
+
+@pytest.mark.parametrize("name", lagspec.__all__)
+def test_name_is_the_defining_modules_object(name):
+    value = getattr(lagspec, name)
+    assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_star_import_binds_all():
+    namespace = {}
+    exec("from lagspec import *", namespace)
+    assert set(lagspec.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(lagspec, name) for name in lagspec.__all__)
+
+
+def test_submodule_import():
+    from lagspec import ensembles
+
+    assert ensembles.make_rng is lagspec.make_rng
+    assert lagspec.spectral is sys.modules["lagspec.spectral"]
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lagspec.no_such_name
+    with pytest.raises(ImportError):
+        from lagspec import no_such_name  # noqa: F401
+
+
+def test_import_loads_no_submodule_until_a_name_is_used():
+    code = ("import sys, lagspec\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.startswith('lagspec.'))\n"
+            "print(loaded())\n"
+            "lagspec.d_matrix\n"
+            "print(loaded())")
+    env = {**os.environ, "PYTHONPATH": str(Path(lagspec.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.splitlines() == ["[]", "['lagspec.moments']"]
