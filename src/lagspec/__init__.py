@@ -61,8 +61,8 @@ _EXPORTS = {
     "moments_via_operator": "spectral",
 }
 
-_SUBMODULES = frozenset(("cli", "ensembles", "errors", "experiments", "moments", "rates",
-                         "spectral"))
+# Submodules resolve on attribute access too, as when every one was imported here.
+_SUBMODULES = frozenset(("ensembles", "errors", "experiments", "moments", "rates", "spectral"))
 
 __all__ = sorted(_EXPORTS)
 

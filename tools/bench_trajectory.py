@@ -4,16 +4,17 @@
     python3 tools/bench_trajectory.py change=. [parent=../lagspec-parent] [--seeds 5]
 
 Each ``LABEL=CHECKOUT`` names a checkout of this repository (its
-``perfbench/run.py`` and ``src/`` are the ones run). Every workload runs
-untraced (``--trace 0``) once per seed 1..``--seeds`` in every checkout. The
-runs of different checkouts alternate, so a drift of the host's speed hits
-them alike. ``BENCH_<label>.json`` is written to ``--out-dir`` (default:
-the repository root) for each label. It holds, per workload, the median
-and quartiles of every end-to-end metric, the runs' ``correct``,
-``attempted`` and ``failed`` counts, and the per-run values; plus the env
-block perfbench prints and the checkout's git sha. Exit status: 0 when
-every run held its correctness oracles, 1 otherwise, 2 when a run could
-not complete.
+``perfbench/run.py`` and ``src/`` are the ones run). Every workload that
+``BENCHMARK.json`` declares runs untraced (``--trace 0``), for its
+``run_seconds``, once per seed 1..``--seeds`` in every checkout. The runs
+of different checkouts alternate, and which runs first alternates from
+seed to seed, so a drift of the host's speed hits them alike.
+``BENCH_<label>.json`` is written to the repository root for each label.
+It holds, per workload, the median and quartiles of every end-to-end
+metric, the runs' ``correct``, ``attempted`` and ``failed`` counts, and the
+per-run values; plus the env block perfbench prints and the checkout's git
+sha. Exit status: 0 when every run held its correctness oracles, 1
+otherwise, 2 when a run could not complete.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("mc-moments", "measure-draws", "cli-short")
 # Run facts that differ between the runs of one file.
 PER_RUN_ENV = ("workload", "seed")
 
@@ -70,9 +70,6 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("checkouts", nargs="+", metavar="LABEL=CHECKOUT")
     parser.add_argument("--seeds", type=int, default=5, help="runs per workload (seeds 1..N)")
-    parser.add_argument("--seconds", type=float, default=20.0, help="perfbench --seconds")
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
-    parser.add_argument("--out-dir", default=ROOT)
     args = parser.parse_args(argv)
     if args.seeds < 5:
         parser.error("--seeds must be at least 5")
@@ -88,14 +85,21 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        benchmark = json.load(fh)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
     seeds = list(range(1, args.seeds + 1))
     envs = {}
-    results = {label: {w: [] for w in args.workloads} for label in args.targets}
+    results = {label: {w: [] for w in workloads} for label in args.targets}
     try:
         for seed in seeds:
-            for workload in args.workloads:
-                for label, checkout in args.targets.items():
-                    env, result = run_once(checkout, workload, seed, args.seconds)
+            order = list(args.targets.items())
+            if seed % 2 == 0:
+                order.reverse()
+            for workload in workloads:
+                for label, checkout in order:
+                    env, result = run_once(checkout, workload, seed, seconds)
                     envs.setdefault(label, env)
                     results[label][workload].append(result)
                     metrics = ", ".join(f"{k} {v['value']:.6g}"
@@ -109,21 +113,21 @@ def main(argv=None) -> int:
     all_correct = True
     for label, checkout in args.targets.items():
         env = {k: v for k, v in envs[label].items() if k not in PER_RUN_ENV}
-        workloads = {w: summarise(rs) for w, rs in results[label].items()}
-        all_correct &= all(s["correct"] for s in workloads.values())
+        summaries = {w: summarise(rs) for w, rs in results[label].items()}
+        all_correct &= all(s["correct"] for s in summaries.values())
         doc = {
             "schema": "lagspec.bench_trajectory/1",
             "label": label,
             "git_sha": _git(checkout, "rev-parse", "HEAD"),
             "git_dirty": bool(_git(checkout, "status", "--porcelain", "--untracked-files=no")),
             "seeds": seeds,
-            "seconds": args.seconds,
+            "seconds": seconds,
             "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
             "interleaved_with": [other for other in args.targets if other != label],
             "env": env,
-            "workloads": workloads,
+            "workloads": summaries,
         }
-        path = os.path.join(args.out_dir, f"BENCH_{label}.json")
+        path = os.path.join(ROOT, f"BENCH_{label}.json")
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
