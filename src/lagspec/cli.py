@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -217,18 +218,20 @@ def report_json(report: ExperimentReport) -> str:
     return _json({column: getattr(report, attr) for column, attr in REPORT_FIELDS})
 
 
+def _report_text(report: ExperimentReport, fmt: str) -> str:
+    if fmt == "csv":
+        return report_csv(report)
+    if fmt == "json":
+        return report_json(report)
+    raise ValueError(f"format must be csv or json, got {fmt!r}")
+
+
 def emit_report(report: ExperimentReport, fmt: str = "csv", out: str | None = None) -> None:
     """Write the 13-column report as CSV or JSON to a path or stdout."""
-    if fmt == "csv":
-        _write_text(report_csv(report), out)
-    elif fmt == "json":
-        _write_text(report_json(report), out)
-    else:
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
+    _write_text(_report_text(report, fmt), out)
 
 
-def emit_histogram(samples: np.ndarray, bins: int, out: str | None = None) -> None:
-    """Equal-width histogram as two-column text (bin_center, count)."""
+def _histogram_text(samples: np.ndarray, bins: int) -> str:
     samples = np.asarray(samples, dtype=np.float64).reshape(-1)
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
@@ -242,7 +245,12 @@ def emit_histogram(samples: np.ndarray, bins: int, out: str | None = None) -> No
         counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
         centers = (edges[:-1] + edges[1:]) / 2.0
         lines = [f"{c:.17g} {int(k)}" for c, k in zip(centers, counts)]
-    _write_text("\n".join(lines) + "\n", out)
+    return "\n".join(lines) + "\n"
+
+
+def emit_histogram(samples: np.ndarray, bins: int, out: str | None = None) -> None:
+    """Equal-width histogram as two-column text (bin_center, count)."""
+    _write_text(_histogram_text(samples, bins), out)
 
 
 def _emit_rows(rows, header, fmt, out):
@@ -364,11 +372,19 @@ def _experiment_config(args, statistic, gamma_rule, mode: str) -> ExperimentConf
 
 
 def _finish_experiment(args, report: ExperimentReport) -> int:
-    # The histogram goes first: if its file cannot be written, no report
-    # has reached stdout.
-    if args.hist_out is not None:
-        emit_histogram(report.samples, args.hist_bins, args.hist_out)
-    emit_report(report, args.format, args.out)
+    # A run that fails to write one output leaves neither: the histogram
+    # file is written before the report reaches stdout, and removed again
+    # if the report cannot be written.
+    text = _report_text(report, args.format)
+    if args.hist_out is None:
+        _write_text(text, args.out)
+    else:
+        _write_text(_histogram_text(report.samples, args.hist_bins), args.hist_out)
+        try:
+            _write_text(text, args.out)
+        except OSError:
+            os.remove(args.hist_out)
+            raise
     return 0 if report.verdict else 1
 
 
@@ -576,12 +592,8 @@ _COMMANDS = {
 }
 
 
-def build_parser(lazy: bool = False) -> argparse.ArgumentParser:
-    """The lagspec parser, every subcommand's flags included.
-
-    With ``lazy``, a subcommand's flags are added only when it parses
-    (see ``_Parser``); ``main`` builds its parser this way.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The lagspec parser; a subcommand's flags are added when it parses (see ``_Parser``)."""
     parser = _Parser(
         prog="lagspec",
         description="Laguerre beta-ensemble spectral measures: sampling, "
@@ -592,8 +604,6 @@ def build_parser(lazy: bool = False) -> argparse.ArgumentParser:
     for name, (help_text, run, add_flags) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text, allow_abbrev=False, add_flags=add_flags)
         sub.set_defaults(_run=run)
-        if not lazy:
-            sub.add_flags()
     return parser
 
 
@@ -630,7 +640,7 @@ def main(argv=None) -> int:
     try:
         # Config tokens go right after the subcommand, ahead of the user's
         # flags: argparse keeps the last value, so a flag beats the file.
-        args = build_parser(lazy=True).parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
+        args = build_parser().parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
         return args._run(args)
     except SystemExit:  # --help printed its text
         return 0

@@ -31,9 +31,7 @@ def test_one_incorrect_run_marks_the_workload():
     assert bench_trajectory.summarise(results)["correct"] is False
 
 
-@pytest.mark.parametrize("argv", [
-    ["nolabel"], ["x=/nonexistent"], [f"x={_PATH.parents[1]}", "--seeds", "4"],
-])
+@pytest.mark.parametrize("argv", [["nolabel"], ["x=/nonexistent"]])
 def test_rejects_bad_arguments(argv):
     with pytest.raises(SystemExit):
         bench_trajectory.parse_args(argv)

@@ -452,12 +452,17 @@ class TestCltCommand:
         ["mp-sanity", "--n", "120", "--beta", "2", "--tau", "0.5", "--k", "2",
          "--replicates", "150", "--seed", "7"],
     ], ids=["clt", "mdp", "mp-sanity"])
-    def test_unwritable_hist_out_leaves_stdout_empty(self, argv, tmp_path, capsys):
-        hist_path = tmp_path / "missing-dir" / "h.txt"
-        assert cli.main(argv + ["--hist-out", str(hist_path)]) == 2
+    @pytest.mark.parametrize("unwritable", ["--hist-out", "--out"])
+    def test_unwritable_output_leaves_no_other_output(self, argv, unwritable, tmp_path,
+                                                      capsys):
+        paths = {"--hist-out": tmp_path / "h.txt", "--out": None}
+        paths[unwritable] = tmp_path / "missing-dir" / "x.txt"
+        flags = [t for flag, path in paths.items() if path for t in (flag, str(path))]
+        assert cli.main(argv + flags) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("io error: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:
@@ -656,14 +661,22 @@ def _flags(parser) -> list:
             for a in parser._actions]
 
 
+def _full_parser(build_parser=cli.build_parser):
+    """The lagspec parser with every subcommand's flags built up front."""
+    parser = build_parser()
+    for sub in _subcommands(parser).values():
+        sub.add_flags()
+    return parser
+
+
 class TestParserParity:
     """main's parser, which builds the invoked command's flags only, reads
     every command line like the full parser."""
 
     @pytest.mark.parametrize("name", SUBCOMMANDS)
     def test_command_flags_equal_full_parser(self, name):
-        full = _subcommands(cli.build_parser())
-        lazy = cli.build_parser(lazy=True)
+        full = _subcommands(_full_parser())
+        lazy = cli.build_parser()
         with contextlib.suppress(ValueError):  # a missing required flag
             lazy.parse_known_args([name])
         built = {n: sub for n, sub in _subcommands(lazy).items() if len(sub._actions) > 1}
@@ -677,7 +690,6 @@ class TestParserParity:
     ] + [[name, "--help"] for name in SUBCOMMANDS])
     def test_same_bytes_and_exit_code_as_full_parser(self, argv, monkeypatch, capsys):
         got = (cli.main(argv), *capsys.readouterr())
-        full_parser = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda lazy: full_parser())
+        monkeypatch.setattr(cli, "build_parser", _full_parser)
         want = (cli.main(argv), *capsys.readouterr())
         assert got == want

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark trajectory: repeated perfbench runs, summarised into BENCH_<label>.json.
 
-    python3 tools/bench_trajectory.py change=. [parent=../lagspec-parent] [--seeds 5]
+    python3 tools/bench_trajectory.py change=. [parent=../lagspec-parent]
 
 Each ``LABEL=CHECKOUT`` names a checkout of this repository (its
 ``perfbench/run.py`` and ``src/`` are the ones run). Every workload that
 ``BENCHMARK.json`` declares runs untraced (``--trace 0``), for its
-``run_seconds``, once per seed 1..``--seeds`` in every checkout. The runs
+``run_seconds``, once per seed in ``SEEDS`` in every checkout. The runs
 of different checkouts alternate, and which runs first alternates from
 seed to seed, so a drift of the host's speed hits them alike.
 ``BENCH_<label>.json`` is written to the repository root for each label.
@@ -29,6 +29,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Run facts that differ between the runs of one file.
 PER_RUN_ENV = ("workload", "seed")
+# Ten runs per workload and checkout: enough alternating pairs to tell a
+# gain from the spread of the runs.
+SEEDS = range(1, 11)
 
 
 def _git(checkout: str, *args: str) -> str:
@@ -69,10 +72,7 @@ def summarise(results: list) -> dict:
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("checkouts", nargs="+", metavar="LABEL=CHECKOUT")
-    parser.add_argument("--seeds", type=int, default=5, help="runs per workload (seeds 1..N)")
     args = parser.parse_args(argv)
-    if args.seeds < 5:
-        parser.error("--seeds must be at least 5")
     targets = {}
     for item in args.checkouts:
         label, sep, path = item.partition("=")
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
         benchmark = json.load(fh)
     workloads = [w["name"] for w in benchmark["workloads"]]
     seconds = benchmark["run_seconds"]
-    seeds = list(range(1, args.seeds + 1))
+    seeds = list(SEEDS)
     envs = {}
     results = {label: {w: [] for w in workloads} for label in args.targets}
     try:
