@@ -63,104 +63,50 @@ def _fmt(value) -> str:
 # polynomial flag parsing
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)|(x)|(\^)|(\+)|(-)|(\*))")
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# One term: [sign] [number ['*']] ['x' ['^' number]], with whitespace around any part.
+_TERM = re.compile(rf"\s*([+-]?)\s*(?:({_NUMBER})\s*(\*?))?\s*(?:(x)\s*(?:\^\s*({_NUMBER}))?)?\s*")
 
 
 def parse_poly(text: str) -> np.ndarray:
     """Parse a monomial-sum polynomial like ``x^3`` or ``1+2x-0.5x^2``.
 
-    Returns coefficients low to high. Recursive descent over the grammar
-    poly := [sign] term { (+|-) term }, term := number ['*']['x'['^'int]]
-    | 'x'['^'int]. A power above MAX_POLY_DEGREE or a coefficient that is
-    not finite is rejected before any array is built.
+    Returns coefficients low to high. Terms are read left to right; every
+    term after the first needs a sign, and repeated powers add up. A power
+    above MAX_POLY_DEGREE or one that is not an integer is rejected as its
+    term is read, and a coefficient that is not finite once the terms are
+    summed; all of these before any array is built.
     """
     from .experiments import MAX_POLY_DEGREE
 
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"could not parse polynomial {text!r} at position {pos}")
-        pos = match.end()
-        groups = match.groups()
-        if groups[0] is not None:
-            tokens.append(("num", float(groups[0])))
-        elif groups[1] is not None:
-            tokens.append(("x", None))
-        elif groups[2] is not None:
-            tokens.append(("^", None))
-        elif groups[3] is not None:
-            tokens.append(("+", None))
-        elif groups[4] is not None:
-            tokens.append(("-", None))
-        else:
-            tokens.append(("*", None))
-
-    idx = 0
-
-    def peek():
-        return tokens[idx][0] if idx < len(tokens) else None
-
-    def take(kind):
-        nonlocal idx
-        if peek() != kind:
-            raise ValueError(f"could not parse polynomial {text!r}: expected {kind}")
-        tok = tokens[idx]
-        idx += 1
-        return tok
-
-    def parse_term():
-        coeff = 1.0
-        power = 0
-        saw_number = False
-        if peek() == "num":
-            coeff = take("num")[1]
-            saw_number = True
-            if peek() == "*":
-                take("*")
-                if peek() != "x":
-                    raise ValueError(f"could not parse polynomial {text!r}: dangling '*'")
-        if peek() == "x":
-            take("x")
-            power = 1
-            if peek() == "^":
-                take("^")
-                exponent = take("num")[1]
-                if exponent > MAX_POLY_DEGREE:
-                    raise ValueError(
-                        f"polynomial {text!r} has degree {exponent:g}, "
-                        f"above the cap {MAX_POLY_DEGREE}"
-                    )
-                if exponent != int(exponent):
-                    raise ValueError(
-                        f"could not parse polynomial {text!r}: exponent must be "
-                        "a nonnegative integer"
-                    )
-                power = int(exponent)
-        elif not saw_number:
-            raise ValueError(f"could not parse polynomial {text!r}: expected a term")
-        return power, coeff
-
     terms = {}
-    sign = 1.0
-    if peek() in ("+", "-"):
-        sign = -1.0 if take(peek())[0] == "-" else 1.0
-    power, coeff = parse_term()
-    terms[power] = terms.get(power, 0.0) + sign * coeff
-    while peek() is not None:
-        op = take(peek())[0]
-        if op not in ("+", "-"):
-            raise ValueError(f"could not parse polynomial {text!r}: expected + or -")
-        power, coeff = parse_term()
-        terms[power] = terms.get(power, 0.0) + (coeff if op == "+" else -coeff)
+    pos = 0
+    while pos < len(text) or not terms:
+        match = _TERM.match(text, pos)
+        sign, number, star, x, exponent = match.groups()
+        if (terms and not sign) or (number is None and x is None) or (star and x is None):
+            raise ValueError(f"could not parse polynomial {text!r} at position {pos}")
+        power = 0 if x is None else 1
+        if exponent is not None:
+            exponent = float(exponent)
+            if exponent > MAX_POLY_DEGREE:
+                raise ValueError(
+                    f"polynomial {text!r} has degree {exponent:g}, "
+                    f"above the cap {MAX_POLY_DEGREE}"
+                )
+            if exponent != int(exponent):
+                raise ValueError(
+                    f"could not parse polynomial {text!r}: exponent must be "
+                    "a nonnegative integer"
+                )
+            power = int(exponent)
+        coeff = 1.0 if number is None else float(number)
+        terms[power] = terms.get(power, 0.0) + (-coeff if sign == "-" else coeff)
+        pos = match.end()
     if not all(math.isfinite(coeff) for coeff in terms.values()):
         raise ValueError(f"polynomial {text!r} has a coefficient that is not finite")
 
-    degree = max(terms)
-    out = np.zeros(degree + 1)
+    out = np.zeros(max(terms) + 1)
     for power, coeff in terms.items():
         out[power] = coeff
     return out
@@ -195,10 +141,6 @@ def _csv(header, rows) -> str:
     return text + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
 
 
-def report_csv(report: ExperimentReport) -> str:
-    return _csv(REPORT_COLUMNS, [[getattr(report, attr) for _, attr in REPORT_FIELDS]])
-
-
 def _json(value) -> str:
     """JSON text of ``value`` (a dict or a list of dicts), with null for a NaN or infinite float.
 
@@ -214,15 +156,12 @@ def _json(value) -> str:
     return json.dumps(value, allow_nan=False) + "\n"
 
 
-def report_json(report: ExperimentReport) -> str:
-    return _json({column: getattr(report, attr) for column, attr in REPORT_FIELDS})
-
-
 def _report_text(report: ExperimentReport, fmt: str) -> str:
+    row = [getattr(report, attr) for _, attr in REPORT_FIELDS]
     if fmt == "csv":
-        return report_csv(report)
+        return _csv(REPORT_COLUMNS, [row])
     if fmt == "json":
-        return report_json(report)
+        return _json(dict(zip(REPORT_COLUMNS, row)))
     raise ValueError(f"format must be csv or json, got {fmt!r}")
 
 
@@ -232,6 +171,7 @@ def emit_report(report: ExperimentReport, fmt: str = "csv", out: str | None = No
 
 
 def _histogram_text(samples: np.ndarray, bins: int) -> str:
+    """Equal-width histogram as two-column text (bin_center, count)."""
     samples = np.asarray(samples, dtype=np.float64).reshape(-1)
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
@@ -246,11 +186,6 @@ def _histogram_text(samples: np.ndarray, bins: int) -> str:
         centers = (edges[:-1] + edges[1:]) / 2.0
         lines = [f"{c:.17g} {int(k)}" for c, k in zip(centers, counts)]
     return "\n".join(lines) + "\n"
-
-
-def emit_histogram(samples: np.ndarray, bins: int, out: str | None = None) -> None:
-    """Equal-width histogram as two-column text (bin_center, count)."""
-    _write_text(_histogram_text(samples, bins), out)
 
 
 def _emit_rows(rows, header, fmt, out):
@@ -320,15 +255,6 @@ def _cmd_rate(args) -> int:
     from .moments import NuVariant
     from .rates import AcPlusAtoms, f_outlier, kl_semicircle, ldp_rate, mdp_rate_series
 
-    chosen = [
-        args.outlier is not None,
-        args.semicircle_atoms is not None,
-        args.mdp_moments is not None,
-    ]
-    if sum(chosen) != 1:
-        raise ValueError(
-            "pick exactly one of --outlier, --semicircle-atoms, --mdp-moments"
-        )
     rows = []
     if args.outlier is not None:
         rows.append(("f_outlier", f_outlier(args.outlier)))
@@ -393,24 +319,21 @@ def _cmd_clt(args) -> int:
 
     config = _experiment_config(args, parse_poly(args.poly),
                                 parse_gamma_rule(args.gamma_rule), args.mode)
-    report = run_clt(config, keep_samples=args.hist_out is not None)
-    return _finish_experiment(args, report)
+    return _finish_experiment(args, run_clt(config))
 
 
 def _cmd_mdp(args) -> int:
     from .experiments import run_mdp_centering
 
     config = _experiment_config(args, args.k, parse_gamma_rule(args.gamma_rule), args.mode)
-    report = run_mdp_centering(config, keep_samples=args.hist_out is not None)
-    return _finish_experiment(args, report)
+    return _finish_experiment(args, run_mdp_centering(config))
 
 
 def _cmd_mp_sanity(args) -> int:
     from .experiments import LinearGamma, run_mp_sanity
 
     config = _experiment_config(args, args.k, LinearGamma(args.tau), "none")
-    report = run_mp_sanity(config, keep_samples=args.hist_out is not None)
-    return _finish_experiment(args, report)
+    return _finish_experiment(args, run_mp_sanity(config))
 
 
 def _identity_checks(order: int):
@@ -535,10 +458,11 @@ def _moments_flags(sub) -> None:
 def _rate_flags(sub) -> None:
     from .moments import NuVariant
 
-    sub.add_argument("--outlier", type=float)
-    sub.add_argument("--semicircle-atoms",
-                     help="loc:mass[,loc:mass...] on a rescaled semicircle bulk")
-    sub.add_argument("--mdp-moments", help="comma-separated moment sequence")
+    selector = sub.add_mutually_exclusive_group(required=True)
+    selector.add_argument("--outlier", type=float)
+    selector.add_argument("--semicircle-atoms",
+                          help="loc:mass[,loc:mass...] on a rescaled semicircle bulk")
+    selector.add_argument("--mdp-moments", help="comma-separated moment sequence")
     sub.add_argument("--xi", type=float, default=0.0)
     sub.add_argument("--variant", default="standard",
                      choices=[variant.value for variant in NuVariant])

@@ -233,11 +233,6 @@ def _state_dict(state: int, inc: int) -> dict:
     }
 
 
-def _pcg64_states(seeds: np.ndarray) -> Iterator[dict]:
-    """Yield ``PCG64(seed).state`` for each uint64 seed, without a SeedSequence per seed."""
-    return _state_dicts(*_pcg64_seed(seeds))
-
-
 def _output(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """PCG64's raw 64-bit output of the states (hi, lo), which it has just stepped to.
 

@@ -69,9 +69,10 @@ MAX_POLY_DEGREE = 20
 # Replicates per vectorized block: large enough to spread numpy's per-call
 # overhead thin, small enough that peak memory beyond the sample vector does
 # not grow with the replicate count. README clt, 10^4 replicates, on a
-# 2-core x86-64 VM: blocks of 1024 draw in about 13 ms at a peak RSS of
-# 36.5 MB, blocks of 2048 in about 8 ms at 36.6 MB, and blocks of 3584 or
-# 4096 (three blocks either way) in about 6.6 ms, at 36.9 and 37.3 MB.
+# 2-core x86-64 VM (in process, median of 15, sizes alternating): blocks of
+# 3584 or 4096 (three blocks either way) draw in 9.1-15.7 ms, blocks of
+# 2048 take 1.2-1.3x as long and blocks of 1024 1.9-2.1x; the whole
+# process peaks at 36.3 (1024), 36.6, 36.9 and 37.1 MB (4096) RSS.
 _BLOCK = 3584
 
 
@@ -141,7 +142,8 @@ class ExperimentReport:
     """Monte Carlo summary with predictions, sample statistics, and verdict.
 
     standard_error_mean is sqrt(sample_variance / replicates); the verdict
-    rule applied is recorded verbatim in ``verdict_rule``.
+    rule applied is recorded verbatim in ``verdict_rule``. The runners keep
+    each replicate's statistic in ``samples``.
     """
 
     statistic: str
@@ -195,6 +197,8 @@ def predicted_clt(
     """
     poly = np.asarray(poly, dtype=np.float64).reshape(-1)
     degree = poly.size - 1
+    if degree < 0:
+        raise ValueError("polynomial has no coefficients")
     if degree > MAX_POLY_DEGREE:
         raise ValueError(f"polynomial degree {degree} above cap {MAX_POLY_DEGREE}")
     if zeta < 0:
@@ -246,7 +250,6 @@ def _run(
     statistic: Callable[[np.ndarray], np.ndarray],
     verdict: Callable[[float, float, float], bool],
     rule: str,
-    keep_samples: bool,
     scale: float | None = None,
 ) -> ExperimentReport:
     """Draw every replicate, evaluate its statistic, summarize and judge.
@@ -302,11 +305,11 @@ def _run(
         verdict=bool(verdict(mean, var, se)),
         verdict_rule=rule,
         wall_time_s=elapsed,
-        samples=samples if keep_samples else None,
+        samples=samples,
     )
 
 
-def run_clt(config: ExperimentConfig, keep_samples: bool = False) -> ExperimentReport:
+def run_clt(config: ExperimentConfig) -> ExperimentReport:
     """Central-limit check for sqrt(n beta') (int p dmu_n - int p dmu_sc).
 
     The predicted mean uses the corrective measure at the finite-n value
@@ -351,13 +354,10 @@ def run_clt(config: ExperimentConfig, keep_samples: bool = False) -> ExperimentR
         config, params, label=format_poly(poly), zeta_or_xi=zeta_n,
         predicted_mean=predicted_mean, predicted_variance=predicted_var,
         order=max(degree, 1), statistic=statistic, verdict=verdict, rule=rule,
-        keep_samples=keep_samples,
     )
 
 
-def run_moment_convergence(
-    config: ExperimentConfig, keep_samples: bool = False
-) -> ExperimentReport:
+def run_moment_convergence(config: ExperimentConfig) -> ExperimentReport:
     """Plain convergence of m_k(mu_n) to the semicircle moment.
 
     Verdict: the replicate average lies within 4 standard errors plus a
@@ -367,7 +367,7 @@ def run_moment_convergence(
     _require_verdict_grade(config)
     if config.mode is RescalingMode.NONE:
         raise ValueError("moment convergence needs a centering mode")
-    k = int(config.statistic)
+    k = _integer(config.statistic, "statistic")
     if not (1 <= k <= MAX_CONVERGENCE_MOMENT):
         raise ValueError(f"moment index must be in 1..{MAX_CONVERGENCE_MOMENT}, got {k}")
     params = config.ensemble_params()
@@ -385,13 +385,10 @@ def run_moment_convergence(
             abs(mean - predicted_mean) < MEAN_BAND_SIGMAS * se + allowance
         ),
         rule=f"abs(sample_mean - predicted_mean) < {MEAN_BAND_SIGMAS:g}*se_mean + 3/sqrt(n)",
-        keep_samples=keep_samples,
     )
 
 
-def run_mdp_centering(
-    config: ExperimentConfig, keep_samples: bool = False
-) -> ExperimentReport:
+def run_mdp_centering(config: ExperimentConfig) -> ExperimentReport:
     """Location of the moderate-deviation minimizer, never tail probabilities.
 
     Averages m_k of nu_n = sqrt(n beta'/b_n)(mu_n - mu_sc) and compares to
@@ -403,7 +400,7 @@ def run_mdp_centering(
         raise ValueError("MDP centering needs b_n")
     if config.mode is RescalingMode.NONE:
         raise ValueError("MDP centering needs a centering mode")
-    k = int(config.statistic)
+    k = _integer(config.statistic, "statistic")
     if k < 1:
         raise ValueError(f"moment index must be >= 1, got {k}")
     params = config.ensemble_params()
@@ -418,11 +415,10 @@ def run_mdp_centering(
         order=k, statistic=lambda m: prefactor * (m[:, k - 1] - msc[k - 1]),
         verdict=lambda mean, var, se: abs(mean - predicted_mean) < MEAN_BAND_SIGMAS * se,
         rule=f"abs(sample_mean - predicted_mean) < {MEAN_BAND_SIGMAS:g}*se_mean",
-        keep_samples=keep_samples,
     )
 
 
-def run_mp_sanity(config: ExperimentConfig, keep_samples: bool = False) -> ExperimentReport:
+def run_mp_sanity(config: ExperimentConfig) -> ExperimentReport:
     """Law-of-large-numbers check against the Marchenko-Pastur moments.
 
     Needs the linear gamma rule and no centering; the sampled matrix is
@@ -435,7 +431,7 @@ def run_mp_sanity(config: ExperimentConfig, keep_samples: bool = False) -> Exper
         raise ValueError("MP sanity needs the linear gamma rule")
     if config.mode is not RescalingMode.NONE:
         raise ValueError("MP sanity runs on the uncentered matrix")
-    k = int(config.statistic)
+    k = _integer(config.statistic, "statistic")
     if not (1 <= k <= 4):
         raise ValueError(f"moment index must be in 1..4, got {k}")
     tau = config.gamma_rule.tau
@@ -447,5 +443,5 @@ def run_mp_sanity(config: ExperimentConfig, keep_samples: bool = False) -> Exper
         order=k, statistic=lambda m: m[:, k - 1],
         verdict=lambda mean, var, se: abs(mean / predicted_mean - 1.0) <= MP_RELATIVE_TOL,
         rule=f"abs(sample_mean/predicted_mean - 1) <= {MP_RELATIVE_TOL:g}",
-        keep_samples=keep_samples, scale=1.0 / (2.0 * params.gamma),
+        scale=1.0 / (2.0 * params.gamma),
     )

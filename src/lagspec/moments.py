@@ -41,6 +41,9 @@ __all__ = [
 # Largest order with exact 64-bit integer binomials for every identity here.
 EXACT_ORDER_CAP = 40
 
+# Chebyshev nodes of the quadrature twin of the nu moments.
+_NU_QUADRATURE_NODES = 64
+
 
 class NuVariant(enum.Enum):
     """Which corrective signed measure: the standard or the shifted one."""
@@ -111,8 +114,7 @@ def mp_moments(order: int, tau: float) -> np.ndarray:
     """
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must lie in (0, 1], got {tau!r}")
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
+    order = _check_order(order)
     out = np.empty(order)
     for k in range(1, order + 1):
         value = 0.0
@@ -197,10 +199,7 @@ def semicircle_rule(n_nodes: int):
 
 
 def nu_moments_by_quadrature(
-    order: int,
-    xi: float,
-    variant: NuVariant = NuVariant.STANDARD,
-    n_nodes: int = 64,
+    order: int, xi: float, variant: NuVariant = NuVariant.STANDARD
 ) -> np.ndarray:
     """Quadrature twin of :func:`nu_moments`: integrate x^k against the density.
 
@@ -208,7 +207,7 @@ def nu_moments_by_quadrature(
     poles at +-2 are integrable as written.
     """
     order = _check_order(order)
-    x, w = chebyshev_lebesgue_rule(n_nodes)
+    x, w = chebyshev_lebesgue_rule(_NU_QUADRATURE_NODES)
     dens = nu_density(x, xi, variant)
     out = np.empty(order)
     power = np.ones_like(x)

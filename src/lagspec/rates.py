@@ -44,7 +44,10 @@ __all__ = [
     "mdp_rate_series",
 ]
 
-DEFAULT_NODES = 4096
+# Quadrature nodes: Chebyshev nodes for the bulk mass and the KL term, and
+# the semicircle's Gauss rule for the MDP rate's density form.
+_BULK_NODES = 4096
+_MDP_DENSITY_NODES = 256
 
 # Bulk density below this at any quadrature node makes the KL term +inf;
 # a hard floor keeps the infinity flag deterministic.
@@ -73,7 +76,6 @@ class AcPlusAtoms:
 
     bulk_density: Callable
     atoms: Sequence = field(default_factory=tuple)
-    n_nodes: int = DEFAULT_NODES
 
     def __post_init__(self):
         atoms = tuple((float(loc), float(mass)) for loc, mass in self.atoms)
@@ -87,7 +89,7 @@ class AcPlusAtoms:
             if not (mass > 0.0):
                 raise ValueError(f"atom mass must be positive, got {mass!r}")
         self.atoms = atoms
-        x, w = chebyshev_lebesgue_rule(self.n_nodes)
+        x, w = chebyshev_lebesgue_rule(_BULK_NODES)
         vals = _eval_density(self.bulk_density, x)
         if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
             raise ValueError("bulk density must be finite and nonnegative")
@@ -102,24 +104,26 @@ def f_outlier(x: float) -> float:
     """Outlier cost F(x) = integral of sqrt(y^2 - 4) from 2 to |x|.
 
     Closed form |x| sqrt(x^2 - 4)/2 - 2 log((|x| + sqrt(x^2 - 4))/2),
-    defined for |x| >= 2 and zero at the edge.
+    defined for |x| >= 2 and zero at the edge. Where x^2 overflows, F is
+    x^2/2 - 2 log|x| to double precision (inf once x^2/2 overflows too).
     """
     a = abs(float(x))
     if not (2.0 <= a < math.inf):
         raise ValueError(f"|x| must be finite and >= 2, got {x!r}")
+    if a * a == math.inf:
+        return a * (a / 2.0) - 2.0 * math.log(a)
     root = math.sqrt(a * a - 4.0)
     return a * root / 2.0 - 2.0 * math.log((a + root) / 2.0)
 
 
-def kl_semicircle(mu: AcPlusAtoms, n_nodes: int | None = None) -> float:
+def kl_semicircle(mu: AcPlusAtoms) -> float:
     """Relative entropy of the semicircle law against the bulk of ``mu``.
 
     Evaluates the integral of log(f_sc / f_mu) f_sc over (-2, 2) on
     endpoint-avoiding Chebyshev nodes. Returns +inf as soon as the bulk
     density falls below a hard floor at any node (support deficiency).
     """
-    n = mu.n_nodes if n_nodes is None else n_nodes
-    x, w = chebyshev_lebesgue_rule(n)
+    x, w = chebyshev_lebesgue_rule(_BULK_NODES)
     f_mu = _eval_density(mu.bulk_density, x)
     if np.any(f_mu < 0.0) or not np.all(np.isfinite(f_mu)):
         raise ValueError("bulk density must be finite and nonnegative")
@@ -129,13 +133,13 @@ def kl_semicircle(mu: AcPlusAtoms, n_nodes: int | None = None) -> float:
     return float(np.sum(w * np.log(f_sc / f_mu) * f_sc))
 
 
-def ldp_rate(mu: AcPlusAtoms, n_nodes: int | None = None) -> float:
+def ldp_rate(mu: AcPlusAtoms) -> float:
     """Large-deviation rate: KL term plus outlier costs of the atoms.
 
     Zero exactly at the semicircle law; infinite when the bulk loses
     support.
     """
-    kl = kl_semicircle(mu, n_nodes)
+    kl = kl_semicircle(mu)
     if math.isinf(kl):
         return math.inf
     return kl + sum(f_outlier(loc) for loc, _ in mu.atoms)
@@ -194,7 +198,6 @@ def mdp_rate_density(
     g: Callable,
     xi: float,
     variant: NuVariant = NuVariant.STANDARD,
-    n_nodes: int = 256,
 ) -> float:
     """Quadrature form of the moderate-deviation rate.
 
@@ -202,10 +205,10 @@ def mdp_rate_density(
     half the integral of (g - d(nu_xi)/d(mu_sc))^2 against the semicircle
     law, evaluated on its Gauss rule. With xi > 0 the reference ratio has
     nonintegrable poles at +-2, so unless g matches it there the value
-    grows without bound in n_nodes (the true rate is infinite outside
+    grows without bound in the node count (the true rate is infinite outside
     L^2(mu_sc) perturbations); polynomial candidates with xi = 0 are exact.
     """
-    x, w = semicircle_rule(n_nodes)
+    x, w = semicircle_rule(_MDP_DENSITY_NODES)
     g_vals = _eval_density(g, x)
     if not np.all(np.isfinite(g_vals)):
         raise ValueError("candidate density returned non-finite values")

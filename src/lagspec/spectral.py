@@ -36,9 +36,9 @@ __all__ = [
     "moments_via_operator",
 ]
 
-# Relative off-diagonal (the Stieltjes recursion norm) below which inverting
-# a measure is declared broken down.
-_STIELTJES_BREAKDOWN = 1e-12
+# Off-diagonal of the tridiagonal reduction, relative to the largest |atom|
+# (at least 1), below which inverting a measure is declared broken down.
+_REDUCTION_BREAKDOWN = 1e-12
 
 _WEIGHT_SUM_TOL = 1e-10
 
@@ -240,7 +240,7 @@ def measure_to_coefficients(measure: SpectralMeasure, order: int) -> JacobiCoeff
                                  np.sqrt(measure.weights[heavy_first]))
     off = np.abs(e[1:order])
     scale = max(1.0, float(np.max(np.abs(measure.atoms))))
-    collapsed = ~(off > _STIELTJES_BREAKDOWN * scale)  # NaN counts as collapsed
+    collapsed = ~(off > _REDUCTION_BREAKDOWN * scale)  # NaN counts as collapsed
     if collapsed.any():
         k = int(np.argmax(collapsed))
         raise NumericalError(

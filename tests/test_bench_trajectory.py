@@ -1,6 +1,7 @@
 """The benchmark-trajectory summariser (tools/bench_trajectory.py)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,66 @@ def test_one_incorrect_run_marks_the_workload():
 def test_rejects_bad_arguments(argv):
     with pytest.raises(SystemExit):
         bench_trajectory.parse_args(argv)
+
+
+# A stand-in for perfbench/run.py: logs which checkout ran which seed, prints
+# perfbench's env line and one result line, and exits with the given status.
+_STUB = """\
+import json, os, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+with open({log!r}, "a") as fh:
+    fh.write(f"{{os.path.basename(os.getcwd())}} {{seed}}\\n")
+if {code} == 3:
+    sys.exit(3)
+print("env " + json.dumps({{"python": "3", "workload": "w", "seed": seed}}))
+print(json.dumps({{"correct": {correct}, "attempted": 4, "failed": 1,
+                  "metrics": {{"op_p50_s": {{"value": seed / 10, "unit": "s"}}}}}}))
+"""
+
+
+def _run_main(tmp_path, monkeypatch, correct=True, code=0, labels=("a", "b")):
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"workloads": [{"name": "w"}], "run_seconds": 1}))
+    log = tmp_path / "order.log"
+    for label in labels:
+        (tmp_path / label / "perfbench").mkdir(parents=True)
+        stub = _STUB.format(log=str(log), code=code, correct=correct)
+        (tmp_path / label / "perfbench" / "run.py").write_text(stub)
+    monkeypatch.setattr(bench_trajectory, "ROOT", str(tmp_path))
+    status = bench_trajectory.main([f"{label}={tmp_path / label}" for label in labels])
+    return status, [line.split() for line in log.read_text().splitlines()]
+
+
+def test_main_alternates_runs_and_writes_one_file_per_checkout(tmp_path, monkeypatch):
+    status, runs = _run_main(tmp_path, monkeypatch)
+    assert status == 0
+    # Seed by seed, both checkouts run, and the one that runs first alternates.
+    assert [seed for _, seed in runs] == [str(s) for s in range(1, 11) for _ in range(2)]
+    assert [label for label, _ in runs[::2]] == ["a", "b"] * 5
+    assert [label for label, _ in runs[1::2]] == ["b", "a"] * 5
+    for label, other in (("a", "b"), ("b", "a")):
+        doc = json.loads((tmp_path / f"BENCH_{label}.json").read_text())
+        assert doc["schema"] == "lagspec.bench_trajectory/1" and doc["label"] == label
+        assert doc["interleaved_with"] == [other]
+        assert doc["seeds"] == list(range(1, 11)) and doc["seconds"] == 1
+        assert doc["env"] == {"python": "3"}
+        summary = doc["workloads"]["w"]
+        assert summary["runs"] == 10 and summary["correct"] is True
+        assert summary["attempted"] == [4] * 10 and summary["failed"] == [1] * 10
+        op = summary["metrics"]["op_p50_s"]
+        assert op["values"] == [seed / 10 for seed in range(1, 11)]
+        assert op["median"] == pytest.approx(0.55)
+
+
+def test_an_incorrect_run_exits_one(tmp_path, monkeypatch):
+    status, _ = _run_main(tmp_path, monkeypatch, correct=False, labels=("a",))
+    assert status == 1
+    doc = json.loads((tmp_path / "BENCH_a.json").read_text())
+    assert doc["workloads"]["w"]["correct"] is False
+
+
+def test_a_run_that_cannot_complete_exits_two(tmp_path, monkeypatch, capsys):
+    status, runs = _run_main(tmp_path, monkeypatch, code=3, labels=("a",))
+    assert status == 2 and runs == [["a", "1"]]
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("BENCH_*.json"))

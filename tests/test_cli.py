@@ -20,7 +20,47 @@ from lagspec import cli, experiments, moments
 from lagspec.experiments import ExperimentReport, LinearGamma, PowerLawGamma
 
 
+_SPACE = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def _rendered_polys(draw):
+    """A polynomial's text, terms in any order and spacing, and its coefficients.
+
+    The coefficients are summed power by power in term order, as the
+    parser sums them.
+    """
+    parts, terms = [], {}
+    for i in range(draw(st.integers(1, 6))):
+        sign = draw(st.sampled_from(["+", "-"] if i else ["", "+", "-"]))
+        power = draw(st.integers(0, 20))
+        coeff = draw(st.none() | st.floats(0.0, 1e6))
+        monomials = {0: ["x^0"], 1: ["x", "x^1"]}.get(power, [f"x^{power}"])
+        if power == 0 and coeff is not None:
+            monomials = monomials + [""]
+        monomial = draw(st.sampled_from(monomials))
+        tokens = [sign]
+        if coeff is not None:
+            tokens.append(repr(coeff))
+            if monomial:
+                tokens.append(draw(st.sampled_from(["", "*"])))
+        tokens.extend(monomial.partition("^"))
+        parts.extend(token + draw(_SPACE) for token in tokens if token)
+        value = 1.0 if coeff is None else coeff
+        terms[power] = terms.get(power, 0.0) + (-value if sign == "-" else value)
+    expected = np.zeros(max(terms) + 1)
+    for power, value in terms.items():
+        expected[power] = value
+    return draw(_SPACE) + "".join(parts), expected
+
+
 class TestPolyParser:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_rendered_polys())
+    def test_rendered_terms_parse_to_their_summed_coefficients(self, case):
+        text, expected = case
+        np.testing.assert_array_equal(cli.parse_poly(text), expected)
+
     def test_monomial(self):
         np.testing.assert_array_equal(cli.parse_poly("x^3"), [0, 0, 0, 1])
 
@@ -93,7 +133,7 @@ class TestEmission:
         assert row.split(",")[-1] == "pass"
 
     def test_seventeen_digit_rendering(self):
-        text = cli.report_csv(_report())
+        text = cli._report_text(_report(), "csv")
         assert "0.099500000000000005" in text or "0.0995" in text
         assert f"{1/3:.17g}" == "0.33333333333333331"
 
@@ -102,11 +142,11 @@ class TestEmission:
         report = _report()
         report.z_score = value
         report.predicted_variance = value
-        text = cli.report_json(report)
+        text = cli._report_text(report, "json")
         data = json.loads(text, parse_constant=pytest.fail)
         assert data["z_score"] is None and data["predicted_var"] is None
         assert data["sample_mean"] == report.sample_mean
-        assert cli.report_csv(report).split("\n")[1].split(",")[9] == cli._fmt(value)
+        assert cli._report_text(report, "csv").split("\n")[1].split(",")[9] == cli._fmt(value)
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "r.json"
@@ -125,27 +165,22 @@ class TestEmission:
         cli.emit_report(_report(), "csv", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_histogram_constant_samples(self, tmp_path):
-        path = tmp_path / "h.txt"
-        cli.emit_histogram(np.full(7, 3.5), 10, str(path))
-        lines = path.read_text().strip().split("\n")
+    def test_histogram_constant_samples(self):
+        lines = cli._histogram_text(np.full(7, 3.5), 10).strip().split("\n")
         assert lines == ["3.5 7"]
 
-    def test_histogram_single_bin(self, tmp_path):
-        path = tmp_path / "h.txt"
-        cli.emit_histogram(np.array([0.0, 1.0, 2.0]), 1, str(path))
-        lines = path.read_text().strip().split("\n")
+    def test_histogram_single_bin(self):
+        lines = cli._histogram_text(np.array([0.0, 1.0, 2.0]), 1).strip().split("\n")
         assert lines == ["1 3"]
 
-    def test_histogram_counts(self, tmp_path):
-        path = tmp_path / "h.txt"
-        cli.emit_histogram(np.array([0.0, 0.1, 0.9, 1.0]), 2, str(path))
-        rows = [line.split() for line in path.read_text().strip().split("\n")]
+    def test_histogram_counts(self):
+        text = cli._histogram_text(np.array([0.0, 0.1, 0.9, 1.0]), 2)
+        rows = [line.split() for line in text.strip().split("\n")]
         assert [int(r[1]) for r in rows] == [2, 2]
 
     def test_bad_bins(self):
         with pytest.raises(ValueError):
-            cli.emit_histogram(np.array([1.0]), 0)
+            cli._histogram_text(np.array([1.0]), 0)
 
 
 # The README's command-line examples, histogram path made relative.
@@ -265,8 +300,11 @@ class TestExitCodes:
          "xi must be finite and >= 0"),
         (CLT_ARGS + ["--poly", "x^999999999999"], "above the cap 20"),
         (CLT_ARGS + ["--poly", "1e400x"], "not finite"),
+        (["moments", "--measure", "mp", "--order", "600", "--tau", "0.5"],
+         "order 600 above the 64-bit-exact cap 40"),
     ], ids=["b-n-inf", "outlier-nan", "outlier-inf", "outlier-minus-inf", "atom-nan",
-            "mdp-moment-nan", "xi-inf", "nu-hat-xi-nan", "poly-degree", "poly-coefficient"])
+            "mdp-moment-nan", "xi-inf", "nu-hat-xi-nan", "poly-degree", "poly-coefficient",
+            "mp-order"])
     def test_nonfinite_parameter_is_one_error_line(self, argv, message, capsys):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
@@ -393,6 +431,36 @@ class TestRateCommand:
 
     def test_exactly_one_selector(self, capsys):
         assert cli.main(["rate", "--outlier", "3", "--mdp-moments", "1,2"]) == 2
+
+    @pytest.mark.parametrize("flags, config", [
+        ([], None),
+        (["--outlier", "3", "--semicircle-atoms", "3:0.1"], None),
+        (["--outlier", "3"], {"mdp-moments": "0,0,1"}),
+        ([], {"semicircle-atoms": "3:0.1", "mdp-moments": "0,0,1"}),
+    ], ids=["none", "two-flags", "flag-and-config", "two-in-config"])
+    def test_selector_count_is_one_error_line(self, flags, config, tmp_path, capsys):
+        if config is not None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(config))
+            flags = flags + ["--config", str(path)]
+        assert cli.main(["rate"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_selector_flag_beats_same_selector_in_config(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"outlier": 5}))
+        assert cli.main(["rate", "--config", str(path), "--outlier", "3"]) == 0
+        assert capsys.readouterr().out == "quantity,value\nf_outlier,1.4292546660112708\n"
+
+    @pytest.mark.parametrize("flags, value", [
+        (["--outlier", "1e200"], "f_outlier,inf"),
+        (["--semicircle-atoms", "1e200:0.1"], "ldp_rate,inf"),
+    ])
+    def test_far_outlier_is_inf(self, flags, value, capsys):
+        assert cli.main(["rate"] + flags) == 0
+        assert value in capsys.readouterr().out.split("\n")
 
 
 class TestCltCommand:

@@ -18,9 +18,10 @@ from lagspec.ensembles import (
     _assemble,
     _chi_squared_shapes,
     _fast_gamma,
-    _pcg64_states,
+    _pcg64_seed,
     _replicate_draws,
     _state_before,
+    _state_dicts,
     _ziggurat,
     derive_seed,
     make_rng,
@@ -166,7 +167,8 @@ class TestBlockSeeding:
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
     def test_state_step_matches_pcg64(self, seed):
         # The whole state dict, buffered-uint32 fields included.
-        assert next(_pcg64_states(np.array([seed], dtype=np.uint64))) == np.random.PCG64(seed).state
+        state = _state_dicts(*_pcg64_seed(np.array([seed], dtype=np.uint64)))
+        assert next(state) == np.random.PCG64(seed).state
 
     @pytest.mark.parametrize("master", [0, 1, -1, 2**64 - 1, 2**64 + 5, -(2**70)])
     def test_block_matches_per_replicate_generators(self, master):

@@ -75,8 +75,8 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("seed", [np.int64(101), np.uint64(101)])
     def test_numpy_integer_master_seed_accepted(self, seed):
         config = clt_config(master_seed=seed, statistic=X3, replicates=100)
-        reference = run_clt(clt_config(statistic=X3, replicates=100), keep_samples=True)
-        assert np.array_equal(run_clt(config, keep_samples=True).samples, reference.samples)
+        reference = run_clt(clt_config(statistic=X3, replicates=100))
+        assert np.array_equal(run_clt(config).samples, reference.samples)
 
 
 class TestPredictedClt:
@@ -202,13 +202,13 @@ class TestReplicateDriver:
         # block of replicates at a time; the samples must still equal the
         # full per-replicate pipeline bit for bit.
         run, reference, config = ORACLE_CASES[case]
-        report = run(config, keep_samples=True)
+        report = run(config)
         assert np.array_equal(report.samples, reference(config))
 
     def test_same_config_twice(self):
         config = clt_config(statistic=X3, replicates=150)
-        first = run_clt(config, keep_samples=True)
-        second = run_clt(config, keep_samples=True)
+        first = run_clt(config)
+        second = run_clt(config)
         np.testing.assert_array_equal(first.samples, second.samples)
 
     def test_failure_reports_index(self):
@@ -237,7 +237,7 @@ class TestReplicateDriver:
                             replicates=1000, master_seed=42)
         with pytest.raises(ValueError, match="strictly positive"):
             clt_reference(config, count=52)
-        report = run_clt(config, keep_samples=True)
+        report = run_clt(config)
         assert report.samples.shape == (1000,)
         assert np.array_equal(report.samples[:51], clt_reference(config, count=51))
 
@@ -280,8 +280,8 @@ class TestRunClt:
         assert std.predicted_mean == 1.0 and sh.predicted_mean == -2.0
         assert std.verdict and sh.verdict
 
-    def test_keep_samples(self):
-        report = run_clt(clt_config(replicates=120), keep_samples=True)
+    def test_report_carries_samples(self):
+        report = run_clt(clt_config(replicates=120))
         assert report.samples.shape == (120,)
         assert report.sample_mean == pytest.approx(report.samples.mean())
 
@@ -306,7 +306,7 @@ class TestRunClt:
     def test_samples_look_gaussian(self):
         # zeta ~ 0 regime: chi-square goodness of fit against N(0, 1).
         config = clt_config(n=500, replicates=10_000, master_seed=31)
-        report = run_clt(config, keep_samples=True)
+        report = run_clt(config)
         counts, edges = np.histogram(report.samples, bins=20)
         probs = stats.norm.cdf(edges[1:]) - stats.norm.cdf(edges[:-1])
         expected = probs * report.samples.size
@@ -424,6 +424,22 @@ class TestRunMpSanity:
         )
         with pytest.raises(ValueError, match="uncentered"):
             run_mp_sanity(config)
+
+
+class TestBadStatistic:
+    def test_empty_polynomial_rejected(self):
+        with pytest.raises(ValueError, match="no coefficients"):
+            run_clt(clt_config(statistic=np.array([])))
+
+    @pytest.mark.parametrize("run, config", [
+        (run_moment_convergence, clt_config(statistic=3.5)),
+        (run_mdp_centering, clt_config(statistic=3.5, b_n=20.0)),
+        (run_mp_sanity, clt_config(statistic=1.5, gamma_rule=LinearGamma(0.5),
+                                   mode=RescalingMode.NONE)),
+    ], ids=["convergence", "mdp", "mp-sanity"])
+    def test_non_integral_moment_index_rejected(self, run, config):
+        with pytest.raises(ValueError, match="statistic must be an integer"):
+            run(config)
 
 
 class TestFormatPoly:

@@ -93,6 +93,12 @@ class TestMarchenkoPastur:
             )
             assert m[k - 1] == pytest.approx(ref, rel=1e-10)
 
+    def test_order_capped_like_every_reference_sequence(self):
+        assert mp_moments(40, 0.5).size == 40
+        for order in (41, 600):
+            with pytest.raises(ValueError, match="above the 64-bit-exact cap 40"):
+                mp_moments(order, 0.5)
+
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError):
             mp_moments(3, 0.0)

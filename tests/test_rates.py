@@ -47,6 +47,17 @@ class TestOutlierCost:
             ref, _ = quad(lambda y: np.sqrt(y * y - 4.0), 2.0, x, epsabs=1e-13)
             assert abs(f_outlier(x) - ref) <= 1e-10
 
+    @pytest.mark.parametrize("x", [1.3e154, 1.35e154, 1.5e154, 1.8e154, 1.89e154])
+    def test_finite_where_the_square_overflows(self, x):
+        # F(x) = x^2/2 - 1 - 2 log x + O(x^-2), so F(x) / (x^2/2) is 1 to
+        # double precision here, on both sides of where x*x overflows.
+        assert math.isfinite(f_outlier(x))
+        assert f_outlier(x) / x / (x / 2.0) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [1.9e154, 1e200, 1.7e308])
+    def test_inf_where_the_value_overflows(self, x):
+        assert f_outlier(x) == math.inf and f_outlier(-x) == math.inf
+
     def test_value_at_three(self):
         ref, _ = quad(lambda y: np.sqrt(y * y - 4.0), 2.0, 3.0, epsabs=1e-13)
         assert f_outlier(3.0) == pytest.approx(ref, abs=1e-10)
@@ -109,6 +120,10 @@ class TestLdpRate:
         mu = AcPlusAtoms(lambda x: 0.9 * SC(x), [(3.0, 0.1)])
         expected = math.log(1.0 / 0.9) + f_outlier(3.0)
         assert ldp_rate(mu) == pytest.approx(expected, abs=1e-8)
+
+    def test_far_outlier_costs_inf_not_nan(self):
+        mu = AcPlusAtoms(lambda x: 0.9 * SC(x), [(1e200, 0.1)])
+        assert ldp_rate(mu) == math.inf
 
     def test_positive_off_minimum(self):
         arc = lambda x: 1.0 / (np.pi * np.sqrt(4.0 - np.asarray(x) ** 2))
