@@ -65,7 +65,9 @@ def _fmt(value) -> str:
 
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # One term: [sign] [number ['*']] ['x' ['^' number]], with whitespace around any part.
-_TERM = re.compile(rf"\s*([+-]?)\s*(?:({_NUMBER})\s*(\*?))?\s*(?:(x)\s*(?:\^\s*({_NUMBER}))?)?\s*")
+# ASCII only: in a str pattern \d and \s would match every Unicode digit and space.
+_TERM = re.compile(rf"\s*([+-]?)\s*(?:({_NUMBER})\s*(\*?))?\s*(?:(x)\s*(?:\^\s*({_NUMBER}))?)?\s*",
+                   re.ASCII)
 
 
 def parse_poly(text: str) -> np.ndarray:

@@ -333,9 +333,10 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
     def statistic(m: np.ndarray) -> np.ndarray:
         if degree < 1:  # a constant polynomial's statistic is identically 0
             return np.zeros(len(m))
-        # One BLAS ddot per replicate, as np.dot makes: a batched product
-        # may sum in another order and change the last bits of the reports.
-        return prefactor * np.fromiter(map(tail.dot, m - msc), np.float64, len(m))
+        # vecdot's loop makes one BLAS ddot per replicate, as np.dot does; a
+        # matrix product may sum in another order and change the last bits
+        # of the reports.
+        return prefactor * np.vecdot(m - msc, tail)
 
     def verdict(mean: float, var: float, se: float) -> bool:
         if predicted_var > 0.0:

@@ -63,7 +63,7 @@ def _eval_density(density: Callable, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-@dataclass
+@dataclass(frozen=True)
 class AcPlusAtoms:
     """A bulk density on (-2, 2) plus finitely many outlying atoms.
 
@@ -71,11 +71,15 @@ class AcPlusAtoms:
     measure there (vectorized or scalar callables both work). Atoms are
     (location, mass) pairs with |location| >= 2 and positive mass; atoms
     strictly inside the bulk are rejected rather than folded in. Total mass
-    (bulk by quadrature, plus atoms) must be 1 within 1e-8.
+    (bulk by quadrature, plus atoms) must be 1 within 1e-8. The density is
+    evaluated once, on the quadrature nodes, and :func:`kl_semicircle` reads
+    those values; the instance is frozen so that they stay the density's.
     """
 
     bulk_density: Callable
     atoms: Sequence = field(default_factory=tuple)
+    # bulk_density on the _BULK_NODES Chebyshev nodes: checked, read-only.
+    _bulk_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = tuple((float(loc), float(mass)) for loc, mass in self.atoms)
@@ -88,11 +92,14 @@ class AcPlusAtoms:
                 raise ValueError(f"atom location must be finite, got {loc!r}")
             if not (mass > 0.0):
                 raise ValueError(f"atom mass must be positive, got {mass!r}")
-        self.atoms = atoms
+        object.__setattr__(self, "atoms", atoms)
         x, w = chebyshev_lebesgue_rule(_BULK_NODES)
-        vals = _eval_density(self.bulk_density, x)
+        # A copy: marking it read-only must not touch an array the density keeps.
+        vals = _eval_density(self.bulk_density, x).copy()
         if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
             raise ValueError("bulk density must be finite and nonnegative")
+        vals.flags.writeable = False
+        object.__setattr__(self, "_bulk_values", vals)
         total = float(np.sum(w * vals)) + sum(mass for _, mass in atoms)
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(
@@ -120,13 +127,12 @@ def kl_semicircle(mu: AcPlusAtoms) -> float:
     """Relative entropy of the semicircle law against the bulk of ``mu``.
 
     Evaluates the integral of log(f_sc / f_mu) f_sc over (-2, 2) on
-    endpoint-avoiding Chebyshev nodes. Returns +inf as soon as the bulk
-    density falls below a hard floor at any node (support deficiency).
+    endpoint-avoiding Chebyshev nodes, with the density values ``mu`` took
+    and checked there. Returns +inf as soon as the bulk density falls below
+    a hard floor at any node (support deficiency).
     """
     x, w = chebyshev_lebesgue_rule(_BULK_NODES)
-    f_mu = _eval_density(mu.bulk_density, x)
-    if np.any(f_mu < 0.0) or not np.all(np.isfinite(f_mu)):
-        raise ValueError("bulk density must be finite and nonnegative")
+    f_mu = mu._bulk_values
     if np.any(f_mu < _KL_DENSITY_FLOOR):
         return math.inf
     f_sc = semicircle_density(x)

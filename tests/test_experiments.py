@@ -185,9 +185,13 @@ ORACLE_CASES = {
     "mp-sanity-k2": (run_mp_sanity, moment_reference, ExperimentConfig(
         n=300, beta=2.0, gamma_rule=LinearGamma(0.5), replicates=200, master_seed=9,
         statistic=2, mode=RescalingMode.NONE)),
+    "clt-mixed-quadratic": (run_clt, clt_reference, clt_config(
+        statistic=np.array([1.0, 2.0, -0.5]), replicates=200)),
     # 17 coefficients: long enough for BLAS's vectorized dot kernel.
     "clt-degree17": (run_clt, clt_reference, clt_config(
         n=100, statistic=np.linspace(-1.0, 1.0, 18), replicates=150)),
+    "clt-degree20": (run_clt, clt_reference, clt_config(
+        n=100, statistic=np.cos(np.arange(21.0)), replicates=150)),
     "clt-n3-degree5-window-clipped": (run_clt, clt_reference, clt_config(
         n=3, gamma_rule=PowerLawGamma(2.0), statistic=X5, replicates=150)),
     "clt-partial-last-block": (run_clt, clt_reference, clt_config(

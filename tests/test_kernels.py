@@ -1,10 +1,12 @@
-"""Kernel-level checks: the tridiagonal eigensolver behind eigen_spectral and the
-windowed moment recursion, against closed forms and dense oracles."""
+"""Kernel-level checks: the two eigensolvers behind eigen_spectral (numpy's dense
+eigh up to size 128, scipy's tridiagonal eigh above) and the windowed moment
+recursion, against closed forms and each other."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from lagspec.ensembles import EnsembleParams, make_rng, rescale, sample_laguerre_tridiagonal
 from lagspec.errors import NumericalError
 from lagspec.spectral import JacobiCoefficients, eigen_spectral, moments_via_operator
 
@@ -17,6 +19,17 @@ def dense_firstrow_eigh(diag, offdiag):
     """Oracle: dense LAPACK eigh, first row of the eigenvectors squared."""
     vals, vecs = np.linalg.eigh(dense(diag, offdiag))
     return vals, vecs[0] ** 2
+
+
+def tridiagonal_firstrow_eigh(diag, offdiag):
+    """Oracle: LAPACK's tridiagonal eigh (dstevd), first row squared."""
+    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
+    return vals, vecs[0] ** 2
+
+
+# Each size is checked against both solvers, so each is checked against the
+# one eigen_spectral does not use for it.
+ORACLES = (dense_firstrow_eigh, tridiagonal_firstrow_eigh)
 
 
 def eigen_firstrow(diag, offdiag):
@@ -47,9 +60,24 @@ class TestQLAlgorithm:
         diag = rng.uniform(-1, 1, n)
         off = rng.uniform(0.5, 1.5, n - 1)
         lam, w = eigen_firstrow(diag, off)
-        lam_ref, w_ref = dense_firstrow_eigh(diag, off)
-        np.testing.assert_allclose(lam, lam_ref, atol=1e-12)
-        np.testing.assert_allclose(w, w_ref, atol=1e-12)
+        for oracle in ORACLES:
+            lam_ref, w_ref = oracle(diag, off)
+            np.testing.assert_allclose(lam, lam_ref, atol=1e-12)
+            np.testing.assert_allclose(w, w_ref, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 128, 129, 200])
+    def test_model_draws_match_both_solvers(self, n):
+        # Rescaled Laguerre draws, the matrices the sampler diagonalizes. The
+        # uniform matrices above, seeded by n, have first-row weights that
+        # underflow to 0 at n = 128, 129 and 200, which eigen_spectral rejects
+        # (test_underflowed_weight_raises_value_error).
+        params = EnsembleParams(n=n, beta=2.0, gamma=float(n * n))
+        coeffs = rescale(sample_laguerre_tridiagonal(make_rng(n), params), params)
+        mu = eigen_spectral(coeffs)
+        for oracle in ORACLES:
+            lam_ref, w_ref = oracle(coeffs.diag, coeffs.offdiag)
+            np.testing.assert_allclose(mu.atoms, lam_ref, atol=1e-12)
+            np.testing.assert_allclose(mu.weights, w_ref, atol=1e-12)
 
 
 class TestActiveBackend:
@@ -64,9 +92,10 @@ class TestActiveBackend:
         diag = rng.uniform(-1, 1, 80)
         off = rng.uniform(0.5, 1.5, 79)
         lam, w = eigen_firstrow(diag, off)
-        lam_ref, w_ref = dense_firstrow_eigh(diag, off)
-        np.testing.assert_allclose(lam, lam_ref, atol=1e-11)
-        np.testing.assert_allclose(w, w_ref, atol=1e-11)
+        for oracle in ORACLES:
+            lam_ref, w_ref = oracle(diag, off)
+            np.testing.assert_allclose(lam, lam_ref, atol=1e-11)
+            np.testing.assert_allclose(w, w_ref, atol=1e-11)
 
     @pytest.mark.parametrize(
         "seed,n,diag_normal", [(150, 150, False), (8, 200, True)], ids=["150", "200"]
@@ -86,13 +115,17 @@ class TestActiveBackend:
         with pytest.raises(ValueError, match="strictly positive"):
             eigen_firstrow(diag, off)
 
-    def test_solver_failure_raises(self, monkeypatch):
+    @pytest.mark.parametrize("n, module, solver", [
+        (3, np.linalg, "eigh"),
+        (129, scipy.linalg, "eigh_tridiagonal"),
+    ], ids=["3", "129"])
+    def test_solver_failure_raises(self, n, module, solver, monkeypatch):
         def fail(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("no convergence")
+            raise np.linalg.LinAlgError("no convergence")
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
-        with pytest.raises(NumericalError, match="size 3"):
-            eigen_firstrow(np.zeros(3), np.ones(2))
+        monkeypatch.setattr(module, solver, fail)
+        with pytest.raises(NumericalError, match=f"size {n}"):
+            eigen_firstrow(np.zeros(n), np.ones(n - 1))
 
 
 class TestTridiagMoments:

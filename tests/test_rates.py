@@ -129,6 +129,27 @@ class TestLdpRate:
         arc = lambda x: 1.0 / (np.pi * np.sqrt(4.0 - np.asarray(x) ** 2))
         assert ldp_rate(AcPlusAtoms(arc)) > 0.1
 
+    @pytest.mark.parametrize("scalar_only", [False, True], ids=["vectorized", "scalar"])
+    def test_density_evaluated_once_per_node(self, scalar_only):
+        points = []
+
+        def density(x):
+            if scalar_only and np.ndim(x):
+                return 0.0  # wrong shape: evaluated again point by point
+            points.append(np.size(x))
+            return 0.9 * SC(x)
+
+        rate = ldp_rate(AcPlusAtoms(density, [(3.0, 0.1)]))
+        assert sum(points) == 4096
+        assert rate == ldp_rate(AcPlusAtoms(lambda x: 0.9 * SC(x), [(3.0, 0.1)]))
+
+    def test_candidate_is_frozen(self):
+        mu = AcPlusAtoms(SC)
+        with pytest.raises(AttributeError):
+            mu.bulk_density = lambda x: 0.5 * SC(x)
+        with pytest.raises(ValueError, match="read-only"):
+            mu._bulk_values[0] = 0.0
+
 
 class TestMdpRateSeries:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -13,8 +13,11 @@ seed to seed, so a drift of the host's speed hits them alike.
 It holds, per workload, the median and quartiles of every end-to-end
 metric, the runs' ``correct``, ``attempted`` and ``failed`` counts, and the
 per-run values; plus the env block perfbench prints and the checkout's git
-sha. Exit status: 0 when every run held its correctness oracles, 1
-otherwise, 2 when a run could not complete.
+sha. With two labels, each workload's end-to-end metrics are then
+compared on stdout: each side's median [q1, q3], and how many seed pairs
+each side wins (a tie counts for neither). Exit status: 0 when every run
+held its correctness oracles, 1 otherwise, 2 when a run could not
+complete.
 """
 
 from __future__ import annotations
@@ -69,6 +72,28 @@ def summarise(results: list) -> dict:
     }
 
 
+def compare(workload: str, labels: tuple, summaries: tuple, better: dict) -> list:
+    """Lines comparing two labels' summaries of one workload, per metric.
+
+    ``better`` maps a metric name to "lower" or "higher"; metrics without
+    a direction are left out. Run i of one side is paired with run i of
+    the other, which ran the same seed.
+    """
+    lines = []
+    for name in summaries[0]["metrics"]:
+        if name not in better:
+            continue
+        cells = [s["metrics"][name] for s in summaries]
+        sign = -1.0 if better[name] == "lower" else 1.0
+        gains = [sign * (a - b) for a, b in zip(cells[0]["values"], cells[1]["values"])]
+        wins = (sum(g > 0 for g in gains), sum(g < 0 for g in gains))
+        sides = ", ".join(f"{label} {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
+                          for label, c in zip(labels, cells))
+        lines.append(f"{workload} {name} ({better[name]} is better): {sides}; "
+                     f"pairs won of {len(gains)}: {labels[0]} {wins[0]}, {labels[1]} {wins[1]}")
+    return lines
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("checkouts", nargs="+", metavar="LABEL=CHECKOUT")
@@ -111,10 +136,11 @@ def main(argv=None) -> int:
         return 2
 
     all_correct = True
+    summaries = {}
     for label, checkout in args.targets.items():
         env = {k: v for k, v in envs[label].items() if k not in PER_RUN_ENV}
-        summaries = {w: summarise(rs) for w, rs in results[label].items()}
-        all_correct &= all(s["correct"] for s in summaries.values())
+        summaries[label] = {w: summarise(rs) for w, rs in results[label].items()}
+        all_correct &= all(s["correct"] for s in summaries[label].values())
         doc = {
             "schema": "lagspec.bench_trajectory/1",
             "label": label,
@@ -125,13 +151,19 @@ def main(argv=None) -> int:
             "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
             "interleaved_with": [other for other in args.targets if other != label],
             "env": env,
-            "workloads": summaries,
+            "workloads": summaries[label],
         }
         path = os.path.join(ROOT, f"BENCH_{label}.json")
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
         print(f"wrote {path}")
+    if len(summaries) == 2:
+        better = {m["name"]: m["better"] for m in benchmark.get("end_to_end", [])}
+        for workload in workloads:
+            for line in compare(workload, tuple(summaries),
+                                tuple(s[workload] for s in summaries.values()), better):
+                print(line)
     return 0 if all_correct else 1
 
 
