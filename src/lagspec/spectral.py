@@ -9,11 +9,10 @@ and :func:`measure_to_coefficients` implement the two directions, and
 :func:`moments_via_operator` / :func:`moments_of_measure` compute moments
 on either side without ever leaving it.
 
-The forward direction takes numpy's dense eigensolver up to size 128 and
-scipy's tridiagonal one above. The two give the same bits on these sizes,
-and the small measures, which ``lagspec sample`` draws, then never import
-``scipy.linalg``: that import alone costs a fresh process about 0.25 s and
-29 MB, more than the rest of the command.
+The forward direction takes numpy's dense eigensolver up to size 128, so
+that small measures such as ``lagspec sample``'s never import the slow
+``scipy.linalg``, and scipy's tridiagonal one above; see
+:func:`eigen_spectral` for why the two agree and what each costs.
 
 The inverse direction costs O(n^2): a divide and conquer that merges the
 Jacobi matrices of two halves of the atoms with LAPACK's band reduction

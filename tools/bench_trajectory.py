@@ -75,14 +75,11 @@ def summarise(results: list) -> dict:
 def compare(workload: str, labels: tuple, summaries: tuple, better: dict) -> list:
     """Lines comparing two labels' summaries of one workload, per metric.
 
-    ``better`` maps a metric name to "lower" or "higher"; metrics without
-    a direction are left out. Run i of one side is paired with run i of
-    the other, which ran the same seed.
+    ``better`` maps each metric name to "lower" or "higher". Run i of one
+    side is paired with run i of the other, which ran the same seed.
     """
     lines = []
     for name in summaries[0]["metrics"]:
-        if name not in better:
-            continue
         cells = [s["metrics"][name] for s in summaries]
         sign = -1.0 if better[name] == "lower" else 1.0
         gains = [sign * (a - b) for a, b in zip(cells[0]["values"], cells[1]["values"])]
@@ -159,7 +156,7 @@ def main(argv=None) -> int:
             fh.write("\n")
         print(f"wrote {path}")
     if len(summaries) == 2:
-        better = {m["name"]: m["better"] for m in benchmark.get("end_to_end", [])}
+        better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
         for workload in workloads:
             for line in compare(workload, tuple(summaries),
                                 tuple(s[workload] for s in summaries.values()), better):
