@@ -46,6 +46,7 @@ REPORT_FIELDS = (
 REPORT_COLUMNS = [column for column, _ in REPORT_FIELDS]
 
 _NU_QUAD_TOL = 1e-8
+_HIST_BINS = 20
 
 
 def _fmt(value) -> str:
@@ -201,6 +202,13 @@ def _emit_rows(rows, header, fmt, out):
 # subcommand bodies
 
 
+def _unused(args, dests, when: str) -> None:
+    """Reject the first flag of ``dests`` that was given: it has no effect ``when``."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} has no effect {when}")
+
+
 def _cmd_sample(args) -> int:
     from .ensembles import (EnsembleParams, RescalingMode, make_rng, rescale,
                             sample_laguerre_tridiagonal)
@@ -226,6 +234,10 @@ def _cmd_moments(args) -> int:
     from .moments import NuVariant, arcsine_moments, mp_moments, nu_moments, semicircle_moments
 
     name = args.measure
+    if name != "mp":
+        _unused(args, ("tau",), f"with --measure {name}")
+    if name not in ("nu", "nu-hat"):
+        _unused(args, ("xi",), f"with --measure {name}")
     if name == "semicircle":
         values = semicircle_moments(args.order).astype(np.float64)
     elif name == "arcsine":
@@ -236,7 +248,7 @@ def _cmd_moments(args) -> int:
         values = mp_moments(args.order, args.tau)
     else:
         variant = NuVariant.STANDARD if name == "nu" else NuVariant.SHIFTED
-        values = nu_moments(args.order, args.xi, variant)
+        values = nu_moments(args.order, 1.0 if args.xi is None else args.xi, variant)
     rows = [(k + 1, float(values[k])) for k in range(len(values))]
     _emit_rows(rows, ["k", "value"], args.format, args.out)
     return 0
@@ -257,6 +269,8 @@ def _cmd_rate(args) -> int:
     from .moments import NuVariant
     from .rates import AcPlusAtoms, f_outlier, kl_semicircle, ldp_rate, mdp_rate_series
 
+    if args.mdp_moments is None:
+        _unused(args, ("xi", "variant", "trunc"), "without --mdp-moments")
     rows = []
     if args.outlier is not None:
         rows.append(("f_outlier", f_outlier(args.outlier)))
@@ -277,16 +291,31 @@ def _cmd_rate(args) -> int:
         trunc = args.trunc if args.trunc is not None else min(15, m.size)
         rows.append(
             ("mdp_rate",
-             mdp_rate_series(m, args.xi, NuVariant(args.variant), trunc))
+             mdp_rate_series(m, args.xi or 0.0, NuVariant(args.variant or "standard"), trunc))
         )
     _emit_rows(rows, ["quantity", "value"], args.format, args.out)
     return 0
 
 
 def _experiment_config(args, statistic, gamma_rule, mode: str) -> ExperimentConfig:
+    """The run's configuration; the histogram flags are checked first, before any replicate.
+
+    The histogram's arrays are allocated once here, as ``_run`` allocates
+    the sample vector, so that a bin count too large to hold fails now.
+    """
     from .ensembles import RescalingMode
     from .experiments import ExperimentConfig
 
+    if args.hist_out is None:
+        _unused(args, ("hist_bins",), "without --hist-out")
+    else:
+        if args.hist_bins is None:
+            args.hist_bins = _HIST_BINS
+        try:
+            np.empty((2, args.hist_bins + 1))
+        except (MemoryError, ValueError):
+            raise ValueError(f"--hist-bins {args.hist_bins} needs more memory than "
+                             "can be allocated") from None
     return ExperimentConfig(
         n=args.n,
         beta=args.beta,
@@ -454,7 +483,7 @@ def _moments_flags(sub) -> None:
                      choices=("semicircle", "arcsine", "mp", "nu", "nu-hat"))
     sub.add_argument("--order", type=int, required=True)
     sub.add_argument("--tau", type=float)
-    sub.add_argument("--xi", type=float, default=1.0)
+    sub.add_argument("--xi", type=float)
 
 
 def _rate_flags(sub) -> None:
@@ -465,9 +494,8 @@ def _rate_flags(sub) -> None:
     selector.add_argument("--semicircle-atoms",
                           help="loc:mass[,loc:mass...] on a rescaled semicircle bulk")
     selector.add_argument("--mdp-moments", help="comma-separated moment sequence")
-    sub.add_argument("--xi", type=float, default=0.0)
-    sub.add_argument("--variant", default="standard",
-                     choices=[variant.value for variant in NuVariant])
+    sub.add_argument("--xi", type=float)
+    sub.add_argument("--variant", choices=[variant.value for variant in NuVariant])
     sub.add_argument("--trunc", type=int)
 
 
@@ -476,7 +504,7 @@ def _experiment_flags(sub) -> None:
     sub.add_argument("--beta", type=float, required=True)
     sub.add_argument("--replicates", type=int, required=True)
     sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--hist-bins", type=_positive_int, default=20)
+    sub.add_argument("--hist-bins", type=_positive_int)
     sub.add_argument("--hist-out")
 
 

@@ -10,14 +10,12 @@ route produces, at a fraction of the cost.
 
 m_1..m_k read only the leading (k+1) x (k+1) window of the model, so a
 replicate draws only the chi-squares behind that window. Replicates run a
-block at a time: the block's chi-squares are drawn by
-ensembles._replicate_draws, which computes the block's generator states
-and nearly all of its gamma draws in vectorized arithmetic and draws only
-the rest (about 0.2% of rows in the README windows) through numpy's
-generator, and the block is then assembled, centered and pushed through
-the moment recursion at once. Every reported number is the same as
-drawing each replicate from its own ``make_rng(derive_seed(master_seed,
-i))`` and reducing it on its own.
+block at a time: ensembles._replicate_draws draws the block's
+chi-squares in vectorized arithmetic, with no numpy call per replicate,
+and the block is then assembled, centered and pushed through the moment
+recursion at once. Every reported number is the same as drawing replicate
+i with ``sample_laguerre_tridiagonal(make_rng(derive_seed(master_seed,
+i)), params)`` and reducing it on its own.
 """
 
 from __future__ import annotations
@@ -68,12 +66,12 @@ MAX_POLY_DEGREE = 20
 
 # Replicates per vectorized block: large enough to spread numpy's per-call
 # overhead thin, small enough that peak memory beyond the sample vector does
-# not grow with the replicate count. README clt, 10^4 replicates, on a
-# 2-core x86-64 VM (in process, median of 15, sizes alternating): blocks of
-# 3584 or 4096 (three blocks either way) draw in 9.1-15.7 ms, blocks of
-# 2048 take 1.2-1.3x as long and blocks of 1024 1.9-2.1x; the whole
-# process peaks at 36.3 (1024), 36.6, 36.9 and 37.1 MB (4096) RSS.
-_BLOCK = 3584
+# not grow with the replicate count. No draw depends on it. README clt,
+# 10^4 replicates, on a 2-core x86-64 VM (in process, median of 15, sizes
+# alternating): blocks of 1024, 2048, 3584 and 4096 draw in 14.8, 14.3,
+# 13.3 and 13.3 ms (README mp-sanity, 2000 replicates: 2.5, 2.1, 2.2 and
+# 2.2 ms); the whole clt process peaks at 31.0, 32.8, 34.5 and 35.1 MB RSS.
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -255,10 +253,10 @@ def _run(
     """Draw every replicate, evaluate its statistic, summarize and judge.
 
     Replicate i reads the leading w x w window of the model, w = min(order
-    + 1, n), with the draws of make_rng(derive_seed(master_seed, i)); only
-    its first 2w - 1 chi-squares are drawn, which are exactly the leading
-    draws of the full matrix. Each block of replicates is drawn at once by
-    ensembles._replicate_draws. The window is centered by ``params.mode``,
+    + 1, n), of sample_laguerre_tridiagonal(make_rng(derive_seed(master_seed,
+    i)), params); only its first 2w - 1 chi-squares are drawn, which are
+    exactly the leading draws of the full matrix. Each block of replicates
+    is drawn at once by ensembles._replicate_draws. The window is centered by ``params.mode``,
     or multiplied by ``scale`` when one is given, and ``statistic`` maps
     the moments m_1..m_order (one row per replicate) to one value per
     replicate. ``verdict`` receives the sample mean, variance and

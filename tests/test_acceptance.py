@@ -245,10 +245,14 @@ def test_criterion_7_marchenko_pastur():
 def test_criterion_8_byte_identical_reruns(tmp_path):
     args = ["clt", "--n", "100", "--beta", "2", "--gamma-rule", "pow:3:1",
             "--poly", "x^2", "--replicates", "200", "--seed", "42"]
-    outputs = []
+    # At 200 replicates the variance band is about one standard error wide,
+    # so the verdict may go either way; what must not change is the exit
+    # code and the bytes.
+    runs = []
     for tag in "abcd":
         path = tmp_path / f"{tag}.csv"
-        assert cli.main(args + ["--out", str(path)]) == 0
-        outputs.append(path.read_bytes())
-    assert all(blob == outputs[0] for blob in outputs[1:])
+        code = cli.main(args + ["--out", str(path)])
+        runs.append((code, path.read_bytes()))
+    assert runs[0][0] in (0, 1) and runs[0][1]
+    assert all(run == runs[0] for run in runs[1:])
     _passed("8 (byte-identical CSV across reruns)")

@@ -14,7 +14,7 @@ _spec.loader.exec_module(bench_trajectory)
 
 
 def _result(op_s, correct=True, failed=0):
-    return {"correct": correct, "attempted": 24, "failed": failed,
+    return {"correct": correct, "attempted": 24, "failed": failed, "wall_s": 20.5,
             "metrics": {"op_p50_s": {"value": op_s, "unit": "s"}}}
 
 
@@ -26,6 +26,7 @@ def test_summary_medians_quartiles_and_counts():
     assert op["unit"] == "s" and op["values"] == [0.5, 0.1, 0.3, 0.2, 0.5]
     assert summary["runs"] == 5 and summary["correct"] is True
     assert summary["failed"] == [0, 0, 0, 0, 1]
+    assert summary["wall_s"] == [20.5] * 5
 
 
 def test_one_incorrect_run_marks_the_workload():
@@ -41,7 +42,8 @@ def test_rejects_bad_arguments(argv):
 
 # A stand-in for perfbench/run.py: logs which checkout ran which seed, prints
 # perfbench's env line and one result line, and exits with the given status.
-# op_p50_s is seed / 10 unless the checkout is given its ten values.
+# op_p50_s is seed / 10 unless the checkout is given its ten values; each run
+# fails 1 of its 4 operations unless the checkout is given another count.
 _STUB = """\
 import json, os, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
@@ -51,13 +53,14 @@ with open({log!r}, "a") as fh:
 if {code} == 3:
     sys.exit(3)
 print("env " + json.dumps({{"python": "3", "workload": "w", "seed": seed}}))
-print(json.dumps({{"correct": {correct}, "attempted": 4, "failed": 1,
+print(json.dumps({{"correct": {correct}, "attempted": 4, "failed": {failed},
                   "metrics": {{"op_p50_s": {{"value": seed / 10 if values is None
                                            else values[seed - 1], "unit": "s"}}}}}}))
 """
 
 
-def _run_main(tmp_path, monkeypatch, correct=True, code=0, labels=("a", "b"), values=None):
+def _run_main(tmp_path, monkeypatch, correct=True, code=0, labels=("a", "b"), values=None,
+              failed=None):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "workloads": [{"name": "w"}], "run_seconds": 1,
         "end_to_end": [{"name": "op_p50_s", "better": "lower"}]}))
@@ -65,7 +68,7 @@ def _run_main(tmp_path, monkeypatch, correct=True, code=0, labels=("a", "b"), va
     for label in labels:
         (tmp_path / label / "perfbench").mkdir(parents=True)
         stub = _STUB.format(log=str(log), code=code, correct=correct,
-                            values=(values or {}).get(label))
+                            values=(values or {}).get(label), failed=(failed or {}).get(label, 1))
         (tmp_path / label / "perfbench" / "run.py").write_text(stub)
     monkeypatch.setattr(bench_trajectory, "ROOT", str(tmp_path))
     status = bench_trajectory.main([f"{label}={tmp_path / label}" for label in labels])
@@ -88,6 +91,7 @@ def test_main_alternates_runs_and_writes_one_file_per_checkout(tmp_path, monkeyp
         summary = doc["workloads"]["w"]
         assert summary["runs"] == 10 and summary["correct"] is True
         assert summary["attempted"] == [4] * 10 and summary["failed"] == [1] * 10
+        assert len(summary["wall_s"]) == 10 and all(0 < s < 60 for s in summary["wall_s"])
         op = summary["metrics"]["op_p50_s"]
         assert op["values"] == [seed / 10 for seed in range(1, 11)]
         assert op["median"] == pytest.approx(0.55)
@@ -97,9 +101,11 @@ def test_two_labels_print_quartiles_and_pair_wins(tmp_path, monkeypatch, capsys)
     a = [0.1 * seed for seed in range(1, 11)]
     # Lower is better: b wins seeds 1-3, loses 4-5 and ties the rest.
     b = [v - 0.05 for v in a[:3]] + [v + 0.05 for v in a[3:5]] + a[5:]
-    status, _ = _run_main(tmp_path, monkeypatch, values={"a": a, "b": b})
+    status, _ = _run_main(tmp_path, monkeypatch, values={"a": a, "b": b},
+                          failed={"a": 1, "b": 2})
     assert status == 0
-    line = capsys.readouterr().out.splitlines()[-1]
+    counts, line = capsys.readouterr().out.splitlines()[-2:]
+    assert counts == "w failed/attempted operations: a 10/40, b 20/40"
     qa = statistics.quantiles(a, n=4, method="inclusive")
     qb = statistics.quantiles(b, n=4, method="inclusive")
     assert line == (

@@ -210,6 +210,50 @@ CLT_ARGS = ["clt", "--n", "120", "--beta", "2", "--gamma-rule", "pow:3:1",
             "--poly", "x^2", "--replicates", "150", "--seed", "7"]
 
 
+MDP_ARGS = ["mdp", "--n", "120", "--beta", "2", "--gamma-rule", "pow:3:1", "--b-n", "50",
+            "--k", "3", "--replicates", "150", "--seed", "7"]
+MP_SANITY_ARGS = ["mp-sanity", "--n", "120", "--beta", "2", "--tau", "0.5", "--k", "2",
+                  "--replicates", "150", "--seed", "7"]
+
+# Flags that the rest of their command line leaves without effect: the
+# command line, the flag, a value, and the error's closing words.
+INEFFECTIVE_FLAGS = {
+    "moments-xi-semicircle": (["moments", "--measure", "semicircle", "--order", "4"],
+                              "xi", "2", "with --measure semicircle"),
+    "moments-xi-arcsine": (["moments", "--measure", "arcsine", "--order", "4"],
+                           "xi", "2", "with --measure arcsine"),
+    "moments-xi-mp": (["moments", "--measure", "mp", "--order", "4", "--tau", "0.5"],
+                      "xi", "1", "with --measure mp"),
+    "moments-tau-semicircle": (["moments", "--measure", "semicircle", "--order", "4"],
+                               "tau", "0.5", "with --measure semicircle"),
+    "moments-tau-arcsine": (["moments", "--measure", "arcsine", "--order", "4"],
+                            "tau", "0.5", "with --measure arcsine"),
+    "moments-tau-nu": (["moments", "--measure", "nu", "--order", "4"],
+                       "tau", "0.5", "with --measure nu"),
+    "moments-tau-nu-hat": (["moments", "--measure", "nu-hat", "--order", "4", "--xi", "1"],
+                           "tau", "0.5", "with --measure nu-hat"),
+    "rate-xi-outlier": (["rate", "--outlier", "3"], "xi", "1", "without --mdp-moments"),
+    "rate-variant-outlier": (["rate", "--outlier", "3"], "variant", "shifted",
+                             "without --mdp-moments"),
+    "rate-trunc-atoms": (["rate", "--semicircle-atoms", "3:0.1"], "trunc", "5",
+                         "without --mdp-moments"),
+    "rate-xi-atoms": (["rate", "--semicircle-atoms", "3:0.1"], "xi", "0",
+                      "without --mdp-moments"),
+    "clt-hist-bins": (CLT_ARGS, "hist-bins", "8", "without --hist-out"),
+    "mdp-hist-bins": (MDP_ARGS, "hist-bins", "20", "without --hist-out"),
+    "mp-sanity-hist-bins": (MP_SANITY_ARGS, "hist-bins", "8", "without --hist-out"),
+}
+
+
+def _forbid_runs(monkeypatch):
+    """Make every experiment runner fail, to show that a check comes before any replicate."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("replicates ran")
+
+    for runner in ("run_clt", "run_mdp_centering", "run_mp_sanity"):
+        monkeypatch.setattr(experiments, runner, no_run)
+
+
 def _json_value(text):
     """A flag's text as the JSON value a config file would hold."""
     for convert in (int, float):
@@ -333,6 +377,46 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == ("error: 1000000000000 replicates need 8e+12 bytes for their "
                                 "statistics, more than can be allocated\n")
+
+    @pytest.mark.parametrize("bins", [str(2**60), "1000000000000"])
+    def test_unallocatable_hist_bins_is_one_error_line(self, bins, tmp_path, monkeypatch,
+                                                       capsys):
+        # 2^60 bins exceed numpy's largest array. The allocation for 10^12
+        # bins is made to fail here, whatever this host's memory would allow.
+        if bins == "1000000000000":
+            empty = np.empty
+
+            def failing(shape, *args, **kwargs):
+                if np.prod(shape, dtype=float) >= 10**12:
+                    raise MemoryError("Unable to allocate 14.6 TiB")
+                return empty(shape, *args, **kwargs)
+
+            monkeypatch.setattr(np, "empty", failing)
+        _forbid_runs(monkeypatch)
+        hist_path = tmp_path / "h.txt"
+        assert cli.main(CLT_ARGS + ["--hist-bins", bins, "--hist-out", str(hist_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --hist-bins {bins} needs more memory than can be "
+                                "allocated\n")
+        assert not hist_path.exists()
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("case", sorted(INEFFECTIVE_FLAGS))
+    def test_ineffective_flag_is_one_error_line(self, case, form, tmp_path, monkeypatch,
+                                                capsys):
+        argv, key, value, when = INEFFECTIVE_FLAGS[case]
+        if form == "flag":
+            argv = argv + [f"--{key}", value]
+        else:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({key: _json_value(value)}))
+            argv = argv + ["--config", str(config)]
+        _forbid_runs(monkeypatch)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --{key} has no effect {when}\n"
 
     def test_unwritable_path(self, capsys):
         code = cli.main(["identities", "--order", "5",
@@ -723,6 +807,11 @@ class TestStartupImports:
         assert "lagspec.experiments" in loaded
         assert "lagspec.rates" not in loaded
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+    @pytest.mark.parametrize("name", ["clt", "mdp", "mp-sanity"])
+    def test_readme_experiments_load_no_numpy_random(self, name):
+        # The replicates' draws are computed from their seeds alone.
+        assert "numpy.random" not in _modules_loaded(README_COMMANDS[name])
 
 
 SUBCOMMANDS = ["sample", "moments", "rate", "clt", "mdp", "mp-sanity", "identities"]

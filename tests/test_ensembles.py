@@ -5,24 +5,25 @@ errors wide, so they are deterministic in practice while still testing the
 distributional content.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from lagspec import ensembles
 from lagspec.ensembles import (
     EnsembleParams,
     RescalingMode,
     _assemble,
     _chi_squared_shapes,
-    _fast_gamma,
+    _lcg_step,
+    _output,
     _pcg64_seed,
     _replicate_draws,
-    _state_before,
-    _state_dicts,
-    _ziggurat,
+    _standard_gamma,
     derive_seed,
     make_rng,
     rescale,
@@ -31,6 +32,7 @@ from lagspec.ensembles import (
     sample_laguerre_tridiagonal,
     sample_spectral_measure,
 )
+from lagspec.experiments import _BLOCK
 from lagspec.spectral import JacobiCoefficients, moments_of_measure
 
 
@@ -83,9 +85,81 @@ class TestSeeds:
         np.testing.assert_array_equal(make_rng(np.uint64(5)).random(3), make_rng(5).random(3))
 
 
+def single_key(master, i):
+    """The key sample_laguerre_tridiagonal takes from replicate i's own generator."""
+    return make_rng(derive_seed(master, i)).bit_generator.random_raw()
+
+
 def per_replicate_draws(master, block, shapes):
-    """The reference for _replicate_draws: one seeded generator per replicate."""
-    return np.array([make_rng(derive_seed(master, i)).gamma(shapes, 2.0) for i in block])
+    """The reference for _replicate_draws: one seeded generator's key per replicate."""
+    return np.array([2.0 * _standard_gamma([single_key(master, i)], shapes)[0] for i in block])
+
+
+def per_replicate_window(master, block, params, window):
+    """The leading window of each replicate's single draw, one row per replicate.
+
+    Replicate i is ``sample_laguerre_tridiagonal(make_rng(derive_seed(master, i)), params)``.
+    """
+    models = [sample_laguerre_tridiagonal(make_rng(derive_seed(master, i)), params) for i in block]
+    return (np.array([m.diag[:window] for m in models]),
+            np.array([m.offdiag[: window - 1] for m in models]).reshape(len(block), window - 1))
+
+
+def assert_block_matches(master, block, params, window):
+    diag, offdiag = _assemble(_replicate_draws(master, block, _chi_squared_shapes(params, window)))
+    ref_diag, ref_offdiag = per_replicate_window(master, block, params, window)
+    assert np.array_equal(diag, ref_diag) and np.array_equal(offdiag, ref_offdiag)
+
+
+def reference_gamma(key, j, a):
+    """_standard_gamma's entry j for one key, written out in scalar Python.
+
+    Returns the value and the branch each attempt took. numpy's ``pow`` may
+    differ from the C library's in the last bit, so the a < 1 factor is
+    taken from numpy, as the sampler takes it.
+    """
+    stream = derive_seed(key, j)
+    d = a + 2.0 / 3.0 if a < 1.0 else a - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    path = []
+    for t in itertools.count():
+        u1, u2, u3, u4 = (((derive_seed(stream, 4 * t + i) >> 11) + 1) * 2.0**-53 for i in range(4))
+        v = 1.7156 * (u2 - 0.5)
+        x, y = u1 - 0.449871, abs(v) + 0.386595
+        q = x * x + y * (0.19600 * y - 0.25472 * x)
+        if q > 0.27846:
+            path.append("normal rejected")
+            continue
+        if q >= 0.27597:
+            if v * v > -4.0 * u1 * u1 * math.log(u1):
+                path.append("normal rejected by its log test")
+                continue
+            path.append("normal accepted by its log test")
+        x = v / u1
+        w = 1.0 + c * x
+        if w <= 0.0:
+            path.append("1 + cX <= 0")
+            continue
+        w = w * w * w
+        xx = x * x
+        if u3 < 1.0 - 0.0331 * xx * xx:
+            path.append("squeeze accepts")
+        elif math.log(u3) < 0.5 * xx + d * (1.0 - w + math.log(w)):
+            path.append("log test accepts")
+        else:
+            path.append("log test rejects")
+            continue
+        value = d * w * float(np.power(np.array([u4]), 1.0 / a)[0]) if a < 1.0 else d * w
+        return value, path
+
+
+def first_entry_through(branch, shape, seed):
+    """A key whose entry 0 at ``shape`` takes ``branch`` in its first attempt, and that entry."""
+    for key in make_rng(seed).bit_generator.random_raw(100_000).tolist():
+        value, path = reference_gamma(key, 0, shape)
+        if branch in path[:1]:
+            return key, value, path
+    raise AssertionError(f"no key takes {branch!r}")
 
 
 # Shapes of the README experiment windows: clt and mdp (n = 2000, beta = 2,
@@ -93,71 +167,8 @@ def per_replicate_draws(master, block, shapes):
 # up to 2) has the other.
 README_CLT_MDP_SHAPES = _chi_squared_shapes(EnsembleParams(2000, 2.0, 2000.0**2), 4)
 README_MP_SANITY_SHAPES = _chi_squared_shapes(EnsembleParams(2000, 2.0, 4000.0), 3)
-
-
-def raw_output(layer, rabs, negative=False):
-    """The raw PCG64 output that numpy's ziggurat reads as (layer, sign, magnitude)."""
-    return layer | int(negative) << 8 | rabs << 9
-
-
-def raw_uniform(u):
-    """The raw PCG64 output whose next_double is ``u`` rounded down to a multiple of 2**-53."""
-    return int(u * 2.0**53) << 11
-
-
-def numpy_gamma(shape, first, second):
-    """numpy's standard gamma from a state whose next outputs are first, second.
-
-    Also returns whether numpy took exactly those two outputs.
-    """
-    bitgen = np.random.PCG64(0)
-    bitgen.state = _state_before(first, second)
-    value = np.random.Generator(bitgen).standard_gamma(shape)
-    after_two = _state_before(first, second)["state"]
-    for _ in range(2):
-        after_two["state"] = (after_two["state"] * ensembles._PCG64_MULT
-                              + after_two["inc"]) & ensembles._MASK128
-    return value, bitgen.state["state"]["state"] == after_two["state"]
-
-
-def fast_gamma(shape, first, second):
-    """_fast_gamma from numpy_gamma's state: (value, whether the fast path decided it)."""
-    state = _state_before(first, second)["state"]
-    words = [state["state"] >> 64, state["state"] & ensembles._MASK64,
-             state["inc"] >> 64, state["inc"] & ensembles._MASK64]
-    seeded = np.array(words, dtype=np.uint64)[:, None]
-    draws, fast = _fast_gamma(seeded, np.array([shape]), _ziggurat())
-    return draws[0, 0], bool(fast[0])
-
-
-def count_redrawn(monkeypatch):
-    """The list of states that _replicate_draws hands to numpy's per-row generator."""
-    _ziggurat()  # the tables' self-check sets generator states too
-    redrawn = []
-    state_dicts = ensembles._state_dicts
-
-    def counting(*words):
-        for state in state_dicts(*words):
-            redrawn.append(state)
-            yield state
-
-    monkeypatch.setattr(ensembles, "_state_dicts", counting)
-    return redrawn
-
-
-def wedge_tie(layer, rabs):
-    """The uniform at which layer's wedge test at this magnitude ties, by the derived fi."""
-    wi, fi = _ziggurat().wi, _ziggurat().fi
-    x = rabs * wi[layer]
-    return (np.exp(-0.5 * x * x) - fi[layer]) / (fi[layer - 1] - fi[layer])
-
-
-def takes_rectangle(bitgen, layer, rabs):
-    """Whether numpy's normal for this raw output takes one output (layer's rectangle)."""
-    raw = raw_output(layer, rabs)
-    bitgen.state = _state_before(raw)
-    np.random.Generator(bitgen).standard_normal()
-    return bitgen.state["state"]["state"] == raw
+# Shapes on both sides of 1, where the sampler switches branch, and far out.
+MIXED_SHAPES = np.array([0.05, 0.4, 0.999, 1.0, 1.5, 7.0, 1e3, 4e6])
 
 
 class TestBlockSeeding:
@@ -166,47 +177,88 @@ class TestBlockSeeding:
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
     def test_state_step_matches_pcg64(self, seed):
-        # The whole state dict, buffered-uint32 fields included.
-        state = _state_dicts(*_pcg64_seed(np.array([seed], dtype=np.uint64)))
-        assert next(state) == np.random.PCG64(seed).state
+        words = _pcg64_seed(np.array([seed], dtype=np.uint64))
+        s_hi, s_lo, inc_hi, inc_lo = (int(w[0]) for w in words)
+        state = np.random.PCG64(seed).state["state"]
+        assert (s_hi << 64 | s_lo, inc_hi << 64 | inc_lo) == (state["state"], state["inc"])
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_first_output_matches_pcg64(self, seed):
+        raw = _output(*_lcg_step(*_pcg64_seed(np.array([seed], dtype=np.uint64))))
+        assert int(raw[0]) == np.random.PCG64(seed).random_raw()
 
     @pytest.mark.parametrize("master", [0, 1, -1, 2**64 - 1, 2**64 + 5, -(2**70)])
     def test_block_matches_per_replicate_generators(self, master):
-        # 6 masters x 512 derived seeds; shapes of a beta = 2 window and of a
-        # beta = 0.1 one, whose shapes below 1 take another gamma branch.
-        block = range(0, 512)
-        for params in (EnsembleParams(2000, 2.0, 2000.0**2), EnsembleParams(40, 0.1, 3.0)):
-            shapes = _chi_squared_shapes(params, 4)
-            assert np.array_equal(
-                _replicate_draws(master, block, shapes), per_replicate_draws(master, block, shapes)
-            )
+        # 6 masters x 256 replicates: a beta = 2 window, and a beta = 0.1
+        # model, whose shapes below 1 take the other gamma branch, in its
+        # leading window and in full.
+        block = range(0, 256)
+        assert_block_matches(master, block, EnsembleParams(40, 2.0, 1600.0), 4)
+        assert_block_matches(master, block, EnsembleParams(40, 0.1, 3.0), 4)
+        assert_block_matches(master, block, EnsembleParams(40, 0.1, 3.0), 40)
 
-    @settings(deadline=None)
+    @settings(deadline=None, max_examples=60)
     @given(
         master=st.integers(-(2**70), 2**70),
         start=st.integers(0, 10**6),
-        length=st.integers(1, 50),
-        beta=st.floats(0.01, 8.0),
-        n=st.integers(1, 30),
+        length=st.integers(1, 20),
+        cut=st.integers(0, 20),
+        beta=st.floats(0.05, 8.0),
+        n=st.integers(1, 60),
         extra=st.floats(0.01, 1e4),
     )
-    def test_block_property(self, master, start, length, beta, n, extra):
+    def test_block_property(self, master, start, length, cut, beta, n, extra):
+        # Every window, against the full single draws; the block is also
+        # drawn in two parts, as the driver draws a partial last block.
         params = EnsembleParams(n, beta, (n - 1) * beta / 2.0 + extra)
-        shapes = _chi_squared_shapes(params, n)
         block = range(start, start + length)
-        assert np.array_equal(
-            _replicate_draws(master, block, shapes), per_replicate_draws(master, block, shapes)
-        )
-
+        head, tail = block[: min(cut, length)], block[min(cut, length):]
+        ref_diag, ref_offdiag = per_replicate_window(master, block, params, n)
+        for window in range(1, n + 1):
+            shapes = _chi_squared_shapes(params, window)
+            z = _replicate_draws(master, block, shapes)
+            parts = [_replicate_draws(master, part, shapes) for part in (head, tail) if len(part)]
+            assert np.array_equal(np.concatenate(parts), z)
+            diag, offdiag = _assemble(z)
+            assert np.array_equal(diag, ref_diag[:, :window])
+            assert np.array_equal(offdiag, ref_offdiag[:, : window - 1])
 
     def test_readme_windows_match_per_replicate_generators(self):
-        # 10^5 rows: 60,000 of the clt/mdp window and 40,000 of the mp-sanity
-        # window, both at the README seed.
-        for shapes, rows in ((README_CLT_MDP_SHAPES, 60_000), (README_MP_SANITY_SHAPES, 40_000)):
-            block = range(0, rows)
-            assert np.array_equal(
-                _replicate_draws(7, block, shapes), per_replicate_draws(7, block, shapes)
-            )
+        # 10^5 rows at the README seed, in the driver's blocks: 60,000 of the
+        # clt/mdp window and 40,000 of the mp-sanity window. Every key is
+        # taken from the row's own generator; the first rows are also
+        # checked against the full n = 2000 single draw.
+        for shapes, rows, gamma in ((README_CLT_MDP_SHAPES, 60_000, 2000.0**2),
+                                    (README_MP_SANITY_SHAPES, 40_000, 4000.0)):
+            keys = np.array([single_key(7, i) for i in range(rows)], dtype=np.uint64)
+            blocks = [range(first, min(first + _BLOCK, rows)) for first in range(0, rows, _BLOCK)]
+            block = np.concatenate([_replicate_draws(7, b, shapes) for b in blocks])
+            assert np.array_equal(block, 2.0 * _standard_gamma(keys, shapes))
+            window = (shapes.size + 1) // 2
+            assert_block_matches(7, range(0, 50), EnsembleParams(2000, 2.0, gamma), window)
+
+    # Marsaglia & Tsang's branches, each taken by a first attempt: the value
+    # comes from that attempt, or for a rejection from a later one.
+    def test_squeeze_accepts(self):
+        key, value, path = first_entry_through("squeeze accepts", 1.5, 21)
+        assert path == ["squeeze accepts"]
+        assert _standard_gamma([key], [1.5])[0, 0] == value
+
+    def test_squeeze_rejects_log_accepts(self):
+        key, value, path = first_entry_through("log test accepts", 1.5, 22)
+        assert path == ["log test accepts"]
+        assert _standard_gamma([key], [1.5])[0, 0] == value
+
+    def test_log_rejects(self):
+        key, value, path = first_entry_through("log test rejects", 1.5, 23)
+        assert len(path) > 1
+        assert _standard_gamma([key], [1.5])[0, 0] == value
+
+    def test_nonpositive_v_draws_a_new_normal(self):
+        # 1 + cX <= 0 needs X <= -1/c, likelier at a small shape.
+        key, value, path = first_entry_through("1 + cX <= 0", 0.05, 24)
+        assert len(path) > 1
+        assert _standard_gamma([key], [0.05])[0, 0] == value
 
     @pytest.mark.parametrize(
         "shapes",
@@ -216,203 +268,43 @@ class TestBlockSeeding:
     )
     def test_shapes_around_one(self, shapes):
         shapes = np.array(shapes)
-        block = range(100, 2100)
+        block = range(100, 400)
         assert np.array_equal(
             _replicate_draws(3, block, shapes), per_replicate_draws(3, block, shapes)
         )
 
-    def test_pinned_fallback_rows(self, monkeypatch):
-        # Rows 0..1023 of the README clt window: 2 leave the vectorized
-        # draws. If the fast path were silently off, all 1024 would be
-        # redrawn; with wedges left to numpy, about 100.
-        redrawn = count_redrawn(monkeypatch)
-        block = range(0, 1024)
-        z = _replicate_draws(7, block, README_CLT_MDP_SHAPES)
-        assert len(redrawn) == 2
-        assert np.array_equal(z, per_replicate_draws(7, block, README_CLT_MDP_SHAPES))
 
-    def test_shapes_at_most_one_fall_back(self, monkeypatch):
-        # A shape of 1 or less takes another numpy branch: every row is redrawn.
-        redrawn = count_redrawn(monkeypatch)
-        shapes = np.array([3.0, 1.0, 2.5])
-        block = range(0, 50)
-        z = _replicate_draws(5, block, shapes)
-        assert len(redrawn) == 50
-        assert np.array_equal(z, per_replicate_draws(5, block, shapes))
+class TestStandardGamma:
+    def test_matches_scalar_reference(self):
+        keys = make_rng(3).bit_generator.random_raw(2000)
+        z = _standard_gamma(keys, MIXED_SHAPES)
+        ref = [[reference_gamma(int(k), j, a) for j, a in enumerate(MIXED_SHAPES)] for k in keys]
+        assert np.array_equal(z, [[value for value, _ in row] for row in ref])
+        branches = {branch for row in ref for _, path in row for branch in path}
+        assert branches == {
+            "normal rejected", "normal rejected by its log test", "normal accepted by its log test",
+            "1 + cX <= 0", "squeeze accepts", "log test accepts", "log test rejects",
+        }
 
-    # Layer 255's rectangle reaches past 3, so X = magnitude * wi[255] there
-    # is a normal that takes the rectangle. At shape 5 and X ~ 1.5 the
-    # squeeze bound 1 - 0.0331 X^4 is about 0.83 and the log test accepts
-    # U up to about exp(-0.003).
+    def test_rows_and_columns_are_independent(self):
+        # A row depends on its key alone, and an entry on the shapes before it
+        # not at all: reversed keys, uneven chunks and a shorter shape list
+        # give the same entries.
+        keys = make_rng(4).bit_generator.random_raw(20_000)
+        shapes = np.concatenate((README_CLT_MDP_SHAPES, MIXED_SHAPES))
+        z = _standard_gamma(keys, shapes)
+        assert np.array_equal(_standard_gamma(keys[::-1], shapes)[::-1], z)
+        cuts = ((0, 1), (1, 4096), (4096, 20_000))
+        chunks = [_standard_gamma(keys[a:b], shapes) for a, b in cuts]
+        assert np.array_equal(np.concatenate(chunks), z)
+        assert np.array_equal(_standard_gamma(keys, shapes[:3]), z[:, :3])
 
-    def test_squeeze_accepts(self):
-        wi = _ziggurat()[0]
-        first = raw_output(255, int(0.5 / wi[255]))
-        value, fast = fast_gamma(5.0, first, raw_uniform(0.5))
-        assert fast and (value, True) == numpy_gamma(5.0, first, raw_uniform(0.5))
-
-    def test_squeeze_rejects_log_accepts(self):
-        wi = _ziggurat()[0]
-        rabs = int(1.5 / wi[255])
-        assert 0.9 > 1.0 - 0.0331 * (rabs * wi[255]) ** 4
-        value, fast = fast_gamma(5.0, raw_output(255, rabs), raw_uniform(0.9))
-        assert fast and (value, True) == numpy_gamma(5.0, raw_output(255, rabs), raw_uniform(0.9))
-
-    def test_log_rejects(self):
-        # U = 0.999 fails the log test: numpy starts over with X from the
-        # third raw output, and the fast path follows it.
-        wi = _ziggurat()[0]
-        first = raw_output(255, int(1.5 / wi[255]))
-        value, took_two = numpy_gamma(5.0, first, raw_uniform(0.999))
-        assert not took_two
-        assert fast_gamma(5.0, first, raw_uniform(0.999)) == (value, True)
-
-    def test_log_near_tie_is_left_to_numpy(self):
-        wi = _ziggurat()[0]
-        shape, first = 5.0, raw_output(255, int(1.5 / wi[255]))
-        x = float(int(1.5 / wi[255]) * wi[255])
-        b = shape - 1.0 / 3.0
-        v = (1.0 + x / np.sqrt(9.0 * b)) ** 3
-        tie = np.exp(0.5 * x * x + b * (1.0 - v + np.log(v)))
-        for u in (tie * (1 - 1e-12), tie, tie * (1 + 1e-12)):
-            assert not fast_gamma(shape, first, raw_uniform(u))[1]
-
-    def test_nonpositive_v_draws_a_new_normal(self):
-        # X ~ -3.2 gives 1 + c X < 0 at shape 1.01. numpy reads its next X
-        # from the second output (layer 0, magnitude 0: X = 0, so V = 1) and
-        # U from the third, which passes the squeeze test: the draw is b.
-        wi = _ziggurat()[0]
-        first, second = raw_output(255, int(3.2 / wi[255]), negative=True), raw_uniform(0.5)
-        value, took_two = numpy_gamma(1.01, first, second)
-        assert not took_two and value == 1.01 - 1.0 / 3.0
-        assert fast_gamma(1.01, first, second) == (value, True)
-
-    @pytest.mark.parametrize(
-        "layer, rabs",
-        [(0, 2**52 - 1), (1, 1), (1, 12345), (100, None), (2, None)],
-        ids=["layer0-tail", "layer1-small", "layer1", "slow-layer100", "slow-layer2"],
-    )
-    def test_ziggurat_slow_paths_are_left_to_numpy(self, layer, rabs):
-        # The layer-0 tail, and the magnitudes between ki and kw, where the
-        # rectangle bound is known only to within 2^20 (layer 1's lie below
-        # 2^20; for the others, ki itself).
-        tables = _ziggurat()
-        rabs = int(tables.ki[layer]) if rabs is None else rabs
-        assert tables.ki[layer] <= rabs < tables.kw[layer]
-        assert not fast_gamma(5.0, raw_output(layer, rabs), raw_uniform(0.5))[1]
-
-    @pytest.mark.parametrize("layer", [1, 2, 100, 255])
-    def test_wedge_accept_matches_numpy(self, layer):
-        # Half way across the wedge, U' = 0.01 passes the wedge test: numpy
-        # keeps X and takes U from the third output.
-        rabs = (int(_ziggurat().kw[layer]) + 2**52) // 2
-        assert wedge_tie(layer, rabs) > 0.02
-        first, second = raw_output(layer, rabs), raw_uniform(0.01)
-        value, took_two = numpy_gamma(5.0, first, second)
-        assert not took_two
-        assert fast_gamma(5.0, first, second) == (value, True)
-
-    @pytest.mark.parametrize("layer", [1, 2, 100, 255])
-    def test_wedge_reject_draws_a_new_normal(self, layer):
-        # At the layer's outer edge U' = 0.99 fails the wedge test: numpy
-        # starts over with X from the third output.
-        assert wedge_tie(layer, 2**52 - 1) < 0.01
-        first, second = raw_output(layer, 2**52 - 1, negative=True), raw_uniform(0.99)
-        value, took_two = numpy_gamma(5.0, first, second)
-        assert not took_two
-        assert fast_gamma(5.0, first, second) == (value, True)
-
-    @pytest.mark.parametrize("layer", [1, 100, 255])
-    def test_wedge_near_tie_is_left_to_numpy(self, layer):
-        # fi is derived from wi, not read from numpy: within the margin of a
-        # tie the fast path does not decide; just outside it, it does, as
-        # numpy does.
-        rabs = (int(_ziggurat().kw[layer]) + 2**52) // 2
-        tie, first = wedge_tie(layer, rabs), raw_output(layer, rabs)
-        for u in (tie * (1 - 1e-12), tie, tie * (1 + 1e-12)):
-            assert not fast_gamma(5.0, first, raw_uniform(u))[1]
-        for u in (tie * (1 - 1e-6), tie * (1 + 1e-6)):
-            value, _ = numpy_gamma(5.0, first, raw_uniform(u))
-            assert fast_gamma(5.0, first, raw_uniform(u)) == (value, True)
-
-    def test_rectangle_bounds_against_bisection(self):
-        # numpy's bound for each layer: the least magnitude whose normal takes
-        # more than one raw output. Ours must not exceed it, by at most the
-        # 2^20 margin plus rounding.
-        wi, ki, kw = _ziggurat()[:3]
-        bitgen = np.random.PCG64(0)
-        for layer in range(256):
-            lo, hi = 0, 2**52  # takes_rectangle(lo) or lo == 0; not takes_rectangle(hi)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if takes_rectangle(bitgen, layer, mid) else (lo, mid)
-            bound = hi if takes_rectangle(bitgen, layer, lo) else 0
-            if layer == 1:
-                assert bound == ki[1] == 0
-            else:
-                assert bound - 2**21 <= int(ki[layer]) <= bound, layer
-            if layer != 0:  # kw: where the wedge starts, past numpy's bound
-                assert bound <= int(kw[layer]) <= bound + 2**21, layer
-
-    @pytest.mark.parametrize("layer", [0, 1, 2, 128, 255])
-    @pytest.mark.parametrize("direction", [-np.inf, np.inf])
-    def test_corrupted_width_never_changes_bits(self, monkeypatch, layer, direction):
-        widths = ensembles._ziggurat_widths
-
-        def corrupted():
-            wi = widths()
-            wi[layer] = np.nextafter(wi[layer], direction)
-            return wi
-
-        monkeypatch.setattr(ensembles, "_ziggurat_widths", corrupted)
-        _ziggurat.cache_clear()
-        try:
-            if layer == 1:  # layer 1 has no rectangle: its width refuses the wedges
-                assert (_ziggurat().kw == 2**52).all()
-            else:
-                assert _ziggurat() is None
-            block = range(0, 300)
-            assert np.array_equal(
-                _replicate_draws(11, block, README_CLT_MDP_SHAPES),
-                per_replicate_draws(11, block, README_CLT_MDP_SHAPES),
-            )
-        finally:
-            _ziggurat.cache_clear()
-
-    @pytest.mark.parametrize("layer", [0, 1, 128, 254, 255])
-    @pytest.mark.parametrize("direction", [-1.0, 1.0])
-    @pytest.mark.parametrize("error", ["ulp", "1e-6"])
-    def test_corrupted_height_never_changes_bits(self, monkeypatch, layer, direction, error):
-        # One ulp of fi lies well inside the wedge test's margin and the
-        # wedges stay on; a relative 1e-6 lies outside it, and the margin
-        # edge probes refuse the wedges.
-        heights = ensembles._ziggurat_heights
-
-        def corrupted(wi):
-            fi = heights(wi)
-            if error == "ulp":
-                fi[layer] = np.nextafter(fi[layer], direction * np.inf)
-            else:
-                fi[layer] *= 1.0 + direction * 1e-6
-            return fi
-
-        monkeypatch.setattr(ensembles, "_ziggurat_heights", corrupted)
-        _ziggurat.cache_clear()
-        try:
-            wedges_on = (_ziggurat().kw[1:] < 2**52).all()
-            assert wedges_on == (error == "ulp")
-            block = range(0, 300)
-            assert np.array_equal(
-                _replicate_draws(11, block, README_CLT_MDP_SHAPES),
-                per_replicate_draws(11, block, README_CLT_MDP_SHAPES),
-            )
-        finally:
-            _ziggurat.cache_clear()
-
-    def test_tables_are_read_only(self):
-        for table in _ziggurat():
-            with pytest.raises(ValueError):
-                table[3] = 0
+    @pytest.mark.parametrize("shape", [0.05, 0.4, 1.0, 1.5, 7.0, 1e3, 4e6])
+    def test_gamma_law(self, shape):
+        # 2 * 10^5 draws per shape, each shape with keys of its own.
+        keys = make_rng(int(shape * 100)).bit_generator.random_raw(200_000)
+        draws = _standard_gamma(keys, [shape])[:, 0]
+        assert stats.kstest(draws, stats.gamma(shape).cdf).pvalue > 0.001
 
 
 class TestChiSquared:
@@ -472,13 +364,13 @@ class TestDirichlet:
 def sampled_models(seed, params, draws):
     """Diagonals and off-diagonals of ``draws`` successive models from one seed.
 
-    One gamma call draws them all: the generator draws in order, so row i
-    is the i-th call of :func:`sample_laguerre_tridiagonal` on the same
-    generator. The first 1000 rows are checked against those calls.
+    Each call of :func:`sample_laguerre_tridiagonal` takes the generator's
+    next raw output as its key, so row i, drawn from key i, is the i-th
+    call on the same generator. The first 1000 rows are checked against
+    those calls.
     """
-    shapes = _chi_squared_shapes(params, params.n)
-    z = make_rng(seed).gamma(np.broadcast_to(shapes, (draws, shapes.size)), 2.0)
-    diag, offdiag = _assemble(z)
+    keys = make_rng(seed).bit_generator.random_raw(draws)
+    diag, offdiag = _assemble(2.0 * _standard_gamma(keys, _chi_squared_shapes(params, params.n)))
     rng = make_rng(seed)
     for row in range(1000):
         coeffs = sample_laguerre_tridiagonal(rng, params)

@@ -217,10 +217,10 @@ class TestReplicateDriver:
 
     def test_failure_reports_index(self):
         # beta = 0.02 at n = 3: a trailing chi-square draw occasionally
-        # underflows to 0, and the first replicate where that happens (4197
+        # underflows to 0, and the first replicate where that happens (3843
         # at this seed) lies past the first block of replicates.
         config = clt_config(n=3, beta=0.02, gamma_rule=PowerLawGamma(2.0),
-                            replicates=4500, master_seed=14)
+                            replicates=4500, master_seed=33)
         params = config.ensemble_params()
         first_bad = None
         for i in range(config.replicates):
@@ -234,16 +234,16 @@ class TestReplicateDriver:
             run_clt(config)
 
     def test_small_beta_reads_only_the_window(self):
-        # At beta = 0.01, n = 50 replicate 51 of the full model has an
+        # At beta = 0.01, n = 50 replicate 14 of the full model has an
         # off-diagonal entry that underflows to 0 outside the leading window.
         # m_1 and m_2 read only that window, so the run completes.
         config = clt_config(n=50, beta=0.01, gamma_rule=PowerLawGamma(2.0),
                             replicates=1000, master_seed=42)
         with pytest.raises(ValueError, match="strictly positive"):
-            clt_reference(config, count=52)
+            clt_reference(config, count=15)
         report = run_clt(config)
         assert report.samples.shape == (1000,)
-        assert np.array_equal(report.samples[:51], clt_reference(config, count=51))
+        assert np.array_equal(report.samples[:14], clt_reference(config, count=14))
 
 
 class TestRunClt:

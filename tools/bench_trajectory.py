@@ -11,11 +11,12 @@ of different checkouts alternate, and which runs first alternates from
 seed to seed, so a drift of the host's speed hits them alike.
 ``BENCH_<label>.json`` is written to the repository root for each label.
 It holds, per workload, the median and quartiles of every end-to-end
-metric, the runs' ``correct``, ``attempted`` and ``failed`` counts, and the
-per-run values; plus the env block perfbench prints and the checkout's git
-sha. With two labels, each workload's end-to-end metrics are then
-compared on stdout: each side's median [q1, q3], and how many seed pairs
-each side wins (a tie counts for neither). Exit status: 0 when every run
+metric, the runs' ``correct``, ``attempted`` and ``failed`` counts, each
+run's wall seconds, and the per-run values; plus the env block perfbench
+prints and the checkout's git sha. With two labels, each workload is then
+compared on stdout: each side's failed and attempted operations over all
+runs, and per end-to-end metric each side's median [q1, q3] and how many
+seed pairs each side wins (a tie counts for neither). Exit status: 0 when every run
 held its correctness oracles, 1 otherwise, 2 when a run could not
 complete.
 """
@@ -28,6 +29,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Run facts that differ between the runs of one file.
@@ -43,16 +45,21 @@ def _git(checkout: str, *args: str) -> str:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple:
-    """One untraced perfbench run: ``(env block, result object)``."""
+    """One untraced perfbench run: ``(env block, result object)``.
+
+    The result also carries the run's wall seconds, as ``wall_s``.
+    """
     argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    start = time.perf_counter()
     res = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    wall = time.perf_counter() - start
     lines = res.stdout.splitlines()
     if res.returncode not in (0, 1) or not lines:
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {res.returncode}:\n"
                            f"{res.stderr[-2000:]}")
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
-    return env, json.loads(lines[-1])
+    return env, {**json.loads(lines[-1]), "wall_s": wall}
 
 
 def summarise(results: list) -> dict:
@@ -68,17 +75,20 @@ def summarise(results: list) -> dict:
         "correct": all(r["correct"] for r in results),
         "attempted": [r["attempted"] for r in results],
         "failed": [r["failed"] for r in results],
+        "wall_s": [r["wall_s"] for r in results],
         "metrics": metrics,
     }
 
 
 def compare(workload: str, labels: tuple, summaries: tuple, better: dict) -> list:
-    """Lines comparing two labels' summaries of one workload, per metric.
+    """Lines comparing two labels' summaries of one workload: failures, then each metric.
 
     ``better`` maps each metric name to "lower" or "higher". Run i of one
     side is paired with run i of the other, which ran the same seed.
     """
-    lines = []
+    counts = ", ".join(f"{label} {sum(s['failed'])}/{sum(s['attempted'])}"
+                       for label, s in zip(labels, summaries))
+    lines = [f"{workload} failed/attempted operations: {counts}"]
     for name in summaries[0]["metrics"]:
         cells = [s["metrics"][name] for s in summaries]
         sign = -1.0 if better[name] == "lower" else 1.0
