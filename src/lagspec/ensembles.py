@@ -10,18 +10,13 @@ subtracting 2*gamma (standard) or 2*gamma + n*beta (shifted).
 Randomness flows through numpy Generators on the PCG64 bit generator. Every
 sampler is a pure function of (generator, parameters): identical seeds give
 bit-identical output on one host. :func:`derive_seed` gives replicate i of
-a seeded Monte Carlo run its own child seed, and replicate i is
-``sample_laguerre_tridiagonal(make_rng(derive_seed(master, i)), params)``.
-That sampler takes one raw 64-bit output of the generator as a key, and
-:func:`_standard_gamma` draws chi-square j from its own counter stream
-derive_seed(derive_seed(key, j), k), k = 0, 1, ... (Leva's normal under
-Marsaglia & Tsang's gamma method), in vectorized uint64 and float
-arithmetic. The experiments draw a block of replicates at once: the
-block's keys (each generator's first raw output) come from the same seed
-derivation, SeedSequence hashing and PCG64 step done over the whole block,
-and one :func:`_standard_gamma` call draws every row, so a block row
-equals the single draw bit for bit. The Dirichlet and single chi-square
-samplers use numpy's own gamma.
+a seeded Monte Carlo run its own child seed: replicate i is
+``sample_laguerre_tridiagonal(make_rng(derive_seed(master, i)), params)``,
+which takes one raw output of the generator as the key of
+:func:`_standard_gamma`. The experiments compute a block of replicates'
+keys at once and make one :func:`_standard_gamma` call for the block, so
+a block row equals the single draw bit for bit. The Dirichlet and single
+chi-square samplers use numpy's own gamma.
 """
 
 from __future__ import annotations
@@ -70,12 +65,12 @@ _MULT_LO0, _MULT_LO1 = _U64(_PCG64_MULT & 0xFFFFFFFF), _U64((_PCG64_MULT >> 32) 
 
 # Leva's normal (see _standard_gamma): the scale of V, the centre (s, -t)
 # and coefficients (a, b) of his quadratic Q, and its inner and outer
-# bounds; and the counter offsets of an attempt's first three raw words.
+# bounds; and k golden for k = 1..4, the offsets of an attempt's raw words.
 _LEVA_V = 1.7156
 _LEVA_S, _LEVA_T = 0.449871, 0.386595
 _LEVA_A, _LEVA_B = 0.19600, 0.25472
 _LEVA_INNER, _LEVA_OUTER = 0.27597, 0.27846
-_FIRST_THREE = np.arange(3, dtype=np.uint64)[:, None]
+_STEPS = np.arange(1, 5, dtype=np.uint64)[:, None] * _U64(_GOLDEN)
 
 
 class RescalingMode(enum.Enum):
@@ -226,9 +221,8 @@ def _output(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
 
 
-def _derive(keys: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """:func:`derive_seed` over uint64 arrays of keys and indices, broadcast together."""
-    x = keys + (index + _U64(1)) * _U64(_GOLDEN)
+def _finalize(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, in place on uint64: derive_seed(m, i) is that of m + (i+1) golden."""
     x ^= x >> _U64(30)
     x *= _U64(_SPLITMIX_A)
     x ^= x >> _U64(27)
@@ -239,7 +233,10 @@ def _derive(keys: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def _uniform(raw: np.ndarray) -> np.ndarray:
     """Raw 64-bit words as uniforms in (0, 1]: their top 53 bits plus one, times 2**-53."""
-    return ((raw >> _U64(11)) + _U64(1)).astype(np.float64) * 2.0**-53
+    u = (raw >> _U64(11)).astype(np.float64)
+    u += 1.0
+    u *= 2.0**-53
+    return u
 
 
 def _standard_gamma(keys, shapes) -> np.ndarray:
@@ -265,13 +262,16 @@ def _standard_gamma(keys, shapes) -> np.ndarray:
     small = shapes < 1.0
     d_col = np.where(small, shapes + 2.0 / 3.0, shapes - 1.0 / 3.0)
     c_col = 1.0 / np.sqrt(9.0 * d_col)
-    stream = _derive(keys[:, None], np.arange(shapes.size, dtype=np.uint64)).ravel()
+    # Stream j's raw_k is the finalizer of S_j + (k + 1) golden; each pending
+    # entry keeps base = S_j + 4t golden, so its attempt reads base + golden ..
+    # base + 4 golden.
+    steps = np.arange(1, shapes.size + 1, dtype=np.uint64) * _U64(_GOLDEN)
+    base = _finalize(keys[:, None] + steps).ravel()
     col = np.tile(np.arange(shapes.size), keys.size)
-    out = np.empty(stream.size)
-    todo = np.arange(stream.size)
-    counter = np.zeros(stream.size, dtype=np.uint64)  # 4t: each pending entry's first raw
+    out = np.empty(base.size)
+    todo = np.arange(base.size)
     while todo.size:
-        u1, u2, u3 = _uniform(_derive(stream, counter + _FIRST_THREE))
+        u1, u2, u3 = _uniform(_finalize(base + _STEPS[:3]))
         v = _LEVA_V * (u2 - 0.5)
         x = u1 - _LEVA_S
         y = np.abs(v) + _LEVA_T
@@ -294,14 +294,14 @@ def _standard_gamma(keys, shapes) -> np.ndarray:
             bound = 0.5 * xl + d[log_test] * (1.0 - wl + np.log(wl))
             accept[log_test] = np.log(u3[log_test]) < bound
         value = d * w
-        boost = np.flatnonzero(accept & small[col])
-        if boost.size:
-            u4 = _uniform(_derive(stream[boost], counter[boost] + _U64(3)))
+        if small.any():
+            boost = np.flatnonzero(accept & small[col])
+            u4 = _uniform(_finalize(base[boost] + _STEPS[3]))
             value[boost] *= u4 ** (1.0 / shapes[col[boost]])
         out[todo[accept]] = value[accept]
         keep = ~accept
-        todo, stream, col = todo[keep], stream[keep], col[keep]
-        counter = counter[keep] + _U64(4)
+        todo, col = todo[keep], col[keep]
+        base = base[keep] + _STEPS[3]
     return out.reshape(keys.size, shapes.size)
 
 
@@ -310,16 +310,14 @@ def _replicate_draws(master_seed: int, block: range, shapes: np.ndarray) -> np.n
 
     Row r equals the chi-square draws of
     ``sample_laguerre_tridiagonal(make_rng(derive_seed(master_seed,
-    block[r])), params)`` for the same shapes, bit for bit: its key is the
-    first raw output of that PCG64 generator, computed for the whole block
-    at once (:func:`_derive`, :func:`_pcg64_seed`, :func:`_lcg_step`,
-    :func:`_output`), and :func:`_standard_gamma` draws every row from its
-    key. Since each entry reads its own stream, a window's draws are the
-    leading draws of the full matrix.
+    block[r])), params)`` for the same shapes, bit for bit: its key, the
+    first raw output of that PCG64 generator, is computed for the whole
+    block at once. Since each entry reads its own stream, a window's draws
+    are the leading draws of the full matrix.
     """
     master = _U64(_integer(master_seed, "seed") & _MASK64)
-    index = np.arange(block.start, block.stop, block.step, dtype=np.uint64)
-    seeded = _pcg64_seed(_derive(master, index))
+    index = np.arange(block.start + 1, block.stop + 1, block.step, dtype=np.uint64)
+    seeded = _pcg64_seed(_finalize(master + index * _U64(_GOLDEN)))
     z = _standard_gamma(_output(*_lcg_step(*seeded)), shapes)
     z *= 2.0
     return z
