@@ -209,7 +209,7 @@ class TestBlockSeeding:
     )
     def test_block_property(self, master, start, length, cut, beta, n, extra):
         # Every window, against the full single draws; the block is also
-        # drawn in two parts, as the driver draws a partial last block.
+        # drawn in two parts, as `experiments._run` draws a partial last block.
         params = EnsembleParams(n, beta, (n - 1) * beta / 2.0 + extra)
         block = range(start, start + length)
         head, tail = block[: min(cut, length)], block[min(cut, length):]
@@ -224,7 +224,7 @@ class TestBlockSeeding:
             assert np.array_equal(offdiag, ref_offdiag[:, : window - 1])
 
     def test_readme_windows_match_per_replicate_generators(self):
-        # 10^5 rows at the README seed, in the driver's blocks: 60,000 of the
+        # 10^5 rows at the README seed, in `_run`'s blocks: 60,000 of the
         # clt/mdp window and 40,000 of the mp-sanity window. Every key is
         # taken from the row's own generator; the first rows are also
         # checked against the full n = 2000 single draw.
