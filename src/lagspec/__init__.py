@@ -20,9 +20,8 @@ _EXPORTS = {
     "RescalingMode": "ensembles",
     "derive_seed": "ensembles",
     "make_rng": "ensembles",
+    "replicate_windows": "ensembles",
     "rescale": "ensembles",
-    "sample_chi_squared": "ensembles",
-    "sample_dirichlet": "ensembles",
     "sample_laguerre_tridiagonal": "ensembles",
     "sample_spectral_measure": "ensembles",
     "NumericalError": "errors",

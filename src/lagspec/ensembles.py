@@ -7,16 +7,16 @@ are 2*gamma - beta'(k-1) for odd k and beta'(2n-k) for even k, with
 beta' = beta/2. Eigenvalue centerings divide out sqrt(2*gamma*n*beta) after
 subtracting 2*gamma (standard) or 2*gamma + n*beta (shifted).
 
-Randomness flows through numpy Generators on the PCG64 bit generator. Every
-sampler is a pure function of (generator, parameters): identical seeds give
+Every draw is a pure function of a 64-bit key: :func:`_window` builds the
+leading rows of the model from one :func:`_standard_gamma` call, the only
+gamma sampler here, for a whole array of keys. A single draw takes one raw
+output of a numpy PCG64 Generator as its key, so identical seeds give
 bit-identical output on one host. :func:`derive_seed` gives replicate i of
 a seeded Monte Carlo run its own child seed: replicate i is
-``sample_laguerre_tridiagonal(make_rng(derive_seed(master, i)), params)``,
-which takes one raw output of the generator as the key of
-:func:`_standard_gamma`. The experiments compute a block of replicates'
-keys at once and make one :func:`_standard_gamma` call for the block, so
-a block row equals the single draw bit for bit. The Dirichlet and single
-chi-square samplers use numpy's own gamma.
+``sample_laguerre_tridiagonal(make_rng(derive_seed(master, i)), params)``.
+:func:`replicate_windows` computes the keys of a block of replicates at
+once and yields their leading windows, equal to the single draws' bit for
+bit, one block at a time.
 """
 
 from __future__ import annotations
@@ -28,16 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .spectral import JacobiCoefficients, SpectralMeasure, eigen_spectral
+from .spectral import JacobiCoefficients, SpectralMeasure, _first_fault, eigen_spectral
 
 __all__ = [
     "EnsembleParams",
     "RescalingMode",
     "derive_seed",
     "make_rng",
+    "replicate_windows",
     "rescale",
-    "sample_chi_squared",
-    "sample_dirichlet",
     "sample_laguerre_tridiagonal",
     "sample_spectral_measure",
 ]
@@ -71,6 +70,15 @@ _LEVA_S, _LEVA_T = 0.449871, 0.386595
 _LEVA_A, _LEVA_B = 0.19600, 0.25472
 _LEVA_INNER, _LEVA_OUTER = 0.27597, 0.27846
 _STEPS = np.arange(1, 5, dtype=np.uint64)[:, None] * _U64(_GOLDEN)
+
+# Replicates per vectorized block: large enough to spread numpy's per-call
+# overhead thin, small enough that peak memory beyond the sample vector does
+# not grow with the replicate count. No draw depends on it. README clt,
+# 10^4 replicates, on a 2-core x86-64 VM (in process, median of 15, sizes
+# alternating): blocks of 1024, 2048, 3584 and 4096 draw in 14.8, 14.3,
+# 13.3 and 13.3 ms (README mp-sanity, 2000 replicates: 2.5, 2.1, 2.2 and
+# 2.2 ms); the whole clt process peaks at 31.0, 32.8, 34.5 and 35.1 MB RSS.
+_BLOCK = 2048
 
 
 class RescalingMode(enum.Enum):
@@ -305,76 +313,6 @@ def _standard_gamma(keys, shapes) -> np.ndarray:
     return out.reshape(keys.size, shapes.size)
 
 
-def _replicate_draws(master_seed: int, block: range, shapes: np.ndarray) -> np.ndarray:
-    """Gamma(``shapes``, scale 2) draws for the replicate indices ``block``, one row each.
-
-    Row r equals the chi-square draws of
-    ``sample_laguerre_tridiagonal(make_rng(derive_seed(master_seed,
-    block[r])), params)`` for the same shapes, bit for bit: its key, the
-    first raw output of that PCG64 generator, is computed for the whole
-    block at once. Since each entry reads its own stream, a window's draws
-    are the leading draws of the full matrix.
-    """
-    master = _U64(_integer(master_seed, "seed") & _MASK64)
-    index = np.arange(block.start + 1, block.stop + 1, block.step, dtype=np.uint64)
-    seeded = _pcg64_seed(_finalize(master + index * _U64(_GOLDEN)))
-    z = _standard_gamma(_output(*_lcg_step(*seeded)), shapes)
-    z *= 2.0
-    return z
-
-
-def sample_chi_squared(rng: np.random.Generator, dof: float) -> float:
-    """One chi-square draw with ``dof`` (possibly noninteger) degrees of freedom.
-
-    Sampled as Gamma(dof/2, scale=2); the generator's gamma sampler is the
-    standard squeeze-based rejection scheme, which covers noninteger shape.
-    """
-    if not (dof > 0):
-        raise ValueError(f"degrees of freedom must be positive, got {dof!r}")
-    return float(rng.gamma(dof / 2.0, 2.0))
-
-
-def sample_dirichlet(rng: np.random.Generator, n: int, beta_prime: float) -> np.ndarray:
-    """Symmetric Dirichlet weights on the n-simplex with parameter beta_prime.
-
-    Implemented as normalized independent Gamma(beta_prime, 1) draws.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not (beta_prime > 0):
-        raise ValueError(f"beta_prime must be positive, got {beta_prime!r}")
-    g = rng.gamma(beta_prime, 1.0, size=int(n))
-    total = g.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise NumericalError("Dirichlet gamma draws underflowed to zero")
-    return g / total
-
-
-def _chi_squared_shapes(params: EnsembleParams, window: int) -> np.ndarray:
-    """Gamma shapes (dof / 2) of z_1, ..., z_{2w-1}, w = ``window``, in model order.
-
-    These are the draws behind the leading w x w block of the model; each
-    reads its own stream (see :func:`_standard_gamma`), so they are also the
-    leading draws of the full matrix.
-    """
-    k = np.arange(1, 2 * window, dtype=np.float64)
-    dofs = np.where(
-        k % 2 == 1,
-        2.0 * params.gamma - params.beta_prime * (k - 1.0),
-        params.beta_prime * (2.0 * params.n - k),
-    )
-    return dofs / 2.0
-
-
-def _assemble(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal from chi-square draws along the last axis."""
-    odd = z[..., 0::2]  # z_1, z_3, ..., z_{2w-1}
-    even = z[..., 1::2]  # z_2, z_4, ..., z_{2w-2}
-    diag = odd.copy()
-    diag[..., 1:] += even
-    return diag, np.sqrt(odd[..., :-1] * even)
-
-
 def _center(
     diag: np.ndarray, offdiag: np.ndarray, params: EnsembleParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -386,18 +324,78 @@ def _center(
     return (diag - shift) / denom, offdiag / denom
 
 
+def _window(keys, params: EnsembleParams, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw diagonals and off-diagonals of the leading w = ``window`` rows, one row per key.
+
+    Row r holds the model drawn from key r: its chi-squares z_1 .. z_{2w-1},
+    with the degrees of freedom of the module docstring, are twice one
+    :func:`_standard_gamma` row. Each draw reads its own stream, so a
+    window's draws are the leading draws of the full matrix.
+    """
+    k = np.arange(1, 2 * window, dtype=np.float64)
+    dofs = np.where(
+        k % 2 == 1,
+        2.0 * params.gamma - params.beta_prime * (k - 1.0),
+        params.beta_prime * (2.0 * params.n - k),
+    )
+    z = _standard_gamma(keys, dofs / 2.0)
+    z *= 2.0
+    odd, even = z[:, 0::2], z[:, 1::2]  # z_1, z_3, ..., z_{2w-1} and z_2, ..., z_{2w-2}
+    diag = odd.copy()
+    diag[:, 1:] += even
+    return diag, np.sqrt(odd[:, :-1] * even)
+
+
+def _replicate_keys(master_seed: int, rows: range) -> np.ndarray:
+    """Keys of the replicates ``rows``: the first raw outputs of their ``make_rng`` generators.
+
+    Replicate i's generator is ``make_rng(derive_seed(master_seed, i))``;
+    the seeds, PCG64 states and outputs are computed for all rows at once.
+    """
+    master = _U64(_integer(master_seed, "seed") & _MASK64)
+    index = np.arange(rows.start + 1, rows.stop + 1, dtype=np.uint64)
+    return _output(*_lcg_step(*_pcg64_seed(_finalize(master + index * _U64(_GOLDEN)))))
+
+
+def replicate_windows(master_seed: int, replicates: int, params: EnsembleParams,
+                      window: int, scale: float | None = None):
+    """Yield the leading windows of replicates 0 .. ``replicates`` - 1, a block at a time.
+
+    Each item is ``(rows, diag, offdiag)``: a range of at most ``_BLOCK``
+    replicate indices, and one row per index holding the leading
+    ``window`` rows of ``sample_laguerre_tridiagonal(make_rng(derive_seed(
+    master_seed, i)), params)``, bit for bit. Only their 2 ``window`` - 1
+    leading chi-squares are drawn. The rows are centered by
+    ``params.mode``, or multiplied by ``scale`` when one is given. Raises
+    NumericalError naming the first replicate whose window is not valid
+    Jacobi data.
+    """
+    replicates, window = _integer(replicates, "replicates"), _integer(window, "window")
+    if not 1 <= window <= params.n:
+        raise ValueError(f"window must be in 1..{params.n}, got {window}")
+    for first in range(0, replicates, _BLOCK):
+        rows = range(first, min(first + _BLOCK, replicates))
+        diag, offdiag = _window(_replicate_keys(master_seed, rows), params, window)
+        if scale is not None:
+            diag, offdiag = diag * scale, offdiag * scale
+        elif params.mode is not RescalingMode.NONE:
+            diag, offdiag = _center(diag, offdiag, params)
+        fault = _first_fault(diag, offdiag)
+        if fault is not None:
+            raise NumericalError(f"replicate {first + fault[0]} failed: {fault[1]}")
+        yield rows, diag, offdiag
+
+
 def sample_laguerre_tridiagonal(
     rng: np.random.Generator, params: EnsembleParams
 ) -> JacobiCoefficients:
     """Raw (unscaled) tridiagonal coefficients of the Laguerre model.
 
-    Takes one raw 64-bit output of ``rng`` as the key of
-    :func:`_standard_gamma`, which draws the 2n - 1 chi-squares.
+    Takes one raw 64-bit output of ``rng`` as the key of the 2n - 1
+    chi-squares (see :func:`_window`).
     """
-    key = rng.bit_generator.random_raw()
-    z = _standard_gamma([key], _chi_squared_shapes(params, params.n))[0]
-    z *= 2.0
-    return JacobiCoefficients(*_assemble(z))
+    diag, offdiag = _window([rng.bit_generator.random_raw()], params, params.n)
+    return JacobiCoefficients(diag[0], offdiag[0])
 
 
 def rescale(coeffs: JacobiCoefficients, params: EnsembleParams) -> JacobiCoefficients:

@@ -9,13 +9,12 @@ coefficients, which is the same random variable the eigendecomposition
 route produces, at a fraction of the cost.
 
 m_1..m_k read only the leading (k+1) x (k+1) window of the model, so a
-replicate draws only the chi-squares behind that window. Replicates run a
-block at a time: ensembles._replicate_draws draws the block's
-chi-squares in vectorized arithmetic, with no numpy call per replicate,
-and the block is then assembled, centered and pushed through the moment
-recursion at once. Every reported number is the same as drawing replicate
-i with ``sample_laguerre_tridiagonal(make_rng(derive_seed(master_seed,
-i)), params)`` and reducing it on its own.
+replicate draws only the chi-squares behind that window. The draws come
+from ensembles.replicate_windows, a block of replicates' centered windows
+at a time; each block is pushed through the moment recursion at once and
+reduced to one statistic per replicate. Every reported number is the same
+as drawing replicate i with ``sample_laguerre_tridiagonal(make_rng(
+derive_seed(master_seed, i)), params)`` and reducing it on its own.
 """
 
 from __future__ import annotations
@@ -26,16 +25,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .ensembles import (
-    EnsembleParams,
-    RescalingMode,
-    _assemble,
-    _center,
-    _chi_squared_shapes,
-    _integer,
-    _replicate_draws,
-)
-from .errors import NumericalError
+from .ensembles import EnsembleParams, RescalingMode, _integer, replicate_windows
 from .moments import (
     NuVariant,
     integrate_poly_against_moments,
@@ -43,7 +33,7 @@ from .moments import (
     nu_moments,
     semicircle_moments,
 )
-from .spectral import _first_fault, _window_moments
+from .spectral import _window_moments
 
 __all__ = [
     "ExperimentConfig",
@@ -63,15 +53,7 @@ VARIANCE_BAND = (0.85, 1.15)
 MP_RELATIVE_TOL = 0.05
 MAX_CONVERGENCE_MOMENT = 8
 MAX_POLY_DEGREE = 20
-
-# Replicates per vectorized block: large enough to spread numpy's per-call
-# overhead thin, small enough that peak memory beyond the sample vector does
-# not grow with the replicate count. No draw depends on it. README clt,
-# 10^4 replicates, on a 2-core x86-64 VM (in process, median of 15, sizes
-# alternating): blocks of 1024, 2048, 3584 and 4096 draw in 14.8, 14.3,
-# 13.3 and 13.3 ms (README mp-sanity, 2000 replicates: 2.5, 2.1, 2.2 and
-# 2.2 ms); the whole clt process peaks at 31.0, 32.8, 34.5 and 35.1 MB RSS.
-_BLOCK = 2048
+MAX_MDP_MOMENT = 20  # its variance reads the semicircle m_2k, exact up to order 40
 
 
 @dataclass(frozen=True)
@@ -254,18 +236,15 @@ def _run(
 
     Replicate i reads the leading w x w window of the model, w = min(order
     + 1, n), of sample_laguerre_tridiagonal(make_rng(derive_seed(master_seed,
-    i)), params); only its first 2w - 1 chi-squares are drawn, which are
-    exactly the leading draws of the full matrix. Each block of replicates
-    is drawn at once by ensembles._replicate_draws. The window is centered by ``params.mode``,
-    or multiplied by ``scale`` when one is given, and ``statistic`` maps
-    the moments m_1..m_order (one row per replicate) to one value per
-    replicate. ``verdict`` receives the sample mean, variance and
-    standard error. Raises ValueError when the replicates' statistics
-    cannot be held in memory, and NumericalError naming the first
-    replicate whose window is not valid Jacobi data.
+    i)), params), as ensembles.replicate_windows yields it: centered by
+    ``params.mode``, or multiplied by ``scale`` when one is given.
+    ``statistic`` maps the moments m_1..m_order (one row per replicate) to
+    one value per replicate. ``verdict`` receives the sample mean, variance
+    and standard error. Raises ValueError when the replicates' statistics
+    cannot be held in memory, and NumericalError naming the first replicate
+    whose window is not valid Jacobi data.
     """
     start = time.perf_counter()
-    shapes = _chi_squared_shapes(params, min(order + 1, params.n))
     try:
         samples = np.empty(config.replicates)
     except MemoryError:
@@ -273,17 +252,11 @@ def _run(
             f"{config.replicates} replicates need {config.replicates * 8:.3g} bytes "
             "for their statistics, more than can be allocated"
         ) from None
-    for first in range(0, config.replicates, _BLOCK):
-        block = range(first, min(first + _BLOCK, config.replicates))
-        diag, offdiag = _assemble(_replicate_draws(config.master_seed, block, shapes))
-        if scale is None:
-            diag, offdiag = _center(diag, offdiag, params)
-        else:
-            diag, offdiag = diag * scale, offdiag * scale
-        fault = _first_fault(diag, offdiag)
-        if fault is not None:
-            raise NumericalError(f"replicate {first + fault[0]} failed: {fault[1]}")
-        samples[block.start : block.stop] = statistic(_window_moments(diag, offdiag, order))
+    window = min(order + 1, params.n)
+    for rows, diag, offdiag in replicate_windows(
+        config.master_seed, config.replicates, params, window, scale
+    ):
+        samples[rows.start : rows.stop] = statistic(_window_moments(diag, offdiag, order))
     elapsed = time.perf_counter() - start
 
     mean, var, se = _summaries(samples)
@@ -400,8 +373,8 @@ def run_mdp_centering(config: ExperimentConfig) -> ExperimentReport:
     if config.mode is RescalingMode.NONE:
         raise ValueError("MDP centering needs a centering mode")
     k = _integer(config.statistic, "statistic")
-    if k < 1:
-        raise ValueError(f"moment index must be >= 1, got {k}")
+    if not (1 <= k <= MAX_MDP_MOMENT):
+        raise ValueError(f"moment index must be in 1..{MAX_MDP_MOMENT}, got {k}")
     params = config.ensemble_params()
     xi_n = config.n * params.beta_prime / np.sqrt(config.b_n * params.gamma)
     predicted_mean = float(nu_moments(k, xi_n, _nu_variant(config.mode))[k - 1])

@@ -418,6 +418,28 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: --{key} has no effect {when}\n"
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("k", ["21", "40"])
+    def test_mdp_moment_above_cap_is_one_error_line(self, k, form, tmp_path, monkeypatch,
+                                                    capsys):
+        # Rejected before any replicate, naming the moment index and its cap.
+        argv = MDP_ARGS[: MDP_ARGS.index("--k")] + MDP_ARGS[MDP_ARGS.index("--k") + 2:]
+        if form == "flag":
+            argv = argv + ["--k", k]
+        else:
+            (tmp_path / "c.json").write_text(json.dumps({"k": int(k)}))
+            argv = argv + ["--config", str(tmp_path / "c.json")]
+        monkeypatch.setattr(experiments, "_run", lambda *a, **kw: pytest.fail("replicates ran"))
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: moment index must be in 1..20, got {k}\n"
+
+    def test_mdp_moment_at_cap_runs(self, capsys):
+        assert cli.main(MDP_ARGS + ["--k", "20"]) in (0, 1)
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.startswith("statistic,") and row.startswith("m20,120,")
+
     def test_unwritable_path(self, capsys):
         code = cli.main(["identities", "--order", "5",
                          "--out", "/nonexistent-dir/x.csv"])

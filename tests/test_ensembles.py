@@ -7,6 +7,7 @@ distributional content.
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,25 +15,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from lagspec import ensembles
 from lagspec.ensembles import (
+    _BLOCK,
     EnsembleParams,
     RescalingMode,
-    _assemble,
-    _chi_squared_shapes,
+    _center,
     _lcg_step,
     _output,
     _pcg64_seed,
-    _replicate_draws,
+    _replicate_keys,
     _standard_gamma,
+    _window,
     derive_seed,
     make_rng,
+    replicate_windows,
     rescale,
-    sample_chi_squared,
-    sample_dirichlet,
     sample_laguerre_tridiagonal,
     sample_spectral_measure,
 )
-from lagspec.experiments import _BLOCK
 from lagspec.spectral import JacobiCoefficients, moments_of_measure
 
 
@@ -91,7 +92,7 @@ def single_key(master, i):
 
 
 def per_replicate_draws(master, block, shapes):
-    """The reference for _replicate_draws: one seeded generator's key per replicate."""
+    """Chi-squares at ``shapes`` from each replicate's own generator's key, one row each."""
     return np.array([2.0 * _standard_gamma([single_key(master, i)], shapes)[0] for i in block])
 
 
@@ -106,7 +107,7 @@ def per_replicate_window(master, block, params, window):
 
 
 def assert_block_matches(master, block, params, window):
-    diag, offdiag = _assemble(_replicate_draws(master, block, _chi_squared_shapes(params, window)))
+    diag, offdiag = _window(_replicate_keys(master, block), params, window)
     ref_diag, ref_offdiag = per_replicate_window(master, block, params, window)
     assert np.array_equal(diag, ref_diag) and np.array_equal(offdiag, ref_offdiag)
 
@@ -162,11 +163,10 @@ def first_entry_through(branch, shape, seed):
     raise AssertionError(f"no key takes {branch!r}")
 
 
-# Shapes of the README experiment windows: clt and mdp (n = 2000, beta = 2,
-# gamma = n^2, moments up to 3) share one; mp-sanity (gamma = 4000, moments
-# up to 2) has the other.
-README_CLT_MDP_SHAPES = _chi_squared_shapes(EnsembleParams(2000, 2.0, 2000.0**2), 4)
-README_MP_SANITY_SHAPES = _chi_squared_shapes(EnsembleParams(2000, 2.0, 4000.0), 3)
+# The README clt and mdp window (n = 2000, beta = 2, gamma = n^2, moments
+# up to 3): the gamma shapes dof / 2 of z_1 .. z_7, dof = 2 gamma - beta'(k-1)
+# for odd k and beta'(2n - k) for even k.
+README_CLT_MDP_SHAPES = np.array([4e6, 1999.0, 4e6 - 1.0, 1998.0, 4e6 - 2.0, 1997.0, 4e6 - 3.0])
 # Shapes on both sides of 1, where the sampler switches branch, and far out.
 MIXED_SHAPES = np.array([0.05, 0.4, 0.999, 1.0, 1.5, 7.0, 1e3, 4e6])
 
@@ -208,34 +208,41 @@ class TestBlockSeeding:
         extra=st.floats(0.01, 1e4),
     )
     def test_block_property(self, master, start, length, cut, beta, n, extra):
-        # Every window, against the full single draws; the block is also
-        # drawn in two parts, as `experiments._run` draws a partial last block.
+        # Every window, against the full single draws; the block's keys are
+        # also computed in two parts, as for a partial last block.
         params = EnsembleParams(n, beta, (n - 1) * beta / 2.0 + extra)
         block = range(start, start + length)
         head, tail = block[: min(cut, length)], block[min(cut, length):]
+        keys = _replicate_keys(master, block)
+        parts = [_replicate_keys(master, part) for part in (head, tail) if len(part)]
+        assert np.array_equal(np.concatenate(parts), keys)
         ref_diag, ref_offdiag = per_replicate_window(master, block, params, n)
         for window in range(1, n + 1):
-            shapes = _chi_squared_shapes(params, window)
-            z = _replicate_draws(master, block, shapes)
-            parts = [_replicate_draws(master, part, shapes) for part in (head, tail) if len(part)]
-            assert np.array_equal(np.concatenate(parts), z)
-            diag, offdiag = _assemble(z)
+            diag, offdiag = _window(keys, params, window)
             assert np.array_equal(diag, ref_diag[:, :window])
             assert np.array_equal(offdiag, ref_offdiag[:, : window - 1])
 
     def test_readme_windows_match_per_replicate_generators(self):
-        # 10^5 rows at the README seed, in `_run`'s blocks: 60,000 of the
-        # clt/mdp window and 40,000 of the mp-sanity window. Every key is
-        # taken from the row's own generator; the first rows are also
-        # checked against the full n = 2000 single draw.
-        for shapes, rows, gamma in ((README_CLT_MDP_SHAPES, 60_000, 2000.0**2),
-                                    (README_MP_SANITY_SHAPES, 40_000, 4000.0)):
+        # 10^5 rows at the README seed, as replicate_windows yields them:
+        # 60,000 centered clt/mdp windows and 40,000 scaled mp-sanity ones.
+        # Every key is taken from the row's own generator; the first rows
+        # are also checked against the full n = 2000 single draw.
+        for params, scale, window, rows in (
+            (EnsembleParams(2000, 2.0, 2000.0**2), None, 4, 60_000),
+            (EnsembleParams(2000, 2.0, 4000.0, RescalingMode.NONE), 1.0 / 8000.0, 3, 40_000),
+        ):
             keys = np.array([single_key(7, i) for i in range(rows)], dtype=np.uint64)
-            blocks = [range(first, min(first + _BLOCK, rows)) for first in range(0, rows, _BLOCK)]
-            block = np.concatenate([_replicate_draws(7, b, shapes) for b in blocks])
-            assert np.array_equal(block, 2.0 * _standard_gamma(keys, shapes))
-            window = (shapes.size + 1) // 2
-            assert_block_matches(7, range(0, 50), EnsembleParams(2000, 2.0, gamma), window)
+            diag, offdiag = _window(keys, params, window)
+            if scale is None:
+                diag, offdiag = _center(diag, offdiag, params)
+            else:
+                diag, offdiag = diag * scale, offdiag * scale
+            for block, block_diag, block_offdiag in replicate_windows(7, rows, params, window,
+                                                                      scale):
+                assert np.array_equal(block_diag, diag[block.start : block.stop])
+                assert np.array_equal(block_offdiag, offdiag[block.start : block.stop])
+            assert block.stop == rows
+            assert_block_matches(7, range(0, 50), params, window)
 
     # Marsaglia & Tsang's branches, each taken by a first attempt: the value
     # comes from that attempt, or for a rejection from a later one.
@@ -269,9 +276,72 @@ class TestBlockSeeding:
     def test_shapes_around_one(self, shapes):
         shapes = np.array(shapes)
         block = range(100, 400)
-        assert np.array_equal(
-            _replicate_draws(3, block, shapes), per_replicate_draws(3, block, shapes)
-        )
+        z = 2.0 * _standard_gamma(_replicate_keys(3, block), shapes)
+        assert np.array_equal(z, per_replicate_draws(3, block, shapes))
+
+
+class TestReplicateWindows:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        master=st.integers(-(2**70), 2**70),
+        replicates=st.integers(1, 12),
+        block=st.integers(1, 5),
+        beta=st.floats(0.05, 8.0),
+        n=st.integers(1, 60),
+        extra=st.floats(0.01, 1e4),
+        centering=st.sampled_from(["standard", "shifted", "scale"]),
+    )
+    def test_rows_are_the_single_draws_windows(self, master, replicates, block, beta, n, extra,
+                                               centering):
+        # Every window of every replicate, centered or scaled, against the
+        # single draw. Blocks of 1-5 rows give partial last blocks, and
+        # beta < 2 or a small extra gives shapes below 1.
+        gamma = (n - 1) * beta / 2.0 + extra
+        scale = 1.0 / (2.0 * gamma) if centering == "scale" else None
+        mode = RescalingMode.NONE if scale else RescalingMode(centering)
+        params = EnsembleParams(n, beta, gamma, mode)
+        singles = [sample_laguerre_tridiagonal(make_rng(derive_seed(master, i)), params)
+                   for i in range(replicates)]
+        if scale is None:
+            singles = [rescale(coeffs, params) for coeffs in singles]
+        else:
+            singles = [JacobiCoefficients(c.diag * scale, c.offdiag * scale) for c in singles]
+        ref_diag = np.array([c.diag for c in singles])
+        ref_offdiag = np.array([c.offdiag for c in singles]).reshape(replicates, n - 1)
+        expected_rows = [range(a, min(a + block, replicates)) for a in range(0, replicates, block)]
+        with mock.patch.object(ensembles, "_BLOCK", block):
+            for window in range(1, n + 1):
+                seen = []
+                for rows, diag, offdiag in replicate_windows(master, replicates, params, window,
+                                                             scale):
+                    seen.append(rows)
+                    assert np.array_equal(diag, ref_diag[rows.start : rows.stop, :window])
+                    assert np.array_equal(offdiag,
+                                          ref_offdiag[rows.start : rows.stop, : window - 1])
+                assert seen == expected_rows
+
+    def test_full_windows_come_one_bounded_block_at_a_time(self, monkeypatch):
+        # window = n over 2 _BLOCK + 1 replicates: three blocks, each drawn
+        # only when it is asked for, none with more than _BLOCK rows.
+        drawn = []
+        build = ensembles._window
+        monkeypatch.setattr(ensembles, "_window",
+                            lambda keys, *args: drawn.append(len(keys)) or build(keys, *args))
+        windows = replicate_windows(5, 2 * _BLOCK + 1, EnsembleParams(3, 2.0, 30.0), 3)
+        first = next(windows)
+        assert drawn == [_BLOCK]
+        blocks = [first, *windows]
+        assert drawn == [_BLOCK, _BLOCK, 1]
+        assert [(rows, diag.shape, offdiag.shape) for rows, diag, offdiag in blocks] == [
+            (range(0, _BLOCK), (_BLOCK, 3), (_BLOCK, 2)),
+            (range(_BLOCK, 2 * _BLOCK), (_BLOCK, 3), (_BLOCK, 2)),
+            (range(2 * _BLOCK, 2 * _BLOCK + 1), (1, 3), (1, 2)),
+        ]
+
+    @pytest.mark.parametrize("window", [0, 4, 2.0])
+    def test_window_outside_the_model_rejected(self, window):
+        with pytest.raises(ValueError, match="window"):
+            next(replicate_windows(1, 10, EnsembleParams(3, 2.0, 30.0), window))
 
 
 class TestStandardGamma:
@@ -308,57 +378,22 @@ class TestStandardGamma:
 
 
 class TestChiSquared:
-    def test_positive_dof_required(self):
-        with pytest.raises(ValueError):
-            sample_chi_squared(make_rng(0), 0.0)
-        with pytest.raises(ValueError):
-            sample_chi_squared(make_rng(0), -1.0)
+    """The model's chi-squares: twice the shared gamma sampler's draws at shape dof / 2."""
 
     def test_draws_positive(self):
-        rng = make_rng(1)
-        assert all(sample_chi_squared(rng, 0.3) > 0 for _ in range(1000))
+        keys = make_rng(1).bit_generator.random_raw(1000)
+        assert np.all(2.0 * _standard_gamma(keys, [0.3 / 2.0]) > 0)
 
     def test_mean_dof_two(self):
-        # One draw per call is the contract; the bulk statistics use the
-        # identical underlying stream transformation in vector form.
-        rng = make_rng(2)
-        draws = rng.gamma(2.0 / 2.0, 2.0, size=1_000_000)
+        keys = make_rng(2).bit_generator.random_raw(1_000_000)
+        draws = 2.0 * _standard_gamma(keys, [2.0 / 2.0])
         assert abs(draws.mean() - 2.0) < 0.01
 
     def test_noninteger_dof_mean_and_variance(self):
-        rng = make_rng(3)
-        draws = rng.gamma(7.5 / 2.0, 2.0, size=1_000_000)
+        keys = make_rng(3).bit_generator.random_raw(1_000_000)
+        draws = 2.0 * _standard_gamma(keys, [7.5 / 2.0])
         assert abs(draws.mean() - 7.5) < 0.02
         assert abs(draws.var(ddof=1) - 15.0) < 0.2
-
-
-class TestDirichlet:
-    def test_one_point_simplex(self):
-        np.testing.assert_array_equal(sample_dirichlet(make_rng(0), 1, 1.0), [1.0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sample_dirichlet(make_rng(0), 0, 1.0)
-        with pytest.raises(ValueError):
-            sample_dirichlet(make_rng(0), 3, 0.0)
-
-    def test_normalization(self):
-        rng = make_rng(4)
-        for _ in range(100):
-            w = sample_dirichlet(rng, 6, 0.7)
-            assert np.all(w >= 0)
-            assert abs(w.sum() - 1.0) <= 1e-12
-
-    def test_symmetric_mean(self):
-        rng = make_rng(5)
-        first = np.array([sample_dirichlet(rng, 4, 1.0)[0] for _ in range(100_000)])
-        assert abs(first.mean() - 0.25) < 0.005
-
-    def test_uniform_marginal_for_two_cells(self):
-        rng = make_rng(6)
-        first = np.array([sample_dirichlet(rng, 2, 1.0)[0] for _ in range(100_000)])
-        ks = stats.kstest(first, "uniform").statistic
-        assert ks < 0.01
 
 
 def sampled_models(seed, params, draws):
@@ -370,7 +405,7 @@ def sampled_models(seed, params, draws):
     those calls.
     """
     keys = make_rng(seed).bit_generator.random_raw(draws)
-    diag, offdiag = _assemble(2.0 * _standard_gamma(keys, _chi_squared_shapes(params, params.n)))
+    diag, offdiag = _window(keys, params, params.n)
     rng = make_rng(seed)
     for row in range(1000):
         coeffs = sample_laguerre_tridiagonal(rng, params)
@@ -502,10 +537,7 @@ class TestSpectralMeasureSampler:
         weights = np.empty((draws, n))
         for i in range(draws):
             weights[i] = sample_spectral_measure(rng, params).weights
-        dir_rng = make_rng(17)
-        direct = np.empty((draws, n))
-        for i in range(draws):
-            direct[i] = sample_dirichlet(dir_rng, n, 1.0)
+        direct = make_rng(17).dirichlet(np.ones(n), size=draws)
         for j in range(n):
             ks = stats.ks_2samp(weights[:, j], direct[:, j]).statistic
             assert ks < 0.02

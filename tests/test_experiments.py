@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from lagspec.ensembles import (
+    _BLOCK,
     RescalingMode,
     derive_seed,
     make_rng,
@@ -13,7 +14,6 @@ from lagspec.ensembles import (
 )
 from lagspec.errors import NumericalError
 from lagspec.experiments import (
-    _BLOCK,
     ExperimentConfig,
     LinearGamma,
     PowerLawGamma,
@@ -395,6 +395,12 @@ class TestRunMdpCentering:
     def test_b_n_required(self):
         with pytest.raises(ValueError, match="b_n"):
             run_mdp_centering(clt_config(statistic=3))
+
+    @pytest.mark.parametrize("k", [0, 21, 40])
+    def test_moment_cap(self, k):
+        # The predicted variance reads the semicircle's m_2k, exact up to order 40.
+        with pytest.raises(ValueError, match=rf"^moment index must be in 1\.\.20, got {k}$"):
+            run_mdp_centering(clt_config(statistic=k, b_n=20.0))
 
 
 class TestRunMpSanity:

@@ -1,4 +1,9 @@
-"""Jacobi matrices, spectral measures, and the two-way mapping between them."""
+"""Jacobi matrices, spectral measures, and the two-way mapping between them.
+
+eigen_spectral's two eigensolvers (numpy's dense eigh up to 128 rows,
+scipy's tridiagonal eigh above) are checked against closed forms and
+against each other.
+"""
 
 import os
 import subprocess
@@ -8,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 import lagspec
@@ -28,6 +34,32 @@ from lagspec.spectral import (
 def random_jacobi(seed, n):
     rng = np.random.default_rng(seed)
     return JacobiCoefficients(rng.uniform(-1, 1, n), rng.uniform(0.5, 1.5, n - 1))
+
+
+def dense(diag, offdiag):
+    return np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+
+
+def dense_firstrow_eigh(diag, offdiag):
+    """Oracle: dense LAPACK eigh, first row of the eigenvectors squared."""
+    vals, vecs = np.linalg.eigh(dense(diag, offdiag))
+    return vals, vecs[0] ** 2
+
+
+def tridiagonal_firstrow_eigh(diag, offdiag):
+    """Oracle: LAPACK's tridiagonal eigh (dstevd), first row squared."""
+    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
+    return vals, vecs[0] ** 2
+
+
+# Each size is checked against both solvers, so each is checked against the
+# one eigen_spectral does not use for it.
+ORACLES = (dense_firstrow_eigh, tridiagonal_firstrow_eigh)
+
+
+def eigen_firstrow(diag, offdiag):
+    mu = eigen_spectral(JacobiCoefficients(diag, offdiag))
+    return mu.atoms, mu.weights
 
 
 def laguerre_jacobi(seed, n, beta=2.0, gamma_power=2):
@@ -118,6 +150,62 @@ class TestEigenSpectral:
         mu = eigen_spectral(random_jacobi(5, 120))
         assert abs(mu.weights.sum() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("seed, n, atol", [(2, 2, 1e-12), (5, 5, 1e-12), (30, 30, 1e-12),
+                                               (7, 80, 1e-11)], ids=["2", "5", "30", "80"])
+    def test_matches_dense_eigh(self, seed, n, atol):
+        rng = np.random.default_rng(seed)
+        diag = rng.uniform(-1, 1, n)
+        off = rng.uniform(0.5, 1.5, n - 1)
+        lam, w = eigen_firstrow(diag, off)
+        for oracle in ORACLES:
+            lam_ref, w_ref = oracle(diag, off)
+            np.testing.assert_allclose(lam, lam_ref, atol=atol)
+            np.testing.assert_allclose(w, w_ref, atol=atol)
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 128, 129, 200])
+    def test_model_draws_match_both_solvers(self, n):
+        # Rescaled Laguerre draws, the matrices the sampler diagonalizes. The
+        # uniform matrices of test_matches_dense_eigh, seeded by n, have
+        # first-row weights that underflow to 0 at n = 128, 129 and 200,
+        # which eigen_spectral rejects (test_underflowed_weight_raises_value_error).
+        params = EnsembleParams(n=n, beta=2.0, gamma=float(n * n))
+        coeffs = rescale(sample_laguerre_tridiagonal(make_rng(n), params), params)
+        mu = eigen_spectral(coeffs)
+        for oracle in ORACLES:
+            lam_ref, w_ref = oracle(coeffs.diag, coeffs.offdiag)
+            np.testing.assert_allclose(mu.atoms, lam_ref, atol=1e-12)
+            np.testing.assert_allclose(mu.weights, w_ref, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "seed,n,diag_normal", [(150, 150, False), (8, 200, True)], ids=["150", "200"]
+    )
+    def test_underflowed_weight_raises_value_error(self, seed, n, diag_normal):
+        # Some first-row weights lie below the double range and come out as
+        # exact zeros, from dense LAPACK as well; a measure with a zero
+        # weight is rejected.
+        rng = np.random.default_rng(seed)
+        if diag_normal:
+            diag, off = rng.normal(size=n), rng.uniform(0.2, 2, n - 1)
+        else:
+            diag, off = rng.uniform(-1, 1, n), rng.uniform(0.5, 1.5, n - 1)
+        _, w_ref = dense_firstrow_eigh(diag, off)
+        assert np.any(w_ref == 0.0)
+        assert abs(w_ref.sum() - 1.0) < 1e-12
+        with pytest.raises(ValueError, match="strictly positive"):
+            eigen_firstrow(diag, off)
+
+    @pytest.mark.parametrize("n, module, solver", [
+        (3, np.linalg, "eigh"),
+        (129, scipy.linalg, "eigh_tridiagonal"),
+    ], ids=["3", "129"])
+    def test_solver_failure_raises(self, n, module, solver, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(module, solver, fail)
+        with pytest.raises(NumericalError, match=f"size {n}"):
+            eigen_firstrow(np.zeros(n), np.ones(n - 1))
+
 
 class TestMoments:
     def test_free_jacobi_catalan_moments(self):
@@ -150,6 +238,30 @@ class TestMoments:
         a = moments_via_operator(coeffs, 20)
         b = moments_of_measure(eigen_spectral(coeffs), 20)
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
+
+    def test_against_dense_matrix_powers(self):
+        rng = np.random.default_rng(12)
+        n, order = 12, 10
+        diag = rng.uniform(-1, 1, n)
+        off = rng.uniform(0.5, 1.5, n - 1)
+        a = dense(diag, off)
+        expected = [np.linalg.matrix_power(a, k)[0, 0] for k in range(1, order + 1)]
+        got = moments_via_operator(JacobiCoefficients(diag, off), order)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_window_equals_full_matrix(self):
+        # Entries beyond the reachable window must not matter.
+        rng = np.random.default_rng(13)
+        diag = rng.uniform(-1, 1, 2000)
+        off = rng.uniform(0.5, 1.5, 1999)
+        order = 6
+        full = moments_via_operator(JacobiCoefficients(diag, off), order)
+        head = moments_via_operator(JacobiCoefficients(diag[: order + 1], off[:order]), order)
+        np.testing.assert_array_equal(full, head)
+
+    def test_order_validation(self):
+        with pytest.raises(ValueError):
+            moments_via_operator(JacobiCoefficients(np.zeros(3), np.ones(2)), 0)
 
 
 class TestSzegoMap:
@@ -315,8 +427,7 @@ class TestFreeJacobi:
 
 def test_cli_import_loads_no_scipy_subpackage():
     # The measure path imports LAPACK on first use, scipy.linalg.cython_lapack
-    # included, and the replicate draws read numpy's ziggurat tables on first
-    # use; start-up pays for numpy only, and does not even load the sampler.
+    # included; start-up pays for numpy only, and does not even load the sampler.
     code = ("import sys, lagspec.cli; "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', "
             "'scipy.linalg.cython_lapack') if m in sys.modules), "
