@@ -32,7 +32,6 @@ _EXPORTS = {
     "predicted_clt": "experiments",
     "run_clt": "experiments",
     "run_mdp_centering": "experiments",
-    "run_moment_convergence": "experiments",
     "run_mp_sanity": "experiments",
     "NuVariant": "moments",
     "arcsine_moments": "moments",

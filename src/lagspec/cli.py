@@ -309,6 +309,8 @@ def _experiment_config(args, statistic, gamma_rule, mode: str) -> ExperimentConf
     if args.hist_out is None:
         _unused(args, ("hist_bins",), "without --hist-out")
     else:
+        if args.out is not None and os.path.realpath(args.out) == os.path.realpath(args.hist_out):
+            raise ValueError("--hist-out and --out name the same file")
         if args.hist_bins is None:
             args.hist_bins = _HIST_BINS
         try:
@@ -369,11 +371,13 @@ def _cmd_mp_sanity(args) -> int:
 
 def _identity_checks(order: int):
     """The exact and quadrature cross-identities, as (name, passed) pairs."""
-    from .moments import (NuVariant, d_matrix, dw_vector, nu_moments, nu_moments_by_quadrature,
-                          semicircle_moments, semicircle_orthonormal_poly)
+    from .moments import (EXACT_ORDER_CAP, NuVariant, d_matrix, dw_vector, nu_moments,
+                          nu_moments_by_quadrature, semicircle_moments,
+                          semicircle_orthonormal_poly)
 
-    if order > 20:
-        raise ValueError("identities --order is capped at 20 (64-bit products)")
+    if order > EXACT_ORDER_CAP // 2:  # the covariance check reads msc up to order 2 * order
+        raise ValueError(f"identities --order is capped at {EXACT_ORDER_CAP // 2} "
+                         "(64-bit products)")
     checks = []
 
     d = d_matrix(order)

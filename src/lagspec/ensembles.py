@@ -371,6 +371,8 @@ def replicate_windows(master_seed: int, replicates: int, params: EnsembleParams,
     Jacobi data.
     """
     replicates, window = _integer(replicates, "replicates"), _integer(window, "window")
+    if replicates < 0:
+        raise ValueError(f"replicates must be >= 0, got {replicates}")
     if not 1 <= window <= params.n:
         raise ValueError(f"window must be in 1..{params.n}, got {window}")
     for first in range(0, replicates, _BLOCK):

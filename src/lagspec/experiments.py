@@ -1,11 +1,12 @@
 """Seeded Monte Carlo harness for the limit-theorem checks.
 
-Each experiment draws the tridiagonal model per replicate (with a seed
-derived from the master seed and the replicate index), evaluates a scalar
-statistic, and compares the sample mean and variance against the theory.
-Statistics are polynomial moments of the spectral measure; they are
-computed through the operator identity m_k = <e1, J^k e1> on the rescaled
-coefficients, which is the same random variable the eigendecomposition
+One runner per theorem: run_clt, run_mdp_centering and run_mp_sanity. An
+m_k check is run_clt with the statistic x^k, whose predicted mean carries
+the corrective shift at the finite-n zeta_n. Each runner evaluates a
+scalar statistic per replicate and compares the sample mean and variance
+against the theory. Statistics are polynomial moments of the spectral
+measure, computed through the operator identity m_k = <e1, J^k e1> on the
+rescaled coefficients: the same random variable the eigendecomposition
 route produces, at a fraction of the cost.
 
 m_1..m_k read only the leading (k+1) x (k+1) window of the model, so a
@@ -27,6 +28,7 @@ import numpy as np
 
 from .ensembles import EnsembleParams, RescalingMode, _integer, replicate_windows
 from .moments import (
+    EXACT_ORDER_CAP,
     NuVariant,
     integrate_poly_against_moments,
     mp_moments,
@@ -44,16 +46,15 @@ __all__ = [
     "predicted_clt",
     "run_clt",
     "run_mdp_centering",
-    "run_moment_convergence",
     "run_mp_sanity",
 ]
 
 MEAN_BAND_SIGMAS = 4.0
 VARIANCE_BAND = (0.85, 1.15)
 MP_RELATIVE_TOL = 0.05
-MAX_CONVERGENCE_MOMENT = 8
-MAX_POLY_DEGREE = 20
-MAX_MDP_MOMENT = 20  # its variance reads the semicircle m_2k, exact up to order 40
+# Each predicted variance reads the semicircle moment of order 2k.
+MAX_POLY_DEGREE = EXACT_ORDER_CAP // 2
+MAX_MDP_MOMENT = EXACT_ORDER_CAP // 2
 
 
 @dataclass(frozen=True)
@@ -172,10 +173,13 @@ def predicted_clt(
     Mean: integral of p against the corrective signed measure with
     parameter zeta (zero total mass). Variance: the semicircle variance of
     p, i.e. the integral of (p - mean_sc(p))^2 against the semicircle law.
-    Both via exact reference moments; degree capped at 20 to stay inside
-    the exact-moment range.
+    Both via exact reference moments; degree capped at MAX_POLY_DEGREE to
+    stay inside the exact-moment range. ``poly`` is a 1-D coefficient array.
     """
-    poly = np.asarray(poly, dtype=np.float64).reshape(-1)
+    poly = np.asarray(poly, dtype=np.float64)
+    if poly.ndim != 1:
+        raise ValueError(f"polynomial must be a 1-D coefficient array, low to high (x^k is "
+                         f"k zeros, then 1), got shape {poly.shape}")
     degree = poly.size - 1
     if degree < 0:
         raise ValueError("polynomial has no coefficients")
@@ -205,17 +209,21 @@ def _z_score(mean: float, predicted: float, se: float) -> float:
     return 0.0 if mean == predicted else float(np.sign(mean - predicted)) * np.inf
 
 
-def _require_verdict_grade(config: ExperimentConfig) -> None:
+def _check_runnable(config: ExperimentConfig, name: str, *, centered: bool) -> None:
+    """Refuse too few replicates for a verdict, or a centering mode that ``centered`` rules out."""
     if config.replicates < 100:
-        raise ValueError(
-            f"statistical verdicts need >= 100 replicates, got {config.replicates}"
-        )
+        raise ValueError(f"statistical verdicts need >= 100 replicates, got {config.replicates}")
+    if (config.mode is not RescalingMode.NONE) != centered:
+        raise ValueError(f"{name} needs a centering mode" if centered
+                         else f"{name} runs on the uncentered matrix")
 
 
-def _nu_variant(mode: RescalingMode) -> NuVariant:
-    if mode is RescalingMode.SHIFTED:
-        return NuVariant.SHIFTED
-    return NuVariant.STANDARD
+def _moment_index(config: ExperimentConfig, cap: int) -> int:
+    """``config.statistic`` as the integer moment index k, 1 <= k <= ``cap``."""
+    k = _integer(config.statistic, "statistic")
+    if not (1 <= k <= cap):
+        raise ValueError(f"moment index must be in 1..{cap}, got {k}")
+    return k
 
 
 def _run(
@@ -288,13 +296,11 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
     the predicted variance is the semicircle variance of p. Verdict: mean
     within 4 standard errors and variance ratio within [0.85, 1.15].
     """
-    _require_verdict_grade(config)
-    if config.mode is RescalingMode.NONE:
-        raise ValueError("CLT experiments need a centering mode")
-    poly = np.asarray(config.statistic, dtype=np.float64).reshape(-1)
+    _check_runnable(config, "CLT experiments", centered=True)
+    poly = np.asarray(config.statistic, dtype=np.float64)
     params = config.ensemble_params()
     zeta_n = config.n * params.beta_prime / np.sqrt(params.gamma)
-    predicted_mean, predicted_var = predicted_clt(poly, zeta_n, _nu_variant(config.mode))
+    predicted_mean, predicted_var = predicted_clt(poly, zeta_n, NuVariant(config.mode.value))
 
     degree = poly.size - 1
     prefactor = np.sqrt(config.n * config.beta / 2.0)
@@ -329,37 +335,6 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_moment_convergence(config: ExperimentConfig) -> ExperimentReport:
-    """Plain convergence of m_k(mu_n) to the semicircle moment.
-
-    Verdict: the replicate average lies within 4 standard errors plus a
-    3/sqrt(n) finite-size bias allowance of the limit. Moment index capped
-    at 8; higher moments are too noisy at desk-scale replication.
-    """
-    _require_verdict_grade(config)
-    if config.mode is RescalingMode.NONE:
-        raise ValueError("moment convergence needs a centering mode")
-    k = _integer(config.statistic, "statistic")
-    if not (1 <= k <= MAX_CONVERGENCE_MOMENT):
-        raise ValueError(f"moment index must be in 1..{MAX_CONVERGENCE_MOMENT}, got {k}")
-    params = config.ensemble_params()
-    zeta_n = config.n * params.beta_prime / np.sqrt(params.gamma)
-    predicted_mean = float(semicircle_moments(k)[k - 1])
-    msc = semicircle_moments(2 * k).astype(np.float64)
-    sigma2 = float(msc[2 * k - 1] - msc[k - 1] ** 2)
-    allowance = 3.0 / np.sqrt(config.n)
-    return _run(
-        config, params, label=f"m{k}", zeta_or_xi=zeta_n,
-        predicted_mean=predicted_mean,
-        predicted_variance=sigma2 / (config.n * params.beta_prime),
-        order=k, statistic=lambda m: m[:, k - 1],
-        verdict=lambda mean, var, se: (
-            abs(mean - predicted_mean) < MEAN_BAND_SIGMAS * se + allowance
-        ),
-        rule=f"abs(sample_mean - predicted_mean) < {MEAN_BAND_SIGMAS:g}*se_mean + 3/sqrt(n)",
-    )
-
-
 def run_mdp_centering(config: ExperimentConfig) -> ExperimentReport:
     """Location of the moderate-deviation minimizer, never tail probabilities.
 
@@ -367,17 +342,13 @@ def run_mdp_centering(config: ExperimentConfig) -> ExperimentReport:
     the corrective-measure moment at xi_n = n beta'/sqrt(b_n gamma_n).
     Verdict is the 4-standard-error mean test; even k predict exactly 0.
     """
-    _require_verdict_grade(config)
+    _check_runnable(config, "MDP centering", centered=True)
     if config.b_n is None:
         raise ValueError("MDP centering needs b_n")
-    if config.mode is RescalingMode.NONE:
-        raise ValueError("MDP centering needs a centering mode")
-    k = _integer(config.statistic, "statistic")
-    if not (1 <= k <= MAX_MDP_MOMENT):
-        raise ValueError(f"moment index must be in 1..{MAX_MDP_MOMENT}, got {k}")
+    k = _moment_index(config, MAX_MDP_MOMENT)
     params = config.ensemble_params()
     xi_n = config.n * params.beta_prime / np.sqrt(config.b_n * params.gamma)
-    predicted_mean = float(nu_moments(k, xi_n, _nu_variant(config.mode))[k - 1])
+    predicted_mean = float(nu_moments(k, xi_n, NuVariant(config.mode.value))[k - 1])
     msc = semicircle_moments(2 * k).astype(np.float64)
     sigma2 = float(msc[2 * k - 1] - msc[k - 1] ** 2)
     prefactor = float(np.sqrt(config.n * params.beta_prime / config.b_n))
@@ -398,14 +369,10 @@ def run_mp_sanity(config: ExperimentConfig) -> ExperimentReport:
     measure converges to MP(tau). Verdict: replicate-average moment within
     5 percent relative of the closed-form moment, k <= 4.
     """
-    _require_verdict_grade(config)
+    _check_runnable(config, "MP sanity", centered=False)
     if not isinstance(config.gamma_rule, LinearGamma):
         raise ValueError("MP sanity needs the linear gamma rule")
-    if config.mode is not RescalingMode.NONE:
-        raise ValueError("MP sanity runs on the uncentered matrix")
-    k = _integer(config.statistic, "statistic")
-    if not (1 <= k <= 4):
-        raise ValueError(f"moment index must be in 1..4, got {k}")
+    k = _moment_index(config, 4)
     tau = config.gamma_rule.tau
     params = config.ensemble_params()
     predicted_mean = float(mp_moments(k, tau)[k - 1])

@@ -52,12 +52,13 @@ class NuVariant(enum.Enum):
     SHIFTED = "shifted"
 
 
-def _check_order(order: int, cap: int = EXACT_ORDER_CAP) -> int:
+def _check_order(order: int) -> int:
+    """``order`` as an int; ValueError unless 1 <= order <= EXACT_ORDER_CAP."""
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
-    if order > cap:
+    if order > EXACT_ORDER_CAP:
         raise ValueError(
-            f"order {order} above the 64-bit-exact cap {cap}; "
+            f"order {order} above the 64-bit-exact cap {EXACT_ORDER_CAP}; "
             "exact integer identities would overflow"
         )
     return int(order)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -184,7 +185,7 @@ class TestEmission:
             cli._histogram_text(np.array([1.0]), 0)
 
 
-# The README's command-line examples, histogram path made relative.
+# The README's command-line examples, as tools/readme_digests.py reads them.
 README_COMMANDS = {
     "identities": ["identities", "--order", "12"],
     "sample": ["sample", "--n", "50", "--beta", "2", "--gamma", "5000", "--seed", "7"],
@@ -205,6 +206,16 @@ README_COMMANDS = {
                  "--replicates", "10000", "--seed", "7", "--hist-bins", "20",
                  "--hist-out", "hist.txt"],
 }
+
+
+def test_readme_commands_are_the_readmes():
+    path = Path(__file__).resolve().parents[1] / "tools" / "readme_digests.py"
+    spec = importlib.util.spec_from_file_location("readme_digests", path)
+    readme_digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(readme_digests)
+    readme = (path.parents[1] / "README.md").read_text()
+    assert list(README_COMMANDS.values()) == readme_digests.readme_commands(readme)
+
 
 CLT_ARGS = ["clt", "--n", "120", "--beta", "2", "--gamma-rule", "pow:3:1",
             "--poly", "x^2", "--replicates", "150", "--seed", "7"]
@@ -400,6 +411,26 @@ class TestExitCodes:
         assert captured.err == (f"error: --hist-bins {bins} needs more memory than can be "
                                 "allocated\n")
         assert not hist_path.exists()
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("argv", [CLT_ARGS, MDP_ARGS, MP_SANITY_ARGS],
+                             ids=["clt", "mdp", "mp-sanity"])
+    def test_hist_out_naming_the_out_file_is_one_error_line(self, argv, form, tmp_path,
+                                                            monkeypatch, capsys):
+        # Two spellings of one file, which would end up holding only the report.
+        monkeypatch.chdir(tmp_path)
+        out = str(tmp_path / "same.txt")
+        if form == "flag":
+            argv = argv + ["--hist-out", "same.txt", "--out", out]
+        else:
+            (tmp_path / "c.json").write_text(json.dumps({"hist-out": "same.txt", "out": out}))
+            argv = argv + ["--config", "c.json"]
+        _forbid_runs(monkeypatch)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --hist-out and --out name the same file\n"
+        assert not (tmp_path / "same.txt").exists()
 
     @pytest.mark.parametrize("form", ["flag", "config"])
     @pytest.mark.parametrize("case", sorted(INEFFECTIVE_FLAGS))

@@ -343,6 +343,12 @@ class TestReplicateWindows:
         with pytest.raises(ValueError, match="window"):
             next(replicate_windows(1, 10, EnsembleParams(3, 2.0, 30.0), window))
 
+    def test_negative_replicate_count_rejected_and_zero_is_empty(self):
+        params = EnsembleParams(3, 2.0, 30.0)
+        with pytest.raises(ValueError, match=r"^replicates must be >= 0, got -3$"):
+            list(replicate_windows(7, -3, params, 2))
+        assert list(replicate_windows(7, 0, params, 2)) == []
+
 
 class TestStandardGamma:
     def test_matches_scalar_reference(self):

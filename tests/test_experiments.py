@@ -21,7 +21,6 @@ from lagspec.experiments import (
     predicted_clt,
     run_clt,
     run_mdp_centering,
-    run_moment_convergence,
     run_mp_sanity,
 )
 from lagspec.moments import NuVariant, nu_moments, semicircle_moments
@@ -180,8 +179,6 @@ ORACLE_CASES = {
     "mdp-k3": (run_mdp_centering, mdp_reference, ExperimentConfig(
         n=300, beta=2.0, gamma_rule=PowerLawGamma(2.0), replicates=200, master_seed=5,
         statistic=3, b_n=20.0)),
-    "moment-convergence-k4": (run_moment_convergence, moment_reference,
-                              clt_config(statistic=4, replicates=200)),
     "mp-sanity-k2": (run_mp_sanity, moment_reference, ExperimentConfig(
         n=300, beta=2.0, gamma_rule=LinearGamma(0.5), replicates=200, master_seed=9,
         statistic=2, mode=RescalingMode.NONE)),
@@ -320,46 +317,6 @@ class TestRunClt:
         assert p_value > 0.001
 
 
-class TestRunMomentConvergence:
-    def test_even_moment(self):
-        config = clt_config(statistic=2, replicates=400)
-        report = run_moment_convergence(config)
-        assert report.verdict
-        assert report.predicted_mean == 1.0
-        assert abs(report.sample_mean - 1.0) < 0.05
-
-    def test_first_moment(self):
-        report = run_moment_convergence(clt_config(statistic=1, replicates=400))
-        assert report.verdict and report.predicted_mean == 0.0
-
-    def test_full_size_second_moment(self):
-        config = ExperimentConfig(
-            n=2000, beta=2.0, gamma_rule=PowerLawGamma(3.0), replicates=500,
-            master_seed=2024, statistic=2,
-        )
-        report = run_moment_convergence(config)
-        assert report.verdict
-        assert abs(report.sample_mean - 1.0) < 0.01
-
-    def test_moment_cap(self):
-        with pytest.raises(ValueError, match="1..8"):
-            run_moment_convergence(clt_config(statistic=9))
-
-    def test_odd_moment_shift_diagnostic(self):
-        # At gamma = n^2 the third moment sits near m3(nu_zeta)/sqrt(n b'),
-        # a visible finite-n offset the verdict allowance absorbs.
-        config = clt_config(
-            n=200, gamma_rule=PowerLawGamma(2.0), statistic=3, replicates=3000,
-            master_seed=77,
-        )
-        report = run_moment_convergence(config)
-        zeta_n = report.zeta_or_xi
-        shift = nu_moments(3, zeta_n)[2] / np.sqrt(200 * 1.0)
-        assert abs(report.sample_mean - shift) < 0.02
-        assert report.sample_mean > 3 * report.standard_error_mean
-        assert report.verdict
-
-
 class TestRunMdpCentering:
     def test_odd_moment_centering(self):
         config = ExperimentConfig(
@@ -441,12 +398,19 @@ class TestBadStatistic:
         with pytest.raises(ValueError, match="no coefficients"):
             run_clt(clt_config(statistic=np.array([])))
 
+    @pytest.mark.parametrize("statistic", [3, np.array([[0.0, 0.0], [0.0, 1.0]])],
+                             ids=["moment-index", "2-d"])
+    def test_non_1d_polynomial_rejected(self, statistic):
+        # Neither runs as a polynomial: 3 would be the constant 3, and the
+        # 2-D array would be flattened into x^3.
+        with pytest.raises(ValueError, match=r"1-D coefficient array.*x\^k"):
+            run_clt(clt_config(statistic=statistic))
+
     @pytest.mark.parametrize("run, config", [
-        (run_moment_convergence, clt_config(statistic=3.5)),
         (run_mdp_centering, clt_config(statistic=3.5, b_n=20.0)),
         (run_mp_sanity, clt_config(statistic=1.5, gamma_rule=LinearGamma(0.5),
                                    mode=RescalingMode.NONE)),
-    ], ids=["convergence", "mdp", "mp-sanity"])
+    ], ids=["mdp", "mp-sanity"])
     def test_non_integral_moment_index_rejected(self, run, config):
         with pytest.raises(ValueError, match="statistic must be an integer"):
             run(config)

@@ -51,3 +51,13 @@ def test_import_loads_no_submodule_until_a_name_is_used():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.splitlines() == ["[]", "['lagspec.moments']"]
+
+
+def test_readme_quick_start_runs():
+    # The README's Quick start block, as written, against this source tree.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(Path(lagspec.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout.splitlines()) == 2
