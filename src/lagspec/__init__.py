@@ -31,7 +31,6 @@ _EXPORTS = {
     "PowerLawGamma": "experiments",
     "predicted_clt": "experiments",
     "run_clt": "experiments",
-    "run_mdp_centering": "experiments",
     "run_mp_sanity": "experiments",
     "NuVariant": "moments",
     "arcsine_moments": "moments",

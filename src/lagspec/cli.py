@@ -356,10 +356,15 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_mdp(args) -> int:
-    from .experiments import run_mdp_centering
+    from .experiments import MAX_POLY_DEGREE, run_clt
 
-    config = _experiment_config(args, args.k, parse_gamma_rule(args.gamma_rule), args.mode)
-    return _finish_experiment(args, run_mdp_centering(config))
+    if not 1 <= args.k <= MAX_POLY_DEGREE:
+        raise ValueError(f"moment index must be in 1..{MAX_POLY_DEGREE}, got {args.k}")
+    config = _experiment_config(args, np.eye(args.k + 1)[args.k],
+                                parse_gamma_rule(args.gamma_rule), args.mode)
+    report = run_clt(config)
+    report.statistic = f"m{args.k}"
+    return _finish_experiment(args, report)
 
 
 def _cmd_mp_sanity(args) -> int:

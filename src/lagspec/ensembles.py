@@ -141,12 +141,7 @@ def derive_seed(master_seed: int, index: int) -> int:
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")
     x = (_integer(master_seed, "seed") + (index + 1) * _GOLDEN) & _MASK64
-    x ^= x >> 30
-    x = (x * _SPLITMIX_A) & _MASK64
-    x ^= x >> 27
-    x = (x * _SPLITMIX_B) & _MASK64
-    x ^= x >> 31
-    return x
+    return int(_finalize(np.array([x], dtype=np.uint64))[0])
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -377,11 +372,13 @@ def replicate_windows(master_seed: int, replicates: int, params: EnsembleParams,
         raise ValueError(f"window must be in 1..{params.n}, got {window}")
     for first in range(0, replicates, _BLOCK):
         rows = range(first, min(first + _BLOCK, replicates))
-        diag, offdiag = _window(_replicate_keys(master_seed, rows), params, window)
-        if scale is not None:
-            diag, offdiag = diag * scale, offdiag * scale
-        elif params.mode is not RescalingMode.NONE:
-            diag, offdiag = _center(diag, offdiag, params)
+        # Rows that overflow or divide by zero are left to _first_fault.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            diag, offdiag = _window(_replicate_keys(master_seed, rows), params, window)
+            if scale is not None:
+                diag, offdiag = diag * scale, offdiag * scale
+            elif params.mode is not RescalingMode.NONE:
+                diag, offdiag = _center(diag, offdiag, params)
         fault = _first_fault(diag, offdiag)
         if fault is not None:
             raise NumericalError(f"replicate {first + fault[0]} failed: {fault[1]}")

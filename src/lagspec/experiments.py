@@ -1,13 +1,14 @@
 """Seeded Monte Carlo harness for the limit-theorem checks.
 
-One runner per theorem: run_clt, run_mdp_centering and run_mp_sanity. An
-m_k check is run_clt with the statistic x^k, whose predicted mean carries
-the corrective shift at the finite-n zeta_n. Each runner evaluates a
-scalar statistic per replicate and compares the sample mean and variance
-against the theory. Statistics are polynomial moments of the spectral
-measure, computed through the operator identity m_k = <e1, J^k e1> on the
-rescaled coefficients: the same random variable the eigendecomposition
-route produces, at a fraction of the cost.
+One runner per theorem: run_clt and run_mp_sanity. run_clt at speed b_n
+(None for the CLT) is also the moderate-deviation check, centered at
+xi_n = zeta_n / sqrt(b_n). An m_k check is run_clt with the statistic x^k,
+whose predicted mean carries the corrective shift at the finite-n zeta_n.
+Each runner evaluates a scalar statistic per replicate and compares the
+sample mean and variance against the theory. Statistics are polynomial
+moments of the spectral measure, computed through the operator identity
+m_k = <e1, J^k e1> on the rescaled coefficients: the same random variable
+the eigendecomposition route produces, at a fraction of the cost.
 
 m_1..m_k read only the leading (k+1) x (k+1) window of the model, so a
 replicate draws only the chi-squares behind that window. The draws come
@@ -45,7 +46,6 @@ __all__ = [
     "format_poly",
     "predicted_clt",
     "run_clt",
-    "run_mdp_centering",
     "run_mp_sanity",
 ]
 
@@ -54,7 +54,6 @@ VARIANCE_BAND = (0.85, 1.15)
 MP_RELATIVE_TOL = 0.05
 # Each predicted variance reads the semicircle moment of order 2k.
 MAX_POLY_DEGREE = EXACT_ORDER_CAP // 2
-MAX_MDP_MOMENT = EXACT_ORDER_CAP // 2
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,11 @@ class PowerLawGamma:
             raise ValueError(f"coefficient must be positive, got {self.coefficient!r}")
 
     def gamma_at(self, n: int, beta_prime: float) -> float:
-        return self.coefficient * float(n) ** self.exponent
+        try:
+            return self.coefficient * float(n) ** self.exponent
+        except OverflowError:
+            raise ValueError(f"gamma rule pow:{self.exponent:g}:{self.coefficient:g} "
+                             f"overflows a float at n = {n}") from None
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,10 @@ GammaRule = Union[PowerLawGamma, LinearGamma]
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs: model knobs, statistic, replication, seed."""
+    """Everything a run needs: model knobs, statistic, replication, seed.
+
+    ``b_n`` is run_clt's speed, None for 1 (the CLT); run_mp_sanity refuses one.
+    """
 
     n: int
     beta: float
@@ -218,14 +224,6 @@ def _check_runnable(config: ExperimentConfig, name: str, *, centered: bool) -> N
                          else f"{name} runs on the uncentered matrix")
 
 
-def _moment_index(config: ExperimentConfig, cap: int) -> int:
-    """``config.statistic`` as the integer moment index k, 1 <= k <= ``cap``."""
-    k = _integer(config.statistic, "statistic")
-    if not (1 <= k <= cap):
-        raise ValueError(f"moment index must be in 1..{cap}, got {k}")
-    return k
-
-
 def _run(
     config: ExperimentConfig,
     params: EnsembleParams,
@@ -289,21 +287,26 @@ def _run(
 
 
 def run_clt(config: ExperimentConfig) -> ExperimentReport:
-    """Central-limit check for sqrt(n beta') (int p dmu_n - int p dmu_sc).
+    """Central-limit or moderate-deviation check for a polynomial statistic.
 
-    The predicted mean uses the corrective measure at the finite-n value
-    zeta_n = n beta' / sqrt(gamma_n) (shifted variant in shifted mode);
-    the predicted variance is the semicircle variance of p. Verdict: mean
-    within 4 standard errors and variance ratio within [0.85, 1.15].
+    At speed b = ``config.b_n`` (None for 1, the CLT) the statistic is
+    sqrt(n beta' / b) (int p dmu_n - int p dmu_sc). The predicted mean uses
+    the corrective measure (shifted variant in shifted mode) at n beta' /
+    sqrt(b gamma_n): the finite-n zeta_n when b = 1, and xi_n = zeta_n /
+    sqrt(b_n) otherwise. The predicted variance is the semicircle variance
+    of p divided by b. Verdict: mean within 4 standard errors and variance
+    ratio within [0.85, 1.15].
     """
     _check_runnable(config, "CLT experiments", centered=True)
     poly = np.asarray(config.statistic, dtype=np.float64)
     params = config.ensemble_params()
-    zeta_n = config.n * params.beta_prime / np.sqrt(params.gamma)
+    speed = 1.0 if config.b_n is None else config.b_n
+    zeta_n = config.n * params.beta_prime / np.sqrt(speed * params.gamma)
     predicted_mean, predicted_var = predicted_clt(poly, zeta_n, NuVariant(config.mode.value))
+    predicted_var /= speed
 
     degree = poly.size - 1
-    prefactor = np.sqrt(config.n * config.beta / 2.0)
+    prefactor = np.sqrt(config.n * params.beta_prime / speed)
     tail = poly[1:]
     msc = semicircle_moments(max(degree, 1)).astype(np.float64)
 
@@ -335,44 +338,22 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_mdp_centering(config: ExperimentConfig) -> ExperimentReport:
-    """Location of the moderate-deviation minimizer, never tail probabilities.
-
-    Averages m_k of nu_n = sqrt(n beta'/b_n)(mu_n - mu_sc) and compares to
-    the corrective-measure moment at xi_n = n beta'/sqrt(b_n gamma_n).
-    Verdict is the 4-standard-error mean test; even k predict exactly 0.
-    """
-    _check_runnable(config, "MDP centering", centered=True)
-    if config.b_n is None:
-        raise ValueError("MDP centering needs b_n")
-    k = _moment_index(config, MAX_MDP_MOMENT)
-    params = config.ensemble_params()
-    xi_n = config.n * params.beta_prime / np.sqrt(config.b_n * params.gamma)
-    predicted_mean = float(nu_moments(k, xi_n, NuVariant(config.mode.value))[k - 1])
-    msc = semicircle_moments(2 * k).astype(np.float64)
-    sigma2 = float(msc[2 * k - 1] - msc[k - 1] ** 2)
-    prefactor = float(np.sqrt(config.n * params.beta_prime / config.b_n))
-    return _run(
-        config, params, label=f"m{k}", zeta_or_xi=xi_n,
-        predicted_mean=predicted_mean, predicted_variance=sigma2 / config.b_n,
-        order=k, statistic=lambda m: prefactor * (m[:, k - 1] - msc[k - 1]),
-        verdict=lambda mean, var, se: abs(mean - predicted_mean) < MEAN_BAND_SIGMAS * se,
-        rule=f"abs(sample_mean - predicted_mean) < {MEAN_BAND_SIGMAS:g}*se_mean",
-    )
-
-
 def run_mp_sanity(config: ExperimentConfig) -> ExperimentReport:
     """Law-of-large-numbers check against the Marchenko-Pastur moments.
 
-    Needs the linear gamma rule and no centering; the sampled matrix is
-    divided by 2*gamma_n, the normalization under which the spectral
-    measure converges to MP(tau). Verdict: replicate-average moment within
-    5 percent relative of the closed-form moment, k <= 4.
+    Needs the linear gamma rule, no centering and no b_n; the sampled
+    matrix is divided by 2*gamma_n, the normalization under which the
+    spectral measure converges to MP(tau). Verdict: replicate-average
+    moment within 5 percent relative of the closed-form moment, k <= 4.
     """
     _check_runnable(config, "MP sanity", centered=False)
+    if config.b_n is not None:
+        raise ValueError("MP sanity takes no speed b_n")
     if not isinstance(config.gamma_rule, LinearGamma):
         raise ValueError("MP sanity needs the linear gamma rule")
-    k = _moment_index(config, 4)
+    k = _integer(config.statistic, "statistic")
+    if not 1 <= k <= 4:
+        raise ValueError(f"moment index must be in 1..4, got {k}")
     tau = config.gamma_rule.tau
     params = config.ensemble_params()
     predicted_mean = float(mp_moments(k, tau)[k - 1])

@@ -21,7 +21,6 @@ from lagspec.experiments import (
     LinearGamma,
     PowerLawGamma,
     run_clt,
-    run_mdp_centering,
     run_mp_sanity,
 )
 from lagspec.moments import (
@@ -209,13 +208,13 @@ def test_criterion_6_mdp_centering():
     base = dict(
         n=2000, beta=2.0, gamma_rule=PowerLawGamma(2.0), replicates=10_000, b_n=50.0,
     )
-    odd = run_mdp_centering(ExperimentConfig(master_seed=240004, statistic=3, **base))
+    odd = run_clt(ExperimentConfig(master_seed=240004, statistic=X3, **base))
     xi_n = 2000.0 / math.sqrt(50.0 * 2000.0**2)
     assert odd.predicted_mean == pytest.approx(xi_n)
     assert abs(odd.sample_mean - xi_n) < 4.0 * odd.standard_error_mean
     assert odd.verdict
 
-    even = run_mdp_centering(ExperimentConfig(master_seed=240005, statistic=2, **base))
+    even = run_clt(ExperimentConfig(master_seed=240005, statistic=X2, **base))
     assert even.predicted_mean == 0.0
     assert abs(even.sample_mean) < 4.0 * even.standard_error_mean
     assert even.verdict

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -261,7 +262,7 @@ def _forbid_runs(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("replicates ran")
 
-    for runner in ("run_clt", "run_mdp_centering", "run_mp_sanity"):
+    for runner in ("run_clt", "run_mp_sanity"):
         monkeypatch.setattr(experiments, runner, no_run)
 
 
@@ -360,15 +361,33 @@ class TestExitCodes:
         (CLT_ARGS + ["--poly", "1e400x"], "not finite"),
         (["moments", "--measure", "mp", "--order", "600", "--tau", "0.5"],
          "order 600 above the 64-bit-exact cap 40"),
+        (["clt", "--n", "2000", "--beta", "2", "--gamma-rule", "pow:400:1", "--poly", "x^2",
+          "--replicates", "100", "--seed", "1"], "gamma rule pow:400:1 overflows a float"),
     ], ids=["b-n-inf", "outlier-nan", "outlier-inf", "outlier-minus-inf", "atom-nan",
             "mdp-moment-nan", "xi-inf", "nu-hat-xi-nan", "poly-degree", "poly-coefficient",
-            "mp-order"])
+            "mp-order", "gamma-overflow"])
     def test_nonfinite_parameter_is_one_error_line(self, argv, message, capsys):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["clt", "--n", "20", "--beta", "1e-300", "--gamma-rule", "pow:2:1e-300", "--poly", "x^2",
+         "--replicates", "100", "--seed", "1"],
+        ["mdp", "--n", "20", "--beta", "1e-300", "--gamma-rule", "pow:2:1e-300", "--b-n", "50",
+         "--k", "2", "--replicates", "100", "--seed", "1"],
+    ], ids=["clt", "mdp"])
+    def test_underflowed_centering_is_one_error_line_and_no_warning(self, argv, capsys):
+        # sqrt(2 gamma n beta) underflows to 0, so the centering divides by
+        # zero; the replicate is refused without a numpy warning ahead of it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: replicate 0 failed: coefficients must be finite\n"
 
     def test_unallocatable_replicate_count_is_one_error_line(self, monkeypatch, capsys):
         # 10^12 replicates need 7.28 TiB for their statistics. The allocation
@@ -450,17 +469,18 @@ class TestExitCodes:
         assert captured.err == f"error: --{key} has no effect {when}\n"
 
     @pytest.mark.parametrize("form", ["flag", "config"])
-    @pytest.mark.parametrize("k", ["21", "40"])
+    @pytest.mark.parametrize("k", ["0", "21", "40"])
     def test_mdp_moment_above_cap_is_one_error_line(self, k, form, tmp_path, monkeypatch,
                                                     capsys):
-        # Rejected before any replicate, naming the moment index and its cap.
+        # Rejected before any replicate, naming the moment index and its cap:
+        # the predicted variance reads the semicircle's m_2k, exact up to order 40.
         argv = MDP_ARGS[: MDP_ARGS.index("--k")] + MDP_ARGS[MDP_ARGS.index("--k") + 2:]
         if form == "flag":
             argv = argv + ["--k", k]
         else:
             (tmp_path / "c.json").write_text(json.dumps({"k": int(k)}))
             argv = argv + ["--config", str(tmp_path / "c.json")]
-        monkeypatch.setattr(experiments, "_run", lambda *a, **kw: pytest.fail("replicates ran"))
+        _forbid_runs(monkeypatch)
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -20,7 +20,6 @@ from lagspec.experiments import (
     format_poly,
     predicted_clt,
     run_clt,
-    run_mdp_centering,
     run_mp_sanity,
 )
 from lagspec.moments import NuVariant, nu_moments, semicircle_moments
@@ -29,6 +28,11 @@ from lagspec.spectral import JacobiCoefficients, moments_via_operator
 X2 = np.array([0.0, 0.0, 1.0])
 X3 = np.array([0.0, 0.0, 0.0, 1.0])
 X5 = np.array([0.5, -1.0, 0.25, 2.0, -0.75, 1.5])
+
+
+def monomial(k):
+    """Coefficients of x^k, low to high."""
+    return np.eye(k + 1)[k]
 
 
 def clt_config(**kw):
@@ -45,6 +49,12 @@ class TestGammaRules:
         with pytest.raises(ValueError):
             PowerLawGamma(1.0)
         assert PowerLawGamma(2.0, 3.0).gamma_at(10, 1.0) == 300.0
+
+    def test_power_law_past_the_float_range_is_a_value_error(self):
+        config = clt_config(n=2000, gamma_rule=PowerLawGamma(400.0))
+        with pytest.raises(ValueError, match=r"^gamma rule pow:400:1 overflows a float at "
+                                             r"n = 2000$"):
+            config.ensemble_params()
 
     def test_linear_range(self):
         with pytest.raises(ValueError):
@@ -160,7 +170,7 @@ def clt_reference(config, count=None):
 
 
 def mdp_reference(config):
-    k = config.statistic
+    k = config.statistic.size - 1
     prefactor = float(np.sqrt(config.n * config.beta / 2.0 / config.b_n))
     m_sc_k = float(semicircle_moments(k)[k - 1])
     return reference_samples(config, k, lambda m: prefactor * (float(m[k - 1]) - m_sc_k))
@@ -176,9 +186,9 @@ ORACLE_CASES = {
     "clt-degree5-shifted": (run_clt, clt_reference, clt_config(
         n=200, gamma_rule=PowerLawGamma(2.0), statistic=X5, replicates=200,
         mode=RescalingMode.SHIFTED)),
-    "mdp-k3": (run_mdp_centering, mdp_reference, ExperimentConfig(
+    "mdp-k3": (run_clt, mdp_reference, ExperimentConfig(
         n=300, beta=2.0, gamma_rule=PowerLawGamma(2.0), replicates=200, master_seed=5,
-        statistic=3, b_n=20.0)),
+        statistic=X3, b_n=20.0)),
     "mp-sanity-k2": (run_mp_sanity, moment_reference, ExperimentConfig(
         n=300, beta=2.0, gamma_rule=LinearGamma(0.5), replicates=200, master_seed=9,
         statistic=2, mode=RescalingMode.NONE)),
@@ -304,6 +314,19 @@ class TestRunClt:
         assert report.predicted_variance == 1.0
         assert report.verdict
 
+    def test_speed_b_n_rescales_the_clt(self):
+        # sqrt(b_n) divides the statistic and its predicted mean alike, so
+        # the z-score is the CLT's; the predicted variance divides by b_n.
+        config = dict(gamma_rule=PowerLawGamma(2.0), statistic=X3, replicates=200)
+        clt = run_clt(clt_config(**config))
+        for b_n in (7.0, 50.0):
+            mdp = run_clt(clt_config(b_n=b_n, **config))
+            assert mdp.z_score == pytest.approx(clt.z_score, rel=0, abs=1e-12)
+            assert mdp.predicted_mean == pytest.approx(clt.predicted_mean / np.sqrt(b_n),
+                                                       rel=1e-15)
+            assert mdp.predicted_variance == clt.predicted_variance / b_n
+            assert mdp.zeta_or_xi == pytest.approx(clt.zeta_or_xi / np.sqrt(b_n), rel=1e-15)
+
     def test_samples_look_gaussian(self):
         # zeta ~ 0 regime: chi-square goodness of fit against N(0, 1).
         config = clt_config(n=500, replicates=10_000, master_seed=31)
@@ -321,9 +344,9 @@ class TestRunMdpCentering:
     def test_odd_moment_centering(self):
         config = ExperimentConfig(
             n=500, beta=2.0, gamma_rule=PowerLawGamma(2.0), replicates=2000,
-            master_seed=5, statistic=3, b_n=20.0,
+            master_seed=5, statistic=X3, b_n=20.0,
         )
-        report = run_mdp_centering(config)
+        report = run_clt(config)
         xi_n = 500.0 / np.sqrt(20.0 * 500.0**2)
         assert report.predicted_mean == pytest.approx(xi_n)
         assert report.verdict
@@ -332,32 +355,22 @@ class TestRunMdpCentering:
     def test_even_moment_predicts_zero(self, k):
         config = ExperimentConfig(
             n=400, beta=2.0, gamma_rule=PowerLawGamma(2.0), replicates=1500,
-            master_seed=6, statistic=k, b_n=20.0,
+            master_seed=6, statistic=monomial(k), b_n=20.0,
         )
-        report = run_mdp_centering(config)
+        report = run_clt(config)
         assert report.predicted_mean == 0.0
         assert report.verdict
 
     def test_xi_zero_regime(self):
         config = ExperimentConfig(
             n=200, beta=2.0, gamma_rule=PowerLawGamma(4.0), replicates=1000,
-            master_seed=8, statistic=3, b_n=15.0,
+            master_seed=8, statistic=X3, b_n=15.0,
         )
-        report = run_mdp_centering(config)
+        report = run_clt(config)
         xi_n = 200.0 / np.sqrt(15.0 * 200.0**4)
         assert report.predicted_mean == pytest.approx(xi_n)
         assert report.predicted_mean < 0.002
         assert abs(report.sample_mean) < 4 * report.standard_error_mean + 0.002
-
-    def test_b_n_required(self):
-        with pytest.raises(ValueError, match="b_n"):
-            run_mdp_centering(clt_config(statistic=3))
-
-    @pytest.mark.parametrize("k", [0, 21, 40])
-    def test_moment_cap(self, k):
-        # The predicted variance reads the semicircle's m_2k, exact up to order 40.
-        with pytest.raises(ValueError, match=rf"^moment index must be in 1\.\.20, got {k}$"):
-            run_mdp_centering(clt_config(statistic=k, b_n=20.0))
 
 
 class TestRunMpSanity:
@@ -384,6 +397,14 @@ class TestRunMpSanity:
         with pytest.raises(ValueError, match="linear"):
             run_mp_sanity(config)
 
+    def test_refuses_b_n(self):
+        config = ExperimentConfig(
+            n=100, beta=2.0, gamma_rule=LinearGamma(1.0), replicates=100,
+            master_seed=1, statistic=1, mode=RescalingMode.NONE, b_n=20.0,
+        )
+        with pytest.raises(ValueError, match="^MP sanity takes no speed b_n$"):
+            run_mp_sanity(config)
+
     def test_requires_uncentered(self):
         config = ExperimentConfig(
             n=100, beta=2.0, gamma_rule=LinearGamma(1.0), replicates=100,
@@ -407,10 +428,9 @@ class TestBadStatistic:
             run_clt(clt_config(statistic=statistic))
 
     @pytest.mark.parametrize("run, config", [
-        (run_mdp_centering, clt_config(statistic=3.5, b_n=20.0)),
         (run_mp_sanity, clt_config(statistic=1.5, gamma_rule=LinearGamma(0.5),
                                    mode=RescalingMode.NONE)),
-    ], ids=["mdp", "mp-sanity"])
+    ], ids=["mp-sanity"])
     def test_non_integral_moment_index_rejected(self, run, config):
         with pytest.raises(ValueError, match="statistic must be an integer"):
             run(config)
