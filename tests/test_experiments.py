@@ -341,6 +341,8 @@ class TestRunClt:
 
 
 class TestRunMdpCentering:
+    """The moderate-deviation centering: run_clt on x^k at speed b_n."""
+
     def test_odd_moment_centering(self):
         config = ExperimentConfig(
             n=500, beta=2.0, gamma_rule=PowerLawGamma(2.0), replicates=2000,
