@@ -374,6 +374,15 @@ class TestRunMdpCentering:
         assert report.predicted_mean < 0.002
         assert abs(report.sample_mean) < 4 * report.standard_error_mean + 0.002
 
+    @pytest.mark.parametrize("k", [21, 40])
+    def test_moment_cap(self, k, monkeypatch):
+        # The predicted variance reads the semicircle's m_2k, exact up to order 40,
+        # so x^k above the cap is refused before any replicate runs.
+        monkeypatch.setattr("lagspec.experiments._run",
+                            lambda *a, **kw: pytest.fail("replicates ran"))
+        with pytest.raises(ValueError, match=rf"^polynomial degree {k} above cap 20$"):
+            run_clt(clt_config(statistic=monomial(k), b_n=20.0))
+
 
 class TestRunMpSanity:
     @pytest.mark.parametrize("tau", [1.0, 0.5])
