@@ -173,19 +173,14 @@ def emit_report(report: ExperimentReport, fmt: str = "csv", out: str | None = No
     _write_text(_report_text(report, fmt), out)
 
 
-def _histogram_text(samples: np.ndarray, bins: int) -> str:
-    """Equal-width histogram as two-column text (bin_center, count)."""
-    samples = np.asarray(samples, dtype=np.float64).reshape(-1)
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    if samples.size == 0:
-        raise ValueError("no samples to bin")
+def _histogram_text(samples: np.ndarray) -> str:
+    """_HIST_BINS equal-width bins of a nonempty sample as two-column text (bin_center, count)."""
     lo = float(samples.min())
     hi = float(samples.max())
     if lo == hi:
         lines = [f"{lo:.17g} {samples.size}"]
     else:
-        counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
+        counts, edges = np.histogram(samples, bins=_HIST_BINS, range=(lo, hi))
         centers = (edges[:-1] + edges[1:]) / 2.0
         lines = [f"{c:.17g} {int(k)}" for c, k in zip(centers, counts)]
     return "\n".join(lines) + "\n"
@@ -298,26 +293,13 @@ def _cmd_rate(args) -> int:
 
 
 def _experiment_config(args, statistic, gamma_rule, mode: str) -> ExperimentConfig:
-    """The run's configuration; the histogram flags are checked first, before any replicate.
-
-    The histogram's arrays are allocated once here, as ``_run`` allocates
-    the sample vector, so that a bin count too large to hold fails now.
-    """
+    """The run's configuration; ``--hist-out`` is checked first, before any replicate."""
     from .ensembles import RescalingMode
     from .experiments import ExperimentConfig
 
-    if args.hist_out is None:
-        _unused(args, ("hist_bins",), "without --hist-out")
-    else:
-        if args.out is not None and os.path.realpath(args.out) == os.path.realpath(args.hist_out):
-            raise ValueError("--hist-out and --out name the same file")
-        if args.hist_bins is None:
-            args.hist_bins = _HIST_BINS
-        try:
-            np.empty((2, args.hist_bins + 1))
-        except (MemoryError, ValueError):
-            raise ValueError(f"--hist-bins {args.hist_bins} needs more memory than "
-                             "can be allocated") from None
+    if (args.hist_out is not None and args.out is not None
+            and os.path.realpath(args.out) == os.path.realpath(args.hist_out)):
+        raise ValueError("--hist-out and --out name the same file")
     return ExperimentConfig(
         n=args.n,
         beta=args.beta,
@@ -338,7 +320,7 @@ def _finish_experiment(args, report: ExperimentReport) -> int:
     if args.hist_out is None:
         _write_text(text, args.out)
     else:
-        _write_text(_histogram_text(report.samples, args.hist_bins), args.hist_out)
+        _write_text(_histogram_text(report.samples), args.hist_out)
         try:
             _write_text(text, args.out)
         except OSError:
@@ -428,16 +410,6 @@ def _cmd_identities(args) -> int:
 # parser assembly and config-file tokens
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _one_line(message: str) -> str:
     """``message`` with line breaks and other unprintable characters escaped."""
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
@@ -513,7 +485,6 @@ def _experiment_flags(sub) -> None:
     sub.add_argument("--beta", type=float, required=True)
     sub.add_argument("--replicates", type=int, required=True)
     sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--hist-bins", type=_positive_int)
     sub.add_argument("--hist-out")
 
 

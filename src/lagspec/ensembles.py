@@ -22,6 +22,7 @@ bit, one block at a time.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from dataclasses import dataclass
 
@@ -95,7 +96,8 @@ class EnsembleParams:
 
     gamma must exceed (n-1)*beta/2, otherwise the eigenvalue density (and
     every chi-square degree of freedom in the tridiagonal model) would be
-    ill-defined; violations are rejected here rather than clamped.
+    ill-defined; violations are rejected here rather than clamped. A gamma
+    whose centering scale 2*gamma*n*beta overflows a float is rejected too.
     """
 
     n: int
@@ -112,6 +114,12 @@ class EnsembleParams:
             raise ValueError(
                 f"gamma must exceed (n-1)*beta/2 = {(self.n - 1) * self.beta / 2.0}, "
                 f"got {self.gamma!r}"
+            )
+        # The centering scale of _center, as Python floats: no numpy overflow warning.
+        if not math.isfinite(2.0 * float(self.gamma) * int(self.n) * float(self.beta)):
+            raise ValueError(
+                f"gamma = {self.gamma!r} is too large at n = {self.n}, beta = {self.beta!r}: "
+                "the centering scale 2*gamma*n*beta overflows a float"
             )
         if not isinstance(self.mode, RescalingMode):
             raise ValueError(f"mode must be a RescalingMode, got {self.mode!r}")

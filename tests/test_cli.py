@@ -122,7 +122,7 @@ def _report(verdict=True):
         statistic="x^2", n=100, beta=2.0, gamma=1e6, zeta_or_xi=0.1,
         replicates=100, predicted_mean=0.0, predicted_variance=1.0,
         sample_mean=0.01, sample_variance=0.99, standard_error_mean=0.0995,
-        z_score=0.1005, verdict=verdict, verdict_rule="rule", wall_time_s=0.5,
+        z_score=0.1005, verdict=verdict, wall_time_s=0.5,
     )
 
 
@@ -169,21 +169,17 @@ class TestEmission:
         assert a.read_bytes() == b.read_bytes()
 
     def test_histogram_constant_samples(self):
-        lines = cli._histogram_text(np.full(7, 3.5), 10).strip().split("\n")
+        lines = cli._histogram_text(np.full(7, 3.5)).strip().split("\n")
         assert lines == ["3.5 7"]
 
-    def test_histogram_single_bin(self):
-        lines = cli._histogram_text(np.array([0.0, 1.0, 2.0]), 1).strip().split("\n")
-        assert lines == ["1 3"]
-
     def test_histogram_counts(self):
-        text = cli._histogram_text(np.array([0.0, 0.1, 0.9, 1.0]), 2)
+        # 20 bins of width 0.05 on [0, 1]; the maximum falls in the last bin.
+        text = cli._histogram_text(np.array([0.0, 0.01, 0.1, 0.9, 1.0]))
         rows = [line.split() for line in text.strip().split("\n")]
-        assert [int(r[1]) for r in rows] == [2, 2]
-
-    def test_bad_bins(self):
-        with pytest.raises(ValueError):
-            cli._histogram_text(np.array([1.0]), 0)
+        assert [float(r[0]) for r in rows] == pytest.approx(np.arange(20) * 0.05 + 0.025)
+        counts = [int(r[1]) for r in rows]
+        assert counts[0] == 2 and counts[2] == 1 and counts[18] == 1 and counts[19] == 1
+        assert sum(counts) == 5
 
 
 # The README's command-line examples, as tools/readme_digests.py reads them.
@@ -204,8 +200,7 @@ README_COMMANDS = {
     "mp-sanity": ["mp-sanity", "--n", "2000", "--beta", "2", "--tau", "0.5", "--k", "2",
                   "--replicates", "2000", "--seed", "7"],
     "clt-hist": ["clt", "--n", "500", "--beta", "2", "--gamma-rule", "pow:3:1", "--poly", "x^2",
-                 "--replicates", "10000", "--seed", "7", "--hist-bins", "20",
-                 "--hist-out", "hist.txt"],
+                 "--replicates", "10000", "--seed", "7", "--hist-out", "hist.txt"],
 }
 
 
@@ -251,9 +246,6 @@ INEFFECTIVE_FLAGS = {
                          "without --mdp-moments"),
     "rate-xi-atoms": (["rate", "--semicircle-atoms", "3:0.1"], "xi", "0",
                       "without --mdp-moments"),
-    "clt-hist-bins": (CLT_ARGS, "hist-bins", "8", "without --hist-out"),
-    "mdp-hist-bins": (MDP_ARGS, "hist-bins", "20", "without --hist-out"),
-    "mp-sanity-hist-bins": (MP_SANITY_ARGS, "hist-bins", "8", "without --hist-out"),
 }
 
 
@@ -351,6 +343,9 @@ class TestExitCodes:
         (["rate", "--outlier", "inf"], "|x| must be finite and >= 2"),
         (["rate", "--outlier=-inf"], "|x| must be finite and >= 2"),
         (["rate", "--semicircle-atoms", "nan:0.1"], "atom location must be finite"),
+        (["rate", "--semicircle-atoms", "3:0.1,4"], "atom spec must be loc:mass, got '4'"),
+        (["rate", "--semicircle-atoms", "3:0.6,-3:0.4"],
+         "atom masses must leave positive bulk mass"),
         (["rate", "--mdp-moments", "0,0,nan", "--xi", "1", "--trunc", "3"],
          "moments must be finite"),
         (["rate", "--mdp-moments", "0,0,1", "--xi", "inf", "--trunc", "3"],
@@ -364,7 +359,7 @@ class TestExitCodes:
         (["clt", "--n", "2000", "--beta", "2", "--gamma-rule", "pow:400:1", "--poly", "x^2",
           "--replicates", "100", "--seed", "1"], "gamma rule pow:400:1 overflows a float"),
     ], ids=["b-n-inf", "outlier-nan", "outlier-inf", "outlier-minus-inf", "atom-nan",
-            "mdp-moment-nan", "xi-inf", "nu-hat-xi-nan", "poly-degree", "poly-coefficient",
+            "atom-no-colon", "atom-no-bulk", "mdp-moment-nan", "xi-inf", "nu-hat-xi-nan", "poly-degree", "poly-coefficient",
             "mp-order", "gamma-overflow"])
     def test_nonfinite_parameter_is_one_error_line(self, argv, message, capsys):
         assert cli.main(argv) == 2
@@ -389,6 +384,31 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: replicate 0 failed: coefficients must be finite\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--n", "20", "--beta", "2", "--gamma", "1e307", "--seed", "1"],
+         "gamma = 1e+307 is too large at n = 20, beta = 2.0: the centering scale "
+         "2*gamma*n*beta overflows a float"),
+        (["clt", "--n", "20", "--beta", "2", "--gamma-rule", "pow:2:2.5e304", "--poly", "x^2",
+          "--replicates", "100", "--seed", "1"],
+         "gamma = 1e+307 is too large at n = 20, beta = 2.0: the centering scale "
+         "2*gamma*n*beta overflows a float"),
+        (["mdp", "--n", "120", "--beta", "2", "--gamma-rule", "pow:3:1", "--b-n", "1e-320",
+          "--k", "3", "--replicates", "150", "--seed", "7"],
+         "x^3 at b_n = 1e-320: sqrt(n beta'/b_n), xi_n or the predicted variance is not "
+         "finite"),
+    ], ids=["sample-gamma", "clt-gamma", "mdp-subnormal-b-n"])
+    def test_overflowing_scale_is_one_error_line_and_no_warning(self, argv, message,
+                                                                monkeypatch, capsys):
+        # Refused as a parameter error before any draw, not blamed on replicate 0
+        # or reported as a failed verdict.
+        monkeypatch.setattr(experiments, "_run", lambda *a, **k: pytest.fail("replicates ran"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_unallocatable_replicate_count_is_one_error_line(self, monkeypatch, capsys):
         # 10^12 replicates need 7.28 TiB for their statistics. The allocation
         # is made to fail here, whatever this host's memory would allow.
@@ -408,27 +428,24 @@ class TestExitCodes:
         assert captured.err == ("error: 1000000000000 replicates need 8e+12 bytes for their "
                                 "statistics, more than can be allocated\n")
 
-    @pytest.mark.parametrize("bins", [str(2**60), "1000000000000"])
-    def test_unallocatable_hist_bins_is_one_error_line(self, bins, tmp_path, monkeypatch,
-                                                       capsys):
-        # 2^60 bins exceed numpy's largest array. The allocation for 10^12
-        # bins is made to fail here, whatever this host's memory would allow.
-        if bins == "1000000000000":
-            empty = np.empty
-
-            def failing(shape, *args, **kwargs):
-                if np.prod(shape, dtype=float) >= 10**12:
-                    raise MemoryError("Unable to allocate 14.6 TiB")
-                return empty(shape, *args, **kwargs)
-
-            monkeypatch.setattr(np, "empty", failing)
-        _forbid_runs(monkeypatch)
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("argv", [CLT_ARGS, MDP_ARGS, MP_SANITY_ARGS],
+                             ids=["clt", "mdp", "mp-sanity"])
+    def test_hist_bins_is_a_usage_error(self, argv, form, tmp_path, monkeypatch, capsys):
+        # The histogram always has 20 bins; the flag that once set them is gone.
         hist_path = tmp_path / "h.txt"
-        assert cli.main(CLT_ARGS + ["--hist-bins", bins, "--hist-out", str(hist_path)]) == 2
+        if form == "flag":
+            argv = argv + ["--hist-bins", "20", "--hist-out", str(hist_path)]
+        else:
+            (tmp_path / "c.json").write_text(json.dumps({"hist-bins": 20,
+                                                         "hist-out": str(hist_path)}))
+            argv = argv + ["--config", str(tmp_path / "c.json")]
+        _forbid_runs(monkeypatch)
+        assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: --hist-bins {bins} needs more memory than can be "
-                                "allocated\n")
+        assert captured.err.startswith("error: unrecognized arguments: --hist-bins")
+        assert captured.err.count("\n") == 1
         assert not hist_path.exists()
 
     @pytest.mark.parametrize("form", ["flag", "config"])
@@ -562,6 +579,13 @@ class TestMomentsCommand:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert values == [-1.0, 0.0, -2.0, 0.0, -5.0]
 
+    def test_arcsine_is_the_library_sequence(self, capsys):
+        assert cli.main(["moments", "--measure", "arcsine", "--order", "8"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "k,value"
+        values = [float(line.split(",")[1]) for line in lines[1:]]
+        assert values == moments.arcsine_moments(8).tolist() == [0, 2, 0, 6, 0, 20, 0, 70]
+
     def test_semicircle_json(self, capsys):
         assert cli.main(["moments", "--measure", "semicircle", "--order", "4",
                          "--format", "json"]) == 0
@@ -653,25 +677,11 @@ class TestCltCommand:
     def test_histogram_emission(self, tmp_path):
         report_path = tmp_path / "r.csv"
         hist_path = tmp_path / "h.txt"
-        assert cli.main(CLT_ARGS + ["--out", str(report_path), "--hist-bins", "8",
+        assert cli.main(CLT_ARGS + ["--out", str(report_path),
                                      "--hist-out", str(hist_path)]) == 0
         lines = hist_path.read_text().strip().split("\n")
-        assert len(lines) == 8
+        assert len(lines) == 20
         assert sum(int(line.split()[1]) for line in lines) == 150
-
-    @pytest.mark.parametrize("bins", ["0", "-3"])
-    def test_nonpositive_hist_bins_rejected_before_run(self, bins, tmp_path, monkeypatch,
-                                                       capsys):
-        def no_run(*args, **kwargs):
-            raise AssertionError("replicates ran")
-
-        monkeypatch.setattr(experiments, "run_clt", no_run)
-        hist_path = tmp_path / "h.txt"
-        assert cli.main(CLT_ARGS + ["--hist-bins", bins, "--hist-out", str(hist_path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: argument --hist-bins: must be >= 1, got {bins}\n"
-        assert not hist_path.exists()
 
     @pytest.mark.parametrize("argv", [
         CLT_ARGS,
@@ -826,11 +836,10 @@ class TestMpSanityCommand:
         hist_path = tmp_path / "h.txt"
         code = cli.main(["mp-sanity", "--n", "200", "--beta", "2", "--tau", "0.5",
                          "--k", "2", "--replicates", "120", "--seed", "3",
-                         "--out", str(tmp_path / "r.csv"), "--hist-bins", "6",
-                         "--hist-out", str(hist_path)])
+                         "--out", str(tmp_path / "r.csv"), "--hist-out", str(hist_path)])
         assert code in (0, 1)
         lines = hist_path.read_text().strip().split("\n")
-        assert len(lines) == 6
+        assert len(lines) == 20
         assert sum(int(line.split()[1]) for line in lines) == 120
 
 

@@ -7,6 +7,8 @@ distributional content.
 
 import itertools
 import math
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -34,7 +36,7 @@ from lagspec.ensembles import (
     sample_laguerre_tridiagonal,
     sample_spectral_measure,
 )
-from lagspec.spectral import JacobiCoefficients, moments_of_measure
+from lagspec.spectral import JacobiCoefficients, _window_moments, moments_of_measure
 
 
 class TestParams:
@@ -55,6 +57,21 @@ class TestParams:
 
     def test_beta_prime(self):
         assert EnsembleParams(3, 2.0, 10.0).beta_prime == 1.0
+
+    @pytest.mark.parametrize("n, beta, gamma", [
+        (20, 2.0, 1e307), (20, 2.0, np.float64(2.3e306)), (1, 1e300, 1e10),
+    ])
+    def test_overflowing_centering_scale_rejected(self, n, beta, gamma):
+        # 2*gamma*n*beta, which _center takes the square root of, overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"gamma = {gamma!r} is too large at n = {n}, beta = {beta!r}: the "
+                    "centering scale 2*gamma*n*beta overflows a float") + "$"):
+                EnsembleParams(n, beta, gamma)
+
+    def test_largest_centering_scale_accepted(self):
+        EnsembleParams(20, 2.0, 2.2e306)
 
 
 class TestSeeds:
@@ -348,6 +365,35 @@ class TestReplicateWindows:
         with pytest.raises(ValueError, match=r"^replicates must be >= 0, got -3$"):
             list(replicate_windows(7, -3, params, 2))
         assert list(replicate_windows(7, 0, params, 2)) == []
+
+
+class TestFiniteNMeanOfM2:
+    """The exact mean of m_2 = d_1^2 + c_1^2 at finite n, off beta = 2.
+
+    With z_1 ~ chi^2(2 gamma) and z_2 ~ chi^2(beta'(2n - 2)): E[m_2] =
+    1 + (1/beta' - 1)/n under the standard centering, plus n beta'/gamma
+    under the shifted one, and 1 + (1 + beta'(n - 1))/gamma for the
+    uncentered matrix divided by 2 gamma. A wrong degree of freedom of z_1
+    or z_2 moves the mean by tens of standard errors.
+    """
+
+    @pytest.mark.parametrize("centering", ["standard", "shifted", "scale"])
+    @pytest.mark.parametrize("n", [10, 200])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 4.0])
+    def test_mean_within_four_standard_errors(self, beta, n, centering):
+        gamma, beta_prime, replicates = float(n * n), beta / 2.0, 50_000
+        if centering == "scale":
+            params, scale = EnsembleParams(n, beta, gamma, RescalingMode.NONE), 1.0 / (2.0 * gamma)
+            exact = 1.0 + (1.0 + beta_prime * (n - 1)) / gamma
+        else:
+            params, scale = EnsembleParams(n, beta, gamma, RescalingMode(centering)), None
+            exact = 1.0 + (1.0 / beta_prime - 1.0) / n
+            if centering == "shifted":
+                exact += n * beta_prime / gamma
+        m2 = np.concatenate([_window_moments(diag, offdiag, 2)[:, 1] for _, diag, offdiag
+                             in replicate_windows(5, replicates, params, 2, scale)])
+        se = m2.std(ddof=1) / math.sqrt(replicates)
+        assert abs(m2.mean() - exact) < 4.0 * se
 
 
 class TestStandardGamma:

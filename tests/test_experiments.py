@@ -1,5 +1,7 @@
 """Monte Carlo harness: predictions, determinism, verdicts at desk scale."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -109,6 +111,10 @@ class TestPredictedClt:
     def test_degree_cap(self):
         with pytest.raises(ValueError, match="degree"):
             predicted_clt(np.zeros(22), 0.0)
+
+    def test_negative_zeta_rejected(self):
+        with pytest.raises(ValueError, match=r"^zeta must be >= 0, got -0.5$"):
+            predicted_clt(X2, -0.5)
 
     def test_variance_equals_covariance_quadratic_form(self):
         # The limit variance is also alpha^T (D D^T) alpha over the
@@ -374,6 +380,23 @@ class TestRunMdpCentering:
         assert report.predicted_mean < 0.002
         assert abs(report.sample_mean) < 4 * report.standard_error_mean + 0.002
 
+    @pytest.mark.parametrize("statistic, b_n, label", [
+        (X3, 1e-320, r"x\^3 at b_n = 1e-320"),
+        (X3, 5e-324, r"x\^3 at b_n = 5e-324"),
+        (1e200 * X2, None, r"1e\+200x\^2 at b_n = 1.0"),
+    ], ids=["subnormal-b-n", "smallest-b-n", "huge-coefficient"])
+    def test_overflowing_scale_refused_before_any_replicate(self, statistic, b_n, label,
+                                                            monkeypatch):
+        # sqrt(n beta'/b_n) and the predicted variance / b_n overflow; so does
+        # the predicted variance of a polynomial with a huge coefficient.
+        monkeypatch.setattr("lagspec.experiments._run",
+                            lambda *a, **kw: pytest.fail("replicates ran"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{label}: sqrt\(n beta'/b_n\), xi_n or "
+                                                 "the predicted variance is not finite$"):
+                run_clt(clt_config(statistic=statistic, b_n=b_n))
+
     @pytest.mark.parametrize("k", [21, 40])
     def test_moment_cap(self, k, monkeypatch):
         # The predicted variance reads the semicircle's m_2k, exact up to order 40,
@@ -402,6 +425,14 @@ class TestRunMpSanity:
         )
         report = run_mp_sanity(config)
         assert report.verdict and report.predicted_mean == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_moment_index_outside_one_to_four_rejected(self, k, monkeypatch):
+        monkeypatch.setattr("lagspec.experiments._run",
+                            lambda *a, **kw: pytest.fail("replicates ran"))
+        config = clt_config(statistic=k, gamma_rule=LinearGamma(0.5), mode=RescalingMode.NONE)
+        with pytest.raises(ValueError, match=rf"^moment index must be in 1..4, got {k}$"):
+            run_mp_sanity(config)
 
     def test_requires_linear_rule(self):
         config = clt_config(statistic=1, mode=RescalingMode.NONE)

@@ -125,6 +125,11 @@ class TestLdpRate:
         mu = AcPlusAtoms(lambda x: 0.9 * SC(x), [(1e200, 0.1)])
         assert ldp_rate(mu) == math.inf
 
+    def test_bulk_that_loses_support_costs_inf(self):
+        # The bulk vanishes on (0, 2): the KL term is infinite, whatever the atom costs.
+        half = lambda x: np.where(np.asarray(x) < 0, 1.8 * SC(x), 0.0)
+        assert ldp_rate(AcPlusAtoms(half, [(3.0, 0.1)])) == math.inf
+
     def test_positive_off_minimum(self):
         arc = lambda x: 1.0 / (np.pi * np.sqrt(4.0 - np.asarray(x) ** 2))
         assert ldp_rate(AcPlusAtoms(arc)) > 0.1
@@ -182,6 +187,11 @@ class TestMdpRateSeries:
     def test_truncation_validation(self):
         with pytest.raises(ValueError, match="truncation"):
             mdp_rate_series(np.zeros(5), 0.0, NuVariant.STANDARD, 10)
+
+    @pytest.mark.parametrize("k_trunc", [0, -2])
+    def test_truncation_below_one_rejected(self, k_trunc):
+        with pytest.raises(ValueError, match=rf"^k_trunc must be >= 1, got {k_trunc}$"):
+            mdp_rate_series(np.zeros(5), 0.0, NuVariant.STANDARD, k_trunc)
 
 
 class TestMdpRateDensity:
