@@ -450,6 +450,10 @@ def _rescaling_modes() -> list:
     return [mode.value for mode in RescalingMode]
 
 
+# The centered modes: clt and mdp statistics are read from centered windows.
+_CENTERINGS = ("standard", "shifted")
+
+
 def _sample_flags(sub) -> None:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--beta", type=float, required=True)
@@ -492,7 +496,7 @@ def _clt_flags(sub) -> None:
     _experiment_flags(sub)
     sub.add_argument("--gamma-rule", required=True, help="pow:<a>:<c> or lin:<tau>")
     sub.add_argument("--poly", required=True, help="e.g. x^3 or 1+2x-0.5x^2")
-    sub.add_argument("--mode", default="standard", choices=_rescaling_modes())
+    sub.add_argument("--mode", default="standard", choices=_CENTERINGS)
 
 
 def _mdp_flags(sub) -> None:
@@ -500,7 +504,7 @@ def _mdp_flags(sub) -> None:
     sub.add_argument("--gamma-rule", required=True, help="pow:<a>:<c> or lin:<tau>")
     sub.add_argument("--b-n", type=float, required=True)
     sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--mode", default="standard", choices=_rescaling_modes())
+    sub.add_argument("--mode", default="standard", choices=_CENTERINGS)
 
 
 def _mp_sanity_flags(sub) -> None:

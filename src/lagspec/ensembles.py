@@ -16,7 +16,8 @@ a seeded Monte Carlo run its own child seed: replicate i is
 ``sample_laguerre_tridiagonal(make_rng(derive_seed(master, i)), params)``.
 :func:`replicate_windows` computes the keys of a block of replicates at
 once and yields their leading windows, equal to the single draws' bit for
-bit, one block at a time.
+bit, one block at a time. The gamma draws are Marsaglia & Tsang's method on
+Kinderman & Monahan's normal, each stage decided by its exact test alone.
 """
 
 from __future__ import annotations
@@ -63,13 +64,10 @@ _LOW32, _HALF = _U64(0xFFFFFFFF), _U64(32)
 _MULT_HI, _MULT_LO = _U64(_PCG64_MULT >> 64), _U64(_PCG64_MULT & _MASK64)
 _MULT_LO0, _MULT_LO1 = _U64(_PCG64_MULT & 0xFFFFFFFF), _U64((_PCG64_MULT >> 32) & 0xFFFFFFFF)
 
-# Leva's normal (see _standard_gamma): the scale of V, the centre (s, -t)
-# and coefficients (a, b) of his quadratic Q, and its inner and outer
-# bounds; and k golden for k = 1..4, the offsets of an attempt's raw words.
-_LEVA_V = 1.7156
-_LEVA_S, _LEVA_T = 0.449871, 0.386595
-_LEVA_A, _LEVA_B = 0.19600, 0.25472
-_LEVA_INNER, _LEVA_OUTER = 0.27597, 0.27846
+# The width of the ratio-of-uniforms box for V (see _standard_gamma), Leva's
+# 1.7156 just above 2 sqrt(2/e); and k golden for k = 1..4, the offsets of
+# an attempt's raw words.
+_BOX_V = 1.7156
 _STEPS = np.arange(1, 5, dtype=np.uint64)[:, None] * _U64(_GOLDEN)
 
 # Replicates per vectorized block: large enough to spread numpy's per-call
@@ -257,16 +255,16 @@ def _standard_gamma(keys, shapes) -> np.ndarray:
     derive_seed(derive_seed(K, j), k), so every entry is independent of
     every other, of the number of keys and of the shapes after it. Attempt
     t reads raw_4t .. raw_4t+3 as uniforms U1 .. U4 in (0, 1]. A normal X
-    = V / U1, V = 1.7156 (U2 - 1/2), comes from Leva's ratio of uniforms
-    (ACM TOMS 18, 1992): his quadratic Q accepts below its inner bound,
-    rejects above its outer one, and in between the attempt accepts iff
-    V^2 <= -4 U1^2 ln U1. Marsaglia & Tsang's method (ACM TOMS 26, 2000)
-    then takes d = a - 1/3 (a + 2/3 for a shape a < 1), c = 1/sqrt(9d),
-    W = (1 + cX)^3 with 1 + cX > 0, and accepts if U3 < 1 - 0.0331 X^4,
-    or else iff ln U3 < X^2/2 + d (1 - W + ln W). The draw is d W, times
-    U4^(1/a) when a < 1; a rejection moves on to attempt t + 1. Values use
-    only + - * / sqrt (and pow for a < 1); ``ln`` decides only the cases
-    between the squeezes. Every pending entry runs one attempt per round.
+    = V / U1, V = 1.7156 (U2 - 1/2), comes from Kinderman & Monahan's ratio
+    of uniforms (ACM TOMS 3, 1977), accepted iff V^2 <= -4 U1^2 ln U1.
+    Marsaglia & Tsang's method (ACM TOMS 26, 2000) then takes d = a - 1/3
+    (a + 2/3 for a shape a < 1), c = 1/sqrt(9d), W = (1 + cX)^3, and
+    accepts iff 1 + cX > 0 and ln U3 < X^2/2 + d (1 - W + ln W). The draw
+    is d W, times U4^(1/a) when a < 1; a rejection moves on to attempt t +
+    1. Each test runs over all pending entries, one attempt per round; no
+    squeeze skips it. Values use only + - * / sqrt (and pow for a < 1);
+    ``ln`` only decides acceptance, so a host whose ``log`` differs in the
+    last bit can flip only a decision within an ulp of its boundary.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     shapes = np.asarray(shapes, dtype=np.float64)
@@ -283,27 +281,16 @@ def _standard_gamma(keys, shapes) -> np.ndarray:
     todo = np.arange(base.size)
     while todo.size:
         u1, u2, u3 = _uniform(_finalize(base + _STEPS[:3]))
-        v = _LEVA_V * (u2 - 0.5)
-        x = u1 - _LEVA_S
-        y = np.abs(v) + _LEVA_T
-        q = x * x + y * (_LEVA_A * y - _LEVA_B * x)
-        accept = q < _LEVA_INNER
-        between = np.flatnonzero(~accept & (q <= _LEVA_OUTER))
-        if between.size:
-            u, vb = u1[between], v[between]
-            accept[between] = vb * vb <= -4.0 * u * u * np.log(u)
+        v = _BOX_V * (u2 - 0.5)
+        accept = v * v <= -4.0 * u1 * u1 * np.log(u1)
         x = v / u1
-        d, c = d_col[col], c_col[col]
-        w = 1.0 + c * x
+        d = d_col[col]
+        w = 1.0 + c_col[col] * x
         accept &= w > 0.0
         w = w * w * w
-        xx = x * x
-        squeeze = u3 < 1.0 - 0.0331 * xx * xx
-        log_test = np.flatnonzero(accept & ~squeeze)
-        if log_test.size:
-            wl, xl = w[log_test], xx[log_test]
-            bound = 0.5 * xl + d[log_test] * (1.0 - wl + np.log(wl))
-            accept[log_test] = np.log(u3[log_test]) < bound
+        # ln W is nan or -inf where W <= 0, entries already rejected.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            accept &= np.log(u3) < 0.5 * (x * x) + d * (1.0 - w + np.log(w))
         value = d * w
         if small.any():
             boost = np.flatnonzero(accept & small[col])
@@ -401,7 +388,9 @@ def sample_laguerre_tridiagonal(
     Takes one raw 64-bit output of ``rng`` as the key of the 2n - 1
     chi-squares (see :func:`_window`).
     """
-    diag, offdiag = _window([rng.bit_generator.random_raw()], params, params.n)
+    # An overflowed or NaN entry is left to JacobiCoefficients' finite check.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        diag, offdiag = _window([rng.bit_generator.random_raw()], params, params.n)
     return JacobiCoefficients(diag[0], offdiag[0])
 
 

@@ -290,13 +290,22 @@ class TestExitCodes:
         ["rate", "--mdp-moments", "1,2", "--variant", "other"],
         ["clt", "--n", "120", "--beta", "2", "--gamma-rule", "pow:3:1", "--poly", "\u0663x",
          "--replicates", "150", "--seed", "7"],
+        CLT_ARGS + ["--mode", "none"],
+        MDP_ARGS + ["--mode", "none"],
     ], ids=["unknown-flag", "unknown-command", "missing-required", "abbreviation",
-            "workers", "mode-choice", "variant-choice", "non-ascii-poly-digit"])
+            "workers", "mode-choice", "variant-choice", "non-ascii-poly-digit",
+            "clt-mode-none", "mdp-mode-none"])
     def test_usage_error_is_one_line(self, argv, capsys):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["clt", "mdp"])
+    def test_help_offers_only_the_centered_modes(self, command, capsys):
+        # Both statistics are read from centered windows, so mode none is no choice.
+        assert cli.main([command, "--help"]) == 0
+        assert "--mode {standard,shifted}" in capsys.readouterr().out
 
     def test_invalid_n_is_usage_error(self, capsys):
         code = cli.main(["sample", "--n", "-5", "--beta", "2", "--gamma", "10",
@@ -563,6 +572,17 @@ class TestSampleCommand:
         rows = json.loads(capsys.readouterr().out)
         assert [type(row["offdiag"]) for row in rows] == [float, float, type(None)]
 
+    def test_overflowing_draw_is_one_error_line_and_no_warning(self, capsys):
+        # gamma is accepted, but z_1 z_2 overflows at this seed; the finite
+        # check refuses the model without a numpy warning ahead of it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["sample", "--n", "20", "--beta", "2", "--gamma", "2.2e306",
+                             "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: coefficients must be finite\n"
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -722,7 +742,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key,value", [
         ("gamma-rule", 2), ("n", True), ("n", None), ("n", ""), ("beta", [2]),
-        ("seed", {"a": 1}), ("mode", "-x"), ("workers", 1), ("repl", 150),
+        ("seed", {"a": 1}), ("mode", "-x"), ("mode", "none"), ("workers", 1), ("repl", 150),
         ("gamma_rule", "pow:3:1"), ("config", "c.json"),
     ])
     def test_bad_value_is_one_error_line(self, key, value, tmp_path, capsys):

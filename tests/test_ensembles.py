@@ -58,6 +58,10 @@ class TestParams:
     def test_beta_prime(self):
         assert EnsembleParams(3, 2.0, 10.0).beta_prime == 1.0
 
+    def test_mode_must_be_a_rescaling_mode(self):
+        with pytest.raises(ValueError, match="^mode must be a RescalingMode, got 'standard'$"):
+            EnsembleParams(3, 2.0, 10.0, "standard")
+
     @pytest.mark.parametrize("n, beta, gamma", [
         (20, 2.0, 1e307), (20, 2.0, np.float64(2.3e306)), (1, 1e300, 1e10),
     ])
@@ -132,9 +136,13 @@ def assert_block_matches(master, block, params, window):
 def reference_gamma(key, j, a):
     """_standard_gamma's entry j for one key, written out in scalar Python.
 
-    Returns the value and the branch each attempt took. numpy's ``pow`` may
-    differ from the C library's in the last bit, so the a < 1 factor is
-    taken from numpy, as the sampler takes it.
+    Returns the value and the branch each attempt took. It keeps both
+    squeezes on purpose: Leva's quadratic bounds around the normal's exact
+    test and Marsaglia & Tsang's U3 < 1 - 0.0331 X^4 ahead of theirs. The
+    sampler runs the exact tests alone, so agreeing with this reference bit
+    for bit shows that the squeezes decide nothing differently. numpy's
+    ``pow`` may differ from the C library's in the last bit, so the a < 1
+    factor is taken from numpy, as the sampler takes it.
     """
     stream = derive_seed(key, j)
     d = a + 2.0 / 3.0 if a < 1.0 else a - 1.0 / 3.0
@@ -486,6 +494,14 @@ class TestLaguerreSampler:
         for _ in range(50):
             coeffs = sample_laguerre_tridiagonal(rng, params)
             assert np.all(coeffs.offdiag > 0)
+
+    def test_overflowing_draw_raises_without_warning(self):
+        # Accepted: 2 gamma n beta is finite. z_1 z_2, about 2 gamma z_2, is not.
+        params = EnsembleParams(20, 2.0, 2.2e306)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                sample_laguerre_tridiagonal(make_rng(1), params)
 
     def test_bit_identical_for_same_seed(self):
         params = EnsembleParams(40, 2.0, 500.0)

@@ -52,6 +52,11 @@ class TestGammaRules:
             PowerLawGamma(1.0)
         assert PowerLawGamma(2.0, 3.0).gamma_at(10, 1.0) == 300.0
 
+    @pytest.mark.parametrize("coefficient", [0.0, -1.0, np.nan])
+    def test_power_law_coefficient_must_be_positive(self, coefficient):
+        with pytest.raises(ValueError, match="^coefficient must be positive, got "):
+            PowerLawGamma(2.0, coefficient)
+
     def test_power_law_past_the_float_range_is_a_value_error(self):
         config = clt_config(n=2000, gamma_rule=PowerLawGamma(400.0))
         with pytest.raises(ValueError, match=r"^gamma rule pow:400:1 overflows a float at "
@@ -76,6 +81,11 @@ class TestExperimentConfig:
                              ids=["float", "fraction", "numpy-float", "str"])
     def test_non_integer_replicates_rejected(self, replicates):
         with pytest.raises(ValueError, match="replicates must be an integer"):
+            clt_config(replicates=replicates)
+
+    @pytest.mark.parametrize("replicates", [0, -5])
+    def test_replicates_below_one_rejected(self, replicates):
+        with pytest.raises(ValueError, match=rf"^replicates must be >= 1, got {replicates}$"):
             clt_config(replicates=replicates)
 
     @pytest.mark.parametrize("b_n", [np.inf, np.nan, 0.0, -1.0])

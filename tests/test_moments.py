@@ -15,6 +15,7 @@ from lagspec.moments import (
     nu_density,
     nu_moments,
     nu_moments_by_quadrature,
+    chebyshev_lebesgue_rule,
     semicircle_moments,
     semicircle_orthonormal_poly,
     semicircle_rule,
@@ -47,6 +48,17 @@ class TestSemicircleMoments:
     def test_order_cap(self):
         with pytest.raises(ValueError, match="cap"):
             semicircle_moments(41)
+
+    @pytest.mark.parametrize("order", [0, 2.5, "3"])
+    def test_order_must_be_a_positive_integer(self, order):
+        with pytest.raises(ValueError, match="^order must be a positive integer, got "):
+            semicircle_moments(order)
+
+
+@pytest.mark.parametrize("rule", [chebyshev_lebesgue_rule, semicircle_rule])
+def test_quadrature_rule_needs_a_node(rule):
+    with pytest.raises(ValueError, match="^n_nodes must be >= 1, got 0$"):
+        rule(0)
 
 
 class TestArcsineMoments:
@@ -253,6 +265,14 @@ class TestOrthonormalPolynomials:
         np.testing.assert_array_equal(semicircle_orthonormal_poly(1), [0, 1])
         np.testing.assert_array_equal(semicircle_orthonormal_poly(2), [-1, 0, 1])
         np.testing.assert_array_equal(semicircle_orthonormal_poly(3), [0, -2, 0, 1])
+
+    @pytest.mark.parametrize("k, message", [
+        (-1, "k must be a nonnegative integer, got -1"),
+        (41, "k 41 above the 64-bit-exact cap 40"),
+    ])
+    def test_degree_out_of_range(self, k, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            semicircle_orthonormal_poly(k)
 
     def test_orthonormality_by_quadrature(self):
         x, w = semicircle_rule(64)

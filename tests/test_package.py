@@ -34,6 +34,19 @@ def test_submodule_import():
     assert lagspec.spectral is sys.modules["lagspec.spectral"]
 
 
+def test_submodule_resolves_through_the_package_getattr():
+    # In a fresh interpreter no submodule is bound on the package yet, so
+    # ``lagspec.rates`` is resolved by the package's __getattr__.
+    code = ("import sys, lagspec\n"
+            "assert 'rates' not in vars(lagspec)\n"
+            "rates = lagspec.rates\n"
+            "print(rates is sys.modules['lagspec.rates'], rates.ldp_rate is lagspec.ldp_rate)")
+    env = {**os.environ, "PYTHONPATH": str(Path(lagspec.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.splitlines() == ["True True"]
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         lagspec.no_such_name

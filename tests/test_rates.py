@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from lagspec import moments, rates
+from lagspec.errors import NumericalError
 from lagspec.moments import (
     NuVariant,
     nu_moments,
@@ -192,6 +194,14 @@ class TestMdpRateSeries:
     def test_truncation_below_one_rejected(self, k_trunc):
         with pytest.raises(ValueError, match=rf"^k_trunc must be >= 1, got {k_trunc}$"):
             mdp_rate_series(np.zeros(5), 0.0, NuVariant.STANDARD, k_trunc)
+
+    def test_disagreeing_forms_raise(self, monkeypatch):
+        # Shift the norm form's D^-1 so that the two routes part by far more than 1e-10.
+        monkeypatch.setattr(rates, "d_inverse_apply",
+                            lambda order, v: moments.d_inverse_apply(order, v) + 1e-3)
+        with pytest.raises(NumericalError, match="^series and norm forms of the MDP rate "
+                                                 "disagree: "):
+            mdp_rate_series(nu_moments(15, 1.0), 1.0)
 
 
 class TestMdpRateDensity:

@@ -114,6 +114,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="length"):
             JacobiCoefficients([0.0, 0.0], [1.0, 1.0])
 
+    def test_empty_diag(self):
+        with pytest.raises(ValueError, match="^diag must be a nonempty 1-D array$"):
+            JacobiCoefficients([], [])
+
+    @pytest.mark.parametrize("atoms, weights, message", [
+        ([0.0, 1.0], [1.0], "atoms and weights must be 1-D arrays of equal length"),
+        ([], [], "measure must have at least one atom"),
+        ([0.0, np.inf], [0.5, 0.5], "atoms must be finite"),
+    ], ids=["unequal-lengths", "no-atoms", "infinite-atom"])
+    def test_measure_rejected(self, atoms, weights, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SpectralMeasure(atoms, weights)
+
     def test_atoms_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
             SpectralMeasure([1.0, 0.0], [0.5, 0.5])
@@ -285,6 +298,13 @@ class TestSzegoMap:
     def test_order_exceeding_atoms(self):
         with pytest.raises(ValueError, match="exceeds"):
             measure_to_coefficients(SpectralMeasure([0.0, 1.0], [0.5, 0.5]), 3)
+
+    def test_order_below_one(self):
+        mu = SpectralMeasure([0.0, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="^order must be >= 1, got 0$"):
+            measure_to_coefficients(mu, 0)
+        with pytest.raises(ValueError, match="^moment order must be >= 1, got 0$"):
+            moments_of_measure(mu, 0)
 
     def test_breakdown_on_coincident_atoms(self):
         # A gap below resolution is accepted by the measure but collapses
