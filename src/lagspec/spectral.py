@@ -4,20 +4,27 @@ A symmetric tridiagonal matrix with positive subdiagonal is held as a
 :class:`JacobiCoefficients` value. Its spectral measure (eigenvalues as
 atoms, squared first eigenvector components as weights) is a
 :class:`SpectralMeasure`. The two representations are bijective at finite
-size; :func:`eigen_spectral` (LAPACK's divide and conquer eigensolver)
-and :func:`measure_to_coefficients` implement the two directions, and
-:func:`moments_via_operator` / :func:`moments_of_measure` compute moments
-on either side without ever leaving it.
+size; :func:`eigen_spectral` and :func:`measure_to_coefficients` implement
+the two directions, and :func:`moments_via_operator` /
+:func:`moments_of_measure` compute moments on either side without ever
+leaving it.
 
 The forward direction takes numpy's dense eigensolver up to size 128, so
 that small measures such as ``lagspec sample``'s never import the slow
-``scipy.linalg``, and scipy's tridiagonal one above; see
-:func:`eigen_spectral` for why the two agree and what each costs.
+``scipy.linalg``. Above that it needs only the first row of the
+eigenvectors (Golub & Welsch, Math. Comp. 23, 1969): the shifted matrix is
+factored as B B^T with B bidiagonal, and LAPACK's divide and conquer SVD
+of B (dlasda, Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995) keeps
+its singular vectors in a compact form of O(n log n) numbers, from which
+dlalsa applies U^T to e1. See :func:`eigen_spectral` for the details and
+what it costs.
 
 The inverse direction costs O(n^2): a divide and conquer that merges the
 Jacobi matrices of two halves of the atoms with LAPACK's band reduction
-(dsbtrd), after Gragg & Harrod (Numer. Math. 44, 1984). scipy does not wrap
-dsbtrd, so it is reached through scipy's Cython LAPACK table on first use.
+(dsbtrd), after Gragg & Harrod (Numer. Math. 44, 1984).
+
+scipy.linalg.lapack wraps neither dsbtrd nor the SVD routines, so these and
+dpttrf are reached through scipy's Cython LAPACK table on first use.
 """
 
 from __future__ import annotations
@@ -53,12 +60,31 @@ _WEIGHT_SUM_TOL = 1e-10
 _LEAF_ATOMS = 128
 
 # Jacobi matrices of at most this size are diagonalized as dense matrices by
-# numpy's LAPACK, larger ones by scipy's tridiagonal solver (eigen_spectral).
+# numpy's LAPACK, larger ones through the bidiagonal SVD (eigen_spectral).
 _DENSE_EIGH_ATOMS = 128
 
-# dsbtrd(vect, uplo, n, kd, ab, ldab, d, e, q, ldq, work, info)
-_DSBTRD_SIGNATURE = ("void (char *, char *, int *, int *, double *, int *, double *, "
-                     "double *, double *, int *, double *, int *)")
+# Largest bidiagonal block that LAPACK's divide and conquer SVD solves
+# directly, dgelsd's choice (ILAENV). dlalsa refuses bidiagonals of at most
+# this size, so these go to dlasdq, as in dlalsd.
+_SVD_LEAF = 25
+
+# Argument kinds of the LAPACK routines reached through scipy's Cython
+# table: c a char, i an int, I an int array, d a double array. The last
+# argument of each is LAPACK's info.
+_LAPACK_ARGS = {
+    # dsbtrd(vect, uplo, n, kd, ab, ldab, d, e, q, ldq, work, info)
+    "dsbtrd": "cciididddidi",
+    # dpttrf(n, d, e, info)
+    "dpttrf": "iddi",
+    # dlasdq(uplo, sqre, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work, info)
+    "dlasdq": "ciiiiidddidididi",
+    # dlasda(icompq, smlsiz, n, sqre, d, e, u, ldu, vt, k, difl, difr, z, poles,
+    #        givptr, givcol, ldgcol, perm, givnum, c, s, work, iwork, info)
+    "dlasda": "iiiidddidIddddIIiIddddIi",
+    # dlalsa(icompq, smlsiz, n, nrhs, b, ldb, bx, ldbx, u, ldu, vt, k, difl, difr,
+    #        z, poles, givptr, givcol, ldgcol, perm, givnum, c, s, work, iwork, info)
+    "dlalsa": "iiiididididIddddIIiIddddIi",
+}
 
 
 @dataclass
@@ -141,40 +167,125 @@ def free_jacobi(n: int) -> JacobiCoefficients:
 
 
 def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
-    """Spectral measure of a Jacobi matrix via LAPACK's divide and conquer.
+    """Spectral measure of a Jacobi matrix: its eigenvalues, first-row weights.
 
     The atoms are the eigenvalues; weight i is the squared first component
-    of the i-th normalized eigenvector. Raises NumericalError when the
-    eigensolver fails to converge.
+    of the i-th normalized eigenvector. An atom whose weight comes out as
+    exactly 0 (below the double range, as at small beta, or deflated by
+    the solver) is dropped, so ``coeffs.n - measure.n`` atoms are lost, and
+    the weights that remain still sum to 1 within 1e-10. Raises
+    NumericalError when LAPACK fails.
 
     Matrices of size at most 128 go to numpy's dense ``eigh`` (dsyevd),
-    larger ones to scipy's ``eigh_tridiagonal`` (dstevd). Both end in the
-    same tridiagonal divide and conquer (dstedc), since dsyevd's reduction
-    of a matrix that is already tridiagonal reflects nothing; on a 2-core
-    x86-64 VM (numpy 2.4, scipy 1.17) they gave the same bits on 512
-    random Jacobi matrices of sizes 1-128. The small sizes thereby skip
-    importing ``scipy.linalg``, which there costs a fresh process about
-    0.25 s and 29 MB, more than the rest of ``lagspec sample --n 50``.
-    Once scipy is loaded, dsyevd is the slower of the two: by 0.3-1.3 ms
-    at sizes 100-128, and by more as its O(n^3) dense work grows.
+    whose reduction of a tridiagonal matrix reflects nothing before the
+    divide and conquer, so that small measures skip importing
+    ``scipy.linalg``: that costs a fresh process about 0.25 s and 29 MB,
+    more than the rest of ``lagspec sample --n 50`` (2-core x86-64 VM,
+    numpy 2.4, scipy 1.17). Larger ones are scaled by a power of two,
+    shifted past their Gershgorin bound and factored as J + sI = B B^T
+    with B upper bidiagonal (dpttrf on the reversed matrix). With the SVD
+    B = U S V^T the atoms are S^2 - s and the weights (U^T e1)^2. LAPACK's
+    divide and conquer (dlasda) returns S and U in compact form, and
+    dlalsa applies U^T to e1; bidiagonals of at most 25 rows go to the QR
+    SVD dlasdq instead. On the same VM, with scipy loaded, this takes
+    170 ms and 2.3 MB (traced) at size 2000 and 52 ms at size 1000, where
+    scipy's ``eigh_tridiagonal`` (dstevd), which forms every eigenvector,
+    took 250 ms and 61 MB, and 59 ms; at sizes 200-400 it is 0.2-0.5 ms
+    slower than dstevd, and at 100-128 within 0.15 ms of the dense path.
     """
     n = coeffs.n
-    try:
-        if n <= _DENSE_EIGH_ATOMS:
-            # eigh reads only the lower triangle.
-            dense = np.diag(coeffs.diag) + np.diag(coeffs.offdiag, -1)
+    if n <= _DENSE_EIGH_ATOMS:
+        # eigh reads only the lower triangle.
+        dense = np.diag(coeffs.diag) + np.diag(coeffs.offdiag, -1)
+        try:
             lam, vecs = np.linalg.eigh(dense, UPLO="L")
-        else:
-            # Imported here: scipy.linalg is slow to import, and only large
-            # measures and their inversion need it.
-            from scipy.linalg import eigh_tridiagonal
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"tridiagonal eigensolver failed for matrix of size {n}: {exc}"
+            ) from exc
+        weights = vecs[0] ** 2
+    else:
+        lam, weights = _bidiagonal_spectrum(coeffs.diag, coeffs.offdiag)
+    kept = weights > 0
+    return SpectralMeasure(lam[kept], weights[kept])
 
-            lam, vecs = eigh_tridiagonal(coeffs.diag, coeffs.offdiag)
-    except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's class
+
+def _bidiagonal_spectrum(diag: np.ndarray, offdiag: np.ndarray):
+    """Ascending eigenvalues and squared first eigenvector components of J.
+
+    See :func:`eigen_spectral`. After the scaling by 2^-k every entry is
+    below 1 in magnitude, and the shift puts the spectrum of J + sI in
+    [1, 7], so B is well conditioned and neither overflows nor underflows.
+    """
+    n = diag.size
+    _, k = np.frexp(max(np.max(np.abs(diag)), np.max(offdiag, initial=0.0)))
+    d = np.ldexp(diag, -k)
+    e = np.ldexp(offdiag, -k)
+    radius = np.zeros(n)
+    radius[:-1] += e
+    radius[1:] += e
+    shift = 1.0 - float(np.min(d - radius))
+    # dpttrf factors L D L^T with L unit lower bidiagonal; on the reversed
+    # matrix that is J + sI = B B^T with B = diag(q) + superdiagonal f.
+    pivots = (d + shift)[::-1].copy()
+    multipliers = e[::-1].copy()
+    _check(n, "dpttrf", _run_lapack("dpttrf", n, pivots, multipliers))
+    q = np.sqrt(pivots[::-1])
+    f = np.zeros(n)  # LAPACK reads n - 1; the spare entry keeps n = 1 nonempty
+    f[:-1] = multipliers[::-1] * q[1:]
+    first = np.zeros(n)
+    first[0] = 1.0
+    if n <= _SVD_LEAF:
+        # Q^T e1 for B = Q S P^T, accumulated by the QR iterations.
+        unused = np.zeros(1)
+        _check(n, "dlasdq", _run_lapack("dlasdq", b"U", 0, n, 0, 0, 1, q, f, unused, 1,
+                                        unused, 1, first, n, np.zeros(4 * n)))
+        u_first = first
+    else:
+        u_first = _compact_svd_first_row(q, f, first)
+    order = np.argsort(q)
+    return np.ldexp(q[order] ** 2 - shift, k), u_first[order] ** 2
+
+
+def _compact_svd_first_row(q: np.ndarray, f: np.ndarray, first: np.ndarray):
+    """U^T first for the upper bidiagonal B = diag(q) + superdiagonal f = U S V^T.
+
+    dlasda overwrites q with S, in the order of the returned components.
+    The arrays are the compact form's, sized as dlasda documents them: a
+    few n-by-levels blocks, where the tree has floor(log2(n / 26)) + 1
+    levels below 25-row leaves; one spare level covers the rounding of
+    LAPACK's own log2.
+    """
+    n = q.size
+    levels = (n // (_SVD_LEAF + 1)).bit_length() + 1
+
+    def real(*cols):
+        return np.zeros((n,) + cols, order="F")
+
+    def integer(*cols):
+        return np.zeros((n,) + cols, dtype=np.intc, order="F")
+
+    u, vt = real(_SVD_LEAF), real(_SVD_LEAF + 1)
+    sizes, givptr, givcol, perm = integer(), integer(), integer(2 * levels), integer(levels)
+    difl, difr, z = real(levels), real(2 * levels), real(levels)
+    poles, givnum, c, s = real(2 * levels), real(2 * levels), real(), real()
+    work = np.zeros(6 * n + (_SVD_LEAF + 1) ** 2)
+    iwork = np.zeros(7 * n, dtype=np.intc)
+    compact = (sizes, difl, difr, z, poles, givptr, givcol, n, perm, givnum, c, s, work, iwork)
+    _check(n, "dlasda", _run_lapack("dlasda", 1, _SVD_LEAF, n, 0, q, f, u, n, vt,
+                                    *compact))
+    out = np.zeros(n)
+    _check(n, "dlalsa", _run_lapack("dlalsa", 0, _SVD_LEAF, n, 1, first, n, out, n, u, n,
+                                    vt, *compact))
+    return out
+
+
+def _check(n: int, routine: str, info: int) -> None:
+    if info != 0:
         raise NumericalError(
-            f"tridiagonal eigensolver failed for matrix of size {n}: {exc}"
-        ) from exc
-    return SpectralMeasure(lam, vecs[0] ** 2)
+            f"tridiagonal eigensolver failed for matrix of size {n}: "
+            f"LAPACK {routine} info {info}"
+        )
 
 
 def moments_via_operator(coeffs: JacobiCoefficients, order: int) -> np.ndarray:
@@ -293,7 +404,8 @@ def _bordered_tridiagonal(atoms: np.ndarray, masses: np.ndarray):
 
 def _dense_reduction(atoms: np.ndarray, masses: np.ndarray):
     """LAPACK's in-place Householder reduction (dsytrd) of the bordered matrix."""
-    # Imported here for the same reason as in eigen_spectral.
+    # Imported here: scipy.linalg is slow to import, and only the inverse
+    # direction and large measures need LAPACK beyond numpy's.
     from scipy.linalg.lapack import dsytrd, dsytrd_lwork
 
     n = atoms.size
@@ -333,26 +445,33 @@ def _band_merge(da: np.ndarray, ea: np.ndarray, db: np.ndarray, eb: np.ndarray):
     e = np.empty(size - 1)
     work = np.empty(size)
     unused_q = np.empty(1)
-    info = ctypes.c_int(0)
-    _dsbtrd()(b"N", b"L", ctypes.c_int(size), ctypes.c_int(2), band, ctypes.c_int(3),
-              d, e, unused_q, ctypes.c_int(1), work, info)
-    if info.value != 0:
-        raise NumericalError(f"band tridiagonalization failed: LAPACK info {info.value}")
+    info = _run_lapack("dsbtrd", b"N", b"L", size, 2, band, 3, d, e, unused_q, 1, work)
+    if info != 0:
+        raise NumericalError(f"band tridiagonalization failed: LAPACK info {info}")
     return d, e
 
 
-@functools.cache
-def _dsbtrd():
-    """LAPACK's dsbtrd as a ctypes function, resolved on first use.
+def _run_lapack(routine: str, *args) -> int:
+    """Call a routine of ``_LAPACK_ARGS`` by reference; returns LAPACK's info.
 
-    scipy.linalg.lapack does not wrap it, but scipy.linalg.cython_lapack
-    exports every LAPACK routine as a capsule named by its C signature. The
-    name is checked against the prototype below before the pointer is used;
-    a mismatch raises ImportError.
+    Python ints are passed as C ints, bytes as chars and arrays as they are.
+    """
+    info = ctypes.c_int(0)
+    _lapack(routine)(*(ctypes.c_int(a) if isinstance(a, int) else a for a in args), info)
+    return info.value
+
+
+@functools.cache
+def _lapack(routine: str):
+    """A LAPACK routine of ``_LAPACK_ARGS`` as a ctypes function, on first use.
+
+    scipy.linalg.cython_lapack exports every LAPACK routine as a capsule
+    named by its C signature. The name is checked against the argument
+    kinds before the pointer is used; a mismatch raises ImportError.
     """
     from scipy.linalg import cython_lapack
 
-    capsule = cython_lapack.__pyx_capi__["dsbtrd"]
+    capsule = cython_lapack.__pyx_capi__[routine]
     # Private prototypes: setting restype on ctypes.pythonapi's shared
     # function objects would change them for every other caller.
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -362,10 +481,16 @@ def _dsbtrd():
     name = get_name(capsule)
     # Cython spells double through a module-mangled typedef, __pyx_t_..._d.
     signature = re.sub(r"__pyx_t_\w+_d\b", "double", name.decode())
-    if signature != _DSBTRD_SIGNATURE:
-        raise ImportError(f"scipy's LAPACK dsbtrd has an unexpected signature: {signature}")
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
-    char, num = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
-    prototype = ctypes.CFUNCTYPE(None, char, char, num, num, f64, num, f64, f64, f64,
-                                 num, f64, num)
+    # Each argument kind's spelling in the signature, and its ctypes type.
+    kinds = {
+        "c": ("char *", ctypes.c_char_p),
+        "i": ("int *", ctypes.POINTER(ctypes.c_int)),
+        "I": ("int *", np.ctypeslib.ndpointer(np.intc, flags="F_CONTIGUOUS")),
+        "d": ("double *", np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")),
+    }
+    args = [kinds[kind] for kind in _LAPACK_ARGS[routine]]
+    if signature != "void (" + ", ".join(spelling for spelling, _ in args) + ")":
+        raise ImportError(
+            f"scipy's LAPACK {routine} has an unexpected signature: {signature}")
+    prototype = ctypes.CFUNCTYPE(None, *(ctype for _, ctype in args))
     return prototype(get_pointer(capsule, name))

@@ -168,6 +168,13 @@ class TestEmission:
         cli.emit_report(_report(), "csv", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_unknown_format_refused(self, tmp_path):
+        # --format is an argparse choice, but emit_report is public.
+        path = tmp_path / "r.xml"
+        with pytest.raises(ValueError, match="^format must be csv or json, got 'xml'$"):
+            cli.emit_report(_report(), "xml", str(path))
+        assert not path.exists()
+
     def test_histogram_constant_samples(self):
         lines = cli._histogram_text(np.full(7, 3.5)).strip().split("\n")
         assert lines == ["3.5 7"]

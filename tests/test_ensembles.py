@@ -36,7 +36,8 @@ from lagspec.ensembles import (
     sample_laguerre_tridiagonal,
     sample_spectral_measure,
 )
-from lagspec.spectral import JacobiCoefficients, _window_moments, moments_of_measure
+from lagspec.spectral import (JacobiCoefficients, _window_moments, moments_of_measure,
+                              moments_via_operator)
 
 
 class TestParams:
@@ -590,6 +591,22 @@ class TestSpectralMeasureSampler:
         mu = sample_spectral_measure(make_rng(14), params)
         coeffs = rescale(sample_laguerre_tridiagonal(make_rng(14), params), params)
         assert abs(moments_of_measure(mu, 1)[0] - coeffs.diag[0]) <= 1e-10
+
+    def test_small_beta_draws_give_measures(self):
+        # The benchmark's small-beta replays, derive_seed(7, i) at n = 400,
+        # beta = 0.2, gamma = n^3: first-row weights underflow to 0 in about
+        # half of them, and a draw was once rejected for it. The atoms of
+        # those weights are dropped, and every measure keeps the moments.
+        params = EnsembleParams(400, 0.2, 400.0 ** 3)
+        dropped = 0
+        for i in range(100):
+            seed = derive_seed(7, i)
+            mu = sample_spectral_measure(make_rng(seed), params)
+            coeffs = rescale(sample_laguerre_tridiagonal(make_rng(seed), params), params)
+            np.testing.assert_allclose(moments_of_measure(mu, 8), moments_via_operator(coeffs, 8),
+                                       rtol=1e-10, atol=1e-10)
+            dropped += mu.n < params.n
+        assert dropped > 0
 
     def test_single_site_measure(self):
         mu = sample_spectral_measure(make_rng(15), EnsembleParams(1, 2.0, 5.0))

@@ -1,11 +1,13 @@
 """Closed forms through eigen_spectral's large-matrix solver on small inputs.
 
 eigen_spectral hands matrices of at most 128 rows to numpy's dense eigh and
-larger ones to scipy's tridiagonal eigh. tests/test_spectral.py checks the
-free Jacobi closed forms and the single entry on the dense path; here the
-size cut is lowered to 0, so the same inputs go through the tridiagonal
-solver. The class and test names are older than the present solvers and are
-kept so that the test ids stay the same.
+larger ones to a bidiagonal SVD of the shifted matrix: LAPACK's dlasdq up
+to 25 rows, dlasda and dlalsa above. tests/test_spectral.py checks the free
+Jacobi closed forms and the single entry on the dense path, and the SVD
+against two oracles from 25 rows up; here the size cut is lowered to 0, so
+the same inputs go through the shift, the factorization and dlasdq. The
+class and test names are older than the present solvers and are kept so
+that the test ids stay the same.
 """
 
 import numpy as np

@@ -1,8 +1,10 @@
 """Jacobi matrices, spectral measures, and the two-way mapping between them.
 
-eigen_spectral's two eigensolvers (numpy's dense eigh up to 128 rows,
-scipy's tridiagonal eigh above) are checked against closed forms and
-against each other.
+eigen_spectral's two solvers (numpy's dense eigh up to 128 rows, the
+compact bidiagonal SVD above) are checked against closed forms and against
+two oracles, numpy's dense eigh and scipy's tridiagonal eigh (dstevd), both
+of which form every eigenvector. Measures are checked against their
+operator-side moments where atoms with an underflowed weight are dropped.
 """
 
 import os
@@ -18,7 +20,8 @@ from scipy.integrate import quad
 
 import lagspec
 from lagspec import spectral
-from lagspec.ensembles import EnsembleParams, make_rng, rescale, sample_laguerre_tridiagonal
+from lagspec.ensembles import (EnsembleParams, derive_seed, make_rng, rescale,
+                               sample_laguerre_tridiagonal)
 from lagspec.errors import NumericalError
 from lagspec.spectral import (
     JacobiCoefficients,
@@ -47,13 +50,13 @@ def dense_firstrow_eigh(diag, offdiag):
 
 
 def tridiagonal_firstrow_eigh(diag, offdiag):
-    """Oracle: LAPACK's tridiagonal eigh (dstevd), first row squared."""
+    """Oracle: scipy's tridiagonal eigh (dstevd), first row squared."""
     vals, vecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
     return vals, vecs[0] ** 2
 
 
-# Each size is checked against both solvers, so each is checked against the
-# one eigen_spectral does not use for it.
+# Each size is checked against both, neither of which eigen_spectral uses
+# above 128 rows.
 ORACLES = (dense_firstrow_eigh, tridiagonal_firstrow_eigh)
 
 
@@ -175,27 +178,66 @@ class TestEigenSpectral:
             np.testing.assert_allclose(lam, lam_ref, atol=atol)
             np.testing.assert_allclose(w, w_ref, atol=atol)
 
-    @pytest.mark.parametrize("n", [1, 2, 50, 128, 129, 200])
-    def test_model_draws_match_both_solvers(self, n):
+    @pytest.mark.parametrize("n, beta, gamma_power, seed", [
+        *(pytest.param(n, 2.0, 2, n, id=str(n)) for n in (1, 2, 50, 128, 129, 200, 1000, 2000)),
+        # The first of the benchmark's small-beta draws, derive_seed(7, 0):
+        # no weight underflows here, in any of the three solvers.
+        pytest.param(400, 0.2, 3, derive_seed(7, 0), id="small-beta"),
+    ])
+    def test_model_draws_match_both_solvers(self, n, beta, gamma_power, seed):
         # Rescaled Laguerre draws, the matrices the sampler diagonalizes. The
         # uniform matrices of test_matches_dense_eigh, seeded by n, have
-        # first-row weights that underflow to 0 at n = 128, 129 and 200,
-        # which eigen_spectral rejects (test_underflowed_weight_raises_value_error).
-        params = EnsembleParams(n=n, beta=2.0, gamma=float(n * n))
-        coeffs = rescale(sample_laguerre_tridiagonal(make_rng(n), params), params)
+        # first-row weights that underflow to 0 at n = 128, 129 and 200
+        # (test_underflowed_weights_are_dropped).
+        coeffs = laguerre_jacobi(seed, n, beta, gamma_power)
         mu = eigen_spectral(coeffs)
         for oracle in ORACLES:
             lam_ref, w_ref = oracle(coeffs.diag, coeffs.offdiag)
-            np.testing.assert_allclose(mu.atoms, lam_ref, atol=1e-12)
-            np.testing.assert_allclose(mu.weights, w_ref, atol=1e-12)
+            np.testing.assert_allclose(mu.atoms, lam_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mu.weights, w_ref, rtol=0, atol=1e-12)
+
+    def test_large_roundtrip(self):
+        # The first-row weights are accurate enough for the inverse map to
+        # give the coefficients back far inside its own 1e-9 check
+        # (test_laguerre_roundtrip), at 3e-13.
+        coeffs = laguerre_jacobi(42, 1000)
+        back = measure_to_coefficients(eigen_spectral(coeffs), 1000)
+        np.testing.assert_allclose(back.diag, coeffs.diag, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(back.offdiag, coeffs.offdiag, rtol=0, atol=1e-11)
+
+    def test_memory_stays_far_below_the_eigenvectors(self):
+        # dstevd's eigenvector matrix and workspace at n = 2000 traced
+        # 61 MB; the compact form is a few n-by-levels arrays, near 2.3 MB.
+        coeffs = laguerre_jacobi(6, 2000)
+        eigen_spectral(coeffs)  # LAPACK resolved and imported outside the trace
+        tracemalloc.start()
+        try:
+            eigen_spectral(coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("n", [25, 26, 27, 129])
+    def test_svd_sizes_print_nothing(self, n, capfd, monkeypatch):
+        # LAPACK reports an illegal argument only by printing it, and dlalsa
+        # refuses matrices below its leaf size: 25 rows take dlasdq, 26 and
+        # more dlasda and dlalsa.
+        monkeypatch.setattr(spectral, "_DENSE_EIGH_ATOMS", 0)
+        coeffs = laguerre_jacobi(n, n)
+        mu = eigen_spectral(coeffs)
+        lam_ref, w_ref = dense_firstrow_eigh(coeffs.diag, coeffs.offdiag)
+        np.testing.assert_allclose(mu.atoms, lam_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mu.weights, w_ref, rtol=0, atol=1e-12)
+        assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize(
         "seed,n,diag_normal", [(150, 150, False), (8, 200, True)], ids=["150", "200"]
     )
-    def test_underflowed_weight_raises_value_error(self, seed, n, diag_normal):
+    def test_underflowed_weights_are_dropped(self, seed, n, diag_normal):
         # Some first-row weights lie below the double range and come out as
-        # exact zeros, from dense LAPACK as well; a measure with a zero
-        # weight is rejected.
+        # exact zeros, from dense LAPACK as well; their atoms are dropped,
+        # and what is left is the same measure to working precision.
         rng = np.random.default_rng(seed)
         if diag_normal:
             diag, off = rng.normal(size=n), rng.uniform(0.2, 2, n - 1)
@@ -203,19 +245,25 @@ class TestEigenSpectral:
             diag, off = rng.uniform(-1, 1, n), rng.uniform(0.5, 1.5, n - 1)
         _, w_ref = dense_firstrow_eigh(diag, off)
         assert np.any(w_ref == 0.0)
-        assert abs(w_ref.sum() - 1.0) < 1e-12
-        with pytest.raises(ValueError, match="strictly positive"):
-            eigen_firstrow(diag, off)
+        coeffs = JacobiCoefficients(diag, off)
+        mu = eigen_spectral(coeffs)
+        assert mu.n < n
+        assert abs(mu.weights.sum() - 1.0) < 1e-12
+        np.testing.assert_allclose(moments_of_measure(mu, 10), moments_via_operator(coeffs, 10),
+                                   rtol=1e-10, atol=1e-10)
 
-    @pytest.mark.parametrize("n, module, solver", [
-        (3, np.linalg, "eigh"),
-        (129, scipy.linalg, "eigh_tridiagonal"),
-    ], ids=["3", "129"])
-    def test_solver_failure_raises(self, n, module, solver, monkeypatch):
-        def fail(*args, **kwargs):
+    @pytest.mark.parametrize("n", [3, 129])
+    def test_solver_failure_raises(self, n, monkeypatch):
+        def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
 
-        monkeypatch.setattr(module, solver, fail)
+        def info_one(*args):
+            args[-1].value = 1  # LAPACK's info: a singular value did not converge
+
+        lapack = spectral._lapack
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        monkeypatch.setattr(spectral, "_lapack",
+                            lambda routine: info_one if routine == "dlasda" else lapack(routine))
         with pytest.raises(NumericalError, match=f"size {n}"):
             eigen_firstrow(np.zeros(n), np.ones(n - 1))
 
@@ -378,19 +426,25 @@ class TestSzegoMap:
         def failing(*args):
             args[-1].value = -5  # LAPACK's info argument
 
-        monkeypatch.setattr(spectral, "_dsbtrd", lambda: failing)
         mu = eigen_spectral(laguerre_jacobi(4, 200))
+        monkeypatch.setattr(spectral, "_lapack", lambda routine: failing)
         with pytest.raises(NumericalError, match="band tridiagonalization failed: LAPACK info -5"):
             measure_to_coefficients(mu, 200)
 
-    def test_unexpected_band_routine_signature_refused(self, monkeypatch):
+    @pytest.mark.parametrize("routine", sorted(spectral._LAPACK_ARGS))
+    def test_unexpected_band_routine_signature_refused(self, routine, monkeypatch):
+        # Every routine taken from scipy's Cython table is checked against
+        # its argument kinds, here on dsytrd's capsule in its place.
         from scipy.linalg import cython_lapack
 
         capsules = cython_lapack.__pyx_capi__
-        monkeypatch.setitem(capsules, "dsbtrd", capsules["dsytrd"])
-        spectral._dsbtrd.cache_clear()
-        with pytest.raises(ImportError, match="unexpected signature"):
-            spectral._dsbtrd()
+        monkeypatch.setitem(capsules, routine, capsules["dsytrd"])
+        spectral._lapack.cache_clear()
+        try:
+            with pytest.raises(ImportError, match=f"LAPACK {routine} has an unexpected signature"):
+                spectral._lapack(routine)
+        finally:
+            spectral._lapack.cache_clear()
 
     @pytest.mark.parametrize("n", [1, 2, 60, 128])
     def test_small_measures_use_one_dense_reduction(self, n, monkeypatch):
