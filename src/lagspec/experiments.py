@@ -21,7 +21,6 @@ derive_seed(master_seed, i)), params)`` and reducing it on its own.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -146,7 +145,6 @@ class ExperimentReport:
     standard_error_mean: float
     z_score: float
     verdict: bool
-    wall_time_s: float
     samples: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -248,7 +246,6 @@ def _run(
     cannot be held in memory, and NumericalError naming the first replicate
     whose window is not valid Jacobi data.
     """
-    start = time.perf_counter()
     try:
         samples = np.empty(config.replicates)
     except MemoryError:
@@ -261,7 +258,6 @@ def _run(
         config.master_seed, config.replicates, params, window, scale
     ):
         samples[rows.start : rows.stop] = statistic(_window_moments(diag, offdiag, order))
-    elapsed = time.perf_counter() - start
 
     mean, var, se = _summaries(samples)
     return ExperimentReport(
@@ -278,7 +274,6 @@ def _run(
         standard_error_mean=se,
         z_score=_z_score(mean, predicted_mean, se),
         verdict=bool(verdict(mean, var, se)),
-        wall_time_s=elapsed,
         samples=samples,
     )
 

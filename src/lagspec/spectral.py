@@ -23,8 +23,10 @@ The inverse direction costs O(n^2): a divide and conquer that merges the
 Jacobi matrices of two halves of the atoms with LAPACK's band reduction
 (dsbtrd), after Gragg & Harrod (Numer. Math. 44, 1984).
 
-scipy.linalg.lapack wraps neither dsbtrd nor the SVD routines, so these and
-dpttrf are reached through scipy's Cython LAPACK table on first use.
+LAPACK is reached by one rule: numpy's ``eigh`` up to 128 rows, scipy's
+Python wrapper wherever one exists (dsytrd, dpttrf), and, for the three
+routines scipy.linalg.lapack does not wrap (dsbtrd, dlasda, dlalsa), scipy's
+Cython LAPACK table through a signature-checked loader, on first use.
 """
 
 from __future__ import annotations
@@ -65,19 +67,15 @@ _DENSE_EIGH_ATOMS = 128
 
 # Largest bidiagonal block that LAPACK's divide and conquer SVD solves
 # directly, dgelsd's choice (ILAENV). dlalsa refuses bidiagonals of at most
-# this size, so these go to dlasdq, as in dlalsd.
+# this size, so _DENSE_EIGH_ATOMS must stay at least this large.
 _SVD_LEAF = 25
 
-# Argument kinds of the LAPACK routines reached through scipy's Cython
-# table: c a char, i an int, I an int array, d a double array. The last
-# argument of each is LAPACK's info.
+# Argument kinds of the LAPACK routines that scipy.linalg.lapack does not
+# wrap, reached through scipy's Cython table: c a char, i an int, I an int
+# array, d a double array. The last argument of each is LAPACK's info.
 _LAPACK_ARGS = {
     # dsbtrd(vect, uplo, n, kd, ab, ldab, d, e, q, ldq, work, info)
     "dsbtrd": "cciididddidi",
-    # dpttrf(n, d, e, info)
-    "dpttrf": "iddi",
-    # dlasdq(uplo, sqre, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work, info)
-    "dlasdq": "ciiiiidddidididi",
     # dlasda(icompq, smlsiz, n, sqre, d, e, u, ldu, vt, k, difl, difr, z, poles,
     #        givptr, givcol, ldgcol, perm, givnum, c, s, work, iwork, info)
     "dlasda": "iiiidddidIddddIIiIddddIi",
@@ -186,12 +184,9 @@ def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
     with B upper bidiagonal (dpttrf on the reversed matrix). With the SVD
     B = U S V^T the atoms are S^2 - s and the weights (U^T e1)^2. LAPACK's
     divide and conquer (dlasda) returns S and U in compact form, and
-    dlalsa applies U^T to e1; bidiagonals of at most 25 rows go to the QR
-    SVD dlasdq instead. On the same VM, with scipy loaded, this takes
-    170 ms and 2.3 MB (traced) at size 2000 and 52 ms at size 1000, where
-    scipy's ``eigh_tridiagonal`` (dstevd), which forms every eigenvector,
-    took 250 ms and 61 MB, and 59 ms; at sizes 200-400 it is 0.2-0.5 ms
-    slower than dstevd, and at 100-128 within 0.15 ms of the dense path.
+    dlalsa applies U^T to e1. On the same VM, with scipy loaded, this takes
+    170 ms and 2.3 MB (traced) at size 2000 and 52 ms at size 1000; at
+    100-128 it is within 0.15 ms of the dense path.
     """
     n = coeffs.n
     if n <= _DENSE_EIGH_ATOMS:
@@ -227,36 +222,19 @@ def _bidiagonal_spectrum(diag: np.ndarray, offdiag: np.ndarray):
     shift = 1.0 - float(np.min(d - radius))
     # dpttrf factors L D L^T with L unit lower bidiagonal; on the reversed
     # matrix that is J + sI = B B^T with B = diag(q) + superdiagonal f.
-    pivots = (d + shift)[::-1].copy()
-    multipliers = e[::-1].copy()
-    _check(n, "dpttrf", _run_lapack("dpttrf", n, pivots, multipliers))
+    # Imported here, as in _dense_reduction: scipy.linalg is slow to import.
+    from scipy.linalg.lapack import dpttrf
+
+    pivots, multipliers, info = dpttrf((d + shift)[::-1], e[::-1])
+    _check(n, "dpttrf", info)
     q = np.sqrt(pivots[::-1])
-    f = np.zeros(n)  # LAPACK reads n - 1; the spare entry keeps n = 1 nonempty
+    f = np.zeros(n)  # LAPACK reads n - 1 entries
     f[:-1] = multipliers[::-1] * q[1:]
-    first = np.zeros(n)
-    first[0] = 1.0
-    if n <= _SVD_LEAF:
-        # Q^T e1 for B = Q S P^T, accumulated by the QR iterations.
-        unused = np.zeros(1)
-        _check(n, "dlasdq", _run_lapack("dlasdq", b"U", 0, n, 0, 0, 1, q, f, unused, 1,
-                                        unused, 1, first, n, np.zeros(4 * n)))
-        u_first = first
-    else:
-        u_first = _compact_svd_first_row(q, f, first)
-    order = np.argsort(q)
-    return np.ldexp(q[order] ** 2 - shift, k), u_first[order] ** 2
-
-
-def _compact_svd_first_row(q: np.ndarray, f: np.ndarray, first: np.ndarray):
-    """U^T first for the upper bidiagonal B = diag(q) + superdiagonal f = U S V^T.
-
-    dlasda overwrites q with S, in the order of the returned components.
-    The arrays are the compact form's, sized as dlasda documents them: a
-    few n-by-levels blocks, where the tree has floor(log2(n / 26)) + 1
-    levels below 25-row leaves; one spare level covers the rounding of
-    LAPACK's own log2.
-    """
-    n = q.size
+    # dlasda overwrites q with S, in the order of the components of U^T e1.
+    # The compact form's arrays are sized as dlasda documents them: a few
+    # n-by-levels blocks, where the tree has floor(log2(n / 26)) + 1 levels
+    # below 25-row leaves; one spare level covers the rounding of LAPACK's
+    # own log2.
     levels = (n // (_SVD_LEAF + 1)).bit_length() + 1
 
     def real(*cols):
@@ -272,12 +250,14 @@ def _compact_svd_first_row(q: np.ndarray, f: np.ndarray, first: np.ndarray):
     work = np.zeros(6 * n + (_SVD_LEAF + 1) ** 2)
     iwork = np.zeros(7 * n, dtype=np.intc)
     compact = (sizes, difl, difr, z, poles, givptr, givcol, n, perm, givnum, c, s, work, iwork)
-    _check(n, "dlasda", _run_lapack("dlasda", 1, _SVD_LEAF, n, 0, q, f, u, n, vt,
-                                    *compact))
-    out = np.zeros(n)
-    _check(n, "dlalsa", _run_lapack("dlalsa", 0, _SVD_LEAF, n, 1, first, n, out, n, u, n,
+    _check(n, "dlasda", _run_lapack("dlasda", 1, _SVD_LEAF, n, 0, q, f, u, n, vt, *compact))
+    first = np.zeros(n)
+    first[0] = 1.0
+    u_first = np.zeros(n)
+    _check(n, "dlalsa", _run_lapack("dlalsa", 0, _SVD_LEAF, n, 1, first, n, u_first, n, u, n,
                                     vt, *compact))
-    return out
+    order = np.argsort(q)
+    return np.ldexp(q[order] ** 2 - shift, k), u_first[order] ** 2
 
 
 def _check(n: int, routine: str, info: int) -> None:

@@ -122,7 +122,7 @@ def _report(verdict=True):
         statistic="x^2", n=100, beta=2.0, gamma=1e6, zeta_or_xi=0.1,
         replicates=100, predicted_mean=0.0, predicted_variance=1.0,
         sample_mean=0.01, sample_variance=0.99, standard_error_mean=0.0995,
-        z_score=0.1005, verdict=verdict, wall_time_s=0.5,
+        z_score=0.1005, verdict=verdict,
     )
 
 

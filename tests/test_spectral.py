@@ -154,13 +154,14 @@ class TestEigenSpectral:
         np.testing.assert_allclose(mu.weights, [0.25, 0.5, 0.25], atol=1e-14)
 
     def test_free_jacobi_chebyshev_eigenpairs(self):
-        n = 10
-        mu = eigen_spectral(free_jacobi(n))
-        j = np.arange(n, 0, -1)
-        np.testing.assert_allclose(mu.atoms, 2 * np.cos(j * np.pi / (n + 1)), atol=1e-10)
-        np.testing.assert_allclose(
-            mu.weights, (2.0 / (n + 1)) * np.sin(j * np.pi / (n + 1)) ** 2, atol=1e-10
-        )
+        # 10 rows take the dense path, 129 and 200 the bidiagonal SVD.
+        for n in (10, 129, 200):
+            mu = eigen_spectral(free_jacobi(n))
+            j = np.arange(n, 0, -1)
+            np.testing.assert_allclose(mu.atoms, 2 * np.cos(j * np.pi / (n + 1)), atol=1e-10)
+            np.testing.assert_allclose(
+                mu.weights, (2.0 / (n + 1)) * np.sin(j * np.pi / (n + 1)) ** 2, atol=1e-10
+            )
 
     def test_weights_sum(self):
         mu = eigen_spectral(random_jacobi(5, 120))
@@ -218,15 +219,16 @@ class TestEigenSpectral:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    @pytest.mark.parametrize("n", [25, 26, 27, 129])
-    def test_svd_sizes_print_nothing(self, n, capfd, monkeypatch):
-        # LAPACK reports an illegal argument only by printing it, and dlalsa
-        # refuses matrices below its leaf size: 25 rows take dlasdq, 26 and
-        # more dlasda and dlalsa.
-        monkeypatch.setattr(spectral, "_DENSE_EIGH_ATOMS", 0)
+    # dlasda halves the bidiagonal until the blocks have at most 25 rows, so
+    # its tree gains a level at every 26 * 2^k rows, and the compact form's
+    # arrays are sized by that count of levels: k = 3..6 on either side.
+    @pytest.mark.parametrize("n", [129, 207, 208, 209, 415, 416, 417,
+                                   831, 832, 833, 1663, 1664, 1665])
+    def test_svd_sizes_print_nothing(self, n, capfd):
+        # LAPACK reports an illegal argument only by printing it.
         coeffs = laguerre_jacobi(n, n)
         mu = eigen_spectral(coeffs)
-        lam_ref, w_ref = dense_firstrow_eigh(coeffs.diag, coeffs.offdiag)
+        lam_ref, w_ref = tridiagonal_firstrow_eigh(coeffs.diag, coeffs.offdiag)
         np.testing.assert_allclose(mu.atoms, lam_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mu.weights, w_ref, rtol=0, atol=1e-12)
         assert capfd.readouterr() == ("", "")
@@ -266,6 +268,16 @@ class TestEigenSpectral:
                             lambda routine: info_one if routine == "dlasda" else lapack(routine))
         with pytest.raises(NumericalError, match=f"size {n}"):
             eigen_firstrow(np.zeros(n), np.ones(n - 1))
+
+    def test_factorization_failure_raises(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        def info_three(d, e):
+            return d, e, 3  # LAPACK's info: the third pivot is not positive
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", info_three)
+        with pytest.raises(NumericalError, match="size 129: LAPACK dpttrf info 3"):
+            eigen_firstrow(np.zeros(129), np.ones(128))
 
 
 class TestMoments:
