@@ -13,20 +13,20 @@ The forward direction takes numpy's dense eigensolver up to size 128, so
 that small measures such as ``lagspec sample``'s never import the slow
 ``scipy.linalg``. Above that it needs only the first row of the
 eigenvectors (Golub & Welsch, Math. Comp. 23, 1969): the shifted matrix is
-factored as B B^T with B bidiagonal, and LAPACK's divide and conquer SVD
-of B (dlasda, Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995) keeps
-its singular vectors in a compact form of O(n log n) numbers, from which
-dlalsa applies U^T to e1. See :func:`eigen_spectral` for the details and
-what it costs.
+factored as R^T R with R bidiagonal, and LAPACK's divide and conquer SVD
+of R (dlasda, Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), asked
+for singular values only, still carries the first row of the right
+singular vectors, which is all the weights need. See :func:`eigen_spectral`
+for the details and what it costs.
 
 The inverse direction costs O(n^2): a divide and conquer that merges the
 Jacobi matrices of two halves of the atoms with LAPACK's band reduction
 (dsbtrd), after Gragg & Harrod (Numer. Math. 44, 1984).
 
 LAPACK is reached by one rule: numpy's ``eigh`` up to 128 rows, scipy's
-Python wrapper wherever one exists (dsytrd, dpttrf), and, for the three
-routines scipy.linalg.lapack does not wrap (dsbtrd, dlasda, dlalsa), scipy's
-Cython LAPACK table through a signature-checked loader, on first use.
+Python wrapper wherever one exists (dsytrd, dpttrf), and, for the two
+routines scipy.linalg.lapack does not wrap (dsbtrd, dlasda), scipy's Cython
+LAPACK table through a signature-checked loader, on first use.
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ _LEAF_ATOMS = 128
 _DENSE_EIGH_ATOMS = 128
 
 # Largest bidiagonal block that LAPACK's divide and conquer SVD solves
-# directly, dgelsd's choice (ILAENV). dlalsa refuses bidiagonals of at most
-# this size, so _DENSE_EIGH_ATOMS must stay at least this large.
+# directly, dgelsd's choice (ILAENV). dlasda hands a bidiagonal of at most
+# this size to dlasdq whole and then leaves no first row of V in its
+# workspace, so _DENSE_EIGH_ATOMS must stay at least this large.
 _SVD_LEAF = 25
 
 # Argument kinds of the LAPACK routines that scipy.linalg.lapack does not
@@ -79,9 +80,6 @@ _LAPACK_ARGS = {
     # dlasda(icompq, smlsiz, n, sqre, d, e, u, ldu, vt, k, difl, difr, z, poles,
     #        givptr, givcol, ldgcol, perm, givnum, c, s, work, iwork, info)
     "dlasda": "iiiidddidIddddIIiIddddIi",
-    # dlalsa(icompq, smlsiz, n, nrhs, b, ldb, bx, ldbx, u, ldu, vt, k, difl, difr,
-    #        z, poles, givptr, givcol, ldgcol, perm, givnum, c, s, work, iwork, info)
-    "dlalsa": "iiiididididIddddIIiIddddIi",
 }
 
 
@@ -180,13 +178,14 @@ def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
     ``scipy.linalg``: that costs a fresh process about 0.25 s and 29 MB,
     more than the rest of ``lagspec sample --n 50`` (2-core x86-64 VM,
     numpy 2.4, scipy 1.17). Larger ones are scaled by a power of two,
-    shifted past their Gershgorin bound and factored as J + sI = B B^T
-    with B upper bidiagonal (dpttrf on the reversed matrix). With the SVD
-    B = U S V^T the atoms are S^2 - s and the weights (U^T e1)^2. LAPACK's
-    divide and conquer (dlasda) returns S and U in compact form, and
-    dlalsa applies U^T to e1. On the same VM, with scipy loaded, this takes
-    170 ms and 2.3 MB (traced) at size 2000 and 52 ms at size 1000; at
-    100-128 it is within 0.15 ms of the dense path.
+    shifted past their Gershgorin bound and factored as J + sI = R^T R
+    with R upper bidiagonal (dpttrf). With the SVD R = U S V^T the atoms
+    are S^2 - s and the weights the squared first row of V. LAPACK's divide
+    and conquer (dlasda) run for S alone still updates that row at every
+    merge and leaves it in its workspace, which is read only if it is a
+    unit vector (else NumericalError). On the same VM, with scipy loaded,
+    this takes 124 ms and 0.7 MB (traced) at size 2000 and 31 ms at size
+    1000; at 100-128 rows it would be 0.3-1 ms faster than the dense path.
     """
     n = coeffs.n
     if n <= _DENSE_EIGH_ATOMS:
@@ -210,7 +209,7 @@ def _bidiagonal_spectrum(diag: np.ndarray, offdiag: np.ndarray):
 
     See :func:`eigen_spectral`. After the scaling by 2^-k every entry is
     below 1 in magnitude, and the shift puts the spectrum of J + sI in
-    [1, 7], so B is well conditioned and neither overflows nor underflows.
+    [1, 7], so R is well conditioned and neither overflows nor underflows.
     """
     n = diag.size
     _, k = np.frexp(max(np.max(np.abs(diag)), np.max(offdiag, initial=0.0)))
@@ -220,44 +219,42 @@ def _bidiagonal_spectrum(diag: np.ndarray, offdiag: np.ndarray):
     radius[:-1] += e
     radius[1:] += e
     shift = 1.0 - float(np.min(d - radius))
-    # dpttrf factors L D L^T with L unit lower bidiagonal; on the reversed
-    # matrix that is J + sI = B B^T with B = diag(q) + superdiagonal f.
+    # dpttrf factors J + sI = L D L^T with L unit lower bidiagonal, so
+    # J + sI = R^T R with R = D^1/2 L^T = diag(q) + superdiagonal f.
     # Imported here, as in _dense_reduction: scipy.linalg is slow to import.
     from scipy.linalg.lapack import dpttrf
 
-    pivots, multipliers, info = dpttrf((d + shift)[::-1], e[::-1])
+    pivots, multipliers, info = dpttrf(d + shift, e)
     _check(n, "dpttrf", info)
-    q = np.sqrt(pivots[::-1])
+    q = np.sqrt(pivots)
     f = np.zeros(n)  # LAPACK reads n - 1 entries
-    f[:-1] = multipliers[::-1] * q[1:]
-    # dlasda overwrites q with S, in the order of the components of U^T e1.
-    # The compact form's arrays are sized as dlasda documents them: a few
-    # n-by-levels blocks, where the tree has floor(log2(n / 26)) + 1 levels
-    # below 25-row leaves; one spare level covers the rounding of LAPACK's
-    # own log2.
+    f[:-1] = multipliers * q[:-1]
+    # With singular values only, dlasda still carries the first and last
+    # rows of V through every merge (it builds each secular equation from
+    # them) and leaves the first in work[:n], in the order of S, which
+    # overwrites q. The arrays are sized as dlasda documents them for this
+    # mode: difl and poles by its tree's floor(log2(n / 26)) + 1 levels below
+    # 25-row leaves, plus one spare level for the rounding of LAPACK's own
+    # log2; u, vt, givptr, givcol, perm and givnum are not referenced; the
+    # scalars k, c and s each need an array of their own.
     levels = (n // (_SVD_LEAF + 1)).bit_length() + 1
-
-    def real(*cols):
-        return np.zeros((n,) + cols, order="F")
-
-    def integer(*cols):
-        return np.zeros((n,) + cols, dtype=np.intc, order="F")
-
-    u, vt = real(_SVD_LEAF), real(_SVD_LEAF + 1)
-    sizes, givptr, givcol, perm = integer(), integer(), integer(2 * levels), integer(levels)
-    difl, difr, z = real(levels), real(2 * levels), real(levels)
-    poles, givnum, c, s = real(2 * levels), real(2 * levels), real(), real()
+    unused, unused_int = np.zeros(1), np.zeros(1, dtype=np.intc)
     work = np.zeros(6 * n + (_SVD_LEAF + 1) ** 2)
-    iwork = np.zeros(7 * n, dtype=np.intc)
-    compact = (sizes, difl, difr, z, poles, givptr, givcol, n, perm, givnum, c, s, work, iwork)
-    _check(n, "dlasda", _run_lapack("dlasda", 1, _SVD_LEAF, n, 0, q, f, u, n, vt, *compact))
-    first = np.zeros(n)
-    first[0] = 1.0
-    u_first = np.zeros(n)
-    _check(n, "dlalsa", _run_lapack("dlalsa", 0, _SVD_LEAF, n, 1, first, n, u_first, n, u, n,
-                                    vt, *compact))
+    _check(n, "dlasda", _run_lapack(
+        "dlasda", 0, _SVD_LEAF, n, 0, q, f, unused, n, unused, np.zeros(1, dtype=np.intc),
+        np.zeros((n, levels), order="F"), np.zeros(n), np.zeros(n),
+        np.zeros((n, 2 * levels), order="F"), unused_int, unused_int, n, unused_int, unused,
+        np.zeros(1), np.zeros(1), work, np.zeros(7 * n, dtype=np.intc)))
+    first_row = work[:n]
+    # WORK is not a documented output: accept it only as a unit vector.
+    norm = float(np.sum(first_row**2))
+    if not abs(norm - 1.0) <= _WEIGHT_SUM_TOL:
+        raise NumericalError(
+            f"tridiagonal eigensolver failed for matrix of size {n}: LAPACK dlasda "
+            f"left a first row of V with squared norm {norm!r}"
+        )
     order = np.argsort(q)
-    return np.ldexp(q[order] ** 2 - shift, k), u_first[order] ** 2
+    return np.ldexp(q[order] ** 2 - shift, k), first_row[order] ** 2
 
 
 def _check(n: int, routine: str, info: int) -> None:

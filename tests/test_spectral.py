@@ -208,7 +208,8 @@ class TestEigenSpectral:
 
     def test_memory_stays_far_below_the_eigenvectors(self):
         # dstevd's eigenvector matrix and workspace at n = 2000 traced
-        # 61 MB; the compact form is a few n-by-levels arrays, near 2.3 MB.
+        # 61 MB; dlasda without singular vectors needs a few n-by-levels
+        # arrays and its workspace, near 0.6 MB.
         coeffs = laguerre_jacobi(6, 2000)
         eigen_spectral(coeffs)  # LAPACK resolved and imported outside the trace
         tracemalloc.start()
@@ -217,11 +218,12 @@ class TestEigenSpectral:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < 1 * 2**20
 
     # dlasda halves the bidiagonal until the blocks have at most 25 rows, so
-    # its tree gains a level at every 26 * 2^k rows, and the compact form's
-    # arrays are sized by that count of levels: k = 3..6 on either side.
+    # its tree gains a level at every 26 * 2^k rows, and two of its arrays
+    # are sized by that count of levels, also without singular vectors:
+    # k = 3..6 on either side.
     @pytest.mark.parametrize("n", [129, 207, 208, 209, 415, 416, 417,
                                    831, 832, 833, 1663, 1664, 1665])
     def test_svd_sizes_print_nothing(self, n, capfd):
@@ -268,6 +270,23 @@ class TestEigenSpectral:
                             lambda routine: info_one if routine == "dlasda" else lapack(routine))
         with pytest.raises(NumericalError, match=f"size {n}"):
             eigen_firstrow(np.zeros(n), np.ones(n - 1))
+
+    @pytest.mark.parametrize("fill", [None, np.nan], ids=["nothing", "nan"])
+    def test_unwritten_first_row_raises(self, fill, monkeypatch):
+        # The first row of V is read from dlasda's workspace, which LAPACK
+        # does not document as an output; one that is not a finite unit
+        # vector is refused, here from a dlasda that reports success and
+        # writes nothing, or NaN, to its workspace.
+        def fake_dlasda(*args):
+            if fill is not None:
+                args[-3][:] = fill  # WORK
+            args[-1].value = 0
+
+        lapack = spectral._lapack
+        monkeypatch.setattr(spectral, "_lapack",
+                            lambda routine: fake_dlasda if routine == "dlasda" else lapack(routine))
+        with pytest.raises(NumericalError, match="size 129: LAPACK dlasda"):
+            eigen_firstrow(np.zeros(129), np.ones(128))
 
     def test_factorization_failure_raises(self, monkeypatch):
         import scipy.linalg.lapack
