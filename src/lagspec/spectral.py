@@ -9,24 +9,25 @@ the two directions, and :func:`moments_via_operator` /
 :func:`moments_of_measure` compute moments on either side without ever
 leaving it.
 
-The forward direction takes numpy's dense eigensolver up to size 128, so
-that small measures such as ``lagspec sample``'s never import the slow
-``scipy.linalg``. Above that it needs only the first row of the
-eigenvectors (Golub & Welsch, Math. Comp. 23, 1969): the shifted matrix is
-factored as R^T R with R bidiagonal, and LAPACK's divide and conquer SVD
-of R (dlasda, Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), asked
-for singular values only, still carries the first row of the right
-singular vectors, which is all the weights need. See :func:`eigen_spectral`
-for the details and what it costs.
+The forward direction takes numpy's dense eigensolver up to size 64.
+Above that it needs only the first row of the eigenvectors (Golub &
+Welsch, Math. Comp. 23, 1969): the shifted matrix is factored as R^T R
+with R bidiagonal, and LAPACK's divide and conquer SVD of R (dlasda, Gu &
+Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), asked for singular values
+only, still carries the first row of the right singular vectors, which is
+all the weights need. See :func:`eigen_spectral` for the details and what
+it costs.
 
 The inverse direction costs O(n^2): a divide and conquer that merges the
 Jacobi matrices of two halves of the atoms with LAPACK's band reduction
 (dsbtrd), after Gragg & Harrod (Numer. Math. 44, 1984).
 
-LAPACK is reached by one rule: numpy's ``eigh`` up to 128 rows, scipy's
-Python wrapper wherever one exists (dsytrd, dpttrf), and, for the two
-routines scipy.linalg.lapack does not wrap (dsbtrd, dlasda), scipy's Cython
-LAPACK table through a signature-checked loader, on first use.
+The four LAPACK routines these need beyond numpy's ``eigh`` (dpttrf,
+dlasda, dsytrd, dsbtrd) come, on first use, from the LAPACK that
+``numpy.linalg`` is linked against when that is the 64-bit-integer
+OpenBLAS numpy's wheels bundle, so that ``scipy`` is never imported;
+otherwise (as with numpy linked against Accelerate or MKL) from scipy's
+Cython LAPACK table through a signature-checked loader.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ _LEAF_ATOMS = 128
 
 # Jacobi matrices of at most this size are diagonalized as dense matrices by
 # numpy's LAPACK, larger ones through the bidiagonal SVD (eigen_spectral).
-_DENSE_EIGH_ATOMS = 128
+# The two take the same time near 64 rows, and at 128 the SVD takes 0.6 of
+# the dense time (medians of 21 alternations, 2-core x86-64 VM, numpy 2.4).
+_DENSE_EIGH_ATOMS = 64
 
 # Largest bidiagonal block that LAPACK's divide and conquer SVD solves
 # directly, dgelsd's choice (ILAENV). dlasda hands a bidiagonal of at most
@@ -71,10 +74,14 @@ _DENSE_EIGH_ATOMS = 128
 # workspace, so _DENSE_EIGH_ATOMS must stay at least this large.
 _SVD_LEAF = 25
 
-# Argument kinds of the LAPACK routines that scipy.linalg.lapack does not
-# wrap, reached through scipy's Cython table: c a char, i an int, I an int
-# array, d a double array. The last argument of each is LAPACK's info.
+# Argument kinds of the LAPACK routines called here: c a char, i an integer,
+# I an integer array, d a double array. The last argument of each is
+# LAPACK's info.
 _LAPACK_ARGS = {
+    # dpttrf(n, d, e, info)
+    "dpttrf": "iddi",
+    # dsytrd(uplo, n, a, lda, d, e, tau, work, lwork, info)
+    "dsytrd": "cididdddii",
     # dsbtrd(vect, uplo, n, kd, ab, ldab, d, e, q, ldq, work, info)
     "dsbtrd": "cciididddidi",
     # dlasda(icompq, smlsiz, n, sqre, d, e, u, ldu, vt, k, difl, difr, z, poles,
@@ -172,20 +179,17 @@ def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
     the weights that remain still sum to 1 within 1e-10. Raises
     NumericalError when LAPACK fails.
 
-    Matrices of size at most 128 go to numpy's dense ``eigh`` (dsyevd),
+    Matrices of size at most 64 go to numpy's dense ``eigh`` (dsyevd),
     whose reduction of a tridiagonal matrix reflects nothing before the
-    divide and conquer, so that small measures skip importing
-    ``scipy.linalg``: that costs a fresh process about 0.25 s and 29 MB,
-    more than the rest of ``lagspec sample --n 50`` (2-core x86-64 VM,
-    numpy 2.4, scipy 1.17). Larger ones are scaled by a power of two,
-    shifted past their Gershgorin bound and factored as J + sI = R^T R
-    with R upper bidiagonal (dpttrf). With the SVD R = U S V^T the atoms
-    are S^2 - s and the weights the squared first row of V. LAPACK's divide
-    and conquer (dlasda) run for S alone still updates that row at every
-    merge and leaves it in its workspace, which is read only if it is a
-    unit vector (else NumericalError). On the same VM, with scipy loaded,
-    this takes 124 ms and 0.7 MB (traced) at size 2000 and 31 ms at size
-    1000; at 100-128 rows it would be 0.3-1 ms faster than the dense path.
+    divide and conquer. Larger ones are scaled by a power of two, shifted
+    past their Gershgorin bound and factored as J + sI = R^T R with R upper
+    bidiagonal (dpttrf). With the SVD R = U S V^T the atoms are S^2 - s and
+    the weights the squared first row of V. LAPACK's divide and conquer
+    (dlasda) run for S alone still updates that row at every merge and
+    leaves it in its workspace, which is read only if it is a unit vector
+    (else NumericalError). On a 2-core x86-64 VM (numpy 2.4) this takes
+    about 130 ms and 0.7 MB (traced) at size 2000 and 35 ms at size 1000.
+    Neither path imports scipy where numpy bundles its own OpenBLAS.
     """
     n = coeffs.n
     if n <= _DENSE_EIGH_ATOMS:
@@ -220,15 +224,13 @@ def _bidiagonal_spectrum(diag: np.ndarray, offdiag: np.ndarray):
     radius[1:] += e
     shift = 1.0 - float(np.min(d - radius))
     # dpttrf factors J + sI = L D L^T with L unit lower bidiagonal, so
-    # J + sI = R^T R with R = D^1/2 L^T = diag(q) + superdiagonal f.
-    # Imported here, as in _dense_reduction: scipy.linalg is slow to import.
-    from scipy.linalg.lapack import dpttrf
-
-    pivots, multipliers, info = dpttrf(d + shift, e)
-    _check(n, "dpttrf", info)
+    # J + sI = R^T R with R = D^1/2 L^T = diag(q) + superdiagonal f. It
+    # overwrites d + shift with D and e with the subdiagonal of L.
+    pivots = d + shift
+    _check(n, "dpttrf", _run_lapack("dpttrf", n, pivots, e))
     q = np.sqrt(pivots)
     f = np.zeros(n)  # LAPACK reads n - 1 entries
-    f[:-1] = multipliers * q[:-1]
+    f[:-1] = e * q[:-1]
     # With singular values only, dlasda still carries the first and last
     # rows of V through every merge (it builds each secular equation from
     # them) and leaves the first in work[:n], in the order of S, which
@@ -238,13 +240,13 @@ def _bidiagonal_spectrum(diag: np.ndarray, offdiag: np.ndarray):
     # log2; u, vt, givptr, givcol, perm and givnum are not referenced; the
     # scalars k, c and s each need an array of their own.
     levels = (n // (_SVD_LEAF + 1)).bit_length() + 1
-    unused, unused_int = np.zeros(1), np.zeros(1, dtype=np.intc)
+    unused = np.zeros(1)
     work = np.zeros(6 * n + (_SVD_LEAF + 1) ** 2)
     _check(n, "dlasda", _run_lapack(
-        "dlasda", 0, _SVD_LEAF, n, 0, q, f, unused, n, unused, np.zeros(1, dtype=np.intc),
+        "dlasda", 0, _SVD_LEAF, n, 0, q, f, unused, n, unused, 1,
         np.zeros((n, levels), order="F"), np.zeros(n), np.zeros(n),
-        np.zeros((n, 2 * levels), order="F"), unused_int, unused_int, n, unused_int, unused,
-        np.zeros(1), np.zeros(1), work, np.zeros(7 * n, dtype=np.intc)))
+        np.zeros((n, 2 * levels), order="F"), 1, 1, n, 1, unused,
+        np.zeros(1), np.zeros(1), work, 7 * n))
     first_row = work[:n]
     # WORK is not a documented output: accept it only as a unit vector.
     norm = float(np.sum(first_row**2))
@@ -381,17 +383,18 @@ def _bordered_tridiagonal(atoms: np.ndarray, masses: np.ndarray):
 
 def _dense_reduction(atoms: np.ndarray, masses: np.ndarray):
     """LAPACK's in-place Householder reduction (dsytrd) of the bordered matrix."""
-    # Imported here: scipy.linalg is slow to import, and only the inverse
-    # direction and large measures need LAPACK beyond numpy's.
-    from scipy.linalg.lapack import dsytrd, dsytrd_lwork
-
-    n = atoms.size
+    n = atoms.size + 1
     # Fortran order lets LAPACK overwrite the matrix instead of copying it.
-    bordered = np.zeros((n + 1, n + 1), order="F")
+    bordered = np.zeros((n, n), order="F")
     bordered[1:, 0] = masses
     np.fill_diagonal(bordered[1:, 1:], atoms)
-    lwork, _ = dsytrd_lwork(n + 1, lower=1)
-    _, d, e, _, info = dsytrd(bordered, lower=1, lwork=int(lwork), overwrite_a=1)
+    d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    # A first call with lwork = -1 only returns the optimal workspace size.
+    size = np.empty(1)
+    info = _run_lapack("dsytrd", b"L", n, bordered, n, d, e, tau, size, -1)
+    if info == 0:
+        work = np.empty(int(size[0]))
+        info = _run_lapack("dsytrd", b"L", n, bordered, n, d, e, tau, work, work.size)
     if info != 0:
         raise NumericalError(f"Householder tridiagonalization failed: LAPACK info {info}")
     return d, e
@@ -431,16 +434,55 @@ def _band_merge(da: np.ndarray, ea: np.ndarray, db: np.ndarray, eb: np.ndarray):
 def _run_lapack(routine: str, *args) -> int:
     """Call a routine of ``_LAPACK_ARGS`` by reference; returns LAPACK's info.
 
-    Python ints are passed as C ints, bytes as chars and arrays as they are.
+    Chars are passed as bytes and double arrays as they are. An integer is
+    passed as LAPACK's integer type, and where the routine takes an integer
+    array, as the length of a zeroed one: no caller reads one back.
     """
-    info = ctypes.c_int(0)
-    _lapack(routine)(*(ctypes.c_int(a) if isinstance(a, int) else a for a in args), info)
+    functions, integer = _lapack()
+    info = integer(0)
+    functions[routine](*(integer(a) if kind == "i"
+                         else np.zeros(a, dtype=integer) if kind == "I"
+                         else a
+                         for kind, a in zip(_LAPACK_ARGS[routine], args)), info)
     return info.value
 
 
 @functools.cache
-def _lapack(routine: str):
-    """A LAPACK routine of ``_LAPACK_ARGS`` as a ctypes function, on first use.
+def _lapack():
+    """The routines of ``_LAPACK_ARGS`` and LAPACK's integer type, on first use.
+
+    They come from the library that ``numpy.linalg`` is linked against
+    when :func:`_resolve_lapack` accepts it, else from scipy.
+    """
+    from numpy.linalg import _umath_linalg
+
+    return _resolve_lapack(ctypes.CDLL(_umath_linalg.__file__))
+
+
+def _resolve_lapack(library):
+    """``(routines, integer type)`` from ``library`` if possible, else from scipy.
+
+    numpy's wheels bundle scipy-openblas, whose LAPACK routines are exported
+    as scipy_<name>_64_ and, in its ILP64 build, take 64-bit integers. The
+    routines are taken from ``library`` only when its build configuration
+    reports USE64BITINT and it exports all of them. Otherwise they come from
+    scipy's Cython LAPACK table, with C ints (:func:`_scipy_lapack`).
+    """
+    try:
+        config = library.scipy_openblas_get_config64_
+        symbols = {routine: getattr(library, f"scipy_{routine}_64_") for routine in _LAPACK_ARGS}
+    except AttributeError:
+        return _scipy_lapack()
+    config.restype = ctypes.c_char_p
+    if b"USE64BITINT" not in config().split():
+        return _scipy_lapack()
+    integer = ctypes.c_int64
+    return {routine: _prototype(routine, integer)(ctypes.cast(symbol, ctypes.c_void_p).value)
+            for routine, symbol in symbols.items()}, integer
+
+
+def _scipy_lapack():
+    """``(routines, ctypes.c_int)`` from scipy's Cython LAPACK table.
 
     scipy.linalg.cython_lapack exports every LAPACK routine as a capsule
     named by its C signature. The name is checked against the argument
@@ -448,26 +490,32 @@ def _lapack(routine: str):
     """
     from scipy.linalg import cython_lapack
 
-    capsule = cython_lapack.__pyx_capi__[routine]
     # Private prototypes: setting restype on ctypes.pythonapi's shared
     # function objects would change them for every other caller.
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    name = get_name(capsule)
-    # Cython spells double through a module-mangled typedef, __pyx_t_..._d.
-    signature = re.sub(r"__pyx_t_\w+_d\b", "double", name.decode())
-    # Each argument kind's spelling in the signature, and its ctypes type.
+    spellings = {"c": "char *", "i": "int *", "I": "int *", "d": "double *"}
+    routines = {}
+    for routine, kinds in _LAPACK_ARGS.items():
+        capsule = cython_lapack.__pyx_capi__[routine]
+        name = get_name(capsule)
+        # Cython spells double through a module-mangled typedef, __pyx_t_..._d.
+        signature = re.sub(r"__pyx_t_\w+_d\b", "double", name.decode())
+        if signature != "void (" + ", ".join(spellings[kind] for kind in kinds) + ")":
+            raise ImportError(
+                f"scipy's LAPACK {routine} has an unexpected signature: {signature}")
+        routines[routine] = _prototype(routine, ctypes.c_int)(get_pointer(capsule, name))
+    return routines, ctypes.c_int
+
+
+def _prototype(routine: str, integer):
+    """ctypes prototype of a routine of ``_LAPACK_ARGS`` with this integer type."""
     kinds = {
-        "c": ("char *", ctypes.c_char_p),
-        "i": ("int *", ctypes.POINTER(ctypes.c_int)),
-        "I": ("int *", np.ctypeslib.ndpointer(np.intc, flags="F_CONTIGUOUS")),
-        "d": ("double *", np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")),
+        "c": ctypes.c_char_p,
+        "i": ctypes.POINTER(integer),
+        "I": np.ctypeslib.ndpointer(integer, flags="F_CONTIGUOUS"),
+        "d": np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS"),
     }
-    args = [kinds[kind] for kind in _LAPACK_ARGS[routine]]
-    if signature != "void (" + ", ".join(spelling for spelling, _ in args) + ")":
-        raise ImportError(
-            f"scipy's LAPACK {routine} has an unexpected signature: {signature}")
-    prototype = ctypes.CFUNCTYPE(None, *(ctype for _, ctype in args))
-    return prototype(get_pointer(capsule, name))
+    return ctypes.CFUNCTYPE(None, *(kinds[kind] for kind in _LAPACK_ARGS[routine]))

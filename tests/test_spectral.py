@@ -1,16 +1,18 @@
 """Jacobi matrices, spectral measures, and the two-way mapping between them.
 
-eigen_spectral's two solvers (numpy's dense eigh up to 128 rows, the
-compact bidiagonal SVD above) are checked against closed forms and against
+eigen_spectral's two solvers (numpy's dense eigh up to 64 rows, the
+bidiagonal SVD above) are checked against closed forms and against
 two oracles, numpy's dense eigh and scipy's tridiagonal eigh (dstevd), both
 of which form every eigenvector. Measures are checked against their
 operator-side moments where atoms with an underflowed weight are dropped.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -56,13 +58,23 @@ def tridiagonal_firstrow_eigh(diag, offdiag):
 
 
 # Each size is checked against both, neither of which eigen_spectral uses
-# above 128 rows.
+# above 64 rows.
 ORACLES = (dense_firstrow_eigh, tridiagonal_firstrow_eigh)
 
 
 def eigen_firstrow(diag, offdiag):
     mu = eigen_spectral(JacobiCoefficients(diag, offdiag))
     return mu.atoms, mu.weights
+
+
+def replace_routine(monkeypatch, routine, fake):
+    """Make the resolved LAPACK call ``fake`` for ``routine``.
+
+    ``fake`` receives the arguments as ctypes passes them, LAPACK's info
+    last.
+    """
+    routines, integer = spectral._lapack()
+    monkeypatch.setattr(spectral, "_lapack", lambda: ({**routines, routine: fake}, integer))
 
 
 def laguerre_jacobi(seed, n, beta=2.0, gamma_power=2):
@@ -180,7 +192,8 @@ class TestEigenSpectral:
             np.testing.assert_allclose(w, w_ref, atol=atol)
 
     @pytest.mark.parametrize("n, beta, gamma_power, seed", [
-        *(pytest.param(n, 2.0, 2, n, id=str(n)) for n in (1, 2, 50, 128, 129, 200, 1000, 2000)),
+        *(pytest.param(n, 2.0, 2, n, id=str(n))
+          for n in (1, 2, 50, 64, 65, 128, 129, 200, 1000, 2000)),
         # The first of the benchmark's small-beta draws, derive_seed(7, 0):
         # no weight underflows here, in any of the three solvers.
         pytest.param(400, 0.2, 3, derive_seed(7, 0), id="small-beta"),
@@ -264,10 +277,8 @@ class TestEigenSpectral:
         def info_one(*args):
             args[-1].value = 1  # LAPACK's info: a singular value did not converge
 
-        lapack = spectral._lapack
         monkeypatch.setattr(np.linalg, "eigh", no_convergence)
-        monkeypatch.setattr(spectral, "_lapack",
-                            lambda routine: info_one if routine == "dlasda" else lapack(routine))
+        replace_routine(monkeypatch, "dlasda", info_one)
         with pytest.raises(NumericalError, match=f"size {n}"):
             eigen_firstrow(np.zeros(n), np.ones(n - 1))
 
@@ -282,19 +293,15 @@ class TestEigenSpectral:
                 args[-3][:] = fill  # WORK
             args[-1].value = 0
 
-        lapack = spectral._lapack
-        monkeypatch.setattr(spectral, "_lapack",
-                            lambda routine: fake_dlasda if routine == "dlasda" else lapack(routine))
+        replace_routine(monkeypatch, "dlasda", fake_dlasda)
         with pytest.raises(NumericalError, match="size 129: LAPACK dlasda"):
             eigen_firstrow(np.zeros(129), np.ones(128))
 
     def test_factorization_failure_raises(self, monkeypatch):
-        import scipy.linalg.lapack
+        def info_three(*args):
+            args[-1].value = 3  # LAPACK's info: the third pivot is not positive
 
-        def info_three(d, e):
-            return d, e, 3  # LAPACK's info: the third pivot is not positive
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", info_three)
+        replace_routine(monkeypatch, "dpttrf", info_three)
         with pytest.raises(NumericalError, match="size 129: LAPACK dpttrf info 3"):
             eigen_firstrow(np.zeros(129), np.ones(128))
 
@@ -444,13 +451,26 @@ class TestSzegoMap:
         np.testing.assert_array_equal(mu.weights, weights)
 
     def test_lapack_failure_raises(self, monkeypatch):
-        import scipy.linalg.lapack
+        # dsytrd runs twice: a workspace query (lwork = -1), then the reduction.
+        dsytrd = spectral._lapack()[0]["dsytrd"]
 
-        def failing(a, **kwargs):
-            return a, np.zeros(a.shape[0]), np.zeros(a.shape[0] - 1), None, -1
+        def failing(*args):
+            if args[-2].value == -1:
+                dsytrd(*args)
+            else:
+                args[-1].value = -1
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", failing)
+        replace_routine(monkeypatch, "dsytrd", failing)
         with pytest.raises(NumericalError, match="LAPACK info -1"):
+            measure_to_coefficients(SpectralMeasure([0.0, 1.0], [0.5, 0.5]), 2)
+
+    def test_workspace_query_failure_raises(self, monkeypatch):
+        def failing(*args):
+            assert args[-2].value == -1, "the reduction ran after a failed query"
+            args[-1].value = -7
+
+        replace_routine(monkeypatch, "dsytrd", failing)
+        with pytest.raises(NumericalError, match="LAPACK info -7"):
             measure_to_coefficients(SpectralMeasure([0.0, 1.0], [0.5, 0.5]), 2)
 
     def test_band_reduction_failure_raises(self, monkeypatch):
@@ -458,31 +478,28 @@ class TestSzegoMap:
             args[-1].value = -5  # LAPACK's info argument
 
         mu = eigen_spectral(laguerre_jacobi(4, 200))
-        monkeypatch.setattr(spectral, "_lapack", lambda routine: failing)
+        replace_routine(monkeypatch, "dsbtrd", failing)
         with pytest.raises(NumericalError, match="band tridiagonalization failed: LAPACK info -5"):
             measure_to_coefficients(mu, 200)
 
     @pytest.mark.parametrize("routine", sorted(spectral._LAPACK_ARGS))
     def test_unexpected_band_routine_signature_refused(self, routine, monkeypatch):
         # Every routine taken from scipy's Cython table is checked against
-        # its argument kinds, here on dsytrd's capsule in its place.
+        # its argument kinds, here on another routine's capsule in its place.
         from scipy.linalg import cython_lapack
 
         capsules = cython_lapack.__pyx_capi__
-        monkeypatch.setitem(capsules, routine, capsules["dsytrd"])
-        spectral._lapack.cache_clear()
-        try:
-            with pytest.raises(ImportError, match=f"LAPACK {routine} has an unexpected signature"):
-                spectral._lapack(routine)
-        finally:
-            spectral._lapack.cache_clear()
+        monkeypatch.setitem(capsules, routine,
+                            capsules["dsbtrd" if routine == "dsytrd" else "dsytrd"])
+        with pytest.raises(ImportError, match=f"LAPACK {routine} has an unexpected signature"):
+            spectral._scipy_lapack()
 
     @pytest.mark.parametrize("n", [1, 2, 60, 128])
     def test_small_measures_use_one_dense_reduction(self, n, monkeypatch):
         # Up to 128 atoms the result is bit for bit one dsytrd of the
-        # bordered matrix, heaviest atoms first, and no band merge runs.
-        from scipy.linalg.lapack import dsytrd, dsytrd_lwork
-
+        # bordered matrix, heaviest atoms first, and no band merge runs. The
+        # dsytrd called here is the resolved one: numpy's and scipy's builds
+        # of LAPACK may round differently.
         def no_merge(*args):
             raise AssertionError("band merge ran")
 
@@ -492,11 +509,15 @@ class TestSzegoMap:
         mu = SpectralMeasure(np.sort(rng.normal(size=n)), weights / weights.sum())
         got = measure_to_coefficients(mu, n)
         heavy_first = np.argsort(-mu.weights, kind="stable")
-        bordered = np.zeros((n + 1, n + 1))
+        bordered = np.zeros((n + 1, n + 1), order="F")
         bordered[1:, 0] = np.sqrt(mu.weights[heavy_first])
         bordered[1:, 1:] = np.diag(mu.atoms[heavy_first])
-        lwork, _ = dsytrd_lwork(n + 1, lower=1)
-        _, d, e, _, _ = dsytrd(bordered, lower=1, lwork=int(lwork))
+        routines, integer = spectral._lapack()
+        d, e, tau, lwork = np.empty(n + 1), np.empty(n), np.empty(n), np.empty(1)
+        args = (b"L", integer(n + 1), bordered, integer(n + 1), d, e, tau)
+        routines["dsytrd"](*args, lwork, integer(-1), integer(0))
+        work = np.empty(int(lwork[0]))
+        routines["dsytrd"](*args, work, integer(work.size), integer(0))
         np.testing.assert_array_equal(got.diag, d[1:])
         np.testing.assert_array_equal(got.offdiag, np.abs(e[1:]))
 
@@ -531,8 +552,8 @@ class TestFreeJacobi:
 
 
 def test_cli_import_loads_no_scipy_subpackage():
-    # The measure path imports LAPACK on first use, scipy.linalg.cython_lapack
-    # included; start-up pays for numpy only, and does not even load the sampler.
+    # The measure path resolves LAPACK on first use; start-up pays for numpy
+    # only, and does not even load the sampler.
     code = ("import sys, lagspec.cli; "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', "
             "'scipy.linalg.cython_lapack') if m in sys.modules), "
@@ -541,3 +562,77 @@ def test_cli_import_loads_no_scipy_subpackage():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[] False"
+
+
+def fake_library(config, routines=tuple(spectral._LAPACK_ARGS)):
+    """A library reporting ``config`` that exports scipy_<routine>_64_ for ``routines``."""
+    symbols = {f"scipy_{routine}_64_": object() for routine in routines}
+    return types.SimpleNamespace(scipy_openblas_get_config64_=lambda: config, **symbols)
+
+
+def numpy_route() -> bool:
+    """Whether LAPACK comes from the library numpy.linalg is linked against."""
+    return spectral._lapack()[1] is ctypes.c_int64
+
+
+class TestLapackRoutes:
+    @pytest.mark.parametrize("library", [
+        pytest.param(object(), id="no-openblas"),
+        pytest.param(fake_library(b"OpenBLAS 0.3.31 DYNAMIC_ARCH Haswell"), id="lp64"),
+        pytest.param(fake_library(b"OpenBLAS 0.3.31 USE64BITINT", ["dpttrf", "dsytrd", "dsbtrd"]),
+                     id="no-dlasda"),
+    ])
+    def test_other_libraries_select_scipy(self, library):
+        # Only an ILP64 scipy-openblas exporting all four routines is used;
+        # anything else gets scipy's Cython table, with C ints.
+        routines, integer = spectral._resolve_lapack(library)
+        assert integer is ctypes.c_int
+        assert sorted(routines) == sorted(spectral._LAPACK_ARGS)
+
+    def test_numpy_openblas_selected_where_numpy_bundles_it(self):
+        from numpy.linalg import _umath_linalg
+
+        library = ctypes.CDLL(_umath_linalg.__file__)
+        if not hasattr(library, "scipy_openblas_get_config64_"):
+            pytest.skip("numpy is not linked against scipy-openblas")
+        config = library.scipy_openblas_get_config64_
+        config.restype = ctypes.c_char_p
+        assert numpy_route() == (b"USE64BITINT" in config().split())
+
+    # Tolerances, not bit equality: numpy's and scipy's wheels may bundle
+    # different OpenBLAS versions.
+    @pytest.mark.parametrize("n", [129, 1000])
+    def test_routes_agree_on_draws(self, n, monkeypatch):
+        coeffs = laguerre_jacobi(n, n)
+        mu = eigen_spectral(coeffs)
+        scipy_lapack = spectral._scipy_lapack()
+        monkeypatch.setattr(spectral, "_lapack", lambda: scipy_lapack)
+        ref = eigen_spectral(coeffs)
+        np.testing.assert_allclose(mu.atoms, ref.atoms, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mu.weights, ref.weights, rtol=0, atol=1e-12)
+
+    def test_routes_agree_on_inversion(self, monkeypatch):
+        mu = eigen_spectral(laguerre_jacobi(42, 1000))
+        got = measure_to_coefficients(mu, mu.n)
+        scipy_lapack = spectral._scipy_lapack()
+        monkeypatch.setattr(spectral, "_lapack", lambda: scipy_lapack)
+        ref = measure_to_coefficients(mu, mu.n)
+        np.testing.assert_allclose(got.diag, ref.diag, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.offdiag, ref.offdiag, rtol=0, atol=1e-12)
+
+    def test_numpy_route_loads_no_scipy(self):
+        # The smallest and the largest benchmark size of the SVD path and a
+        # full-order inversion at n = 1000, in a fresh process.
+        if not numpy_route():
+            pytest.skip("LAPACK comes from scipy here")
+        code = ("import sys\n"
+                "from lagspec.ensembles import EnsembleParams, make_rng, sample_spectral_measure\n"
+                "from lagspec.spectral import measure_to_coefficients\n"
+                "for n in (129, 2000, 1000):\n"
+                "    mu = sample_spectral_measure(make_rng(n), EnsembleParams(n, 2.0, n ** 2))\n"
+                "measure_to_coefficients(mu, mu.n)\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(Path(lagspec.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.strip() == "[]"
