@@ -15,7 +15,10 @@ file, which beats the built-in default. Every usage error prints one
 
 Start-up pays only for the command being run: each command body imports
 the lagspec modules it uses, and ``main`` builds the flags of the invoked
-subcommand alone.
+subcommand alone. Importing this module loads no numpy, and neither do
+``moments``, ``identities`` and ``rate --outlier``: they read the exact
+sequences that ``lagspec.moments`` computes in Python ints and floats. The
+other commands import numpy in their bodies.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import NumericalError
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .experiments import ExperimentConfig, ExperimentReport
 
 # (column, ExperimentReport attribute), in report order.
@@ -109,6 +112,8 @@ def parse_poly(text: str) -> np.ndarray:
     if not all(math.isfinite(coeff) for coeff in terms.values()):
         raise ValueError(f"polynomial {text!r} has a coefficient that is not finite")
 
+    import numpy as np
+
     out = np.zeros(max(terms) + 1)
     for power, coeff in terms.items():
         out[power] = coeff
@@ -175,6 +180,8 @@ def emit_report(report: ExperimentReport, fmt: str = "csv", out: str | None = No
 
 def _histogram_text(samples: np.ndarray) -> str:
     """_HIST_BINS equal-width bins of a nonempty sample as two-column text (bin_center, count)."""
+    import numpy as np
+
     lo = float(samples.min())
     hi = float(samples.max())
     if lo == hi:
@@ -226,7 +233,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    from .moments import NuVariant, arcsine_moments, mp_moments, nu_moments, semicircle_moments
+    from .moments import NuVariant, _arcsine, _mp, _nu, _semicircle
 
     name = args.measure
     if name != "mp":
@@ -234,17 +241,17 @@ def _cmd_moments(args) -> int:
     if name not in ("nu", "nu-hat"):
         _unused(args, ("xi",), f"with --measure {name}")
     if name == "semicircle":
-        values = semicircle_moments(args.order).astype(np.float64)
+        values = _semicircle(args.order)
     elif name == "arcsine":
-        values = arcsine_moments(args.order).astype(np.float64)
+        values = _arcsine(args.order)
     elif name == "mp":
         if args.tau is None:
             raise ValueError("--tau is required for Marchenko-Pastur moments")
-        values = mp_moments(args.order, args.tau)
+        values = _mp(args.order, args.tau)
     else:
         variant = NuVariant.STANDARD if name == "nu" else NuVariant.SHIFTED
-        values = nu_moments(args.order, 1.0 if args.xi is None else args.xi, variant)
-    rows = [(k + 1, float(values[k])) for k in range(len(values))]
+        values = _nu(args.order, 1.0 if args.xi is None else args.xi, variant)
+    rows = [(k, float(value)) for k, value in enumerate(values, 1)]
     _emit_rows(rows, ["k", "value"], args.format, args.out)
     return 0
 
@@ -270,6 +277,8 @@ def _cmd_rate(args) -> int:
     if args.outlier is not None:
         rows.append(("f_outlier", f_outlier(args.outlier)))
     elif args.semicircle_atoms is not None:
+        import numpy as np
+
         atoms = _parse_atoms(args.semicircle_atoms)
         bulk_mass = 1.0 - sum(mass for _, mass in atoms)
         if bulk_mass <= 0:
@@ -282,6 +291,8 @@ def _cmd_rate(args) -> int:
         rows.append(("outlier_term", sum(f_outlier(loc) for loc, _ in atoms)))
         rows.append(("ldp_rate", ldp_rate(mu)))
     else:
+        import numpy as np
+
         m = np.array([float(v) for v in args.mdp_moments.split(",")])
         trunc = args.trunc if args.trunc is not None else min(15, m.size)
         rows.append(
@@ -338,6 +349,8 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_mdp(args) -> int:
+    import numpy as np
+
     from .experiments import MAX_POLY_DEGREE, run_clt
 
     if not 1 <= args.k <= MAX_POLY_DEGREE:
@@ -357,47 +370,48 @@ def _cmd_mp_sanity(args) -> int:
 
 
 def _identity_checks(order: int):
-    """The exact and quadrature cross-identities, as (name, passed) pairs."""
-    from .moments import (EXACT_ORDER_CAP, NuVariant, d_matrix, dw_vector, nu_moments,
-                          nu_moments_by_quadrature, semicircle_moments,
-                          semicircle_orthonormal_poly)
+    """The exact and quadrature cross-identities, as (name, passed) pairs.
+
+    The exact checks run on Python ints, so no product can wrap.
+    """
+    from .moments import (EXACT_ORDER_CAP, NuVariant, _d_rows, _dw, _nu, _nu_by_quadrature,
+                          _orthonormal_poly, _semicircle)
 
     if order > EXACT_ORDER_CAP // 2:  # the covariance check reads msc up to order 2 * order
         raise ValueError(f"identities --order is capped at {EXACT_ORDER_CAP // 2} "
                          "(64-bit products)")
     checks = []
 
-    d = d_matrix(order)
-    msc = semicircle_moments(2 * order)
-    cov = np.empty((order, order), dtype=np.int64)
-    for i in range(1, order + 1):
-        for j in range(1, order + 1):
-            cov[i - 1, j - 1] = msc[i + j - 1] - msc[i - 1] * msc[j - 1]
-    checks.append((f"ddt_covariance_order{order}", bool(np.array_equal(d @ d.T, cov))))
+    d = _d_rows(order)
+    msc = _semicircle(2 * order)
+    ddt = [[_dot(row_i, row_j) for row_j in d] for row_i in d]
+    cov = [[msc[i + j - 1] - msc[i - 1] * msc[j - 1] for j in range(1, order + 1)]
+           for i in range(1, order + 1)]
+    checks.append((f"ddt_covariance_order{order}", ddt == cov))
 
+    d15 = _d_rows(15)
     for variant, tag in ((NuVariant.STANDARD, "nu"), (NuVariant.SHIFTED, "nu_hat")):
-        d15 = d_matrix(15).astype(np.float64)
-        w = dw_vector(15, 1.0, variant)
-        ok = bool(np.array_equal(d15 @ w, nu_moments(15, 1.0, variant)))
+        w = _dw(15, 1.0, variant)
+        ok = [_dot(row, w) for row in d15] == _nu(15, 1.0, variant)
         checks.append((f"dw_telescoping_{tag}_order15", ok))
 
     # Row i of P holds p_i's coefficients of x^1..x^i. D is unit lower
     # triangular, so the exact integer product P D = I holds iff P = D^-1.
-    # sum_k |P_ik D_kj| <= 2.4e6, so no int64 sum can wrap.
-    p = np.zeros((20, 20), dtype=np.int64)
-    for i in range(1, 21):
-        p[i - 1, :i] = semicircle_orthonormal_poly(i)[1:]
+    p = [_orthonormal_poly(i)[1:] + [0] * (20 - i) for i in range(1, 21)]
+    d20_columns = list(zip(*_d_rows(20)))
+    pd = [[_dot(row, column) for column in d20_columns] for row in p]
     checks.append(("dinv_rows_polynomials_order20",
-                   bool(np.array_equal(p @ d_matrix(20), np.eye(20, dtype=np.int64)))))
+                   pd == [[int(i == j) for j in range(20)] for i in range(20)]))
 
     for variant, tag in ((NuVariant.STANDARD, "nu"), (NuVariant.SHIFTED, "nu_hat")):
-        closed = nu_moments(15, 1.0, variant)
-        quad = nu_moments_by_quadrature(15, 1.0, variant)
-        checks.append(
-            (f"nu_moment_quadrature_{tag}_order15",
-             bool(np.max(np.abs(closed - quad)) <= _NU_QUAD_TOL))
-        )
+        ok = all(abs(closed - quad) <= _NU_QUAD_TOL for closed, quad in
+                 zip(_nu(15, 1.0, variant), _nu_by_quadrature(15, 1.0, variant)))
+        checks.append((f"nu_moment_quadrature_{tag}_order15", ok))
     return checks
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _cmd_identities(args) -> int:
@@ -477,8 +491,12 @@ def _rate_flags(sub) -> None:
     selector = sub.add_mutually_exclusive_group(required=True)
     selector.add_argument("--outlier", type=float)
     selector.add_argument("--semicircle-atoms",
-                          help="loc:mass[,loc:mass...] on a rescaled semicircle bulk")
-    selector.add_argument("--mdp-moments", help="comma-separated moment sequence")
+                          help="loc:mass[,loc:mass...] on a rescaled semicircle bulk; "
+                          "a list that starts with '-' needs the = form: "
+                          "--semicircle-atoms=-3:0.05,3:0.05")
+    selector.add_argument("--mdp-moments",
+                          help="comma-separated moment sequence; a list that starts "
+                          "with '-' needs the = form: --mdp-moments=-1,0,1")
     sub.add_argument("--xi", type=float)
     sub.add_argument("--variant", choices=[variant.value for variant in NuVariant])
     sub.add_argument("--trunc", type=int)

@@ -10,14 +10,24 @@ lower-triangular D matrix, the orthonormal-polynomial coefficients of the
 semicircle law) is exact in 64-bit integers up to order 40; beyond that the
 exact-identity guarantees would silently degrade, so higher orders are
 rejected.
+
+Importing this module loads no numpy. Each exact sequence, and the
+Chebyshev quadrature twin of the nu moments, is computed once, in Python
+ints and floats, by a private helper that returns a list; the public
+functions hand the same numbers back as numpy arrays, importing numpy when
+called. The ``moments`` and ``identities`` commands read the lists, so
+they run without numpy.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NuVariant",
@@ -53,19 +63,27 @@ class NuVariant(enum.Enum):
 
 
 def _check_order(order: int) -> int:
-    """``order`` as an int; ValueError unless 1 <= order <= EXACT_ORDER_CAP."""
-    if not isinstance(order, (int, np.integer)) or order < 1:
+    """``order`` as an int; ValueError unless 1 <= order <= EXACT_ORDER_CAP.
+
+    Python and numpy integers are accepted (``operator.index``); a float is
+    refused, not truncated.
+    """
+    try:
+        value = operator.index(order)
+    except TypeError:
+        value = 0
+    if value < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
-    if order > EXACT_ORDER_CAP:
+    if value > EXACT_ORDER_CAP:
         raise ValueError(
             f"order {order} above the 64-bit-exact cap {EXACT_ORDER_CAP}; "
             "exact integer identities would overflow"
         )
-    return int(order)
+    return value
 
 
 def _check_xi(xi: float) -> None:
-    if not (0.0 <= xi < np.inf):
+    if not (0.0 <= xi < math.inf):
         raise ValueError(f"xi must be finite and >= 0, got {xi!r}")
 
 
@@ -78,6 +96,8 @@ def _binom(n: int, k: int) -> int:
 
 def semicircle_density(x):
     """Density sqrt(4 - x^2) / (2 pi) on [-2, 2], zero outside."""
+    import numpy as np
+
     x = np.asarray(x, dtype=np.float64)
     inside = np.abs(x) <= 2.0
     out = np.zeros_like(x)
@@ -85,22 +105,43 @@ def semicircle_density(x):
     return out if out.ndim else float(out)
 
 
+def _semicircle(order: int) -> list:
+    """m_1..m_order of the semicircle law as ints (see semicircle_moments)."""
+    order = _check_order(order)
+    return [0 if k % 2 else _binom(k, k // 2) // (k // 2 + 1) for k in range(1, order + 1)]
+
+
 def semicircle_moments(order: int) -> np.ndarray:
     """m_1..m_order of the semicircle law: zero odd, Catalan even."""
+    import numpy as np
+
+    return np.array(_semicircle(order), dtype=np.int64)
+
+
+def _arcsine(order: int) -> list:
+    """m_1..m_order of the arcsine law as ints (see arcsine_moments)."""
     order = _check_order(order)
-    out = np.zeros(order, dtype=np.int64)
-    for k in range(2, order + 1, 2):
-        half = k // 2
-        out[k - 1] = _binom(k, half) // (half + 1)
-    return out
+    return [0 if k % 2 else _binom(k, k // 2) for k in range(1, order + 1)]
 
 
 def arcsine_moments(order: int) -> np.ndarray:
     """m_1..m_order of the arcsine law on [-2, 2]: zero odd, C(2k, k) even."""
+    import numpy as np
+
+    return np.array(_arcsine(order), dtype=np.int64)
+
+
+def _mp(order: int, tau: float) -> list:
+    """m_1..m_order of the Marchenko-Pastur law as floats (see mp_moments)."""
+    if not (0.0 < tau <= 1.0):
+        raise ValueError(f"tau must lie in (0, 1], got {tau!r}")
     order = _check_order(order)
-    out = np.zeros(order, dtype=np.int64)
-    for k in range(2, order + 1, 2):
-        out[k - 1] = _binom(k, k // 2)
+    out = []
+    for k in range(1, order + 1):
+        value = 0.0
+        for j in range(k, 0, -1):
+            value = value * tau + math.comb(k, j) * math.comb(k, j - 1) // k
+        out.append(value)
     return out
 
 
@@ -113,15 +154,21 @@ def mp_moments(order: int, tau: float) -> np.ndarray:
     m_k = sum_{j=1..k} C(k, j) C(k, j-1) / k * tau^(j-1), whose integer
     coefficients are exact; the sum is evaluated by Horner's rule.
     """
-    if not (0.0 < tau <= 1.0):
-        raise ValueError(f"tau must lie in (0, 1], got {tau!r}")
+    import numpy as np
+
+    return np.array(_mp(order, tau), dtype=np.float64)
+
+
+def _nu(order: int, xi: float, variant: NuVariant = NuVariant.STANDARD) -> list:
+    """Moments of the corrective signed measure as floats (see nu_moments)."""
     order = _check_order(order)
-    out = np.empty(order)
-    for k in range(1, order + 1):
-        value = 0.0
-        for j in range(k, 0, -1):
-            value = value * tau + math.comb(k, j) * math.comb(k, j - 1) // k
-        out[k - 1] = value
+    _check_xi(xi)
+    out = [0.0] * order
+    for k in range(1, order + 1, 2):
+        coeff = _binom(k, (k - 3) // 2)
+        if variant is NuVariant.SHIFTED:
+            coeff -= _binom(k, (k - 1) // 2)
+        out[k - 1] = float(xi * coeff)
     return out
 
 
@@ -134,15 +181,16 @@ def nu_moments(order: int, xi: float, variant: NuVariant = NuVariant.STANDARD) -
     m_1 = -xi (the first moment the extra n*beta centering removes), as
     the density and the telescoping D-matrix identity both require.
     """
-    order = _check_order(order)
-    _check_xi(xi)
-    out = np.zeros(order)
-    for k in range(1, order + 1, 2):
-        coeff = _binom(k, (k - 3) // 2)
-        if variant is NuVariant.SHIFTED:
-            coeff -= _binom(k, (k - 1) // 2)
-        out[k - 1] = xi * coeff
-    return out
+    import numpy as np
+
+    return np.array(_nu(order, xi, variant), dtype=np.float64)
+
+
+def _nu_density_at(x: float, xi: float, variant: NuVariant) -> float:
+    """nu_density at one point inside its support, in numpy's operation order."""
+    if variant is NuVariant.STANDARD:
+        return (xi / (2.0 * math.pi)) * x * (x * x - 3.0) / math.sqrt(4.0 - x * x)
+    return -(xi / (2.0 * math.pi)) * x * math.sqrt(4.0 - x * x)
 
 
 def nu_density(x, xi: float, variant: NuVariant = NuVariant.STANDARD):
@@ -152,21 +200,28 @@ def nu_density(x, xi: float, variant: NuVariant = NuVariant.STANDARD):
     endpoints are poles and raise. Shifted: -(xi / 2 pi) x sqrt(4 - x^2)
     on [-2, 2]. Both vanish outside [-2, 2].
     """
+    import numpy as np
+
     _check_xi(xi)
     arr = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(arr)
     if variant is NuVariant.STANDARD:
         if np.any(np.abs(arr) == 2.0):
             raise ValueError("density has a singularity at |x| = 2; "
                              "use endpoint-avoiding nodes")
         inside = np.abs(arr) < 2.0
-        xi_in = arr[inside]
-        out[inside] = (xi / (2.0 * np.pi)) * xi_in * (xi_in**2 - 3.0) / np.sqrt(4.0 - xi_in**2)
     else:
         inside = np.abs(arr) <= 2.0
-        xi_in = arr[inside]
-        out[inside] = -(xi / (2.0 * np.pi)) * xi_in * np.sqrt(4.0 - xi_in**2)
+    out = np.zeros_like(arr)
+    out[inside] = [_nu_density_at(v, xi, variant) for v in arr[inside].tolist()]
     return out if out.ndim else float(out)
+
+
+def _chebyshev_lebesgue(n_nodes: int) -> tuple:
+    """Nodes and weights of chebyshev_lebesgue_rule as two lists of floats."""
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    x = [2.0 * math.cos((2 * j - 1) * math.pi / (2 * n_nodes)) for j in range(1, n_nodes + 1)]
+    return x, [(math.pi / n_nodes) * math.sqrt(4.0 - v * v) for v in x]
 
 
 def chebyshev_lebesgue_rule(n_nodes: int):
@@ -177,13 +232,10 @@ def chebyshev_lebesgue_rule(n_nodes: int):
     < 2N, and the nodes avoid the endpoints, absorbing inverse-square-root
     singularities there.
     """
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    j = np.arange(1, n_nodes + 1)
-    theta = (2 * j - 1) * np.pi / (2 * n_nodes)
-    x = 2.0 * np.cos(theta)
-    w = (np.pi / n_nodes) * np.sqrt(4.0 - x**2)
-    return x, w
+    import numpy as np
+
+    x, w = _chebyshev_lebesgue(n_nodes)
+    return np.array(x), np.array(w)
 
 
 def semicircle_rule(n_nodes: int):
@@ -192,11 +244,40 @@ def semicircle_rule(n_nodes: int):
     Second-kind Chebyshev rule: x_j = 2 cos(j pi / (N+1)), weights
     (2/(N+1)) sin^2(j pi/(N+1)); exact for polynomials of degree < 2N.
     """
+    import numpy as np
+
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     j = np.arange(1, n_nodes + 1)
     theta = j * np.pi / (n_nodes + 1)
     return 2.0 * np.cos(theta), (2.0 / (n_nodes + 1)) * np.sin(theta) ** 2
+
+
+def _pairwise_sum(values: list) -> float:
+    """``numpy.sum`` of 8 to 128 floats, bit for bit.
+
+    numpy adds eight strided partial sums, pairs them as a tree, adds the
+    tail that does not fill a stride, and adds the whole to its starting
+    value +0.0.
+    """
+    whole = len(values) - len(values) % 8
+    r = [sum(values[j + 8:whole:8], values[j]) for j in range(8)]
+    tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return 0.0 + sum(values[whole:], tree)
+
+
+def _nu_by_quadrature(order: int, xi: float, variant: NuVariant = NuVariant.STANDARD) -> list:
+    """nu_moments_by_quadrature as a list of floats."""
+    order = _check_order(order)
+    _check_xi(xi)
+    x, w = _chebyshev_lebesgue(_NU_QUADRATURE_NODES)
+    weighted = [wj * _nu_density_at(xj, xi, variant) for xj, wj in zip(x, w)]
+    power = [1.0] * len(x)
+    out = []
+    for _ in range(order):
+        power = [p * xj for p, xj in zip(power, x)]
+        out.append(_pairwise_sum([f * p for f, p in zip(weighted, power)]))
+    return out
 
 
 def nu_moments_by_quadrature(
@@ -207,15 +288,19 @@ def nu_moments_by_quadrature(
     Uses the endpoint-avoiding Chebyshev rule, so the standard variant's
     poles at +-2 are integrable as written.
     """
+    import numpy as np
+
+    return np.array(_nu_by_quadrature(order, xi, variant), dtype=np.float64)
+
+
+def _d_rows(order: int) -> list:
+    """The rows of d_matrix(order) as lists of ints."""
     order = _check_order(order)
-    x, w = chebyshev_lebesgue_rule(_NU_QUADRATURE_NODES)
-    dens = nu_density(x, xi, variant)
-    out = np.empty(order)
-    power = np.ones_like(x)
-    for k in range(order):
-        power = power * x
-        out[k] = np.sum(w * dens * power)
-    return out
+    return [
+        [_binom(i, (i - j) // 2) - _binom(i, (i - j) // 2 - 1) if j <= i and (i + j) % 2 == 0
+         else 0 for j in range(1, order + 1)]
+        for i in range(1, order + 1)
+    ]
 
 
 def d_matrix(order: int) -> np.ndarray:
@@ -226,18 +311,15 @@ def d_matrix(order: int) -> np.ndarray:
     coefficients-to-moments map at the free Jacobi point; its inverse rows
     carry orthonormal-polynomial coefficients.
     """
-    order = _check_order(order)
-    out = np.zeros((order, order), dtype=np.int64)
-    for i in range(1, order + 1):
-        for j in range(1, i + 1):
-            if (i + j) % 2 == 0:
-                half = (i - j) // 2
-                out[i - 1, j - 1] = _binom(i, half) - _binom(i, half - 1)
-    return out
+    import numpy as np
+
+    return np.array(_d_rows(order), dtype=np.int64)
 
 
 def d_inverse_apply(order: int, v: np.ndarray) -> np.ndarray:
     """Solve D_order x = v by forward substitution (unit lower triangular)."""
+    import numpy as np
+
     order = _check_order(order)
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.size != order:
@@ -249,6 +331,25 @@ def d_inverse_apply(order: int, v: np.ndarray) -> np.ndarray:
     return x
 
 
+def _orthonormal_poly(k: int) -> list:
+    """semicircle_orthonormal_poly(k) as a list of ints."""
+    try:
+        degree = operator.index(k)
+    except TypeError:
+        degree = -1
+    if degree < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    if degree > EXACT_ORDER_CAP:
+        raise ValueError(f"k {k} above the 64-bit-exact cap {EXACT_ORDER_CAP}")
+    prev, cur = [], [1]
+    for _ in range(degree):
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur
+
+
 def semicircle_orthonormal_poly(k: int) -> np.ndarray:
     """Monomial coefficients (low to high) of the k-th orthonormal polynomial.
 
@@ -256,20 +357,9 @@ def semicircle_orthonormal_poly(k: int) -> np.ndarray:
     Jacobi matrix, i.e. Chebyshev-U at x/2. Integer coefficients, exact up
     to the order cap.
     """
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    if k > EXACT_ORDER_CAP:
-        raise ValueError(f"k {k} above the 64-bit-exact cap {EXACT_ORDER_CAP}")
-    prev = np.array([1], dtype=np.int64)
-    if k == 0:
-        return prev
-    cur = np.array([0, 1], dtype=np.int64)
-    for _ in range(k - 1):
-        nxt = np.zeros(cur.size + 1, dtype=np.int64)
-        nxt[1:] = cur
-        nxt[: prev.size] -= prev
-        prev, cur = cur, nxt
-    return cur
+    import numpy as np
+
+    return np.array(_orthonormal_poly(k), dtype=np.int64)
 
 
 def integrate_poly_against_moments(
@@ -282,6 +372,8 @@ def integrate_poly_against_moments(
     total mass explicitly (0 for the zero-mass signed measures, 1 for
     probability measures).
     """
+    import numpy as np
+
     poly = np.asarray(poly, dtype=np.float64).reshape(-1)
     moments = np.asarray(moments, dtype=np.float64).reshape(-1)
     degree = poly.size - 1
@@ -295,16 +387,20 @@ def integrate_poly_against_moments(
     return out
 
 
+def _dw(order: int, xi: float, variant: NuVariant = NuVariant.STANDARD) -> list:
+    """dw_vector as a list of floats."""
+    order = _check_order(order)
+    _check_xi(xi)
+    if variant is NuVariant.STANDARD:
+        return [float(xi) if k >= 3 and k % 2 else 0.0 for k in range(1, order + 1)]
+    return [-float(xi)] + [0.0] * (order - 1)
+
+
 def dw_vector(order: int, xi: float, variant: NuVariant = NuVariant.STANDARD) -> np.ndarray:
     """The weight vector w with D w = nu-moments.
 
     Standard: (0, 0, xi, 0, xi, 0, xi, ...). Shifted: (-xi, 0, 0, ...).
     """
-    order = _check_order(order)
-    _check_xi(xi)
-    out = np.zeros(order)
-    if variant is NuVariant.STANDARD:
-        out[2::2] = xi
-    else:
-        out[0] = -xi
-    return out
+    import numpy as np
+
+    return np.array(_dw(order, xi, variant), dtype=np.float64)

@@ -11,15 +11,18 @@ quadrature form available for absolutely continuous candidates.
 Candidate measures are restricted to an absolutely continuous bulk on
 [-2, 2] plus finitely many atoms; anything else is not representable here
 and would have infinite rate anyway.
+
+Importing this module loads no numpy, and :func:`f_outlier` runs without
+it; the other rates import numpy when called. Their pairwise sums, vector
+logarithms and BLAS dot products are numpy's, and Python arithmetic would
+not repeat them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import NumericalError
 from .moments import (
@@ -34,6 +37,9 @@ from .moments import (
     semicircle_orthonormal_poly,
     semicircle_rule,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AcPlusAtoms",
@@ -57,6 +63,8 @@ _MASS_TOL = 1e-8
 
 
 def _eval_density(density: Callable, x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     vals = np.asarray(density(x), dtype=np.float64)
     if vals.shape != x.shape:
         vals = np.array([float(density(float(xx))) for xx in x])
@@ -69,9 +77,11 @@ class AcPlusAtoms:
 
     ``bulk_density`` maps points of (-2, 2) to the Lebesgue density of the
     measure there (vectorized or scalar callables both work). Atoms are
-    (location, mass) pairs with |location| >= 2 and positive mass; atoms
-    strictly inside the bulk are rejected rather than folded in. Total mass
-    (bulk by quadrature, plus atoms) must be 1 within 1e-8. The density is
+    (location, mass) pairs with |location| >= 2 and positive mass, one per
+    location; atoms strictly inside the bulk are rejected rather than folded
+    in, and a location listed twice is rejected rather than charged twice by
+    :func:`ldp_rate`. Total mass (bulk by quadrature, plus atoms) must be 1
+    within 1e-8. The density is
     evaluated once, on the quadrature nodes, and :func:`kl_semicircle` reads
     those values; the instance is frozen so that they stay the density's.
     """
@@ -82,8 +92,10 @@ class AcPlusAtoms:
     _bulk_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        import numpy as np
+
         atoms = tuple((float(loc), float(mass)) for loc, mass in self.atoms)
-        for loc, mass in atoms:
+        for i, (loc, mass) in enumerate(atoms):
             if abs(loc) < 2.0:
                 raise ValueError(
                     f"atom at {loc} lies inside [-2, 2]; outliers only"
@@ -92,6 +104,9 @@ class AcPlusAtoms:
                 raise ValueError(f"atom location must be finite, got {loc!r}")
             if not (mass > 0.0):
                 raise ValueError(f"atom mass must be positive, got {mass!r}")
+            if any(loc == other for other, _ in atoms[:i]):
+                raise ValueError(f"atom location {loc!r} is listed twice; "
+                                 "give one atom per location")
         object.__setattr__(self, "atoms", atoms)
         x, w = chebyshev_lebesgue_rule(_BULK_NODES)
         # A copy: marking it read-only must not touch an array the density keeps.
@@ -131,6 +146,8 @@ def kl_semicircle(mu: AcPlusAtoms) -> float:
     and checked there. Returns +inf as soon as the bulk density falls below
     a hard floor at any node (support deficiency).
     """
+    import numpy as np
+
     x, w = chebyshev_lebesgue_rule(_BULK_NODES)
     f_mu = mu._bulk_values
     if np.any(f_mu < _KL_DENSITY_FLOOR):
@@ -167,7 +184,12 @@ def mdp_rate_series(
     signed measures, so the k = 0 term vanishes identically). The same
     number is recomputed as half the squared norm of D^{-1}(m - D w) and
     the two forms must agree to 1e-10, else a NumericalError is raised.
+    Where finite moments give a rate too large for a float, both forms read
+    inf and so does the result, with no warning; a form that is not a
+    number is a NumericalError too.
     """
+    import numpy as np
+
     m = np.asarray(m, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(m)):
         raise ValueError("moments must be finite")
@@ -179,20 +201,28 @@ def mdp_rate_series(
         )
     diff = m[:k_trunc] - nu_moments(k_trunc, xi, variant)
 
-    series = 0.0
-    for k in range(1, k_trunc + 1):
-        p_k = semicircle_orthonormal_poly(k)
-        series += integrate_poly_against_moments(p_k, diff, 0.0) ** 2
-    series *= 0.5
+    # Finite moments can still overflow a projection or its square (inf),
+    # and inf - inf in a projection is NaN; the checks below read both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = 0.0
+        for k in range(1, k_trunc + 1):
+            p_k = semicircle_orthonormal_poly(k)
+            series += integrate_poly_against_moments(p_k, diff, 0.0) ** 2
+        series *= 0.5
 
-    # Literal matrix form: D w telescopes to the nu moments, but computing
-    # it as a product keeps the two routes independent.
-    resid = m[:k_trunc] - d_matrix(k_trunc).astype(np.float64) @ dw_vector(
-        k_trunc, xi, variant
+        # Literal matrix form: D w telescopes to the nu moments, but computing
+        # it as a product keeps the two routes independent.
+        resid = m[:k_trunc] - d_matrix(k_trunc).astype(np.float64) @ dw_vector(
+            k_trunc, xi, variant
+        )
+        norm_form = 0.5 * float(np.sum(d_inverse_apply(k_trunc, resid) ** 2))
+
+    # Equal covers two overflowed forms; NaN, or inf against a finite value, disagrees.
+    agree = series == norm_form or (
+        math.isfinite(series) and math.isfinite(norm_form)
+        and abs(series - norm_form) <= _FORM_AGREEMENT_TOL * max(1.0, series, norm_form)
     )
-    norm_form = 0.5 * float(np.sum(d_inverse_apply(k_trunc, resid) ** 2))
-
-    if abs(series - norm_form) > _FORM_AGREEMENT_TOL * max(1.0, series, norm_form):
+    if not agree:
         raise NumericalError(
             f"series and norm forms of the MDP rate disagree: "
             f"{series!r} vs {norm_form!r}"
@@ -214,6 +244,8 @@ def mdp_rate_density(
     grows without bound in the node count (the true rate is infinite outside
     L^2(mu_sc) perturbations); polynomial candidates with xi = 0 are exact.
     """
+    import numpy as np
+
     x, w = semicircle_rule(_MDP_DENSITY_NODES)
     g_vals = _eval_density(g, x)
     if not np.all(np.isfinite(g_vals)):

@@ -99,7 +99,7 @@ class TestPolyParser:
         def no_array(*args, **kwargs):
             raise AssertionError("array built")
 
-        monkeypatch.setattr(cli.np, "zeros", no_array)
+        monkeypatch.setattr(np, "zeros", no_array)
         with pytest.raises(ValueError, match=re.escape(message)):
             cli.parse_poly(bad)
 
@@ -542,7 +542,7 @@ class TestIdentitiesCommand:
         assert cli.main(["identities", "--order", "25"]) == 2
 
     def test_inverse_rows_check_catches_one_wrong_coefficient(self, monkeypatch):
-        exact = moments.semicircle_orthonormal_poly
+        exact = moments._orthonormal_poly
 
         def perturbed(k):
             coeffs = exact(k).copy()
@@ -550,7 +550,7 @@ class TestIdentitiesCommand:
                 coeffs[3] += 1
             return coeffs
 
-        monkeypatch.setattr(moments, "semicircle_orthonormal_poly", perturbed)
+        monkeypatch.setattr(moments, "_orthonormal_poly", perturbed)
         checks = dict(cli._identity_checks(12))
         assert checks["dinv_rows_polynomials_order20"] is False
         assert checks["ddt_covariance_order12"] is True
@@ -672,6 +672,31 @@ class TestRateCommand:
     def test_far_outlier_is_inf(self, flags, value, capsys):
         assert cli.main(["rate"] + flags) == 0
         assert value in capsys.readouterr().out.split("\n")
+
+    def test_repeated_atom_location_is_one_error_line(self, capsys):
+        assert cli.main(["rate", "--semicircle-atoms", "3:0.1,3:0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: atom location 3.0 is listed twice; "
+                                "give one atom per location\n")
+
+    def test_overflowing_mdp_rate_is_inf_with_empty_stderr(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["rate", "--mdp-moments", "1e308,1e308", "--trunc", "2"]) == 0
+        assert capsys.readouterr() == ("quantity,value\nmdp_rate,inf\n", "")
+
+    @pytest.mark.parametrize("flag, value, rest, row", [
+        ("--mdp-moments", "-1,0,1", ["--trunc", "3"], "mdp_rate,5"),
+        ("--semicircle-atoms", "-3:0.05,3:0.05", [], "outlier_term,2.8585093320225416"),
+    ], ids=["mdp-moments", "semicircle-atoms"])
+    def test_equals_form_takes_a_value_starting_with_minus(self, flag, value, rest, row,
+                                                           capsys):
+        # After a space, argparse reads the value as a flag of its own.
+        assert cli.main(["rate", flag, value] + rest) == 2
+        assert capsys.readouterr().err == f"error: argument {flag}: expected one argument\n"
+        assert cli.main(["rate", f"{flag}={value}"] + rest) == 0
+        assert row in capsys.readouterr().out.split("\n")
 
 
 class TestCltCommand:
@@ -871,9 +896,9 @@ class TestMpSanityCommand:
 
 
 def _modules_loaded(argv) -> list:
-    """lagspec modules, json, numpy.random and scipy modules in ``sys.modules``
-    after ``import lagspec.cli`` and, unless ``argv`` is None, ``main(argv)``,
-    in a fresh interpreter."""
+    """lagspec modules, json, numpy, numpy.random and scipy modules in
+    ``sys.modules`` after ``import lagspec.cli`` and, unless ``argv`` is None,
+    ``main(argv)``, in a fresh interpreter."""
     code = ("import contextlib, io, sys\n"
             "import lagspec.cli\n"
             f"argv = {argv!r}\n"
@@ -881,7 +906,7 @@ def _modules_loaded(argv) -> list:
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert lagspec.cli.main(argv) == 0\n"
             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('lagspec', 'scipy', 'json') or m == 'numpy.random')))")
+            "('lagspec', 'scipy', 'json') or m in ('numpy', 'numpy.random'))))")
     env = {**os.environ, "PYTHONPATH": str(Path(lagspec.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
@@ -894,9 +919,17 @@ class TestStartupImports:
     def test_import_loads_errors_only(self):
         assert _modules_loaded(None) == ["lagspec", "lagspec.cli", "lagspec.errors"]
 
-    @pytest.mark.parametrize("name", ["identities", "moments-mp", "moments-nu-hat"])
-    def test_reference_commands_load_moments_only(self, name):
-        assert _modules_loaded(README_COMMANDS[name]) == [
+    @pytest.mark.parametrize("argv", [
+        README_COMMANDS["identities"],
+        README_COMMANDS["moments-mp"],
+        README_COMMANDS["moments-nu-hat"],
+        ["moments", "--measure", "semicircle", "--order", "8"],
+        ["moments", "--measure", "arcsine", "--order", "8"],
+        ["moments", "--measure", "nu", "--order", "8", "--xi", "0.5"],
+    ], ids=["identities", "moments-mp", "moments-nu-hat", "moments-semicircle",
+            "moments-arcsine", "moments-nu"])
+    def test_reference_commands_load_moments_only(self, argv):
+        assert _modules_loaded(argv) == [
             "lagspec", "lagspec.cli", "lagspec.errors", "lagspec.moments"]
 
     @pytest.mark.parametrize("name", ["rate-outlier", "rate-ldp", "rate-mdp"])
@@ -904,6 +937,12 @@ class TestStartupImports:
         loaded = _modules_loaded(README_COMMANDS[name])
         assert "lagspec.rates" in loaded
         assert not {"lagspec.ensembles", "lagspec.experiments", "lagspec.spectral"} & set(loaded)
+        # F has a closed form; the other two rates sum numpy arrays.
+        assert ("numpy" in loaded) == (name != "rate-outlier")
+
+    @pytest.mark.parametrize("name", ["sample", "clt"])
+    def test_sample_and_experiments_load_numpy(self, name):
+        assert "numpy" in _modules_loaded(README_COMMANDS[name])
 
     @pytest.mark.parametrize("name", ["sample", "sample-coeffs"])
     def test_readme_sample_loads_no_scipy(self, name):

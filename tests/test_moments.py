@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from lagspec import moments
 from lagspec.moments import (
     NuVariant,
     arcsine_moments,
@@ -49,16 +50,37 @@ class TestSemicircleMoments:
         with pytest.raises(ValueError, match="cap"):
             semicircle_moments(41)
 
-    @pytest.mark.parametrize("order", [0, 2.5, "3"])
+    @pytest.mark.parametrize("order", [0, 2.5, 6.0, "3"])
     def test_order_must_be_a_positive_integer(self, order):
         with pytest.raises(ValueError, match="^order must be a positive integer, got "):
             semicircle_moments(order)
+
+    def test_numpy_integer_order_accepted(self):
+        np.testing.assert_array_equal(semicircle_moments(np.int64(6)), [0, 1, 0, 2, 0, 5])
 
 
 @pytest.mark.parametrize("rule", [chebyshev_lebesgue_rule, semicircle_rule])
 def test_quadrature_rule_needs_a_node(rule):
     with pytest.raises(ValueError, match="^n_nodes must be >= 1, got 0$"):
         rule(0)
+
+
+@pytest.mark.parametrize("n_nodes", [64, 4096])
+def test_chebyshev_nodes_are_numpys(n_nodes):
+    # The rule's nodes come from math.cos; the vectorized numpy form is the
+    # reference, up to one rounding of the two libraries' cosines.
+    theta = (2 * np.arange(1, n_nodes + 1) - 1) * np.pi / (2 * n_nodes)
+    np.testing.assert_array_max_ulp(chebyshev_lebesgue_rule(n_nodes)[0], 2.0 * np.cos(theta),
+                                    maxulp=1)
+
+
+def test_pairwise_sum_is_numpys_sum():
+    rng = np.random.default_rng(5)
+    for size in list(range(8, 129)) * 20:
+        values = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8, size=size)
+        assert moments._pairwise_sum(values.tolist()) == np.sum(values)
+    zeros = [-0.0] * 64
+    assert str(moments._pairwise_sum(zeros)) == str(np.sum(zeros)) == "0.0"
 
 
 class TestArcsineMoments:
@@ -185,6 +207,18 @@ class TestNuDensity:
         closed = nu_moments(15, xi, variant)
         quadrature = nu_moments_by_quadrature(15, xi, variant)
         np.testing.assert_allclose(quadrature, closed, atol=1e-8)
+
+    @pytest.mark.parametrize("variant", list(NuVariant))
+    @pytest.mark.parametrize("xi", [0.0, 0.4, 1.0])
+    def test_quadrature_is_the_vectorized_numpy_sum(self, variant, xi):
+        # The twin is summed in Python; numpy's vectorized form is the reference.
+        x, w = chebyshev_lebesgue_rule(64)
+        dens = nu_density(x, xi, variant)
+        want, power = [], np.ones_like(x)
+        for _ in range(15):
+            power = power * x
+            want.append(np.sum(w * dens * power))
+        assert nu_moments_by_quadrature(15, xi, variant).tobytes() == np.array(want).tobytes()
 
     def test_arcsine_relation(self):
         # m_k(nu_xi) = (xi/2)(m_{k+3}(arc) - 3 m_{k+1}(arc))

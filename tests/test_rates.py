@@ -108,6 +108,13 @@ class TestCandidateMeasure:
         with pytest.raises(ValueError, match="total mass"):
             AcPlusAtoms(lambda x: 0.5 * SC(x))
 
+    def test_repeated_atom_location_rejected(self):
+        # One atom of mass 0.2 at 3 costs F(3) once; two listings would charge it twice.
+        one = ldp_rate(AcPlusAtoms(lambda x: 0.8 * SC(x), [(3.0, 0.2)]))
+        assert one == pytest.approx(math.log(1.0 / 0.8) + f_outlier(3.0), abs=1e-8)
+        with pytest.raises(ValueError, match="^atom location 3.0 is listed twice; "):
+            AcPlusAtoms(lambda x: 0.8 * SC(x), [(3.0, 0.1), (3, 0.1)])
+
     def test_atom_exactly_at_edge_allowed(self):
         mu = AcPlusAtoms(lambda x: 0.9 * SC(x), [(2.0, 0.1)])
         # F(2) = 0, so only the bulk KL term remains.
@@ -194,6 +201,18 @@ class TestMdpRateSeries:
     def test_truncation_below_one_rejected(self, k_trunc):
         with pytest.raises(ValueError, match=rf"^k_trunc must be >= 1, got {k_trunc}$"):
             mdp_rate_series(np.zeros(5), 0.0, NuVariant.STANDARD, k_trunc)
+
+    @pytest.mark.parametrize("variant", list(NuVariant))
+    def test_overflowing_rate_is_inf_without_warning(self, variant):
+        # Finite moments whose projections square past the largest float.
+        assert mdp_rate_series(np.array([1e308, 1e308]), 0.0, variant, 2) == math.inf
+
+    def test_nan_form_raises(self):
+        # p_5 = 3x - 4x^3 + x^5 reads 3 m_1 - 4 m_3 + m_5: inf - inf in a projection.
+        m = np.array([1e308, 0.0, 1e308, 0.0, 0.0])
+        with pytest.raises(NumericalError, match="^series and norm forms of the MDP rate "
+                                                 "disagree: .*nan"):
+            mdp_rate_series(m, 0.0, NuVariant.STANDARD, 5)
 
     def test_disagreeing_forms_raise(self, monkeypatch):
         # Shift the norm form's D^-1 so that the two routes part by far more than 1e-10.
