@@ -216,14 +216,6 @@ def nu_density(x, xi: float, variant: NuVariant = NuVariant.STANDARD):
     return out if out.ndim else float(out)
 
 
-def _chebyshev_lebesgue(n_nodes: int) -> tuple:
-    """Nodes and weights of chebyshev_lebesgue_rule as two lists of floats."""
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    x = [2.0 * math.cos((2 * j - 1) * math.pi / (2 * n_nodes)) for j in range(1, n_nodes + 1)]
-    return x, [(math.pi / n_nodes) * math.sqrt(4.0 - v * v) for v in x]
-
-
 def chebyshev_lebesgue_rule(n_nodes: int):
     """Nodes and weights integrating dx on (-2, 2) through a 1/sqrt(4-x^2) lens.
 
@@ -234,8 +226,25 @@ def chebyshev_lebesgue_rule(n_nodes: int):
     """
     import numpy as np
 
-    x, w = _chebyshev_lebesgue(n_nodes)
-    return np.array(x), np.array(w)
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    j = np.arange(1, n_nodes + 1)
+    theta = (2 * j - 1) * np.pi / (2 * n_nodes)
+    x = 2.0 * np.cos(theta)
+    w = (np.pi / n_nodes) * np.sqrt(4.0 - x**2)
+    return x, w
+
+
+def _chebyshev_lebesgue(n_nodes: int) -> tuple:
+    """chebyshev_lebesgue_rule's nodes and weights as two lists of floats.
+
+    For the quadrature twin of the nu moments. The cosines are the C
+    library's, within one rounding of numpy's vectorized ones (the same
+    bits at all 64 nodes on x86-64 Linux, numpy 2.4). The rates keep the
+    numpy rule: at their 4096 nodes this loop is 25 times slower.
+    """
+    x = [2.0 * math.cos((2 * j - 1) * math.pi / (2 * n_nodes)) for j in range(1, n_nodes + 1)]
+    return x, [(math.pi / n_nodes) * math.sqrt(4.0 - v * v) for v in x]
 
 
 def semicircle_rule(n_nodes: int):
@@ -256,6 +265,7 @@ def semicircle_rule(n_nodes: int):
 def _pairwise_sum(values: list) -> float:
     """``numpy.sum`` of 8 to 128 floats, bit for bit.
 
+    It keeps nu_moments_by_quadrature's numbers those of its numpy sum.
     numpy adds eight strided partial sums, pairs them as a tree, adds the
     tail that does not fill a stride, and adds the whole to its starting
     value +0.0.

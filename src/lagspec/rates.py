@@ -225,7 +225,7 @@ def mdp_rate_series(
     if not agree:
         raise NumericalError(
             f"series and norm forms of the MDP rate disagree: "
-            f"{series!r} vs {norm_form!r}"
+            f"{float(series)!r} vs {norm_form!r}"
         )
     return series
 
