@@ -187,7 +187,7 @@ def nu_moments(order: int, xi: float, variant: NuVariant = NuVariant.STANDARD) -
 
 
 def _nu_density_at(x: float, xi: float, variant: NuVariant) -> float:
-    """nu_density at one point inside its support, in numpy's operation order."""
+    """nu_density at one point inside its support."""
     if variant is NuVariant.STANDARD:
         return (xi / (2.0 * math.pi)) * x * (x * x - 3.0) / math.sqrt(4.0 - x * x)
     return -(xi / (2.0 * math.pi)) * x * math.sqrt(4.0 - x * x)
@@ -265,8 +265,8 @@ def semicircle_rule(n_nodes: int):
 def _pairwise_sum(values: list) -> float:
     """``numpy.sum`` of 8 to 128 floats, bit for bit.
 
-    It keeps nu_moments_by_quadrature's numbers those of its numpy sum.
-    numpy adds eight strided partial sums, pairs them as a tree, adds the
+    The quadrature twin sums with it, so nu_moments_by_quadrature returns
+    the numbers numpy's sum gave it. numpy adds eight strided partial sums, pairs them as a tree, adds the
     tail that does not fill a stride, and adds the whole to its starting
     value +0.0.
     """
