@@ -377,9 +377,10 @@ def _identity_checks(order: int):
     from .moments import (EXACT_ORDER_CAP, NuVariant, _d_rows, _dw, _nu, _nu_by_quadrature,
                           _orthonormal_poly, _semicircle)
 
-    if order > EXACT_ORDER_CAP // 2:  # the covariance check reads msc up to order 2 * order
-        raise ValueError(f"identities --order is capped at {EXACT_ORDER_CAP // 2} "
-                         "(64-bit products)")
+    if order > EXACT_ORDER_CAP // 2:
+        raise ValueError(f"identities --order is capped at {EXACT_ORDER_CAP // 2}: the "
+                         "covariance check reads semicircle moments up to order 2*order, "
+                         f"capped at {EXACT_ORDER_CAP}")
     checks = []
 
     d = _d_rows(order)

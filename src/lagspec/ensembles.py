@@ -2,22 +2,25 @@
 
 The n x n tridiagonal model is assembled from independent chi-square draws
 z_1, ..., z_{2n-1}: the diagonal is d_k = z_{2k-1} + z_{2k-2} (with z_0 = 0)
-and the off-diagonal is c_k = sqrt(z_{2k-1} z_{2k}). The degrees of freedom
-are 2*gamma - beta'(k-1) for odd k and beta'(2n-k) for even k, with
+and the off-diagonal is c_k = sqrt(z_{2k-1}) sqrt(z_{2k}). The degrees of
+freedom are 2*gamma - beta'(k-1) for odd k and beta'(2n-k) for even k, with
 beta' = beta/2. Eigenvalue centerings divide out sqrt(2*gamma*n*beta) after
 subtracting 2*gamma (standard) or 2*gamma + n*beta (shifted).
 
 Every draw is a pure function of a 64-bit key: :func:`_window` builds the
 leading rows of the model from one :func:`_standard_gamma` call, the only
 gamma sampler here, for a whole array of keys. A single draw takes one raw
-output of a numpy PCG64 Generator as its key, so identical seeds give
+output of a numpy PCG64 Generator as its key, and the first raw output of
+``make_rng(seed)`` is ``derive_seed(seed, 0)``, so identical seeds give
 bit-identical output on one host. :func:`derive_seed` gives replicate i of
 a seeded Monte Carlo run its own child seed: replicate i is
-``sample_laguerre_tridiagonal(make_rng(derive_seed(master, i)), params)``.
+``sample_laguerre_tridiagonal(make_rng(derive_seed(master, i)), params)``,
+whose key is ``derive_seed(derive_seed(master, i), 0)``.
 :func:`replicate_windows` computes the keys of a block of replicates at
-once and yields their leading windows, equal to the single draws' bit for
-bit, one block at a time. The gamma draws are Marsaglia & Tsang's method on
-Kinderman & Monahan's normal, each stage decided by its exact test alone.
+once, with no Generator, and yields their leading windows, equal to the
+single draws' bit for bit, one block at a time. The gamma draws are
+Marsaglia & Tsang's method on Kinderman & Monahan's normal, each stage
+decided by its exact test alone.
 """
 
 from __future__ import annotations
@@ -44,25 +47,17 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_U64 = np.uint64
 
 # splitmix64 (derive_seed): the golden-gamma step and the finalizer multipliers.
 _GOLDEN = 0x9E3779B97F4A7C15
 _SPLITMIX_A = 0xBF58476D1CE4E5B9
 _SPLITMIX_B = 0x94D049BB133111EB
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier,
-# as in numpy/random/bit_generator.pyx and numpy/random/src/pcg64/pcg64.h.
-_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
-_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h) and its
+# inverse modulo 2**128, which make_rng steps back by.
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-# PCG64's multiplier as uint64 words: high word, low word, and the low
-# word's 32-bit limbs (see _lcg_step).
-_U64 = np.uint64
-_LOW32, _HALF = _U64(0xFFFFFFFF), _U64(32)
-_MULT_HI, _MULT_LO = _U64(_PCG64_MULT >> 64), _U64(_PCG64_MULT & _MASK64)
-_MULT_LO0, _MULT_LO1 = _U64(_PCG64_MULT & 0xFFFFFFFF), _U64((_PCG64_MULT >> 32) & 0xFFFFFFFF)
+_PCG64_MULT_INV = pow(_PCG64_MULT, -1, 1 << 128)
 
 # The width of the ratio-of-uniforms box for V (see _standard_gamma), Leva's
 # 1.7156 just above 2 sqrt(2/e); and k golden for k = 1..4, the offsets of
@@ -151,83 +146,21 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic PCG64 generator for an integer seed, taken modulo 2**64."""
-    return np.random.Generator(np.random.PCG64(_integer(seed, "seed") & _MASK64))
+    """Deterministic PCG64 generator for an integer seed, taken modulo 2**64.
 
-
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    """(a_hi, a_lo) + (b_hi, b_lo) modulo 2**128, over uint64 word arrays."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < b_lo), lo
-
-
-def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """PCG64's state step, state * MULT + inc modulo 2**128, over uint64 word arrays.
-
-    The high word of lo * MULT_lo is summed from 32-bit limbs, whose
-    products and partial sums fit in 64 bits (Hacker's Delight's mulhu);
-    every other product is taken modulo 2**64.
+    Its first raw output is ``derive_seed(seed, 0)``, the key a single draw
+    takes from it. PCG64 steps its 128-bit state s to s*MULT + inc and then
+    outputs XSL-RR of it, which is the low word when the high word is 0; so
+    the state is set to (key - inc)*MULT^-1 modulo 2**128, with the
+    increment numpy's seeding of ``PCG64(seed)`` gives.
     """
-    lo0, lo1 = lo & _LOW32, lo >> _HALF
-    t = lo1 * _MULT_LO0 + ((lo0 * _MULT_LO0) >> _HALF)
-    w = lo0 * _MULT_LO1 + (t & _LOW32)
-    carry = lo1 * _MULT_LO1 + (t >> _HALF) + (w >> _HALF)
-    return _add128(carry + lo * _MULT_HI + hi * _MULT_LO, lo * _MULT_LO, inc_hi, inc_lo)
-
-
-def _pcg64_seed(seeds: np.ndarray) -> np.ndarray:
-    """``PCG64(seed)``'s state high, state low, inc high and inc low words, a column per seed.
-
-    numpy's SeedSequence hashes the seed's 32-bit words, low first, into a
-    pool of 4 words and mixes the pool; a 64-bit seed is 2 words here,
-    zero-padded to 4, which hashes as numpy's 1-word form does for seeds
-    below 2**32. ``generate_state(4, uint64)`` hashes the pool out to 8
-    words, paired little-endian into (initstate high, low, initseq high,
-    low). Both steps run over the whole array, as 32-bit arithmetic done in
-    uint64 and masked (no product of two 32-bit words overflows 64 bits).
-    PCG64 then seeds its 128-bit LCG: inc = 2*initseq + 1 and state =
-    (inc + initstate)*MULT + inc, also over the whole array.
-    """
-    u64 = np.uint64
-    low32 = u64(0xFFFFFFFF)
-
-    def hasher(const: int, mult: int):
-        def hashmix(value: np.ndarray) -> np.ndarray:
-            nonlocal const
-            value = value ^ u64(const)
-            const = (const * mult) & 0xFFFFFFFF
-            value = (value * u64(const)) & low32
-            return value ^ (value >> u64(16))
-
-        return hashmix
-
-    mix_in = hasher(_SS_INIT_A, _SS_MULT_A)
-    zero = np.zeros_like(seeds)
-    pool = [mix_in(w) for w in (seeds & low32, seeds >> u64(32), zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = (u64(_SS_MIX_L) * pool[dst] - u64(_SS_MIX_R) * mix_in(pool[src])) & low32
-                pool[dst] = mixed ^ (mixed >> u64(16))
-    mix_out = hasher(_SS_INIT_B, _SS_MULT_B)
-    s_hi, s_lo, q_hi, q_lo = [
-        mix_out(pool[2 * k % 4]) | (mix_out(pool[(2 * k + 1) % 4]) << u64(32)) for k in range(4)
-    ]
-    inc_hi = (q_hi << u64(1)) | (q_lo >> u64(63))
-    inc_lo = (q_lo << u64(1)) | u64(1)
-    state = _lcg_step(*_add128(s_hi, s_lo, inc_hi, inc_lo), inc_hi, inc_lo)
-    return np.stack((*state, inc_hi, inc_lo))
-
-
-def _output(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """PCG64's raw 64-bit output of the states (hi, lo), which it has just stepped to.
-
-    XSL-RR: the two state words xored, rotated right by the top 6 bits of
-    the high word. The left shift is taken modulo 64, so that no shift
-    reaches 64 when the rotation is 0.
-    """
-    x, rot = hi ^ lo, hi >> _U64(58)
-    return (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+    seed = _integer(seed, "seed")
+    bit_generator = np.random.PCG64(seed & _MASK64)
+    state = bit_generator.state
+    lcg = state["state"]
+    lcg["state"] = (derive_seed(seed, 0) - lcg["inc"]) * _PCG64_MULT_INV % (1 << 128)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
 
 
 def _finalize(x: np.ndarray) -> np.ndarray:
@@ -333,18 +266,19 @@ def _window(keys, params: EnsembleParams, window: int) -> tuple[np.ndarray, np.n
     odd, even = z[:, 0::2], z[:, 1::2]  # z_1, z_3, ..., z_{2w-1} and z_2, ..., z_{2w-2}
     diag = odd.copy()
     diag[:, 1:] += even
-    return diag, np.sqrt(odd[:, :-1] * even)
+    # sqrt(z_odd) sqrt(z_even): the product z_odd z_even overflows for large gamma.
+    return diag, np.sqrt(odd[:, :-1]) * np.sqrt(even)
 
 
 def _replicate_keys(master_seed: int, rows: range) -> np.ndarray:
     """Keys of the replicates ``rows``: the first raw outputs of their ``make_rng`` generators.
 
-    Replicate i's generator is ``make_rng(derive_seed(master_seed, i))``;
-    the seeds, PCG64 states and outputs are computed for all rows at once.
+    Replicate i's generator is ``make_rng(derive_seed(master_seed, i))``,
+    whose first output is derive_seed(derive_seed(master_seed, i), 0).
     """
     master = _U64(_integer(master_seed, "seed") & _MASK64)
     index = np.arange(rows.start + 1, rows.stop + 1, dtype=np.uint64)
-    return _output(*_lcg_step(*_pcg64_seed(_finalize(master + index * _U64(_GOLDEN)))))
+    return _finalize(_finalize(master + index * _U64(_GOLDEN)) + _U64(_GOLDEN))
 
 
 def replicate_windows(master_seed: int, replicates: int, params: EnsembleParams,

@@ -5,6 +5,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -344,7 +345,7 @@ class TestExitCodes:
         # underflows to 0, leaving a zero off-diagonal entry.
         code = cli.main(["clt", "--n", "3", "--beta", "0.001", "--gamma-rule",
                          "pow:2:1", "--poly", "x^2", "--replicates", "100",
-                         "--seed", "1"])
+                         "--seed", "2"])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -541,6 +542,17 @@ class TestIdentitiesCommand:
     def test_order_cap(self, capsys):
         assert cli.main(["identities", "--order", "25"]) == 2
 
+    def test_order_cap_names_the_semicircle_moment_cap(self, capsys):
+        assert cli.main(["identities", "--order", "20"]) == 0
+        capsys.readouterr()
+        assert cli.main(["identities", "--order", "21"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: identities --order is capped at 20: the covariance check reads semicircle "
+            "moments up to order 2*order, capped at 40\n"
+        )
+
     def test_inverse_rows_check_catches_one_wrong_coefficient(self, monkeypatch):
         exact = moments._orthonormal_poly
 
@@ -579,16 +591,18 @@ class TestSampleCommand:
         rows = json.loads(capsys.readouterr().out)
         assert [type(row["offdiag"]) for row in rows] == [float, float, type(None)]
 
-    def test_overflowing_draw_is_one_error_line_and_no_warning(self, capsys):
-        # gamma is accepted, but z_1 z_2 overflows at this seed; the finite
-        # check refuses the model without a numpy warning ahead of it.
+    def test_largest_gamma_draw_is_finite_with_empty_stderr(self, capsys):
+        # gamma is accepted, and z_1 z_2 would overflow: the off-diagonal is
+        # sqrt(z_1) sqrt(z_2), so the measure prints, with no numpy warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["sample", "--n", "20", "--beta", "2", "--gamma", "2.2e306",
-                             "--seed", "1"]) == 2
+                             "--seed", "1"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: coefficients must be finite\n"
+        assert captured.err == ""
+        lines = captured.out.strip().split("\n")
+        assert lines[0] == "atom,weight" and len(lines) == 21
+        assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -240,10 +240,10 @@ class TestReplicateDriver:
 
     def test_failure_reports_index(self):
         # beta = 0.02 at n = 3: a trailing chi-square draw occasionally
-        # underflows to 0, and the first replicate where that happens (3843
+        # underflows to 0, and the first replicate where that happens (3510
         # at this seed) lies past the first block of replicates.
         config = clt_config(n=3, beta=0.02, gamma_rule=PowerLawGamma(2.0),
-                            replicates=4500, master_seed=33)
+                            replicates=4500, master_seed=36)
         params = config.ensemble_params()
         first_bad = None
         for i in range(config.replicates):
@@ -257,16 +257,16 @@ class TestReplicateDriver:
             run_clt(config)
 
     def test_small_beta_reads_only_the_window(self):
-        # At beta = 0.01, n = 50 replicate 14 of the full model has an
+        # At beta = 0.01, n = 50 replicate 104 of the full model has an
         # off-diagonal entry that underflows to 0 outside the leading window.
         # m_1 and m_2 read only that window, so the run completes.
         config = clt_config(n=50, beta=0.01, gamma_rule=PowerLawGamma(2.0),
                             replicates=1000, master_seed=42)
         with pytest.raises(ValueError, match="strictly positive"):
-            clt_reference(config, count=15)
+            clt_reference(config, count=105)
         report = run_clt(config)
         assert report.samples.shape == (1000,)
-        assert np.array_equal(report.samples[:14], clt_reference(config, count=14))
+        assert np.array_equal(report.samples[:104], clt_reference(config, count=104))
 
 
 class TestRunClt:
@@ -344,11 +344,17 @@ class TestRunClt:
             assert mdp.zeta_or_xi == pytest.approx(clt.zeta_or_xi / np.sqrt(b_n), rel=1e-15)
 
     def test_samples_look_gaussian(self):
-        # zeta ~ 0 regime: chi-square goodness of fit against N(0, 1).
+        # zeta ~ 0 regime: chi-square goodness of fit against the law of the
+        # statistic's dominant term b_1^2, proportional to z_2: a standardized
+        # chi-square with 2 beta'(n - 1) degrees of freedom, N(0, 1) in the
+        # limit. At n = 500 its skewness 2/sqrt(beta'(n - 1)) = 0.089 shows;
+        # against N(0, 1) itself p < 0.001 for 6 of the seeds 1-40.
         config = clt_config(n=500, replicates=10_000, master_seed=31)
         report = run_clt(config)
         counts, edges = np.histogram(report.samples, bins=20)
-        probs = stats.norm.cdf(edges[1:]) - stats.norm.cdf(edges[:-1])
+        dof = config.beta * (config.n - 1)
+        law = stats.chi2(dof, loc=-dof / np.sqrt(2.0 * dof), scale=1.0 / np.sqrt(2.0 * dof))
+        probs = law.cdf(edges[1:]) - law.cdf(edges[:-1])
         expected = probs * report.samples.size
         mask = expected > 1.0
         chi2 = float(np.sum((counts[mask] - expected[mask]) ** 2 / expected[mask]))

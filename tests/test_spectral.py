@@ -194,9 +194,9 @@ class TestEigenSpectral:
     @pytest.mark.parametrize("n, beta, gamma_power, seed", [
         *(pytest.param(n, 2.0, 2, n, id=str(n))
           for n in (1, 2, 50, 64, 65, 128, 129, 200, 1000, 2000)),
-        # The first of the benchmark's small-beta draws, derive_seed(7, 0):
-        # no weight underflows here, in any of the three solvers.
-        pytest.param(400, 0.2, 3, derive_seed(7, 0), id="small-beta"),
+        # The first of the benchmark's small-beta draws, derive_seed(7, i),
+        # where no weight underflows, in any of the three solvers.
+        pytest.param(400, 0.2, 3, derive_seed(7, 5), id="small-beta"),
     ])
     def test_model_draws_match_both_solvers(self, n, beta, gamma_power, seed):
         # Rescaled Laguerre draws, the matrices the sampler diagonalizes. The
