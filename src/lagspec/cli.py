@@ -16,9 +16,10 @@ file, which beats the built-in default. Every usage error prints one
 Start-up pays only for the command being run: each command body imports
 the lagspec modules it uses, and ``main`` builds the flags of the invoked
 subcommand alone. Importing this module loads no numpy, and neither do
-``moments``, ``identities`` and ``rate --outlier``: they read the exact
-sequences that ``lagspec.moments`` computes in Python ints and floats. The
-other commands import numpy in their bodies.
+the reference commands ``moments``, ``identities`` and ``rate``: they read
+the exact sequences and quadrature rules that ``lagspec.moments`` computes
+in Python ints and floats. ``sample`` and the experiment commands import
+numpy in their bodies.
 """
 
 from __future__ import annotations
@@ -277,24 +278,20 @@ def _cmd_rate(args) -> int:
     if args.outlier is not None:
         rows.append(("f_outlier", f_outlier(args.outlier)))
     elif args.semicircle_atoms is not None:
-        import numpy as np
-
         atoms = _parse_atoms(args.semicircle_atoms)
         bulk_mass = 1.0 - sum(mass for _, mass in atoms)
         if bulk_mass <= 0:
             raise ValueError("atom masses must leave positive bulk mass")
         mu = AcPlusAtoms(
-            lambda x: bulk_mass * np.sqrt(4.0 - np.asarray(x) ** 2) / (2.0 * np.pi),
+            lambda x: bulk_mass * math.sqrt(4.0 - x * x) / (2.0 * math.pi),
             atoms,
         )
         rows.append(("kl_term", kl_semicircle(mu)))
         rows.append(("outlier_term", sum(f_outlier(loc) for loc, _ in atoms)))
         rows.append(("ldp_rate", ldp_rate(mu)))
     else:
-        import numpy as np
-
-        m = np.array([float(v) for v in args.mdp_moments.split(",")])
-        trunc = args.trunc if args.trunc is not None else min(15, m.size)
+        m = [float(v) for v in args.mdp_moments.split(",")]
+        trunc = args.trunc if args.trunc is not None else min(15, len(m))
         rows.append(
             ("mdp_rate",
              mdp_rate_series(m, args.xi or 0.0, NuVariant(args.variant or "standard"), trunc))

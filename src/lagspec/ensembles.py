@@ -141,8 +141,13 @@ def derive_seed(master_seed: int, index: int) -> int:
     index = _integer(index, "index")
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")
+    # _finalize's steps on a Python int, each product taken modulo 2**64.
     x = (_integer(master_seed, "seed") + (index + 1) * _GOLDEN) & _MASK64
-    return int(_finalize(np.array([x], dtype=np.uint64))[0])
+    x ^= x >> 30
+    x = x * _SPLITMIX_A & _MASK64
+    x ^= x >> 27
+    x = x * _SPLITMIX_B & _MASK64
+    return x ^ (x >> 31)
 
 
 def make_rng(seed: int) -> np.random.Generator:

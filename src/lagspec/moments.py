@@ -11,12 +11,13 @@ semicircle law) is exact in 64-bit integers up to order 40; beyond that the
 exact-identity guarantees would silently degrade, so higher orders are
 rejected.
 
-Importing this module loads no numpy. Each exact sequence, and the
-Chebyshev quadrature twin of the nu moments, is computed once, in Python
-ints and floats, by a private helper that returns a list; the public
-functions hand the same numbers back as numpy arrays, importing numpy when
-called. The ``moments`` and ``identities`` commands read the lists, so
-they run without numpy.
+Importing this module loads no numpy. Each exact sequence, both quadrature
+rules, the forward substitution by D and the Chebyshev quadrature twin of
+the nu moments are computed once, in Python ints and floats, by a private
+helper that returns a list; the public functions hand the same numbers
+back as numpy arrays, importing numpy when called. The ``moments`` and
+``identities`` commands and the rate functions read the lists, so they run
+without numpy.
 """
 
 from __future__ import annotations
@@ -216,6 +217,14 @@ def nu_density(x, xi: float, variant: NuVariant = NuVariant.STANDARD):
     return out if out.ndim else float(out)
 
 
+def _chebyshev_lebesgue(n_nodes: int) -> tuple:
+    """chebyshev_lebesgue_rule's nodes and weights as two lists of floats."""
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    x = [2.0 * math.cos((2 * j - 1) * math.pi / (2 * n_nodes)) for j in range(1, n_nodes + 1)]
+    return x, [(math.pi / n_nodes) * math.sqrt(4.0 - v * v) for v in x]
+
+
 def chebyshev_lebesgue_rule(n_nodes: int):
     """Nodes and weights integrating dx on (-2, 2) through a 1/sqrt(4-x^2) lens.
 
@@ -226,25 +235,17 @@ def chebyshev_lebesgue_rule(n_nodes: int):
     """
     import numpy as np
 
+    x, w = _chebyshev_lebesgue(n_nodes)
+    return np.array(x), np.array(w)
+
+
+def _semicircle_gauss(n_nodes: int) -> tuple:
+    """semicircle_rule's nodes and weights as two lists of floats."""
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    j = np.arange(1, n_nodes + 1)
-    theta = (2 * j - 1) * np.pi / (2 * n_nodes)
-    x = 2.0 * np.cos(theta)
-    w = (np.pi / n_nodes) * np.sqrt(4.0 - x**2)
-    return x, w
-
-
-def _chebyshev_lebesgue(n_nodes: int) -> tuple:
-    """chebyshev_lebesgue_rule's nodes and weights as two lists of floats.
-
-    For the quadrature twin of the nu moments. The cosines are the C
-    library's, within one rounding of numpy's vectorized ones (the same
-    bits at all 64 nodes on x86-64 Linux, numpy 2.4). The rates keep the
-    numpy rule: at their 4096 nodes this loop is 25 times slower.
-    """
-    x = [2.0 * math.cos((2 * j - 1) * math.pi / (2 * n_nodes)) for j in range(1, n_nodes + 1)]
-    return x, [(math.pi / n_nodes) * math.sqrt(4.0 - v * v) for v in x]
+    theta = [j * math.pi / (n_nodes + 1) for j in range(1, n_nodes + 1)]
+    sines = [math.sin(t) for t in theta]
+    return [2.0 * math.cos(t) for t in theta], [(2.0 / (n_nodes + 1)) * (s * s) for s in sines]
 
 
 def semicircle_rule(n_nodes: int):
@@ -255,25 +256,8 @@ def semicircle_rule(n_nodes: int):
     """
     import numpy as np
 
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    j = np.arange(1, n_nodes + 1)
-    theta = j * np.pi / (n_nodes + 1)
-    return 2.0 * np.cos(theta), (2.0 / (n_nodes + 1)) * np.sin(theta) ** 2
-
-
-def _pairwise_sum(values: list) -> float:
-    """``numpy.sum`` of 8 to 128 floats, bit for bit.
-
-    The quadrature twin sums with it, so nu_moments_by_quadrature returns
-    the numbers numpy's sum gave it. numpy adds eight strided partial sums, pairs them as a tree, adds the
-    tail that does not fill a stride, and adds the whole to its starting
-    value +0.0.
-    """
-    whole = len(values) - len(values) % 8
-    r = [sum(values[j + 8:whole:8], values[j]) for j in range(8)]
-    tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return 0.0 + sum(values[whole:], tree)
+    x, w = _semicircle_gauss(n_nodes)
+    return np.array(x), np.array(w)
 
 
 def _nu_by_quadrature(order: int, xi: float, variant: NuVariant = NuVariant.STANDARD) -> list:
@@ -281,12 +265,14 @@ def _nu_by_quadrature(order: int, xi: float, variant: NuVariant = NuVariant.STAN
     order = _check_order(order)
     _check_xi(xi)
     x, w = _chebyshev_lebesgue(_NU_QUADRATURE_NODES)
-    weighted = [wj * _nu_density_at(xj, xi, variant) for xj, wj in zip(x, w)]
+    # The density is linear in xi: the terms are those of xi = 1, so no
+    # term overflows, and each correctly rounded sum is scaled by xi.
+    weighted = [wj * _nu_density_at(xj, 1.0, variant) for xj, wj in zip(x, w)]
     power = [1.0] * len(x)
     out = []
     for _ in range(order):
         power = [p * xj for p, xj in zip(power, x)]
-        out.append(_pairwise_sum([f * p for f, p in zip(weighted, power)]))
+        out.append(xi * math.fsum([f * p for f, p in zip(weighted, power)]))
     return out
 
 
@@ -296,7 +282,8 @@ def nu_moments_by_quadrature(
     """Quadrature twin of :func:`nu_moments`: integrate x^k against the density.
 
     Uses the endpoint-avoiding Chebyshev rule, so the standard variant's
-    poles at +-2 are integrable as written.
+    poles at +-2 are integrable as written. Each moment is xi times the
+    correctly rounded sum (``math.fsum``) of the rule's terms at xi = 1.
     """
     import numpy as np
 
@@ -326,19 +313,26 @@ def d_matrix(order: int) -> np.ndarray:
     return np.array(_d_rows(order), dtype=np.int64)
 
 
+def _d_inverse(order: int, v: list) -> list:
+    """d_inverse_apply on a list of floats; each row's products are summed left to right."""
+    order = _check_order(order)
+    if len(v) != order:
+        raise ValueError(f"vector length {len(v)} does not match order {order}")
+    x = []
+    for row, vi in zip(_d_rows(order), v):
+        acc = 0.0
+        for d, xj in zip(row, x):
+            acc += d * xj
+        x.append(vi - acc)
+    return x
+
+
 def d_inverse_apply(order: int, v: np.ndarray) -> np.ndarray:
     """Solve D_order x = v by forward substitution (unit lower triangular)."""
     import numpy as np
 
-    order = _check_order(order)
     v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.size != order:
-        raise ValueError(f"vector length {v.size} does not match order {order}")
-    d = d_matrix(order).astype(np.float64)
-    x = v.copy()
-    for i in range(1, order):
-        x[i] -= d[i, :i] @ x[:i]
-    return x
+    return np.array(_d_inverse(order, v.tolist()), dtype=np.float64)
 
 
 def _orthonormal_poly(k: int) -> list:

@@ -12,34 +12,29 @@ Candidate measures are restricted to an absolutely continuous bulk on
 [-2, 2] plus finitely many atoms; anything else is not representable here
 and would have infinite rate anyway.
 
-Importing this module loads no numpy, and :func:`f_outlier` runs without
-it; the other rates import numpy when called. Their pairwise sums, vector
-logarithms and BLAS dot products are numpy's, and Python arithmetic would
-not repeat them bit for bit.
+This module loads no numpy. The rates run on Python floats, the exact
+integer sequences and the list quadrature rules of :mod:`lagspec.moments`;
+quadrature sums are ``math.fsum``'s correctly rounded ones, and the MDP
+rate's projections and forward substitution are summed left to right.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .errors import NumericalError
 from .moments import (
     NuVariant,
-    chebyshev_lebesgue_rule,
-    d_inverse_apply,
-    d_matrix,
-    dw_vector,
-    integrate_poly_against_moments,
-    nu_moments,
-    semicircle_density,
-    semicircle_orthonormal_poly,
-    semicircle_rule,
+    _chebyshev_lebesgue,
+    _d_inverse,
+    _d_rows,
+    _dw,
+    _nu,
+    _orthonormal_poly,
+    _semicircle_gauss,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "AcPlusAtoms",
@@ -62,38 +57,37 @@ _KL_DENSITY_FLOOR = 1e-300
 _MASS_TOL = 1e-8
 
 
-def _eval_density(density: Callable, x: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    vals = np.asarray(density(x), dtype=np.float64)
-    if vals.shape != x.shape:
-        vals = np.array([float(density(float(xx))) for xx in x])
-    return vals
+def _sum_nonnegative(terms: list) -> float:
+    """math.fsum of nonnegative floats, +inf where the sum passes the float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
 class AcPlusAtoms:
     """A bulk density on (-2, 2) plus finitely many outlying atoms.
 
-    ``bulk_density`` maps points of (-2, 2) to the Lebesgue density of the
-    measure there (vectorized or scalar callables both work). Atoms are
-    (location, mass) pairs with |location| >= 2 and positive mass, one per
-    location; atoms strictly inside the bulk are rejected rather than folded
-    in, and a location listed twice is rejected rather than charged twice by
-    :func:`ldp_rate`. Total mass (bulk by quadrature, plus atoms) must be 1
-    within 1e-8. The density is
-    evaluated once, on the quadrature nodes, and :func:`kl_semicircle` reads
-    those values; the instance is frozen so that they stay the density's.
+    ``bulk_density`` maps a point of (-2, 2), a Python float, to the
+    Lebesgue density of the measure there. It is called on one float at a
+    time, so a numpy ufunc expression works, but a density that needs array
+    methods does not. Atoms are (location, mass) pairs with |location| >= 2
+    and positive mass, one per location; atoms strictly inside the bulk are
+    rejected rather than folded in, and a location listed twice is rejected
+    rather than charged twice by :func:`ldp_rate`. Total mass (bulk by
+    quadrature, plus atoms) must be 1 within 1e-8. The density is evaluated
+    once per quadrature node, and :func:`kl_semicircle` reads those values;
+    they are kept in a tuple and the instance is frozen, so that they stay
+    the density's.
     """
 
     bulk_density: Callable
     atoms: Sequence = field(default_factory=tuple)
-    # bulk_density on the _BULK_NODES Chebyshev nodes: checked, read-only.
-    _bulk_values: np.ndarray = field(init=False, repr=False, compare=False)
+    # bulk_density on the _BULK_NODES Chebyshev nodes, checked.
+    _bulk_values: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        import numpy as np
-
         atoms = tuple((float(loc), float(mass)) for loc, mass in self.atoms)
         for i, (loc, mass) in enumerate(atoms):
             if abs(loc) < 2.0:
@@ -108,14 +102,13 @@ class AcPlusAtoms:
                 raise ValueError(f"atom location {loc!r} is listed twice; "
                                  "give one atom per location")
         object.__setattr__(self, "atoms", atoms)
-        x, w = chebyshev_lebesgue_rule(_BULK_NODES)
-        # A copy: marking it read-only must not touch an array the density keeps.
-        vals = _eval_density(self.bulk_density, x).copy()
-        if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
+        x, w = _chebyshev_lebesgue(_BULK_NODES)
+        vals = tuple(float(self.bulk_density(xj)) for xj in x)
+        if not all(0.0 <= v < math.inf for v in vals):
             raise ValueError("bulk density must be finite and nonnegative")
-        vals.flags.writeable = False
         object.__setattr__(self, "_bulk_values", vals)
-        total = float(np.sum(w * vals)) + sum(mass for _, mass in atoms)
+        total = _sum_nonnegative([wj * v for wj, v in zip(w, vals)]
+                                 + [mass for _, mass in atoms])
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(
                 f"total mass must be 1 within {_MASS_TOL}, quadrature gives {total!r}"
@@ -146,14 +139,15 @@ def kl_semicircle(mu: AcPlusAtoms) -> float:
     and checked there. Returns +inf as soon as the bulk density falls below
     a hard floor at any node (support deficiency).
     """
-    import numpy as np
-
-    x, w = chebyshev_lebesgue_rule(_BULK_NODES)
     f_mu = mu._bulk_values
-    if np.any(f_mu < _KL_DENSITY_FLOOR):
+    if any(v < _KL_DENSITY_FLOOR for v in f_mu):
         return math.inf
-    f_sc = semicircle_density(x)
-    return float(np.sum(w * np.log(f_sc / f_mu) * f_sc))
+    x, w = _chebyshev_lebesgue(_BULK_NODES)
+    terms = []
+    for xj, wj, fj in zip(x, w, f_mu):
+        f_sc = math.sqrt(4.0 - xj * xj) / (2.0 * math.pi)
+        terms.append(wj * math.log(f_sc / fj) * f_sc)
+    return math.fsum(terms)
 
 
 def ldp_rate(mu: AcPlusAtoms) -> float:
@@ -171,51 +165,70 @@ def ldp_rate(mu: AcPlusAtoms) -> float:
 _FORM_AGREEMENT_TOL = 1e-10
 
 
+def _series_form(diff: list) -> float:
+    """Half the summed squared projections of ``diff`` on p_1 .. p_len(diff).
+
+    A projection that is not finite met an overflow (inf - inf or 0 * inf
+    among its terms), which needs a moment difference near the float
+    range; then the true rate is too large for a float, and so is the form.
+    """
+    total = 0.0
+    for k in range(1, len(diff) + 1):
+        proj = 0.0
+        for c, d in zip(_orthonormal_poly(k)[1:], diff):
+            proj += c * d
+        total += proj * proj
+    return 0.5 * total if math.isfinite(total) else math.inf
+
+
+def _norm_form(m: list, xi: float, variant: NuVariant) -> float:
+    """Half the squared norm of D^{-1}(m - D w), +inf when it overflows (see _series_form)."""
+    order = len(m)
+    # Literal matrix form: D w telescopes to the nu moments, but computing
+    # it as a product keeps the two routes independent.
+    w = _dw(order, xi, variant)
+    resid = []
+    for mi, row in zip(m, _d_rows(order)):
+        acc = 0.0
+        for d, wj in zip(row, w):
+            acc += d * wj
+        resid.append(mi - acc)
+    total = 0.0
+    for x in _d_inverse(order, resid):
+        total += x * x
+    return 0.5 * total if math.isfinite(total) else math.inf
+
+
 def mdp_rate_series(
-    m: np.ndarray,
+    m: Sequence[float],
     xi: float,
     variant: NuVariant = NuVariant.STANDARD,
     k_trunc: int = 15,
 ) -> float:
     """Moderate-deviation rate of a truncated moment sequence.
 
+    ``m`` is the 1-D sequence m_1, m_2, ... (a 1-D numpy array works).
     Half the sum over k = 1..k_trunc of the squared integrals of the k-th
     semicircle-orthonormal polynomial against mu_m - nu_xi (zero-mass
     signed measures, so the k = 0 term vanishes identically). The same
     number is recomputed as half the squared norm of D^{-1}(m - D w) and
     the two forms must agree to 1e-10, else a NumericalError is raised.
     Where finite moments give a rate too large for a float, both forms read
-    inf and so does the result, with no warning; a form that is not a
-    number is a NumericalError too.
+    inf and so does the result; a form that is not a number, or inf against
+    a finite form, is a NumericalError too.
     """
-    import numpy as np
-
-    m = np.asarray(m, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(m)):
+    m = [float(v) for v in m]
+    if not all(math.isfinite(v) for v in m):
         raise ValueError("moments must be finite")
     if k_trunc < 1:
         raise ValueError(f"k_trunc must be >= 1, got {k_trunc}")
-    if m.size < k_trunc:
+    if len(m) < k_trunc:
         raise ValueError(
-            f"truncation {k_trunc} exceeds moment sequence length {m.size}"
+            f"truncation {k_trunc} exceeds moment sequence length {len(m)}"
         )
-    diff = m[:k_trunc] - nu_moments(k_trunc, xi, variant)
-
-    # Finite moments can still overflow a projection or its square (inf),
-    # and inf - inf in a projection is NaN; the checks below read both.
-    with np.errstate(over="ignore", invalid="ignore"):
-        series = 0.0
-        for k in range(1, k_trunc + 1):
-            p_k = semicircle_orthonormal_poly(k)
-            series += integrate_poly_against_moments(p_k, diff, 0.0) ** 2
-        series *= 0.5
-
-        # Literal matrix form: D w telescopes to the nu moments, but computing
-        # it as a product keeps the two routes independent.
-        resid = m[:k_trunc] - d_matrix(k_trunc).astype(np.float64) @ dw_vector(
-            k_trunc, xi, variant
-        )
-        norm_form = 0.5 * float(np.sum(d_inverse_apply(k_trunc, resid) ** 2))
+    m = m[:k_trunc]
+    series = _series_form([mk - nk for mk, nk in zip(m, _nu(k_trunc, xi, variant))])
+    norm_form = _norm_form(m, xi, variant)
 
     # Equal covers two overflowed forms; NaN, or inf against a finite value, disagrees.
     agree = series == norm_form or (
@@ -225,7 +238,7 @@ def mdp_rate_series(
     if not agree:
         raise NumericalError(
             f"series and norm forms of the MDP rate disagree: "
-            f"{float(series)!r} vs {norm_form!r}"
+            f"{series!r} vs {norm_form!r}"
         )
     return series
 
@@ -237,21 +250,23 @@ def mdp_rate_density(
 ) -> float:
     """Quadrature form of the moderate-deviation rate.
 
-    ``g`` is the candidate density d(mu_m)/d(mu_sc) on (-2, 2); the rate is
-    half the integral of (g - d(nu_xi)/d(mu_sc))^2 against the semicircle
-    law, evaluated on its Gauss rule. With xi > 0 the reference ratio has
+    ``g`` is the candidate density d(mu_m)/d(mu_sc) on (-2, 2), called on
+    one Python float at a time as ``bulk_density`` is; the rate is half the
+    integral of (g - d(nu_xi)/d(mu_sc))^2 against the semicircle law,
+    evaluated on its Gauss rule. With xi > 0 the reference ratio has
     nonintegrable poles at +-2, so unless g matches it there the value
     grows without bound in the node count (the true rate is infinite outside
     L^2(mu_sc) perturbations); polynomial candidates with xi = 0 are exact.
     """
-    import numpy as np
-
-    x, w = semicircle_rule(_MDP_DENSITY_NODES)
-    g_vals = _eval_density(g, x)
-    if not np.all(np.isfinite(g_vals)):
+    x, w = _semicircle_gauss(_MDP_DENSITY_NODES)
+    g_vals = [float(g(xj)) for xj in x]
+    if not all(math.isfinite(v) for v in g_vals):
         raise ValueError("candidate density returned non-finite values")
-    if variant is NuVariant.STANDARD:
-        ratio = xi * x * (x**2 - 3.0) / (4.0 - x**2)
-    else:
-        ratio = -xi * x
-    return 0.5 * float(np.sum(w * (g_vals - ratio) ** 2))
+    terms = []
+    for xj, wj, gj in zip(x, w, g_vals):
+        if variant is NuVariant.STANDARD:
+            ratio = xi * xj * (xj * xj - 3.0) / (4.0 - xj * xj)
+        else:
+            ratio = -xi * xj
+        terms.append(wj * ((gj - ratio) * (gj - ratio)))
+    return 0.5 * _sum_nonnegative(terms)

@@ -700,6 +700,14 @@ class TestRateCommand:
             assert cli.main(["rate", "--mdp-moments", "1e308,1e308", "--trunc", "2"]) == 0
         assert capsys.readouterr() == ("quantity,value\nmdp_rate,inf\n", "")
 
+    def test_projection_meeting_inf_minus_inf_is_inf(self, capsys):
+        # p_5 reads 3 m_1 - 4 m_3 + m_5, inf - inf in floats; m_1 = 1e308
+        # alone already squares past the float range, so the rate is inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["rate", "--mdp-moments", "1e308,0,1e308,0,0", "--trunc", "5"]) == 0
+        assert capsys.readouterr() == ("quantity,value\nmdp_rate,inf\n", "")
+
     @pytest.mark.parametrize("flag, value, rest, row", [
         ("--mdp-moments", "-1,0,1", ["--trunc", "3"], "mdp_rate,5"),
         ("--semicircle-atoms", "-3:0.05,3:0.05", [], "outlier_term,2.8585093320225416"),
@@ -951,8 +959,27 @@ class TestStartupImports:
         loaded = _modules_loaded(README_COMMANDS[name])
         assert "lagspec.rates" in loaded
         assert not {"lagspec.ensembles", "lagspec.experiments", "lagspec.spectral"} & set(loaded)
-        # F has a closed form; the other two rates sum numpy arrays.
-        assert ("numpy" in loaded) == (name != "rate-outlier")
+        # All three rates run on Python floats.
+        assert "numpy" not in loaded
+
+    def test_reference_commands_run_where_numpy_cannot_import(self, tmp_path):
+        # A numpy package first on the path whose import fails: the six
+        # reference README lines must print what a normal run prints.
+        stub = tmp_path / "numpy"
+        stub.mkdir()
+        (stub / "__init__.py").write_text("raise ImportError('numpy is not installed')\n")
+        src = str(Path(lagspec.__file__).parents[1])
+        names = ["identities", "moments-mp", "moments-nu-hat", "rate-outlier", "rate-ldp",
+                 "rate-mdp"]
+        for name in names:
+            outputs = []
+            for path in (f"{tmp_path}{os.pathsep}{src}", src):
+                run = subprocess.run([sys.executable, "-m", "lagspec.cli", *README_COMMANDS[name]],
+                                     capture_output=True, text=True,
+                                     env={**os.environ, "PYTHONPATH": path})
+                assert (run.returncode, run.stderr) == (0, ""), name
+                outputs.append(run.stdout)
+            assert outputs[0] == outputs[1] != "", name
 
     @pytest.mark.parametrize("name", ["sample", "clt"])
     def test_sample_and_experiments_load_numpy(self, name):

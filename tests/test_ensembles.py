@@ -87,6 +87,19 @@ class TestSeeds:
         with pytest.raises(ValueError):
             derive_seed(1, -1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(-2**70, 2**70), start=st.integers(0, 2**40),
+           count=st.integers(1, 50))
+    def test_python_ints_match_the_vectorized_finalizer(self, seed, start, count):
+        # derive_seed runs splitmix64 on Python ints; _replicate_keys runs
+        # _finalize on uint64 arrays. Key i is derive_seed(derive_seed(seed, i), 0).
+        rows = range(start, start + count)
+        keys = _replicate_keys(seed, rows).tolist()
+        assert keys == [derive_seed(derive_seed(seed, i), 0) for i in rows]
+        x = np.array([(seed + (start + 1) * ensembles._GOLDEN) & ensembles._MASK64],
+                     dtype=np.uint64)
+        assert derive_seed(seed, start) == int(ensembles._finalize(x)[0])
+
     def test_same_seed_same_stream(self):
         a = make_rng(99).gamma(2.0, 2.0, size=10)
         b = make_rng(99).gamma(2.0, 2.0, size=10)

@@ -1,5 +1,8 @@
 """Reference moments, signed measures, the D matrix, and their identities."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -65,22 +68,29 @@ def test_quadrature_rule_needs_a_node(rule):
         rule(0)
 
 
-def test_python_chebyshev_rule_is_numpys():
-    # The quadrature twin's nodes come from math.cos; the numpy rule is the
-    # reference, up to one rounding of the two libraries' cosines.
+def test_chebyshev_rule_integrates_weighted_polynomials_exactly():
+    # sum_j w_j x_j^k / sqrt(4 - x_j^2) is the integral of x^k / sqrt(4 - x^2)
+    # over (-2, 2), pi times the arcsine moment, for every k < 2N.
+    arcsine = [1] + moments._arcsine(moments.EXACT_ORDER_CAP)
+    for n_nodes in (1, 2, 7, 64, 4096):
+        x, w = moments._chebyshev_lebesgue(n_nodes)
+        for k in range(min(2 * n_nodes, moments.EXACT_ORDER_CAP + 1)):
+            got = math.fsum(wj * xj**k / math.sqrt(4.0 - xj * xj) for xj, wj in zip(x, w))
+            assert abs(got / math.pi - arcsine[k]) <= 1e-13 * 2.0**k, (n_nodes, k)
+
+
+def test_nu_quadrature_is_the_exact_sum_of_its_terms():
+    # Each moment is xi times the correctly rounded sum of the xi = 1 terms,
+    # so no term overflows at the largest xi, and order 40 is summed exactly.
     x, w = moments._chebyshev_lebesgue(64)
-    want_x, want_w = chebyshev_lebesgue_rule(64)
-    np.testing.assert_array_max_ulp(np.array(x), want_x, maxulp=1)
-    np.testing.assert_allclose(w, want_w, rtol=1e-12, atol=0)
-
-
-def test_pairwise_sum_is_numpys_sum():
-    rng = np.random.default_rng(5)
-    for size in list(range(8, 129)) * 20:
-        values = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8, size=size)
-        assert moments._pairwise_sum(values.tolist()) == np.sum(values)
-    zeros = [-0.0] * 64
-    assert str(moments._pairwise_sum(zeros)) == str(np.sum(zeros)) == "0.0"
+    for variant in NuVariant:
+        weighted = [wj * moments._nu_density_at(xj, 1.0, variant) for xj, wj in zip(x, w)]
+        sums, power = [], [1.0] * 64
+        for _ in range(40):
+            power = [p * xj for p, xj in zip(power, x)]
+            sums.append(float(sum(Fraction(f * p) for f, p in zip(weighted, power))))
+        for xi in (0.0, 1.0, 0.7, 1e308):
+            assert moments._nu_by_quadrature(40, xi, variant) == [xi * s for s in sums]
 
 
 class TestArcsineMoments:
@@ -211,13 +221,14 @@ class TestNuDensity:
     @pytest.mark.parametrize("variant", list(NuVariant))
     @pytest.mark.parametrize("xi", [0.0, 0.4, 1.0])
     def test_quadrature_is_the_vectorized_numpy_sum(self, variant, xi):
-        # The twin is summed in Python; numpy's vectorized form is the reference.
-        x, w = (np.array(nodes) for nodes in moments._chebyshev_lebesgue(64))
-        dens = nu_density(x, xi, variant)
+        # The twin is xi times the correctly rounded sum of numpy's vectorized
+        # terms at xi = 1, summed here exactly as Fractions.
+        x, w = chebyshev_lebesgue_rule(64)
+        dens = nu_density(x, 1.0, variant)
         want, power = [], np.ones_like(x)
         for _ in range(15):
             power = power * x
-            want.append(np.sum(w * dens * power))
+            want.append(xi * float(sum(map(Fraction, (w * dens * power).tolist()))))
         assert nu_moments_by_quadrature(15, xi, variant).tobytes() == np.array(want).tobytes()
 
     def test_arcsine_relation(self):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lagspec import moments, rates
@@ -161,8 +163,23 @@ class TestLdpRate:
         mu = AcPlusAtoms(SC)
         with pytest.raises(AttributeError):
             mu.bulk_density = lambda x: 0.5 * SC(x)
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError):
             mu._bulk_values[0] = 0.0
+
+    def test_density_is_called_on_python_floats(self):
+        seen = set()
+
+        def density(x):
+            seen.add(type(x))
+            return 0.9 * math.sqrt(4.0 - x * x) / (2.0 * math.pi)
+
+        assert ldp_rate(AcPlusAtoms(density, [(3.0, 0.1)])) > 0.0
+        assert seen == {float}
+
+    def test_mass_past_the_float_range_is_a_mass_error(self):
+        with pytest.raises(ValueError, match="^total mass must be 1 within 1e-08, "
+                                             "quadrature gives inf$"):
+            AcPlusAtoms(lambda x: 1e308)
 
 
 class TestMdpRateSeries:
@@ -207,22 +224,46 @@ class TestMdpRateSeries:
         # Finite moments whose projections square past the largest float.
         assert mdp_rate_series(np.array([1e308, 1e308]), 0.0, variant, 2) == math.inf
 
-    def test_nan_form_raises(self):
-        # p_5 = 3x - 4x^3 + x^5 reads 3 m_1 - 4 m_3 + m_5: inf - inf in a projection.
+    def test_projection_meeting_inf_minus_inf_is_inf(self):
+        # p_5 = 3x - 4x^3 + x^5 reads 3 m_1 - 4 m_3 + m_5: inf - inf in a
+        # projection, while m_1 = 1e308 alone squares past the float range.
         m = np.array([1e308, 0.0, 1e308, 0.0, 0.0])
+        for variant in NuVariant:
+            assert mdp_rate_series(m, 0.0, variant, 5) == math.inf
+
+    def test_nan_form_raises(self, monkeypatch):
+        # The series form reads inf here; a norm form that is not a number disagrees.
+        m = np.array([1e308, 0.0, 1e308, 0.0, 0.0])
+        monkeypatch.setattr(rates, "_norm_form", lambda m, xi, variant: math.nan)
         with pytest.raises(NumericalError, match="^series and norm forms of the MDP rate "
                                                  "disagree: inf vs nan$"):
             mdp_rate_series(m, 0.0, NuVariant.STANDARD, 5)
 
     def test_disagreeing_forms_raise(self, monkeypatch):
-        # Shift the norm form's D^-1 so that the two routes part by far more than 1e-10.
-        monkeypatch.setattr(rates, "d_inverse_apply",
-                            lambda order, v: moments.d_inverse_apply(order, v) + 1e-3)
+        # Shift the norm form so that the two routes part by far more than 1e-10.
+        norm_form = rates._norm_form
+        monkeypatch.setattr(rates, "_norm_form",
+                            lambda m, xi, variant: norm_form(m, xi, variant) + 1e-3)
         with pytest.raises(NumericalError, match="^series and norm forms of the MDP rate "
                                                  "disagree: "):
             mdp_rate_series(nu_moments(15, 1.0), 1.0)
 
-
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20),
+           xi=st.floats(0.0, 10.0), variant=st.sampled_from(list(NuVariant)),
+           data=st.data())
+    def test_matches_the_numpy_formula(self, m, xi, variant, data):
+        # The formula as numpy evaluated it: BLAS dot products for the
+        # projections, each squared and summed in order.
+        k_trunc = data.draw(st.integers(1, len(m)))
+        diff = np.array(m[:k_trunc]) - nu_moments(k_trunc, xi, variant)
+        want = 0.0
+        for k in range(1, k_trunc + 1):
+            coeffs = semicircle_orthonormal_poly(k).astype(np.float64)
+            want += float(np.dot(coeffs[1:], diff[:k])) ** 2
+        want *= 0.5
+        got = mdp_rate_series(m, xi, variant, k_trunc)
+        assert abs(got - want) <= 1e-12 * want
 class TestMdpRateDensity:
     def test_zero_at_exact_ratio_standard(self):
         ratio = lambda x: 1.0 * np.asarray(x) * (np.asarray(x) ** 2 - 3.0) / (
