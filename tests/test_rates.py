@@ -151,7 +151,7 @@ class TestLdpRate:
 
         def density(x):
             if scalar_only and np.ndim(x):
-                return 0.0  # wrong shape: evaluated again point by point
+                return 0.0  # an array gets a wrong answer; the density only ever gets floats
             points.append(np.size(x))
             return 0.9 * SC(x)
 
