@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 
 # Public name -> defining submodule.
 _EXPORTS = {
-    "EnsembleParams": "ensembles",
-    "RescalingMode": "ensembles",
-    "derive_seed": "ensembles",
+    "EnsembleParams": "scalar",
+    "RescalingMode": "scalar",
+    "derive_seed": "scalar",
     "make_rng": "ensembles",
     "replicate_windows": "ensembles",
     "rescale": "ensembles",
@@ -59,7 +59,8 @@ _EXPORTS = {
 }
 
 # Submodules resolve on attribute access too, as when every one was imported here.
-_SUBMODULES = frozenset(("ensembles", "errors", "experiments", "moments", "rates", "spectral"))
+_SUBMODULES = frozenset(("ensembles", "errors", "experiments", "moments", "rates", "scalar",
+                         "spectral"))
 
 __all__ = sorted(_EXPORTS)
 

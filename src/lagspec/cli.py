@@ -18,8 +18,10 @@ the lagspec modules it uses, and ``main`` builds the flags of the invoked
 subcommand alone. Importing this module loads no numpy, and neither do
 the reference commands ``moments``, ``identities`` and ``rate``: they read
 the exact sequences and quadrature rules that ``lagspec.moments`` computes
-in Python ints and floats. ``sample`` and the experiment commands import
-numpy in their bodies.
+in Python ints and floats. Nor does ``sample`` up to 64 rows, which draws
+and diagonalizes the model on Python floats (``lagspec.scalar``), with
+the numbers the library gives. ``sample`` above 64 rows and the
+experiment commands import numpy in their bodies.
 """
 
 from __future__ import annotations
@@ -213,23 +215,32 @@ def _unused(args, dests, when: str) -> None:
 
 
 def _cmd_sample(args) -> int:
-    from .ensembles import (EnsembleParams, RescalingMode, make_rng, rescale,
-                            sample_laguerre_tridiagonal)
-    from .spectral import eigen_spectral
+    from .scalar import _SCALAR_ROWS, EnsembleParams, RescalingMode, derive_seed
 
     params = EnsembleParams(args.n, args.beta, args.gamma, RescalingMode(args.mode))
-    rng = make_rng(args.seed)
-    coeffs = rescale(sample_laguerre_tridiagonal(rng, params), params)
+    # The key sample_laguerre_tridiagonal takes from make_rng(seed): its first raw output.
+    key = derive_seed(args.seed, 0)
+    if params.n <= _SCALAR_ROWS:
+        from .scalar import _ql_spectrum, _rescaled_model
+
+        diag, offdiag = _rescaled_model(key, params)
+    else:
+        from .ensembles import _model, rescale
+        from .spectral import eigen_spectral
+
+        coeffs = rescale(_model(key, params), params)
+        diag, offdiag = coeffs.diag.tolist(), coeffs.offdiag.tolist()
     if args.what == "coeffs":
-        rows = [
-            (k + 1, coeffs.diag[k], coeffs.offdiag[k] if k < coeffs.n - 1 else None)
-            for k in range(coeffs.n)
-        ]
+        rows = [(k + 1, value, offdiag[k] if k < len(offdiag) else None)
+                for k, value in enumerate(diag)]
         _emit_rows(rows, ["index", "diag", "offdiag"], args.format, args.out)
+        return 0
+    if params.n <= _SCALAR_ROWS:
+        atoms, weights = _ql_spectrum(diag, offdiag)
     else:
         measure = eigen_spectral(coeffs)
-        rows = list(zip(measure.atoms.tolist(), measure.weights.tolist()))
-        _emit_rows(rows, ["atom", "weight"], args.format, args.out)
+        atoms, weights = measure.atoms.tolist(), measure.weights.tolist()
+    _emit_rows(list(zip(atoms, weights)), ["atom", "weight"], args.format, args.out)
     return 0
 
 
@@ -270,7 +281,7 @@ def _parse_atoms(text: str):
 
 def _cmd_rate(args) -> int:
     from .moments import NuVariant
-    from .rates import AcPlusAtoms, f_outlier, kl_semicircle, ldp_rate, mdp_rate_series
+    from .rates import AcPlusAtoms, f_outlier, kl_semicircle, mdp_rate_series
 
     if args.mdp_moments is None:
         _unused(args, ("xi", "variant", "trunc"), "without --mdp-moments")
@@ -286,9 +297,12 @@ def _cmd_rate(args) -> int:
             lambda x: bulk_mass * math.sqrt(4.0 - x * x) / (2.0 * math.pi),
             atoms,
         )
-        rows.append(("kl_term", kl_semicircle(mu)))
-        rows.append(("outlier_term", sum(f_outlier(loc) for loc, _ in atoms)))
-        rows.append(("ldp_rate", ldp_rate(mu)))
+        kl = kl_semicircle(mu)
+        outliers = sum(f_outlier(loc) for loc, _ in mu.atoms)
+        rows.append(("kl_term", kl))
+        rows.append(("outlier_term", outliers))
+        # ldp_rate(mu), without evaluating the KL term a second time.
+        rows.append(("ldp_rate", kl + outliers))
     else:
         m = [float(v) for v in args.mdp_moments.split(",")]
         trunc = args.trunc if args.trunc is not None else min(15, len(m))
@@ -302,8 +316,8 @@ def _cmd_rate(args) -> int:
 
 def _experiment_config(args, statistic, gamma_rule, mode: str) -> ExperimentConfig:
     """The run's configuration; ``--hist-out`` is checked first, before any replicate."""
-    from .ensembles import RescalingMode
     from .experiments import ExperimentConfig
+    from .scalar import RescalingMode
 
     if (args.hist_out is not None and args.out is not None
             and os.path.realpath(args.out) == os.path.realpath(args.hist_out)):
@@ -457,7 +471,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _rescaling_modes() -> list:
-    from .ensembles import RescalingMode
+    from .scalar import RescalingMode
 
     return [mode.value for mode in RescalingMode]
 

@@ -21,18 +21,22 @@ once, with no Generator, and yields their leading windows, equal to the
 single draws' bit for bit, one block at a time. The gamma draws are
 Marsaglia & Tsang's method on Kinderman & Monahan's normal, each stage
 decided by its exact test alone.
+
+A single model of at most 64 rows is drawn without numpy, by
+:mod:`lagspec.scalar`, which evaluates the same draws one entry at a time;
+:class:`EnsembleParams`, :class:`RescalingMode` and :func:`derive_seed`
+live there too and are re-exported here.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
+from .scalar import (_BOX_V, _GOLDEN, _MASK64, _SCALAR_ROWS, _SPLITMIX_A, _SPLITMIX_B,
+                     EnsembleParams, RescalingMode, _centering, _draw, _integer, derive_seed)
 from .spectral import JacobiCoefficients, SpectralMeasure, _first_fault, eigen_spectral
 
 __all__ = [
@@ -46,23 +50,14 @@ __all__ = [
     "sample_spectral_measure",
 ]
 
-_MASK64 = (1 << 64) - 1
 _U64 = np.uint64
-
-# splitmix64 (derive_seed): the golden-gamma step and the finalizer multipliers.
-_GOLDEN = 0x9E3779B97F4A7C15
-_SPLITMIX_A = 0xBF58476D1CE4E5B9
-_SPLITMIX_B = 0x94D049BB133111EB
 
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h) and its
 # inverse modulo 2**128, which make_rng steps back by.
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG64_MULT_INV = pow(_PCG64_MULT, -1, 1 << 128)
 
-# The width of the ratio-of-uniforms box for V (see _standard_gamma), Leva's
-# 1.7156 just above 2 sqrt(2/e); and k golden for k = 1..4, the offsets of
-# an attempt's raw words.
-_BOX_V = 1.7156
+# k golden for k = 1..4, the offsets of an attempt's raw words (see _standard_gamma).
 _STEPS = np.arange(1, 5, dtype=np.uint64)[:, None] * _U64(_GOLDEN)
 
 # Replicates per vectorized block: large enough to spread numpy's per-call
@@ -73,81 +68,6 @@ _STEPS = np.arange(1, 5, dtype=np.uint64)[:, None] * _U64(_GOLDEN)
 # 13.3 and 13.3 ms (README mp-sanity, 2000 replicates: 2.5, 2.1, 2.2 and
 # 2.2 ms); the whole clt process peaks at 31.0, 32.8, 34.5 and 35.1 MB RSS.
 _BLOCK = 2048
-
-
-class RescalingMode(enum.Enum):
-    """Eigenvalue centering: by 2*gamma, by 2*gamma + n*beta, or none."""
-
-    STANDARD = "standard"
-    SHIFTED = "shifted"
-    NONE = "none"
-
-
-@dataclass(frozen=True)
-class EnsembleParams:
-    """Size n, inverse temperature beta, parameter gamma, and centering mode.
-
-    gamma must exceed (n-1)*beta/2, otherwise the eigenvalue density (and
-    every chi-square degree of freedom in the tridiagonal model) would be
-    ill-defined; violations are rejected here rather than clamped. A gamma
-    whose centering scale 2*gamma*n*beta overflows a float is rejected too.
-    """
-
-    n: int
-    beta: float
-    gamma: float
-    mode: RescalingMode = RescalingMode.STANDARD
-
-    def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not (self.beta > 0) or not np.isfinite(self.beta):
-            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
-        if not np.isfinite(self.gamma) or not (self.gamma > (self.n - 1) * self.beta / 2.0):
-            raise ValueError(
-                f"gamma must exceed (n-1)*beta/2 = {(self.n - 1) * self.beta / 2.0}, "
-                f"got {self.gamma!r}"
-            )
-        # The centering scale of _center, as Python floats: no numpy overflow warning.
-        if not math.isfinite(2.0 * float(self.gamma) * int(self.n) * float(self.beta)):
-            raise ValueError(
-                f"gamma = {self.gamma!r} is too large at n = {self.n}, beta = {self.beta!r}: "
-                "the centering scale 2*gamma*n*beta overflows a float"
-            )
-        if not isinstance(self.mode, RescalingMode):
-            raise ValueError(f"mode must be a RescalingMode, got {self.mode!r}")
-
-    @property
-    def beta_prime(self) -> float:
-        return self.beta / 2.0
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int; a float or other non-integer is rejected, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def derive_seed(master_seed: int, index: int) -> int:
-    """Derive the 64-bit child seed for replicate ``index``.
-
-    A splitmix64 finalizer applied to master_seed + (index+1)*golden-gamma;
-    distinct indices give decorrelated streams, and the map is a pure
-    function of its integer arguments (Python or numpy integers; a float
-    raises ValueError), so replication stays reproducible.
-    """
-    index = _integer(index, "index")
-    if index < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
-    # _finalize's steps on a Python int, each product taken modulo 2**64.
-    x = (_integer(master_seed, "seed") + (index + 1) * _GOLDEN) & _MASK64
-    x ^= x >> 30
-    x = x * _SPLITMIX_A & _MASK64
-    x ^= x >> 27
-    x = x * _SPLITMIX_B & _MASK64
-    return x ^ (x >> 31)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -200,9 +120,11 @@ def _standard_gamma(keys, shapes) -> np.ndarray:
     accepts iff 1 + cX > 0 and ln U3 < X^2/2 + d (1 - W + ln W). The draw
     is d W, times U4^(1/a) when a < 1; a rejection moves on to attempt t +
     1. Each test runs over all pending entries, one attempt per round; no
-    squeeze skips it. Values use only + - * / sqrt (and pow for a < 1);
-    ``ln`` only decides acceptance, so a host whose ``log`` differs in the
-    last bit can flip only a decision within an ulp of its boundary.
+    squeeze skips it. Values use only + - * / sqrt (and C's ``pow``, through
+    ``math.pow``, for a < 1); ``ln`` only decides acceptance, so a host
+    whose ``log`` differs in the last bit can flip only a decision within an
+    ulp of its boundary. ``scalar._gamma`` evaluates one entry with the same
+    operations in the same order.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     shapes = np.asarray(shapes, dtype=np.float64)
@@ -233,7 +155,10 @@ def _standard_gamma(keys, shapes) -> np.ndarray:
         if small.any():
             boost = np.flatnonzero(accept & small[col])
             u4 = _uniform(_finalize(base[boost] + _STEPS[3]))
-            value[boost] *= u4 ** (1.0 / shapes[col[boost]])
+            # math.pow one entry at a time, as scalar._gamma takes it: numpy's
+            # power rounds differently in the last bit for some entries.
+            value[boost] *= [math.pow(u, e) for u, e in
+                             zip(u4.tolist(), (1.0 / shapes[col[boost]]).tolist())]
         out[todo[accept]] = value[accept]
         keep = ~accept
         todo, col = todo[keep], col[keep]
@@ -245,11 +170,8 @@ def _center(
     diag: np.ndarray, offdiag: np.ndarray, params: EnsembleParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """The standard or shifted centering of ``params.mode``, along the last axis."""
-    denom = np.sqrt(2.0 * params.gamma * params.n * params.beta)
-    shift = 2.0 * params.gamma
-    if params.mode is RescalingMode.SHIFTED:
-        shift += params.n * params.beta
-    return (diag - shift) / denom, offdiag / denom
+    shift, scale = _centering(params)
+    return (diag - shift) / scale, offdiag / scale
 
 
 def _window(keys, params: EnsembleParams, window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -325,11 +247,23 @@ def sample_laguerre_tridiagonal(
     """Raw (unscaled) tridiagonal coefficients of the Laguerre model.
 
     Takes one raw 64-bit output of ``rng`` as the key of the 2n - 1
-    chi-squares (see :func:`_window`).
+    chi-squares (see :func:`_model`).
     """
+    return _model(rng.bit_generator.random_raw(), params)
+
+
+def _model(key: int, params: EnsembleParams) -> JacobiCoefficients:
+    """The raw model drawn from ``key``: :func:`_window`'s, bit for bit.
+
+    Up to ``scalar._SCALAR_ROWS`` rows its chi-squares are evaluated one
+    at a time on Python floats (``scalar._draw``), above by the vectorized
+    :func:`_window`.
+    """
+    if params.n <= _SCALAR_ROWS:
+        return JacobiCoefficients(*_draw(key, params))
     # An overflowed or NaN entry is left to JacobiCoefficients' finite check.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        diag, offdiag = _window([rng.bit_generator.random_raw()], params, params.n)
+        diag, offdiag = _window([key], params, params.n)
     return JacobiCoefficients(diag[0], offdiag[0])
 
 
@@ -360,7 +294,8 @@ def sample_spectral_measure(
     atoms. At small beta some weights fall below the double range; their
     atoms are dropped, so the measure may have fewer than ``params.n``
     atoms (about half of the draws at n = 400, beta = 0.2, gamma = n^3).
-    Above 128 rows the eigensolve is the bidiagonal SVD of
+    Up to 64 rows the draw and the eigensolve run on Python floats (see
+    :mod:`lagspec.scalar`); above, the eigensolve is the bidiagonal SVD of
     :func:`eigen_spectral` and dominates the cost of a draw.
     """
     return eigen_spectral(rescale(sample_laguerre_tridiagonal(rng, params), params))

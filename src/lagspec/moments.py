@@ -23,6 +23,7 @@ without numpy.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from typing import TYPE_CHECKING
@@ -217,12 +218,18 @@ def nu_density(x, xi: float, variant: NuVariant = NuVariant.STANDARD):
     return out if out.ndim else float(out)
 
 
+@functools.cache
 def _chebyshev_lebesgue(n_nodes: int) -> tuple:
-    """chebyshev_lebesgue_rule's nodes and weights as two lists of floats."""
+    """chebyshev_lebesgue_rule's nodes and weights as two tuples of floats.
+
+    Built once per node count; tuples, so that no caller can change the
+    rule another reads.
+    """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    x = [2.0 * math.cos((2 * j - 1) * math.pi / (2 * n_nodes)) for j in range(1, n_nodes + 1)]
-    return x, [(math.pi / n_nodes) * math.sqrt(4.0 - v * v) for v in x]
+    x = tuple(2.0 * math.cos((2 * j - 1) * math.pi / (2 * n_nodes))
+              for j in range(1, n_nodes + 1))
+    return x, tuple((math.pi / n_nodes) * math.sqrt(4.0 - v * v) for v in x)
 
 
 def chebyshev_lebesgue_rule(n_nodes: int):

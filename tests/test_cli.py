@@ -964,13 +964,14 @@ class TestStartupImports:
 
     def test_reference_commands_run_where_numpy_cannot_import(self, tmp_path):
         # A numpy package first on the path whose import fails: the six
-        # reference README lines must print what a normal run prints.
+        # reference README lines and the two sample lines must print what a
+        # normal run prints.
         stub = tmp_path / "numpy"
         stub.mkdir()
         (stub / "__init__.py").write_text("raise ImportError('numpy is not installed')\n")
         src = str(Path(lagspec.__file__).parents[1])
         names = ["identities", "moments-mp", "moments-nu-hat", "rate-outlier", "rate-ldp",
-                 "rate-mdp"]
+                 "rate-mdp", "sample", "sample-coeffs"]
         for name in names:
             outputs = []
             for path in (f"{tmp_path}{os.pathsep}{src}", src):
@@ -981,15 +982,20 @@ class TestStartupImports:
                 outputs.append(run.stdout)
             assert outputs[0] == outputs[1] != "", name
 
-    @pytest.mark.parametrize("name", ["sample", "clt"])
-    def test_sample_and_experiments_load_numpy(self, name):
-        assert "numpy" in _modules_loaded(README_COMMANDS[name])
+    @pytest.mark.parametrize("argv", [
+        # The README sample line one row above the cut of 64 rows.
+        ["sample", "--n", "65", "--beta", "2", "--gamma", "5000", "--seed", "7"],
+        README_COMMANDS["clt"],
+    ], ids=["sample", "clt"])
+    def test_sample_and_experiments_load_numpy(self, argv):
+        assert "numpy" in _modules_loaded(argv)
 
     @pytest.mark.parametrize("name", ["sample", "sample-coeffs"])
     def test_readme_sample_loads_no_scipy(self, name):
-        loaded = _modules_loaded(README_COMMANDS[name])
-        assert "lagspec.spectral" in loaded
-        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+        # Up to 64 rows the model is drawn and diagonalized on Python floats:
+        # no numpy, and none of the numpy modules of lagspec.
+        assert _modules_loaded(README_COMMANDS[name]) == [
+            "lagspec", "lagspec.cli", "lagspec.errors", "lagspec.scalar"]
 
     def test_readme_clt_loads_no_rates_and_no_scipy(self):
         loaded = _modules_loaded(README_COMMANDS["clt"])

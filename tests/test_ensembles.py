@@ -151,9 +151,8 @@ def reference_gamma(key, j, a):
     squeezes on purpose: Leva's quadratic bounds around the normal's exact
     test and Marsaglia & Tsang's U3 < 1 - 0.0331 X^4 ahead of theirs. The
     sampler runs the exact tests alone, so agreeing with this reference bit
-    for bit shows that the squeezes decide nothing differently. numpy's
-    ``pow`` may differ from the C library's in the last bit, so the a < 1
-    factor is taken from numpy, as the sampler takes it.
+    for bit shows that the squeezes decide nothing differently. The a < 1
+    factor is the C library's ``pow``, as the sampler takes it.
     """
     stream = derive_seed(key, j)
     d = a + 2.0 / 3.0 if a < 1.0 else a - 1.0 / 3.0
@@ -186,7 +185,7 @@ def reference_gamma(key, j, a):
         else:
             path.append("log test rejects")
             continue
-        value = d * w * float(np.power(np.array([u4]), 1.0 / a)[0]) if a < 1.0 else d * w
+        value = d * w * math.pow(u4, 1.0 / a) if a < 1.0 else d * w
         return value, path
 
 
