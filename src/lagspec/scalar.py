@@ -35,10 +35,11 @@ from .errors import NumericalError
 __all__ = ["EnsembleParams", "RescalingMode", "derive_seed"]
 
 # The cut between the two paths, in rows, for the library and the CLI alike.
-# spectral's bidiagonal SVD needs more than 25 rows (its _SVD_LEAF). On a
-# 2-core x86-64 VM the QL takes about 3 ms at 50 rows and 5 ms at 64 in
-# process, numpy's dense eigh 0.1-0.2 ms; but it saves ``sample`` the
-# 0.1 s import of numpy.
+# spectral's bidiagonal SVD needs more than 25 rows (its _SVD_LEAF). In
+# process the QL is slower than numpy's dense eigh was (2-core x86-64 VM,
+# min of 7: 0.5 against 0.09 ms at 25 rows, 1.7 against 0.2-0.3 ms at 50,
+# 2.5-3.3 against 0.3-0.5 ms at 64), but it spares ``sample`` numpy's
+# import, about 0.1 s of its 0.18 s.
 _SCALAR_ROWS = 64
 
 _MASK64 = (1 << 64) - 1
@@ -187,11 +188,12 @@ def _draw(key: int, params: EnsembleParams) -> tuple[list, list]:
     half their degrees of freedom; the entries are formed as
     ``ensembles._window`` forms them.
     """
-    key = int(key)
-    n, bp = params.n, params.beta_prime
+    key, n = int(key), int(params.n)
+    # Python floats, so that no numpy scalar arithmetic (or warning) enters.
+    gamma, bp = float(params.gamma), float(params.beta_prime)
     z = []
     for k in range(1, 2 * n):
-        dof = 2.0 * params.gamma - bp * (k - 1.0) if k % 2 else bp * (2.0 * n - k)
+        dof = 2.0 * gamma - bp * (k - 1.0) if k % 2 else bp * (2.0 * n - k)
         z.append(2.0 * _gamma(key, k - 1, dof / 2.0))
     odd, even = z[0::2], z[1::2]
     diag = odd[:1] + [a + b for a, b in zip(odd[1:], even)]
@@ -250,26 +252,26 @@ def _ql_spectrum(diag: list, offdiag: list) -> tuple[list, list]:
     d = [math.ldexp(v, -k) for v in diag]
     e = [math.ldexp(v, -k) for v in offdiag] + [0.0]
     z = [1.0] + [0.0] * (n - 1)
-    for l in range(n):
+    for lo in range(n):
         for iteration in range(_QL_ITERATIONS + 1):
-            m = l
+            m = lo
             while m < n - 1:
                 dd = abs(d[m]) + abs(d[m + 1])
                 if abs(e[m]) + dd == dd:
                     break
                 m += 1
-            if m == l:
+            if m == lo:
                 break
             if iteration == _QL_ITERATIONS:
                 raise NumericalError(
-                    f"tridiagonal eigensolver failed for matrix of size {n}: the QL "
-                    f"iteration did not converge in {_QL_ITERATIONS} steps")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+                    f"tridiagonal eigensolver failed for matrix of size {n}: an "
+                    f"eigenvalue did not converge in {_QL_ITERATIONS} QL iterations")
+            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
             r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            g = d[m] - d[lo] + e[lo] / (g + math.copysign(r, g))
             s = c = 1.0
             p = 0.0
-            for i in range(m - 1, l - 1, -1):
+            for i in range(m - 1, lo - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
                 r = math.hypot(f, g)
@@ -290,8 +292,8 @@ def _ql_spectrum(diag: list, offdiag: list) -> tuple[list, list]:
                 z[i + 1] = s * z[i] + c * f
                 z[i] = c * z[i] - s * f
             else:
-                d[l] -= p
-                e[l] = g
+                d[lo] -= p
+                e[lo] = g
                 e[m] = 0.0
     pairs = sorted((lam, x * x) for lam, x in zip(d, z))
     return ([math.ldexp(lam, k) for lam, w in pairs if w > 0.0],

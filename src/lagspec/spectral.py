@@ -178,7 +178,7 @@ def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
     Matrices of size at most 64 go to the implicit QL method on Python
     floats (``scalar._ql_spectrum``): scaled by a power of two, reduced by
     rotations that update only the first row of the eigenvector matrix. On
-    a 2-core x86-64 VM that takes about 3 ms at size 50. Larger ones are
+    a 2-core x86-64 VM that takes about 1.7 ms at size 50. Larger ones are
     scaled by a power of two, shifted
     past their Gershgorin bound and factored as J + sI = R^T R with R upper
     bidiagonal (dpttrf). With the SVD R = U S V^T the atoms are S^2 - s and

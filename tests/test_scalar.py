@@ -186,13 +186,13 @@ class TestQlSpectrum:
     def test_no_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(scalar, "_QL_ITERATIONS", 2)
         with pytest.raises(NumericalError, match="^tridiagonal eigensolver failed for matrix "
-                           "of size 40: the QL iteration did not converge in 2 steps$"):
+                           "of size 40: an eigenvalue did not converge in 2 QL iterations$"):
             scalar._ql_spectrum([0.0] * 40, [1.0] * 39)
 
     def test_eigen_spectral_takes_it_up_to_the_cut(self):
         for n in (1, 2, 64):
-            coeffs = rescale(sample_laguerre_tridiagonal(make_rng(n), EnsembleParams(
-                n, 2.0, float(n) ** 2)), EnsembleParams(n, 2.0, float(n) ** 2))
+            params = EnsembleParams(n, 2.0, float(n) ** 2)
+            coeffs = rescale(sample_laguerre_tridiagonal(make_rng(n), params), params)
             mu = lagspec.eigen_spectral(coeffs)
             atoms, weights = scalar._ql_spectrum(coeffs.diag.tolist(), coeffs.offdiag.tolist())
             assert mu.atoms.tolist() == atoms and mu.weights.tolist() == weights

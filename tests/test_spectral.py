@@ -1,7 +1,7 @@
 """Jacobi matrices, spectral measures, and the two-way mapping between them.
 
-eigen_spectral's two solvers (numpy's dense eigh up to 64 rows, the
-bidiagonal SVD above) are checked against closed forms and against
+eigen_spectral's two solvers (the implicit QL on Python floats up to 64
+rows, the bidiagonal SVD above) are checked against closed forms and against
 two oracles, numpy's dense eigh and scipy's tridiagonal eigh (dstevd), both
 of which form every eigenvector. Measures are checked against their
 operator-side moments where atoms with an underflowed weight are dropped.
@@ -57,8 +57,7 @@ def tridiagonal_firstrow_eigh(diag, offdiag):
     return vals, vecs[0] ** 2
 
 
-# Each size is checked against both, neither of which eigen_spectral uses
-# above 64 rows.
+# Each size is checked against both, neither of which eigen_spectral uses.
 ORACLES = (dense_firstrow_eigh, tridiagonal_firstrow_eigh)
 
 
@@ -166,7 +165,7 @@ class TestEigenSpectral:
         np.testing.assert_allclose(mu.weights, [0.25, 0.5, 0.25], atol=1e-14)
 
     def test_free_jacobi_chebyshev_eigenpairs(self):
-        # 10 rows take the dense path, 129 and 200 the bidiagonal SVD.
+        # 10 rows take the QL, 129 and 200 the bidiagonal SVD.
         for n in (10, 129, 200):
             mu = eigen_spectral(free_jacobi(n))
             j = np.arange(n, 0, -1)
