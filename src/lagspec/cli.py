@@ -19,9 +19,11 @@ subcommand alone. Importing this module loads no numpy, and neither do
 the reference commands ``moments``, ``identities`` and ``rate``: they read
 the exact sequences and quadrature rules that ``lagspec.moments`` computes
 in Python ints and floats. Nor does ``sample`` up to 64 rows, which draws
-and diagonalizes the model on Python floats (``lagspec.scalar``), with
-the numbers the library gives. ``sample`` above 64 rows and the
-experiment commands import numpy in their bodies.
+the library's model bit for bit on Python floats and diagonalizes it by
+the implicit QL method (``lagspec.scalar``); its measure agrees with
+``eigen_spectral``'s to rounding and is checked as ``SpectralMeasure``
+checks it. ``sample`` above 64 rows and the experiment commands import
+numpy in their bodies.
 """
 
 from __future__ import annotations
@@ -281,7 +283,7 @@ def _parse_atoms(text: str):
 
 def _cmd_rate(args) -> int:
     from .moments import NuVariant
-    from .rates import AcPlusAtoms, f_outlier, kl_semicircle, mdp_rate_series
+    from .rates import AcPlusAtoms, _ldp_terms, f_outlier, mdp_rate_series
 
     if args.mdp_moments is None:
         _unused(args, ("xi", "variant", "trunc"), "without --mdp-moments")
@@ -297,12 +299,8 @@ def _cmd_rate(args) -> int:
             lambda x: bulk_mass * math.sqrt(4.0 - x * x) / (2.0 * math.pi),
             atoms,
         )
-        kl = kl_semicircle(mu)
-        outliers = sum(f_outlier(loc) for loc, _ in mu.atoms)
-        rows.append(("kl_term", kl))
-        rows.append(("outlier_term", outliers))
-        # ldp_rate(mu), without evaluating the KL term a second time.
-        rows.append(("ldp_rate", kl + outliers))
+        kl, outliers, rate = _ldp_terms(mu)
+        rows += [("kl_term", kl), ("outlier_term", outliers), ("ldp_rate", rate)]
     else:
         m = [float(v) for v in args.mdp_moments.split(",")]
         trunc = args.trunc if args.trunc is not None else min(15, len(m))

@@ -22,10 +22,10 @@ single draws' bit for bit, one block at a time. The gamma draws are
 Marsaglia & Tsang's method on Kinderman & Monahan's normal, each stage
 decided by its exact test alone.
 
-A single model of at most 64 rows is drawn without numpy, by
-:mod:`lagspec.scalar`, which evaluates the same draws one entry at a time;
 :class:`EnsembleParams`, :class:`RescalingMode` and :func:`derive_seed`
-live there too and are re-exported here.
+live in the numpy-free :mod:`lagspec.scalar` and are re-exported here;
+that module also evaluates the gamma draws one entry at a time, for
+``lagspec sample`` up to 64 rows.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ import math
 import numpy as np
 
 from .errors import NumericalError
-from .scalar import (_BOX_V, _GOLDEN, _MASK64, _SCALAR_ROWS, _SPLITMIX_A, _SPLITMIX_B,
-                     EnsembleParams, RescalingMode, _centering, _draw, _integer, derive_seed)
+from .scalar import (_BOX_V, _GOLDEN, _MASK64, _SERIES_D, _SPLITMIX_A, _SPLITMIX_B,
+                     EnsembleParams, RescalingMode, _centering, _integer, _log_series,
+                     derive_seed)
 from .spectral import JacobiCoefficients, SpectralMeasure, _first_fault, eigen_spectral
 
 __all__ = [
@@ -117,19 +118,22 @@ def _standard_gamma(keys, shapes) -> np.ndarray:
     of uniforms (ACM TOMS 3, 1977), accepted iff V^2 <= -4 U1^2 ln U1.
     Marsaglia & Tsang's method (ACM TOMS 26, 2000) then takes d = a - 1/3
     (a + 2/3 for a shape a < 1), c = 1/sqrt(9d), W = (1 + cX)^3, and
-    accepts iff 1 + cX > 0 and ln U3 < X^2/2 + d (1 - W + ln W). The draw
-    is d W, times U4^(1/a) when a < 1; a rejection moves on to attempt t +
-    1. Each test runs over all pending entries, one attempt per round; no
-    squeeze skips it. Values use only + - * / sqrt (and C's ``pow``, through
-    ``math.pow``, for a < 1); ``ln`` only decides acceptance, so a host
-    whose ``log`` differs in the last bit can flip only a decision within an
-    ulp of its boundary. ``scalar._gamma`` evaluates one entry with the same
-    operations in the same order.
+    accepts iff 1 + cX > 0 and ln U3 < X^2/2 + d (1 - W + ln W), where
+    1 - W + ln W is summed from its series in W - 1 once d >= 2^30
+    (``scalar._log_series``). The draw is d W, times U4^(1/a) when a < 1;
+    a rejection moves on to attempt t + 1. Each test runs over all pending
+    entries, one attempt per round; no squeeze skips it. Values use only +
+    - * / sqrt (and C's ``pow``, through ``math.pow``, for a < 1); ``ln``
+    only decides acceptance, so a host whose ``log`` differs in the last
+    bit can flip only a decision within about 1e-10 of its boundary.
+    ``scalar._gamma`` evaluates one entry with the same operations in the
+    same order.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     shapes = np.asarray(shapes, dtype=np.float64)
     small = shapes < 1.0
     d_col = np.where(small, shapes + 2.0 / 3.0, shapes - 1.0 / 3.0)
+    series = d_col >= _SERIES_D
     c_col = 1.0 / np.sqrt(9.0 * d_col)
     # Stream j's raw_k is the finalizer of S_j + (k + 1) golden; each pending
     # entry keeps base = S_j + 4t golden, so its attempt reads base + golden ..
@@ -150,7 +154,11 @@ def _standard_gamma(keys, shapes) -> np.ndarray:
         w = w * w * w
         # ln W is nan or -inf where W <= 0, entries already rejected.
         with np.errstate(invalid="ignore", divide="ignore"):
-            accept &= np.log(u3) < 0.5 * (x * x) + d * (1.0 - w + np.log(w))
+            excess = 1.0 - w + np.log(w)
+            if series.any():
+                near = np.flatnonzero(accept & series[col])
+                excess[near] = _log_series(w[near] - 1.0)
+            accept &= np.log(u3) < 0.5 * (x * x) + d * excess
         value = d * w
         if small.any():
             boost = np.flatnonzero(accept & small[col])
@@ -253,14 +261,7 @@ def sample_laguerre_tridiagonal(
 
 
 def _model(key: int, params: EnsembleParams) -> JacobiCoefficients:
-    """The raw model drawn from ``key``: :func:`_window`'s, bit for bit.
-
-    Up to ``scalar._SCALAR_ROWS`` rows its chi-squares are evaluated one
-    at a time on Python floats (``scalar._draw``), above by the vectorized
-    :func:`_window`.
-    """
-    if params.n <= _SCALAR_ROWS:
-        return JacobiCoefficients(*_draw(key, params))
+    """The raw model drawn from ``key``, the leading row of :func:`_window`."""
     # An overflowed or NaN entry is left to JacobiCoefficients' finite check.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         diag, offdiag = _window([key], params, params.n)
@@ -294,8 +295,8 @@ def sample_spectral_measure(
     atoms. At small beta some weights fall below the double range; their
     atoms are dropped, so the measure may have fewer than ``params.n``
     atoms (about half of the draws at n = 400, beta = 0.2, gamma = n^3).
-    Up to 64 rows the draw and the eigensolve run on Python floats (see
-    :mod:`lagspec.scalar`); above, the eigensolve is the bidiagonal SVD of
-    :func:`eigen_spectral` and dominates the cost of a draw.
+    Up to 64 rows the eigensolve is numpy's dense ``eigh``; above, it is the
+    bidiagonal SVD of :func:`eigen_spectral` and dominates the cost of a
+    draw.
     """
     return eigen_spectral(rescale(sample_laguerre_tridiagonal(rng, params), params))

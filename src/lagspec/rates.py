@@ -150,16 +150,20 @@ def kl_semicircle(mu: AcPlusAtoms) -> float:
     return math.fsum(terms)
 
 
+def _ldp_terms(mu: AcPlusAtoms) -> tuple[float, float, float]:
+    """The KL term, the summed outlier costs of the atoms, and ldp_rate(mu)."""
+    kl = kl_semicircle(mu)
+    outliers = sum(f_outlier(loc) for loc, _ in mu.atoms)
+    return kl, outliers, math.inf if math.isinf(kl) else kl + outliers
+
+
 def ldp_rate(mu: AcPlusAtoms) -> float:
     """Large-deviation rate: KL term plus outlier costs of the atoms.
 
     Zero exactly at the semicircle law; infinite when the bulk loses
     support.
     """
-    kl = kl_semicircle(mu)
-    if math.isinf(kl):
-        return math.inf
-    return kl + sum(f_outlier(loc) for loc, _ in mu.atoms)
+    return _ldp_terms(mu)[2]
 
 
 _FORM_AGREEMENT_TOL = 1e-10

@@ -9,18 +9,19 @@ This module loads no numpy. It holds the ensemble's parameters
   evaluated one entry at a time by :func:`_gamma`. It reads the same
   counter streams and runs the same operations in the same order as the
   vectorized ``_standard_gamma``, so it gives the same model bit for bit;
-  only an acceptance decision within an ulp of ``math.log`` against numpy's
-  ``log`` could differ.
+  only an acceptance decision within about 1e-10 of its boundary, where
+  ``math.log`` and numpy's ``log`` round apart, could differ.
 - :func:`_ql_spectrum`, the model's spectral measure (eigenvalues, and the
   squared first components of the eigenvectors, after Golub & Welsch,
   Math. Comp. 23, 1969) by the implicit QL method with Wilkinson's shift.
   It applies each rotation to the first row of the eigenvector matrix
   alone.
 
-Up to that size ``sample_laguerre_tridiagonal`` and ``eigen_spectral`` take
-these stages, and so does ``lagspec sample``, which then never imports
-numpy. Larger models are drawn by the vectorized sampler and diagonalized
-by LAPACK's bidiagonal SVD (see :mod:`lagspec.spectral`).
+Up to that size ``lagspec sample`` takes these stages and never imports
+numpy; its measure is checked with :class:`lagspec.spectral.SpectralMeasure`'s
+messages, which live here. The library, and ``lagspec sample`` above 64
+rows, draw with the vectorized sampler and diagonalize with numpy's LAPACK
+(see :mod:`lagspec.spectral`).
 """
 
 from __future__ import annotations
@@ -34,12 +35,9 @@ from .errors import NumericalError
 
 __all__ = ["EnsembleParams", "RescalingMode", "derive_seed"]
 
-# The cut between the two paths, in rows, for the library and the CLI alike.
-# spectral's bidiagonal SVD needs more than 25 rows (its _SVD_LEAF). In
-# process the QL is slower than numpy's dense eigh was (2-core x86-64 VM,
-# min of 7: 0.5 against 0.09 ms at 25 rows, 1.7 against 0.2-0.3 ms at 50,
-# 2.5-3.3 against 0.3-0.5 ms at 64), but it spares ``sample`` numpy's
-# import, about 0.1 s of its 0.18 s.
+# ``lagspec sample`` draws and diagonalizes models of at most this many rows
+# here, larger ones through numpy; the QL's cost grows as n^2 and stays
+# below that of importing numpy up to this size.
 _SCALAR_ROWS = 64
 
 _MASK64 = (1 << 64) - 1
@@ -53,11 +51,26 @@ _SPLITMIX_B = 0x94D049BB133111EB
 # just above 2 sqrt(2/e).
 _BOX_V = 1.7156
 
+# Marsaglia & Tsang's test reads d (1 - W + ln W). ``log`` puts an error of
+# up to an ulp of ln W into it, which d (up to about 1e308) magnifies, and
+# numpy's ``log`` and the C library's round apart on some W; so from
+# d = 2^30 on, 1 - W + ln W is the series in t = W - 1 through t^6
+# (_log_series). There an accepted normal has |X| <= 2 sqrt(53 ln 2) < 12.2,
+# so |t| < 3.8e-4, where those terms give it to double precision; below,
+# the error that d magnifies stays under about 1e-10.
+_SERIES_D = 2.0**30
+_LOG_SERIES = (-1 / 2, 1 / 3, -1 / 4, 1 / 5, -1 / 6)  # coefficients of t^2 .. t^6
+
 # QL iterations allowed per eigenvalue before NumericalError, as in EISPACK's imtql2.
 _QL_ITERATIONS = 30
 
+# The messages of JacobiCoefficients and SpectralMeasure, shared with them.
 _NOT_FINITE = "coefficients must be finite"
 _NOT_POSITIVE = "off-diagonal entries must be strictly positive"
+_ATOMS_NOT_FINITE = "atoms must be finite"
+_NOT_INCREASING = "atoms must be strictly increasing"
+_WEIGHT_SUM = "weights must sum to 1 within {tol}, got {total!r}"
+_WEIGHT_SUM_TOL = 1e-10
 
 
 class RescalingMode(enum.Enum):
@@ -148,6 +161,14 @@ def _uniform(x: int) -> float:
     return ((_splitmix(x) >> 11) + 1.0) * 2.0**-53
 
 
+def _log_series(t):
+    """1 - w + ln w at w = 1 + t, by its series; ``t`` a float or a numpy array, |t| < 3.8e-4."""
+    acc = _LOG_SERIES[-1]
+    for coeff in _LOG_SERIES[-2::-1]:
+        acc = acc * t + coeff
+    return acc * (t * t)
+
+
 def _gamma(key: int, j: int, shape: float) -> float:
     """Entry j of ``ensembles._standard_gamma``'s row for ``key``, at ``shape``.
 
@@ -162,6 +183,7 @@ def _gamma(key: int, j: int, shape: float) -> float:
     # numpy's 1/0 is inf, and U4^inf is 0 (or 1 for U4 = 1): a shape that
     # underflowed to 0 draws 0.
     power = (1.0 / shape if shape else math.inf) if small else None
+    series = d >= _SERIES_D
     base = _splitmix(key + (j + 1) * _GOLDEN)
     while True:
         u1 = _uniform(base + _GOLDEN)
@@ -173,7 +195,8 @@ def _gamma(key: int, j: int, shape: float) -> float:
                 w = w * w * w
                 # A cube that underflows to 0 is rejected, as numpy's log(0) = -inf rejects it.
                 if w > 0.0 and (math.log(_uniform(base + 3 * _GOLDEN))
-                                < 0.5 * (x * x) + d * (1.0 - w + math.log(w))):
+                                < 0.5 * (x * x) + d * (_log_series(w - 1.0) if series
+                                                       else 1.0 - w + math.log(w))):
                     value = d * w
                     if small:
                         value *= math.pow(_uniform(base + 4 * _GOLDEN), power)
@@ -216,6 +239,23 @@ def _check(diag: list, offdiag: list) -> None:
         raise ValueError(_NOT_POSITIVE)
 
 
+def _check_measure(atoms: list, weights: list) -> None:
+    """Raise ValueError, as ``SpectralMeasure`` does, unless the lists are a spectral measure.
+
+    The lists are :func:`_ql_spectrum`'s, nonempty with positive weights;
+    the atoms can still fail to be finite or strictly increasing (two
+    eigenvalues closer than a float's spacing round to one float), and the
+    weights to sum to 1 within ``_WEIGHT_SUM_TOL``.
+    """
+    if not all(map(math.isfinite, atoms)):
+        raise ValueError(_ATOMS_NOT_FINITE)
+    if not all(a < b for a, b in zip(atoms, atoms[1:])):
+        raise ValueError(_NOT_INCREASING)
+    total = math.fsum(weights)
+    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+        raise ValueError(_WEIGHT_SUM.format(tol=_WEIGHT_SUM_TOL, total=total))
+
+
 def _rescaled_model(key: int, params: EnsembleParams) -> tuple[list, list]:
     """``rescale(sample_laguerre_tridiagonal(...), params)`` for the key, as two lists.
 
@@ -245,7 +285,9 @@ def _ql_spectrum(diag: list, offdiag: list) -> tuple[list, list]:
     off-diagonal entry is negligible beside its two diagonal neighbours.
     Each rotation updates the first row of the eigenvector matrix only.
     Eigenvalues whose weight comes out as exactly 0 are left out. Raises
-    NumericalError if an eigenvalue takes more than 30 iterations.
+    NumericalError if an eigenvalue takes more than 30 iterations, and
+    ValueError where ``SpectralMeasure`` would refuse the result (see
+    :func:`_check_measure`).
     """
     n = len(diag)
     k = math.frexp(max(max(map(abs, diag)), max(offdiag, default=0.0)))[1]
@@ -296,5 +338,7 @@ def _ql_spectrum(diag: list, offdiag: list) -> tuple[list, list]:
                 e[lo] = g
                 e[m] = 0.0
     pairs = sorted((lam, x * x) for lam, x in zip(d, z))
-    return ([math.ldexp(lam, k) for lam, w in pairs if w > 0.0],
-            [w for _, w in pairs if w > 0.0])
+    atoms = [math.ldexp(lam, k) for lam, w in pairs if w > 0.0]
+    weights = [w for _, w in pairs if w > 0.0]
+    _check_measure(atoms, weights)
+    return atoms, weights

@@ -9,26 +9,27 @@ the two directions, and :func:`moments_via_operator` /
 :func:`moments_of_measure` compute moments on either side without ever
 leaving it.
 
-The forward direction needs only the first row of the eigenvectors
-(Golub & Welsch, Math. Comp. 23, 1969). Up to size 64 it is the implicit
-QL method on Python floats, updating that row alone
-(``scalar._ql_spectrum``). Above, the shifted matrix is factored as R^T R
+The forward direction takes numpy's dense eigensolver up to size 64.
+Above that it needs only the first row of the eigenvectors (Golub &
+Welsch, Math. Comp. 23, 1969): the shifted matrix is factored as R^T R
 with R bidiagonal, and LAPACK's divide and conquer SVD of R (dlasda, Gu &
 Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), asked for singular values
 only, still carries the first row of the right singular vectors, which is
 all the weights need. See :func:`eigen_spectral` for the details and what
-it costs.
+it costs. ``lagspec sample`` diagonalizes models of up to 64 rows without
+numpy, by the implicit QL method of ``scalar._ql_spectrum``, and checks
+its measure with the messages of :class:`SpectralMeasure`.
 
 The inverse direction costs O(n^2): a divide and conquer that merges the
 Jacobi matrices of two halves of the atoms with LAPACK's band reduction
 (dsbtrd), after Gragg & Harrod (Numer. Math. 44, 1984).
 
-The four LAPACK routines these need (dpttrf, dlasda, dsytrd, dsbtrd) come,
-on first use, from the LAPACK that ``numpy.linalg`` is linked against
-when that is the 64-bit-integer OpenBLAS numpy's wheels bundle, so that
-``scipy`` is never imported; otherwise (as with numpy linked against
-Accelerate or MKL) from scipy's Cython LAPACK table through a
-signature-checked loader.
+The four LAPACK routines these need beyond numpy's ``eigh`` (dpttrf,
+dlasda, dsytrd, dsbtrd) come, on first use, from the LAPACK that
+``numpy.linalg`` is linked against when that is the 64-bit-integer
+OpenBLAS numpy's wheels bundle, so that ``scipy`` is never imported;
+otherwise (as with numpy linked against Accelerate or MKL) from scipy's
+Cython LAPACK table through a signature-checked loader.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .scalar import _NOT_FINITE, _NOT_POSITIVE, _SCALAR_ROWS, _ql_spectrum
+from .scalar import (_ATOMS_NOT_FINITE, _NOT_FINITE, _NOT_INCREASING, _NOT_POSITIVE,
+                     _WEIGHT_SUM, _WEIGHT_SUM_TOL)
 
 __all__ = [
     "JacobiCoefficients",
@@ -57,17 +59,21 @@ __all__ = [
 # (at least 1), below which inverting a measure is declared broken down.
 _REDUCTION_BREAKDOWN = 1e-12
 
-_WEIGHT_SUM_TOL = 1e-10
-
 # Measures with at most this many atoms are inverted by one dense reduction;
 # larger ones are split in two until the blocks are this small. Smaller
 # blocks are slightly faster but lose accuracy on small-beta measures.
 _LEAF_ATOMS = 128
 
+# Jacobi matrices of at most this size are diagonalized as dense matrices by
+# numpy's LAPACK, larger ones through the bidiagonal SVD (eigen_spectral).
+# The two take the same time near 64 rows, and at 128 the SVD takes 0.6 of
+# the dense time (medians of 21 alternations, 2-core x86-64 VM, numpy 2.4).
+_DENSE_EIGH_ATOMS = 64
+
 # Largest bidiagonal block that LAPACK's divide and conquer SVD solves
 # directly, dgelsd's choice (ILAENV). dlasda hands a bidiagonal of at most
 # this size to dlasdq whole and then leaves no first row of V in its
-# workspace, so the QL's cut scalar._SCALAR_ROWS must stay at least this large.
+# workspace, so _DENSE_EIGH_ATOMS must stay at least this large.
 _SVD_LEAF = 25
 
 # Argument kinds of the LAPACK routines called here: c a char, i an integer,
@@ -144,14 +150,14 @@ class SpectralMeasure:
         if self.atoms.size < 1:
             raise ValueError("measure must have at least one atom")
         if not np.all(np.isfinite(self.atoms)):
-            raise ValueError("atoms must be finite")
+            raise ValueError(_ATOMS_NOT_FINITE)
         if self.atoms.size > 1 and not np.all(np.diff(self.atoms) > 0):
-            raise ValueError("atoms must be strictly increasing")
+            raise ValueError(_NOT_INCREASING)
         if not np.all(self.weights > 0):
             raise ValueError("weights must be strictly positive")
         total = float(np.sum(self.weights))
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}")
+            raise ValueError(_WEIGHT_SUM.format(tol=_WEIGHT_SUM_TOL, total=total))
 
     @property
     def n(self) -> int:
@@ -173,25 +179,33 @@ def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
     exactly 0 (below the double range, as at small beta, or deflated by
     the solver) is dropped, so ``coeffs.n - measure.n`` atoms are lost, and
     the weights that remain still sum to 1 within 1e-10. Raises
-    NumericalError when the QL does not converge or LAPACK fails.
+    NumericalError when LAPACK fails.
 
-    Matrices of size at most 64 go to the implicit QL method on Python
-    floats (``scalar._ql_spectrum``): scaled by a power of two, reduced by
-    rotations that update only the first row of the eigenvector matrix. On
-    a 2-core x86-64 VM that takes about 1.7 ms at size 50. Larger ones are
-    scaled by a power of two, shifted
+    Matrices of size at most 64 go to numpy's dense ``eigh`` (dsyevd),
+    whose reduction of a tridiagonal matrix reflects nothing before the
+    divide and conquer. Larger ones are scaled by a power of two, shifted
     past their Gershgorin bound and factored as J + sI = R^T R with R upper
     bidiagonal (dpttrf). With the SVD R = U S V^T the atoms are S^2 - s and
     the weights the squared first row of V. LAPACK's divide and conquer
     (dlasda) run for S alone still updates that row at every merge and
     leaves it in its workspace, which is read only if it is a unit vector
     (else NumericalError). On a 2-core x86-64 VM (numpy 2.4) this takes
-    about 130 ms and 0.7 MB (traced) at size 2000 and 35 ms at size 1000,
-    and imports no scipy where numpy bundles its own OpenBLAS.
+    about 130 ms and 0.7 MB (traced) at size 2000 and 35 ms at size 1000.
+    Neither path imports scipy where numpy bundles its own OpenBLAS.
     """
-    if coeffs.n <= _SCALAR_ROWS:
-        return SpectralMeasure(*_ql_spectrum(coeffs.diag.tolist(), coeffs.offdiag.tolist()))
-    lam, weights = _bidiagonal_spectrum(coeffs.diag, coeffs.offdiag)
+    n = coeffs.n
+    if n <= _DENSE_EIGH_ATOMS:
+        # eigh reads only the lower triangle.
+        dense = np.diag(coeffs.diag) + np.diag(coeffs.offdiag, -1)
+        try:
+            lam, vecs = np.linalg.eigh(dense, UPLO="L")
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"tridiagonal eigensolver failed for matrix of size {n}: {exc}"
+            ) from exc
+        weights = vecs[0] ** 2
+    else:
+        lam, weights = _bidiagonal_spectrum(coeffs.diag, coeffs.offdiag)
     kept = weights > 0
     return SpectralMeasure(lam[kept], weights[kept])
 

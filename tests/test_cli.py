@@ -604,6 +604,32 @@ class TestSampleCommand:
         assert lines[0] == "atom,weight" and len(lines) == 21
         assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
 
+    @pytest.mark.parametrize("n", [1, 2, 25, 64, 65])
+    def test_measure_is_the_library_measure_to_rounding(self, n, capsys):
+        # Up to 64 rows the command diagonalizes the library's model by the QL
+        # on Python floats, the library by numpy's dense eigh; above, both by
+        # the bidiagonal SVD.
+        assert cli.main(["sample", "--n", str(n), "--beta", "2", "--gamma", str(n * n),
+                         "--seed", "5"]) == 0
+        rows = np.array([line.split(",") for line in capsys.readouterr().out.split()[1:]],
+                        dtype=float)
+        mu = lagspec.sample_spectral_measure(lagspec.make_rng(5),
+                                             lagspec.EnsembleParams(n, 2.0, float(n * n)))
+        np.testing.assert_allclose(rows[:, 0], mu.atoms, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(rows[:, 1], mu.weights, rtol=0, atol=1e-13)
+
+    def test_coincident_atoms_are_refused_as_the_library_refuses_them(self, capsys):
+        # --mode none at gamma = 1e31: the off-diagonals are a few ulps of the
+        # diagonal entries near 2e31, and on this draw both solvers round two
+        # eigenvalues onto one float. Each solver's rounding decides per draw.
+        params = lagspec.EnsembleParams(50, 2.0, 1e31, lagspec.RescalingMode.NONE)
+        with pytest.raises(ValueError, match="^atoms must be strictly increasing$"):
+            lagspec.sample_spectral_measure(lagspec.make_rng(0), params)
+        assert cli.main(["sample", "--n", "50", "--beta", "2", "--gamma", "1e31",
+                         "--mode", "none", "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: atoms must be strictly increasing\n")
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):

@@ -33,6 +33,7 @@ from lagspec.ensembles import (
     sample_laguerre_tridiagonal,
     sample_spectral_measure,
 )
+from lagspec.scalar import _SERIES_D, _log_series
 from lagspec.spectral import (JacobiCoefficients, _window_moments, moments_of_measure,
                               moments_via_operator)
 
@@ -152,7 +153,8 @@ def reference_gamma(key, j, a):
     test and Marsaglia & Tsang's U3 < 1 - 0.0331 X^4 ahead of theirs. The
     sampler runs the exact tests alone, so agreeing with this reference bit
     for bit shows that the squeezes decide nothing differently. The a < 1
-    factor is the C library's ``pow``, as the sampler takes it.
+    factor is the C library's ``pow``, and from d = 2^30 on 1 - W + ln W
+    is ``scalar._log_series``, as the sampler takes them.
     """
     stream = derive_seed(key, j)
     d = a + 2.0 / 3.0 if a < 1.0 else a - 1.0 / 3.0
@@ -180,7 +182,8 @@ def reference_gamma(key, j, a):
         xx = x * x
         if u3 < 1.0 - 0.0331 * xx * xx:
             path.append("squeeze accepts")
-        elif math.log(u3) < 0.5 * xx + d * (1.0 - w + math.log(w)):
+        elif math.log(u3) < 0.5 * xx + d * (_log_series(w - 1.0) if d >= _SERIES_D
+                                            else 1.0 - w + math.log(w)):
             path.append("log test accepts")
         else:
             path.append("log test rejects")

@@ -2,11 +2,14 @@
 
 The scalar draws are checked bit for bit against the vectorized sampler
 they restate, and the QL eigensolver against two oracles that form every
-eigenvector: numpy's dense eigh and scipy's tridiagonal eigh (dstevd).
+eigenvector: numpy's dense eigh and scipy's tridiagonal eigh (dstevd). Its
+measure check is checked against ``SpectralMeasure``'s.
 """
 
+import decimal
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lagspec
@@ -50,8 +53,10 @@ class TestDraws:
     # Any n up to the cut, beta in [0.01, 8] (shapes below 1 take the U4
     # boost), gamma from just above (n-1)beta/2 up to the bound where
     # 2 gamma n beta overflows, every mode, any key. In principle an
-    # acceptance decision that lies within an ulp of numpy's log against
-    # math.log could still differ; none has been seen.
+    # acceptance decision within about 1e-10 of its boundary, where numpy's
+    # log and math.log round apart, could still differ; none has been seen.
+    # The example drew a different z_23 while 1 - W + ln W was taken through
+    # log at every W.
     @settings(deadline=None, max_examples=150)
     @given(
         n=st.integers(1, scalar._SCALAR_ROWS),
@@ -60,6 +65,7 @@ class TestDraws:
         mode=st.sampled_from(list(RescalingMode)),
         key=st.integers(0, 2**64 - 1),
     )
+    @example(n=12, beta=1.0, log_extra=29.4375, mode=RescalingMode.STANDARD, key=3580)
     def test_scalar_draws_are_the_vectorized_rows(self, n, beta, log_extra, mode, key):
         gamma = (n - 1) * beta / 2.0 + 10.0**log_extra
         try:
@@ -81,6 +87,16 @@ class TestDraws:
                 JacobiCoefficients(ref_diag, ref_offdiag)
         else:
             assert got == (ref_diag.tolist(), ref_offdiag.tolist())
+
+    def test_large_gamma_draws_are_the_vectorized_rows(self):
+        # gamma = 1e20 .. 1e40, where W lies within a few ulps of 1 and d
+        # magnifies the last bit of ln W a billionfold and more: with ln W
+        # from each side's log, 2 of these 84 draws differed.
+        for e in range(20, 41):
+            for key in range(4):
+                params = EnsembleParams(64, 2.0, 10.0**e)
+                diag, offdiag = _window([key], params, 64)
+                assert scalar._draw(key, params) == (diag[0].tolist(), offdiag[0].tolist())
 
     @pytest.mark.parametrize("n", [1, 2, 64, 65])
     def test_library_draw_is_the_vectorized_row_on_both_sides_of_the_cut(self, n):
@@ -113,6 +129,33 @@ class TestDraws:
         with np.errstate(divide="ignore"), pytest.raises(ValueError,
                                                          match="^coefficients must be finite$"):
             rescale(JacobiCoefficients([1.0, 2.0], [0.5]), params)
+
+
+def exact_log_excess(w: float) -> float:
+    """1 - w + ln w to 60 digits, rounded to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        v = decimal.Decimal(w)
+        return float(1 - v + v.ln())
+
+
+class TestLogSeries:
+    # From d = 2^30 on, an accepted normal keeps |W - 1| below 3.8e-4.
+    @settings(deadline=None, max_examples=300)
+    @given(t=st.floats(-3.8e-4, 3.8e-4))
+    def test_accurate_to_double_precision(self, t):
+        w = 1.0 + t
+        exact = exact_log_excess(w)
+        assert abs(scalar._log_series(w - 1.0) - exact) <= 1e-15 * abs(exact)
+
+    def test_array_gives_the_floats_bits(self):
+        t = np.random.default_rng(1).uniform(-3.8e-4, 3.8e-4, 10_000)
+        assert scalar._log_series(t).tolist() == [scalar._log_series(v) for v in t.tolist()]
+
+    def test_bound_on_w(self):
+        # The largest |cX| at d = 2^30: |X| <= 2 sqrt(-ln 2^-53).
+        cx = 2.0 * math.sqrt(53.0 * math.log(2.0)) / math.sqrt(9.0 * scalar._SERIES_D)
+        assert max(abs((1.0 + cx) ** 3 - 1.0), abs((1.0 - cx) ** 3 - 1.0)) < 3.8e-4
 
 
 class TestQlSpectrum:
@@ -189,13 +232,33 @@ class TestQlSpectrum:
                            "of size 40: an eigenvalue did not converge in 2 QL iterations$"):
             scalar._ql_spectrum([0.0] * 40, [1.0] * 39)
 
-    def test_eigen_spectral_takes_it_up_to_the_cut(self):
-        for n in (1, 2, 64):
-            params = EnsembleParams(n, 2.0, float(n) ** 2)
-            coeffs = rescale(sample_laguerre_tridiagonal(make_rng(n), params), params)
-            mu = lagspec.eigen_spectral(coeffs)
-            atoms, weights = scalar._ql_spectrum(coeffs.diag.tolist(), coeffs.offdiag.tolist())
-            assert mu.atoms.tolist() == atoms and mu.weights.tolist() == weights
+    def test_coincident_eigenvalues_are_refused(self):
+        # --mode none at gamma = 1e31: the off-diagonals are a few ulps of the
+        # diagonal entries near 2e31, so eigenvalues round onto one float.
+        params = EnsembleParams(50, 2.0, 1e31, RescalingMode.NONE)
+        with pytest.raises(ValueError, match="^atoms must be strictly increasing$"):
+            scalar._ql_spectrum(*scalar._rescaled_model(derive_seed(0, 0), params))
+
+
+class TestMeasureCheck:
+    @pytest.mark.parametrize("atoms, weights", [
+        ([0.0, math.inf], [0.5, 0.5]),
+        ([0.0, math.nan], [0.5, 0.5]),
+        ([1.0, 1.0], [0.5, 0.5]),
+        ([1.0, 0.0], [0.5, 0.5]),
+        ([0.0, 1.0], [0.5, 0.4]),
+        ([0.0, 1.0], [0.5, 0.5 + 2e-10]),
+    ])
+    def test_refuses_what_spectral_measure_refuses(self, atoms, weights):
+        with pytest.raises(ValueError) as exc:
+            lagspec.SpectralMeasure(atoms, weights)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc.value))}$"):
+            scalar._check_measure(atoms, weights)
+
+    def test_accepts_a_measure(self):
+        atoms, weights = [-1.0, 0.0, 1.0], [0.25, 0.5, 0.25 + 5e-11]
+        lagspec.SpectralMeasure(atoms, weights)
+        scalar._check_measure(atoms, weights)
 
 
 def test_import_loads_no_numpy():

@@ -1,7 +1,7 @@
 """Jacobi matrices, spectral measures, and the two-way mapping between them.
 
-eigen_spectral's two solvers (the implicit QL on Python floats up to 64
-rows, the bidiagonal SVD above) are checked against closed forms and against
+eigen_spectral's two solvers (numpy's dense eigh up to 64 rows, the
+bidiagonal SVD above) are checked against closed forms and against
 two oracles, numpy's dense eigh and scipy's tridiagonal eigh (dstevd), both
 of which form every eigenvector. Measures are checked against their
 operator-side moments where atoms with an underflowed weight are dropped.
@@ -21,7 +21,7 @@ import scipy.linalg
 from scipy.integrate import quad
 
 import lagspec
-from lagspec import scalar, spectral
+from lagspec import spectral
 from lagspec.ensembles import (EnsembleParams, derive_seed, make_rng, rescale,
                                sample_laguerre_tridiagonal)
 from lagspec.errors import NumericalError
@@ -57,7 +57,8 @@ def tridiagonal_firstrow_eigh(diag, offdiag):
     return vals, vecs[0] ** 2
 
 
-# Each size is checked against both, neither of which eigen_spectral uses.
+# Each size is checked against both, neither of which eigen_spectral uses
+# above 64 rows.
 ORACLES = (dense_firstrow_eigh, tridiagonal_firstrow_eigh)
 
 
@@ -165,7 +166,7 @@ class TestEigenSpectral:
         np.testing.assert_allclose(mu.weights, [0.25, 0.5, 0.25], atol=1e-14)
 
     def test_free_jacobi_chebyshev_eigenpairs(self):
-        # 10 rows take the QL, 129 and 200 the bidiagonal SVD.
+        # 10 rows take the dense path, 129 and 200 the bidiagonal SVD.
         for n in (10, 129, 200):
             mu = eigen_spectral(free_jacobi(n))
             j = np.arange(n, 0, -1)
@@ -270,11 +271,13 @@ class TestEigenSpectral:
 
     @pytest.mark.parametrize("n", [3, 129])
     def test_solver_failure_raises(self, n, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
         def info_one(*args):
             args[-1].value = 1  # LAPACK's info: a singular value did not converge
 
-        # No QL iteration allowed: a matrix that needs one has not converged.
-        monkeypatch.setattr(scalar, "_QL_ITERATIONS", 0)
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         replace_routine(monkeypatch, "dlasda", info_one)
         with pytest.raises(NumericalError, match=f"size {n}"):
             eigen_firstrow(np.zeros(n), np.ones(n - 1))
