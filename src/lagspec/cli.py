@@ -283,7 +283,7 @@ def _parse_atoms(text: str):
 
 def _cmd_rate(args) -> int:
     from .moments import NuVariant
-    from .rates import AcPlusAtoms, _ldp_terms, f_outlier, mdp_rate_series
+    from .rates import AcPlusAtoms, _fsum, _ldp_terms, f_outlier, mdp_rate_series
 
     if args.mdp_moments is None:
         _unused(args, ("xi", "variant", "trunc"), "without --mdp-moments")
@@ -292,7 +292,7 @@ def _cmd_rate(args) -> int:
         rows.append(("f_outlier", f_outlier(args.outlier)))
     elif args.semicircle_atoms is not None:
         atoms = _parse_atoms(args.semicircle_atoms)
-        bulk_mass = 1.0 - sum(mass for _, mass in atoms)
+        bulk_mass = 1.0 - _fsum([mass for _, mass in atoms])
         if bulk_mass <= 0:
             raise ValueError("atom masses must leave positive bulk mass")
         mu = AcPlusAtoms(
@@ -383,8 +383,8 @@ def _identity_checks(order: int):
 
     The exact checks run on Python ints, so no product can wrap.
     """
-    from .moments import (EXACT_ORDER_CAP, NuVariant, _d_rows, _dw, _nu, _nu_by_quadrature,
-                          _orthonormal_poly, _semicircle)
+    from .moments import (EXACT_ORDER_CAP, NuVariant, _d_rows, _dot, _dw, _nu,
+                          _nu_by_quadrature, _orthonormal_poly, _semicircle)
 
     if order > EXACT_ORDER_CAP // 2:
         raise ValueError(f"identities --order is capped at {EXACT_ORDER_CAP // 2}: the "
@@ -418,10 +418,6 @@ def _identity_checks(order: int):
                  zip(_nu(15, 1.0, variant), _nu_by_quadrature(15, 1.0, variant)))
         checks.append((f"nu_moment_quadrature_{tag}_order15", ok))
     return checks
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _cmd_identities(args) -> int:

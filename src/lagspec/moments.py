@@ -11,13 +11,13 @@ semicircle law) is exact in 64-bit integers up to order 40; beyond that the
 exact-identity guarantees would silently degrade, so higher orders are
 rejected.
 
-Importing this module loads no numpy. Each exact sequence, both quadrature
-rules, the forward substitution by D and the Chebyshev quadrature twin of
-the nu moments are computed once, in Python ints and floats, by a private
-helper that returns a list; the public functions hand the same numbers
-back as numpy arrays, importing numpy when called. The ``moments`` and
-``identities`` commands and the rate functions read the lists, so they run
-without numpy.
+Importing this module loads no numpy. Everything is computed in Python
+ints and floats by private helpers that return lists, and dot products by
+``_dot``; the public functions hand exact sequences, D and the forward
+substitution by D back as numpy arrays, importing numpy when called. The
+quadrature rules and the quadrature twin of the nu moments are list
+helpers only. The ``moments`` and ``identities`` commands and the rate
+functions read the lists, so they run without numpy.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "NuVariant",
     "EXACT_ORDER_CAP",
     "arcsine_moments",
-    "chebyshev_lebesgue_rule",
     "d_inverse_apply",
     "d_matrix",
     "dw_vector",
@@ -43,11 +42,8 @@ __all__ = [
     "mp_moments",
     "nu_density",
     "nu_moments",
-    "nu_moments_by_quadrature",
-    "semicircle_density",
     "semicircle_moments",
     "semicircle_orthonormal_poly",
-    "semicircle_rule",
 ]
 
 # Largest order with exact 64-bit integer binomials for every identity here.
@@ -96,15 +92,15 @@ def _binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def semicircle_density(x):
-    """Density sqrt(4 - x^2) / (2 pi) on [-2, 2], zero outside."""
-    import numpy as np
+def _dot(a, b):
+    """Sum of paired products, left to right from the int 0: exact for ints.
 
-    x = np.asarray(x, dtype=np.float64)
-    inside = np.abs(x) <= 2.0
-    out = np.zeros_like(x)
-    out[inside] = np.sqrt(4.0 - x[inside] ** 2) / (2.0 * np.pi)
-    return out if out.ndim else float(out)
+    Not the built-in ``sum``, which compensates float sums from Python 3.12 on.
+    """
+    acc = 0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
 
 
 def _semicircle(order: int) -> list:
@@ -220,10 +216,12 @@ def nu_density(x, xi: float, variant: NuVariant = NuVariant.STANDARD):
 
 @functools.cache
 def _chebyshev_lebesgue(n_nodes: int) -> tuple:
-    """chebyshev_lebesgue_rule's nodes and weights as two tuples of floats.
+    """Nodes and weights (two tuples) integrating dx on (-2, 2) through a 1/sqrt(4-x^2) lens.
 
-    Built once per node count; tuples, so that no caller can change the
-    rule another reads.
+    First-kind Chebyshev nodes x_j = 2 cos((2j-1) pi / 2N), weights
+    (pi/N) sqrt(4 - x_j^2): exact for p(x) / sqrt(4 - x^2) with p of degree
+    < 2N; the nodes avoid the endpoints, absorbing inverse-square-root
+    singularities there. Built once per node count, as tuples that no caller can change.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -232,22 +230,13 @@ def _chebyshev_lebesgue(n_nodes: int) -> tuple:
     return x, tuple((math.pi / n_nodes) * math.sqrt(4.0 - v * v) for v in x)
 
 
-def chebyshev_lebesgue_rule(n_nodes: int):
-    """Nodes and weights integrating dx on (-2, 2) through a 1/sqrt(4-x^2) lens.
-
-    First-kind Chebyshev nodes x_j = 2 cos((2j-1) pi / 2N) with weights
-    (pi/N) sqrt(4 - x_j^2): exact for p(x) / sqrt(4 - x^2) with p of degree
-    < 2N, and the nodes avoid the endpoints, absorbing inverse-square-root
-    singularities there.
-    """
-    import numpy as np
-
-    x, w = _chebyshev_lebesgue(n_nodes)
-    return np.array(x), np.array(w)
-
-
 def _semicircle_gauss(n_nodes: int) -> tuple:
-    """semicircle_rule's nodes and weights as two lists of floats."""
+    """Gauss nodes and weights for integration against the semicircle law.
+
+    Second-kind Chebyshev rule, as two lists of floats:
+    x_j = 2 cos(j pi / (N+1)), weights (2/(N+1)) sin^2(j pi/(N+1)); exact
+    for polynomials of degree < 2N.
+    """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     theta = [j * math.pi / (n_nodes + 1) for j in range(1, n_nodes + 1)]
@@ -255,20 +244,14 @@ def _semicircle_gauss(n_nodes: int) -> tuple:
     return [2.0 * math.cos(t) for t in theta], [(2.0 / (n_nodes + 1)) * (s * s) for s in sines]
 
 
-def semicircle_rule(n_nodes: int):
-    """Gauss nodes and weights for integration against the semicircle law.
-
-    Second-kind Chebyshev rule: x_j = 2 cos(j pi / (N+1)), weights
-    (2/(N+1)) sin^2(j pi/(N+1)); exact for polynomials of degree < 2N.
-    """
-    import numpy as np
-
-    x, w = _semicircle_gauss(n_nodes)
-    return np.array(x), np.array(w)
-
-
 def _nu_by_quadrature(order: int, xi: float, variant: NuVariant = NuVariant.STANDARD) -> list:
-    """nu_moments_by_quadrature as a list of floats."""
+    """Quadrature twin of :func:`nu_moments`: integrate x^k against the density.
+
+    The endpoint-avoiding Chebyshev rule on 64 nodes (exact to degree 127
+    against 1/sqrt(4 - x^2)) integrates the standard variant's poles at +-2
+    as written. Each moment is xi times the correctly rounded sum
+    (``math.fsum``) of the rule's terms at xi = 1.
+    """
     order = _check_order(order)
     _check_xi(xi)
     x, w = _chebyshev_lebesgue(_NU_QUADRATURE_NODES)
@@ -281,20 +264,6 @@ def _nu_by_quadrature(order: int, xi: float, variant: NuVariant = NuVariant.STAN
         power = [p * xj for p, xj in zip(power, x)]
         out.append(xi * math.fsum([f * p for f, p in zip(weighted, power)]))
     return out
-
-
-def nu_moments_by_quadrature(
-    order: int, xi: float, variant: NuVariant = NuVariant.STANDARD
-) -> np.ndarray:
-    """Quadrature twin of :func:`nu_moments`: integrate x^k against the density.
-
-    Uses the endpoint-avoiding Chebyshev rule, so the standard variant's
-    poles at +-2 are integrable as written. Each moment is xi times the
-    correctly rounded sum (``math.fsum``) of the rule's terms at xi = 1.
-    """
-    import numpy as np
-
-    return np.array(_nu_by_quadrature(order, xi, variant), dtype=np.float64)
 
 
 def _d_rows(order: int) -> list:
@@ -321,16 +290,13 @@ def d_matrix(order: int) -> np.ndarray:
 
 
 def _d_inverse(order: int, v: list) -> list:
-    """d_inverse_apply on a list of floats; each row's products are summed left to right."""
+    """d_inverse_apply on a list of floats; each row's products are summed by _dot."""
     order = _check_order(order)
     if len(v) != order:
         raise ValueError(f"vector length {len(v)} does not match order {order}")
     x = []
     for row, vi in zip(_d_rows(order), v):
-        acc = 0.0
-        for d, xj in zip(row, x):
-            acc += d * xj
-        x.append(vi - acc)
+        x.append(vi - _dot(row, x))
     return x
 
 

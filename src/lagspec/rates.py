@@ -15,7 +15,7 @@ and would have infinite rate anyway.
 This module loads no numpy. The rates run on Python floats, the exact
 integer sequences and the list quadrature rules of :mod:`lagspec.moments`;
 quadrature sums are ``math.fsum``'s correctly rounded ones, and the MDP
-rate's projections and forward substitution are summed left to right.
+rate's dot products are ``moments._dot``'s, summed left to right.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .moments import (
     _chebyshev_lebesgue,
     _d_inverse,
     _d_rows,
+    _dot,
     _dw,
     _nu,
     _orthonormal_poly,
@@ -57,12 +58,12 @@ _KL_DENSITY_FLOOR = 1e-300
 _MASS_TOL = 1e-8
 
 
-def _sum_nonnegative(terms: list) -> float:
-    """math.fsum of nonnegative floats, +inf where the sum passes the float range."""
+def _fsum(terms: list) -> float:
+    """math.fsum; where it refuses (overflow, inf - inf), the plain sum, +-inf or nan there."""
     try:
         return math.fsum(terms)
-    except OverflowError:
-        return math.inf
+    except (OverflowError, ValueError):
+        return sum(terms)
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class AcPlusAtoms:
         if not all(0.0 <= v < math.inf for v in vals):
             raise ValueError("bulk density must be finite and nonnegative")
         object.__setattr__(self, "_bulk_values", vals)
-        total = _sum_nonnegative([wj * v for wj, v in zip(w, vals)]
+        total = _fsum([wj * v for wj, v in zip(w, vals)]
                                  + [mass for _, mass in atoms])
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(
@@ -153,7 +154,7 @@ def kl_semicircle(mu: AcPlusAtoms) -> float:
 def _ldp_terms(mu: AcPlusAtoms) -> tuple[float, float, float]:
     """The KL term, the summed outlier costs of the atoms, and ldp_rate(mu)."""
     kl = kl_semicircle(mu)
-    outliers = sum(f_outlier(loc) for loc, _ in mu.atoms)
+    outliers = _fsum([f_outlier(loc) for loc, _ in mu.atoms])
     return kl, outliers, math.inf if math.isinf(kl) else kl + outliers
 
 
@@ -176,12 +177,8 @@ def _series_form(diff: list) -> float:
     among its terms), which needs a moment difference near the float
     range; then the true rate is too large for a float, and so is the form.
     """
-    total = 0.0
-    for k in range(1, len(diff) + 1):
-        proj = 0.0
-        for c, d in zip(_orthonormal_poly(k)[1:], diff):
-            proj += c * d
-        total += proj * proj
+    proj = [_dot(_orthonormal_poly(k)[1:], diff) for k in range(1, len(diff) + 1)]
+    total = _dot(proj, proj)
     return 0.5 * total if math.isfinite(total) else math.inf
 
 
@@ -191,15 +188,9 @@ def _norm_form(m: list, xi: float, variant: NuVariant) -> float:
     # Literal matrix form: D w telescopes to the nu moments, but computing
     # it as a product keeps the two routes independent.
     w = _dw(order, xi, variant)
-    resid = []
-    for mi, row in zip(m, _d_rows(order)):
-        acc = 0.0
-        for d, wj in zip(row, w):
-            acc += d * wj
-        resid.append(mi - acc)
-    total = 0.0
-    for x in _d_inverse(order, resid):
-        total += x * x
+    resid = [mi - _dot(row, w) for mi, row in zip(m, _d_rows(order))]
+    x = _d_inverse(order, resid)
+    total = _dot(x, x)
     return 0.5 * total if math.isfinite(total) else math.inf
 
 
@@ -273,4 +264,4 @@ def mdp_rate_density(
         else:
             ratio = -xi * xj
         terms.append(wj * ((gj - ratio) * (gj - ratio)))
-    return 0.5 * _sum_nonnegative(terms)
+    return 0.5 * _fsum(terms)

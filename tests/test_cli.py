@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lagspec
-from lagspec import cli, experiments, moments
+from lagspec import cli, experiments, moments, rates
 from lagspec.experiments import ExperimentReport, LinearGamma, PowerLawGamma
 
 
@@ -363,6 +363,9 @@ class TestExitCodes:
         (["rate", "--semicircle-atoms", "3:0.1,4"], "atom spec must be loc:mass, got '4'"),
         (["rate", "--semicircle-atoms", "3:0.6,-3:0.4"],
          "atom masses must leave positive bulk mass"),
+        (["rate", "--semicircle-atoms", "3:1e308,4:1e308"],
+         "atom masses must leave positive bulk mass"),
+        (["rate", "--semicircle-atoms", "3:inf,4:-inf"], "atom mass must be positive, got -inf"),
         (["rate", "--mdp-moments", "0,0,nan", "--xi", "1", "--trunc", "3"],
          "moments must be finite"),
         (["rate", "--mdp-moments", "0,0,1", "--xi", "inf", "--trunc", "3"],
@@ -376,7 +379,8 @@ class TestExitCodes:
         (["clt", "--n", "2000", "--beta", "2", "--gamma-rule", "pow:400:1", "--poly", "x^2",
           "--replicates", "100", "--seed", "1"], "gamma rule pow:400:1 overflows a float"),
     ], ids=["b-n-inf", "outlier-nan", "outlier-inf", "outlier-minus-inf", "atom-nan",
-            "atom-no-colon", "atom-no-bulk", "mdp-moment-nan", "xi-inf", "nu-hat-xi-nan", "poly-degree", "poly-coefficient",
+            "atom-no-colon", "atom-no-bulk", "atom-mass-overflow", "atom-mass-inf-minus-inf",
+            "mdp-moment-nan", "xi-inf", "nu-hat-xi-nan", "poly-degree", "poly-coefficient",
             "mp-order", "gamma-overflow"])
     def test_nonfinite_parameter_is_one_error_line(self, argv, message, capsys):
         assert cli.main(argv) == 2
@@ -673,6 +677,20 @@ class TestRateCommand:
         assert float(values["ldp_rate"]) == pytest.approx(
             float(values["kl_term"]) + float(values["outlier_term"])
         )
+
+    def test_bulk_mass_is_one_minus_the_correctly_rounded_atom_mass(self, monkeypatch, capsys):
+        # 1 - (0.1 + 0.2 + 0.3) summed left to right is 0.3999999999999999 up to
+        # Python 3.11; the correctly rounded 0.6 leaves 0.4 on every version.
+        densities = []
+        candidate = rates.AcPlusAtoms
+
+        def record(bulk_density, atoms):
+            densities.append(bulk_density)
+            return candidate(bulk_density, atoms)
+
+        monkeypatch.setattr(rates, "AcPlusAtoms", record)
+        assert cli.main(["rate", "--semicircle-atoms", "3:0.1,4:0.2,5:0.3"]) == 0
+        assert densities[0](0.0) == 0.4 * 2.0 / (2.0 * math.pi)
 
     def test_mdp_series(self, capsys):
         assert cli.main(["rate", "--mdp-moments", "0,0,1,0,5", "--xi", "1",

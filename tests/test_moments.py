@@ -18,11 +18,8 @@ from lagspec.moments import (
     mp_moments,
     nu_density,
     nu_moments,
-    nu_moments_by_quadrature,
-    chebyshev_lebesgue_rule,
     semicircle_moments,
     semicircle_orthonormal_poly,
-    semicircle_rule,
 )
 
 
@@ -62,7 +59,7 @@ class TestSemicircleMoments:
         np.testing.assert_array_equal(semicircle_moments(np.int64(6)), [0, 1, 0, 2, 0, 5])
 
 
-@pytest.mark.parametrize("rule", [chebyshev_lebesgue_rule, semicircle_rule])
+@pytest.mark.parametrize("rule", [moments._chebyshev_lebesgue, moments._semicircle_gauss])
 def test_quadrature_rule_needs_a_node(rule):
     with pytest.raises(ValueError, match="^n_nodes must be >= 1, got 0$"):
         rule(0)
@@ -215,7 +212,7 @@ class TestNuDensity:
     @pytest.mark.parametrize("xi", [0.4, 1.0])
     def test_quadrature_reproduces_moments(self, variant, xi):
         closed = nu_moments(15, xi, variant)
-        quadrature = nu_moments_by_quadrature(15, xi, variant)
+        quadrature = np.array(moments._nu_by_quadrature(15, xi, variant))
         np.testing.assert_allclose(quadrature, closed, atol=1e-8)
 
     @pytest.mark.parametrize("variant", list(NuVariant))
@@ -223,13 +220,14 @@ class TestNuDensity:
     def test_quadrature_is_the_vectorized_numpy_sum(self, variant, xi):
         # The twin is xi times the correctly rounded sum of numpy's vectorized
         # terms at xi = 1, summed here exactly as Fractions.
-        x, w = chebyshev_lebesgue_rule(64)
+        x, w = map(np.array, moments._chebyshev_lebesgue(64))
         dens = nu_density(x, 1.0, variant)
         want, power = [], np.ones_like(x)
         for _ in range(15):
             power = power * x
             want.append(xi * float(sum(map(Fraction, (w * dens * power).tolist()))))
-        assert nu_moments_by_quadrature(15, xi, variant).tobytes() == np.array(want).tobytes()
+        got = np.array(moments._nu_by_quadrature(15, xi, variant))
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_arcsine_relation(self):
         # m_k(nu_xi) = (xi/2)(m_{k+3}(arc) - 3 m_{k+1}(arc))
@@ -303,6 +301,19 @@ class TestDInverse:
         with pytest.raises(ValueError, match="length"):
             d_inverse_apply(4, np.zeros(3))
 
+    def test_forward_substitution_bits_are_pinned(self):
+        # Each row's products summed left to right; a change of order shows in the bits.
+        v = [-0.0] + [math.sin(1.7 * k) * 3.0 ** (k / 4) for k in range(2, 16)]
+        assert [x.hex() for x in d_inverse_apply(15, np.array(v)).tolist()] == [
+            "-0x0.0p+0", "-0x1.c53b99d8befbcp-2", "-0x1.0e219f90d5515p+1",
+            "0x1.67b3ab52c4044p+1", "0x1.7303c238b896dp+3", "-0x1.b6874e5a26a38p+3",
+            "-0x1.61f9687186734p+5", "0x1.decd4eaeb094fp+5", "0x1.25dbb62b73334p+7",
+            "-0x1.e9da39989c0cap+7", "-0x1.c4a2eebbda795p+8", "0x1.df2c55ca203c7p+9",
+            "0x1.487cb33d70cc3p+10", "-0x1.c506f2fd9c9a1p+11", "-0x1.bd59fb46ad0dfp+11",
+        ]
+        assert [x.hex() for x in d_inverse_apply(3, np.array([-0.0, -0.0, 1.5])).tolist()] == [
+            "-0x0.0p+0", "-0x0.0p+0", "0x1.8000000000000p+0"]
+
 
 class TestOrthonormalPolynomials:
     def test_hand_values(self):
@@ -320,7 +331,7 @@ class TestOrthonormalPolynomials:
             semicircle_orthonormal_poly(k)
 
     def test_orthonormality_by_quadrature(self):
-        x, w = semicircle_rule(64)
+        x, w = map(np.array, moments._semicircle_gauss(64))
         values = [
             np.polynomial.polynomial.polyval(x, semicircle_orthonormal_poly(k).astype(float))
             for k in range(13)

@@ -136,6 +136,12 @@ class TestLdpRate:
         mu = AcPlusAtoms(lambda x: 0.9 * SC(x), [(1e200, 0.1)])
         assert ldp_rate(mu) == math.inf
 
+    def test_outlier_costs_past_the_float_range_sum_to_inf(self):
+        # Each cost is finite (about 1.1e308); their sum is not.
+        mu = AcPlusAtoms(lambda x: 0.9 * SC(x), [(1.5e154, 0.05), (-1.5e154, 0.05)])
+        assert math.isfinite(f_outlier(1.5e154))
+        assert ldp_rate(mu) == math.inf
+
     def test_bulk_that_loses_support_costs_inf(self):
         # The bulk vanishes on (0, 2): the KL term is infinite, whatever the atom costs.
         half = lambda x: np.where(np.asarray(x) < 0, 1.8 * SC(x), 0.0)
@@ -158,6 +164,13 @@ class TestLdpRate:
         rate = ldp_rate(AcPlusAtoms(density, [(3.0, 0.1)]))
         assert sum(points) == 4096
         assert rate == ldp_rate(AcPlusAtoms(lambda x: 0.9 * SC(x), [(3.0, 0.1)]))
+
+    def test_outlier_costs_are_summed_correctly_rounded(self, monkeypatch):
+        # The built-in sum reads 0.6000000000000001 up to Python 3.11 and 0.6
+        # from 3.12 on; the correctly rounded 0.6 is the same on every version.
+        monkeypatch.setattr(rates, "f_outlier", {3.0: 0.1, 4.0: 0.2, 5.0: 0.3}.__getitem__)
+        mu = AcPlusAtoms(lambda x: 0.4 * SC(x), [(3.0, 0.1), (4.0, 0.2), (5.0, 0.3)])
+        assert rates._ldp_terms(mu)[1] == 0.6
 
     def test_candidate_is_frozen(self):
         mu = AcPlusAtoms(SC)
@@ -247,6 +260,21 @@ class TestMdpRateSeries:
         with pytest.raises(NumericalError, match="^series and norm forms of the MDP rate "
                                                  "disagree: "):
             mdp_rate_series(nu_moments(15, 1.0), 1.0)
+
+    # Bits of the MDP rate's left-to-right dot products on fixed inputs, one
+    # of them with a negative zero, so that a change of summation order shows.
+    _PINNED_M = [-0.0] + [math.sin(1.7 * k) * 3.0 ** (k / 4) for k in range(2, 16)]
+
+    @pytest.mark.parametrize("variant, k_trunc, xi, series, norm", [
+        (NuVariant.STANDARD, 15, 0.3, "0x1.b6f478b76e769p+23", "0x1.b6f478b76e7a0p+23"),
+        (NuVariant.SHIFTED, 15, 0.3, "0x1.b6ee6693858b6p+23", "0x1.b6ee669385886p+23"),
+        (NuVariant.STANDARD, 7, 1.1, "0x1.28951418fba3dp+10", "0x1.28951418fba3cp+10"),
+        (NuVariant.SHIFTED, 4, 0.0, "0x1.917f04c64c2b4p+2", "0x1.917f04c64c2b4p+2"),
+    ])
+    def test_dot_product_bits_are_pinned(self, variant, k_trunc, xi, series, norm):
+        m = self._PINNED_M[:k_trunc]
+        assert mdp_rate_series(m, xi, variant, k_trunc).hex() == series
+        assert rates._norm_form(m, xi, variant).hex() == norm
 
     @settings(max_examples=300, deadline=None)
     @given(m=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20),

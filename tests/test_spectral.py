@@ -297,6 +297,10 @@ class TestEigenSpectral:
         with pytest.raises(NumericalError, match="size 129: LAPACK dlasda"):
             eigen_firstrow(np.zeros(129), np.ones(128))
 
+    def test_dense_cut_covers_the_svd_leaf(self):
+        # dlasda leaves no first row of V for a bidiagonal of at most _SVD_LEAF rows.
+        assert spectral._DENSE_EIGH_ATOMS >= spectral._SVD_LEAF
+
     def test_factorization_failure_raises(self, monkeypatch):
         def info_three(*args):
             args[-1].value = 3  # LAPACK's info: the third pivot is not positive
