@@ -18,11 +18,12 @@ the lagspec modules it uses, and ``main`` builds the flags of the invoked
 subcommand alone. Importing this module loads no numpy, and neither do
 the reference commands ``moments``, ``identities`` and ``rate``: they read
 the exact sequences and quadrature rules that ``lagspec.moments`` computes
-in Python ints and floats. Nor does ``sample`` up to 64 rows, which draws
-the library's model bit for bit on Python floats and diagonalizes it by
-the implicit QL method (``lagspec.scalar``); its measure agrees with
-``eigen_spectral``'s to rounding and is checked as ``SpectralMeasure``
-checks it. ``sample`` above 64 rows and the experiment commands import
+in Python ints and floats. ``sample`` draws the library's model bit for
+bit on Python floats (``lagspec.scalar``) at every size, so ``--what
+coeffs`` never loads numpy either. Up to 64 rows it diagonalizes the model
+by the implicit QL method of ``lagspec.scalar``, whose measure agrees with
+``eigen_spectral``'s to rounding and is checked by ``SpectralMeasure``'s
+own check; a measure above 64 rows and the experiment commands import
 numpy in their bodies.
 """
 
@@ -217,30 +218,24 @@ def _unused(args, dests, when: str) -> None:
 
 
 def _cmd_sample(args) -> int:
-    from .scalar import _SCALAR_ROWS, EnsembleParams, RescalingMode, derive_seed
+    from .scalar import _SCALAR_ROWS, EnsembleParams, RescalingMode, _rescaled_model, derive_seed
 
     params = EnsembleParams(args.n, args.beta, args.gamma, RescalingMode(args.mode))
     # The key sample_laguerre_tridiagonal takes from make_rng(seed): its first raw output.
-    key = derive_seed(args.seed, 0)
-    if params.n <= _SCALAR_ROWS:
-        from .scalar import _ql_spectrum, _rescaled_model
-
-        diag, offdiag = _rescaled_model(key, params)
-    else:
-        from .ensembles import _model, rescale
-        from .spectral import eigen_spectral
-
-        coeffs = rescale(_model(key, params), params)
-        diag, offdiag = coeffs.diag.tolist(), coeffs.offdiag.tolist()
+    diag, offdiag = _rescaled_model(derive_seed(args.seed, 0), params)
     if args.what == "coeffs":
         rows = [(k + 1, value, offdiag[k] if k < len(offdiag) else None)
                 for k, value in enumerate(diag)]
         _emit_rows(rows, ["index", "diag", "offdiag"], args.format, args.out)
         return 0
     if params.n <= _SCALAR_ROWS:
+        from .scalar import _ql_spectrum
+
         atoms, weights = _ql_spectrum(diag, offdiag)
     else:
-        measure = eigen_spectral(coeffs)
+        from .spectral import JacobiCoefficients, eigen_spectral
+
+        measure = eigen_spectral(JacobiCoefficients(diag, offdiag))
         atoms, weights = measure.atoms.tolist(), measure.weights.tolist()
     _emit_rows(list(zip(atoms, weights)), ["atom", "weight"], args.format, args.out)
     return 0

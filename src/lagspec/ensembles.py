@@ -25,7 +25,7 @@ decided by its exact test alone.
 :class:`EnsembleParams`, :class:`RescalingMode` and :func:`derive_seed`
 live in the numpy-free :mod:`lagspec.scalar` and are re-exported here;
 that module also evaluates the gamma draws one entry at a time, for
-``lagspec sample`` up to 64 rows.
+``lagspec sample`` at every size.
 """
 
 from __future__ import annotations
@@ -255,16 +255,12 @@ def sample_laguerre_tridiagonal(
     """Raw (unscaled) tridiagonal coefficients of the Laguerre model.
 
     Takes one raw 64-bit output of ``rng`` as the key of the 2n - 1
-    chi-squares (see :func:`_model`).
+    chi-squares: the model is the leading row of :func:`_window` for that
+    key.
     """
-    return _model(rng.bit_generator.random_raw(), params)
-
-
-def _model(key: int, params: EnsembleParams) -> JacobiCoefficients:
-    """The raw model drawn from ``key``, the leading row of :func:`_window`."""
     # An overflowed or NaN entry is left to JacobiCoefficients' finite check.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        diag, offdiag = _window([key], params, params.n)
+        diag, offdiag = _window([rng.bit_generator.random_raw()], params, params.n)
     return JacobiCoefficients(diag[0], offdiag[0])
 
 

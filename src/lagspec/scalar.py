@@ -2,8 +2,8 @@
 
 This module loads no numpy. It holds the ensemble's parameters
 (:class:`EnsembleParams`, :class:`RescalingMode`), the seed map
-:func:`derive_seed`, and the two stages of a draw of at most
-``_SCALAR_ROWS`` = 64 rows:
+:func:`derive_seed`, the checks of Jacobi data and of spectral measures
+with their messages, and the two stages of a ``lagspec sample`` draw:
 
 - :func:`_draw`, the chi-squares of :mod:`lagspec.ensembles`' gamma sampler
   evaluated one entry at a time by :func:`_gamma`. It reads the same
@@ -11,17 +11,18 @@ This module loads no numpy. It holds the ensemble's parameters
   vectorized ``_standard_gamma``, so it gives the same model bit for bit;
   only an acceptance decision within about 1e-10 of its boundary, where
   ``math.log`` and numpy's ``log`` round apart, could differ.
-- :func:`_ql_spectrum`, the model's spectral measure (eigenvalues, and the
-  squared first components of the eigenvectors, after Golub & Welsch,
-  Math. Comp. 23, 1969) by the implicit QL method with Wilkinson's shift.
-  It applies each rotation to the first row of the eigenvector matrix
-  alone.
+- :func:`_ql_spectrum`, the spectral measure of a model of at most
+  ``_SCALAR_ROWS`` = 64 rows (eigenvalues, and the squared first
+  components of the eigenvectors, after Golub & Welsch, Math. Comp. 23,
+  1969) by the implicit QL method with Wilkinson's shift. It applies each
+  rotation to the first row of the eigenvector matrix alone.
 
-Up to that size ``lagspec sample`` takes these stages and never imports
-numpy; its measure is checked with :class:`lagspec.spectral.SpectralMeasure`'s
-messages, which live here. The library, and ``lagspec sample`` above 64
-rows, draw with the vectorized sampler and diagonalize with numpy's LAPACK
-(see :mod:`lagspec.spectral`).
+``lagspec sample`` draws through :func:`_rescaled_model` at every size and
+diagonalizes with :func:`_ql_spectrum` up to 64 rows, never importing
+numpy there; a larger measure comes from :func:`lagspec.spectral.eigen_spectral`.
+:func:`_check_measure` is :class:`lagspec.spectral.SpectralMeasure`'s
+check itself. The library draws with the vectorized sampler and
+diagonalizes with numpy's LAPACK (see :mod:`lagspec.spectral`).
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .errors import NumericalError
 
 __all__ = ["EnsembleParams", "RescalingMode", "derive_seed"]
 
-# ``lagspec sample`` draws and diagonalizes models of at most this many rows
-# here, larger ones through numpy; the QL's cost grows as n^2 and stays
-# below that of importing numpy up to this size.
+# ``lagspec sample`` diagonalizes models of at most this many rows here,
+# larger ones through numpy; the QL's cost grows as n^2 and stays below
+# that of importing numpy up to this size.
 _SCALAR_ROWS = 64
 
 _MASK64 = (1 << 64) - 1
@@ -64,12 +65,10 @@ _LOG_SERIES = (-1 / 2, 1 / 3, -1 / 4, 1 / 5, -1 / 6)  # coefficients of t^2 .. t
 # QL iterations allowed per eigenvalue before NumericalError, as in EISPACK's imtql2.
 _QL_ITERATIONS = 30
 
-# The messages of JacobiCoefficients and SpectralMeasure, shared with them.
+# The messages of JacobiCoefficients and of the eigensolvers, shared with them.
 _NOT_FINITE = "coefficients must be finite"
 _NOT_POSITIVE = "off-diagonal entries must be strictly positive"
-_ATOMS_NOT_FINITE = "atoms must be finite"
-_NOT_INCREASING = "atoms must be strictly increasing"
-_WEIGHT_SUM = "weights must sum to 1 within {tol}, got {total!r}"
+_EIGENSOLVER_FAILED = "tridiagonal eigensolver failed for matrix of size {n}: {reason}"
 _WEIGHT_SUM_TOL = 1e-10
 
 
@@ -240,20 +239,28 @@ def _check(diag: list, offdiag: list) -> None:
 
 
 def _check_measure(atoms: list, weights: list) -> None:
-    """Raise ValueError, as ``SpectralMeasure`` does, unless the lists are a spectral measure.
+    """Raise ValueError unless the lists, of equal length, are a spectral measure.
 
-    The lists are :func:`_ql_spectrum`'s, nonempty with positive weights;
-    the atoms can still fail to be finite or strictly increasing (two
-    eigenvalues closer than a float's spacing round to one float), and the
-    weights to sum to 1 within ``_WEIGHT_SUM_TOL``.
+    This is ``SpectralMeasure``'s check: at least one atom, the atoms
+    finite and strictly increasing (two eigenvalues closer than a float's
+    spacing round to one float), the weights strictly positive and summing
+    to 1 within ``_WEIGHT_SUM_TOL``. The sum is ``math.fsum``'s, correctly
+    rounded.
     """
+    if not atoms:
+        raise ValueError("measure must have at least one atom")
     if not all(map(math.isfinite, atoms)):
-        raise ValueError(_ATOMS_NOT_FINITE)
-    if not all(a < b for a, b in zip(atoms, atoms[1:])):
-        raise ValueError(_NOT_INCREASING)
-    total = math.fsum(weights)
+        raise ValueError("atoms must be finite")
+    if not all(map(operator.lt, atoms, atoms[1:])):
+        raise ValueError("atoms must be strictly increasing")
+    if not all(w > 0.0 for w in weights):
+        raise ValueError("weights must be strictly positive")
+    try:
+        total = math.fsum(weights)
+    except OverflowError:  # finite positive weights whose sum exceeds the double range
+        total = math.inf
     if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-        raise ValueError(_WEIGHT_SUM.format(tol=_WEIGHT_SUM_TOL, total=total))
+        raise ValueError(f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}")
 
 
 def _rescaled_model(key: int, params: EnsembleParams) -> tuple[list, list]:
@@ -305,9 +312,8 @@ def _ql_spectrum(diag: list, offdiag: list) -> tuple[list, list]:
             if m == lo:
                 break
             if iteration == _QL_ITERATIONS:
-                raise NumericalError(
-                    f"tridiagonal eigensolver failed for matrix of size {n}: an "
-                    f"eigenvalue did not converge in {_QL_ITERATIONS} QL iterations")
+                raise NumericalError(_EIGENSOLVER_FAILED.format(n=n, reason=(
+                    f"an eigenvalue did not converge in {_QL_ITERATIONS} QL iterations")))
             g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
             r = math.hypot(g, 1.0)
             g = d[m] - d[lo] + e[lo] / (g + math.copysign(r, g))

@@ -18,7 +18,8 @@ only, still carries the first row of the right singular vectors, which is
 all the weights need. See :func:`eigen_spectral` for the details and what
 it costs. ``lagspec sample`` diagonalizes models of up to 64 rows without
 numpy, by the implicit QL method of ``scalar._ql_spectrum``, and checks
-its measure with the messages of :class:`SpectralMeasure`.
+its measure with ``scalar._check_measure``, which is the check of
+:class:`SpectralMeasure` itself.
 
 The inverse direction costs O(n^2): a divide and conquer that merges the
 Jacobi matrices of two halves of the atoms with LAPACK's band reduction
@@ -42,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .scalar import (_ATOMS_NOT_FINITE, _NOT_FINITE, _NOT_INCREASING, _NOT_POSITIVE,
-                     _WEIGHT_SUM, _WEIGHT_SUM_TOL)
+from .scalar import (_EIGENSOLVER_FAILED, _NOT_FINITE, _NOT_POSITIVE, _WEIGHT_SUM_TOL,
+                     _check_measure)
 
 __all__ = [
     "JacobiCoefficients",
@@ -147,17 +148,7 @@ class SpectralMeasure:
         self.weights = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
         if self.atoms.shape != self.weights.shape or self.atoms.ndim != 1:
             raise ValueError("atoms and weights must be 1-D arrays of equal length")
-        if self.atoms.size < 1:
-            raise ValueError("measure must have at least one atom")
-        if not np.all(np.isfinite(self.atoms)):
-            raise ValueError(_ATOMS_NOT_FINITE)
-        if self.atoms.size > 1 and not np.all(np.diff(self.atoms) > 0):
-            raise ValueError(_NOT_INCREASING)
-        if not np.all(self.weights > 0):
-            raise ValueError("weights must be strictly positive")
-        total = float(np.sum(self.weights))
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(_WEIGHT_SUM.format(tol=_WEIGHT_SUM_TOL, total=total))
+        _check_measure(self.atoms.tolist(), self.weights.tolist())
 
     @property
     def n(self) -> int:
@@ -200,9 +191,7 @@ def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
         try:
             lam, vecs = np.linalg.eigh(dense, UPLO="L")
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"tridiagonal eigensolver failed for matrix of size {n}: {exc}"
-            ) from exc
+            raise NumericalError(_EIGENSOLVER_FAILED.format(n=n, reason=exc)) from exc
         weights = vecs[0] ** 2
     else:
         lam, weights = _bidiagonal_spectrum(coeffs.diag, coeffs.offdiag)
@@ -253,10 +242,8 @@ def _bidiagonal_spectrum(diag: np.ndarray, offdiag: np.ndarray):
     # WORK is not a documented output: accept it only as a unit vector.
     norm = float(np.sum(first_row**2))
     if not abs(norm - 1.0) <= _WEIGHT_SUM_TOL:
-        raise NumericalError(
-            f"tridiagonal eigensolver failed for matrix of size {n}: LAPACK dlasda "
-            f"left a first row of V with squared norm {norm!r}"
-        )
+        raise NumericalError(_EIGENSOLVER_FAILED.format(
+            n=n, reason=f"LAPACK dlasda left a first row of V with squared norm {norm!r}"))
     order = np.argsort(q)
     return np.ldexp(q[order] ** 2 - shift, k), first_row[order] ** 2
 
@@ -264,9 +251,7 @@ def _bidiagonal_spectrum(diag: np.ndarray, offdiag: np.ndarray):
 def _check(n: int, routine: str, info: int) -> None:
     if info != 0:
         raise NumericalError(
-            f"tridiagonal eigensolver failed for matrix of size {n}: "
-            f"LAPACK {routine} info {info}"
-        )
+            _EIGENSOLVER_FAILED.format(n=n, reason=f"LAPACK {routine} info {info}"))
 
 
 def moments_via_operator(coeffs: JacobiCoefficients, order: int) -> np.ndarray:

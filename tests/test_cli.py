@@ -1041,6 +1041,20 @@ class TestStartupImports:
         assert _modules_loaded(README_COMMANDS[name]) == [
             "lagspec", "lagspec.cli", "lagspec.errors", "lagspec.scalar"]
 
+    @pytest.mark.parametrize("n", [65, 2000])
+    def test_sample_coeffs_above_the_cut_loads_no_numpy(self, n):
+        # The model is drawn on Python floats at every size.
+        argv = ["sample", "--n", str(n), "--beta", "2", "--gamma", "40000", "--seed", "7",
+                "--what", "coeffs"]
+        assert _modules_loaded(argv) == [
+            "lagspec", "lagspec.cli", "lagspec.errors", "lagspec.scalar"]
+
+    def test_sample_measure_above_the_cut_loads_no_sampler(self):
+        loaded = _modules_loaded(["sample", "--n", "65", "--beta", "2", "--gamma", "5000",
+                                  "--seed", "7"])
+        assert "lagspec.spectral" in loaded
+        assert "lagspec.ensembles" not in loaded
+
     def test_readme_clt_loads_no_rates_and_no_scipy(self):
         loaded = _modules_loaded(README_COMMANDS["clt"])
         assert "lagspec.experiments" in loaded

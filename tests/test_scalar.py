@@ -1,14 +1,16 @@
-"""The model of at most 64 rows on Python floats: its draws and its QL spectrum.
+"""The model on Python floats: its draws, its QL spectrum and its measure check.
 
 The scalar draws are checked bit for bit against the vectorized sampler
-they restate, and the QL eigensolver against two oracles that form every
-eigenvector: numpy's dense eigh and scipy's tridiagonal eigh (dstevd). Its
-measure check is checked against ``SpectralMeasure``'s.
+they restate, on both sides of the 64-row cut, and the QL eigensolver
+against two oracles that form every eigenvector: numpy's dense eigh and
+scipy's tridiagonal eigh (dstevd). Its measure check is checked against
+``SpectralMeasure``'s.
 """
 
 import decimal
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -50,22 +52,24 @@ def valid_draw(params, master):
 
 
 class TestDraws:
-    # Any n up to the cut, beta in [0.01, 8] (shapes below 1 take the U4
+    # Any n up to 400, well past the cut of 64 rows (lagspec sample draws
+    # here at every size), beta in [0.01, 8] (shapes below 1 take the U4
     # boost), gamma from just above (n-1)beta/2 up to the bound where
     # 2 gamma n beta overflows, every mode, any key. In principle an
     # acceptance decision within about 1e-10 of its boundary, where numpy's
     # log and math.log round apart, could still differ; none has been seen.
-    # The example drew a different z_23 while 1 - W + ln W was taken through
-    # log at every W.
+    # The first example drew a different z_23 while 1 - W + ln W was taken
+    # through log at every W; the second is a full n = 2000 draw.
     @settings(deadline=None, max_examples=150)
     @given(
-        n=st.integers(1, scalar._SCALAR_ROWS),
+        n=st.integers(1, 400),
         beta=st.floats(0.01, 8.0),
         log_extra=st.floats(-2.0, 308.0),
         mode=st.sampled_from(list(RescalingMode)),
         key=st.integers(0, 2**64 - 1),
     )
     @example(n=12, beta=1.0, log_extra=29.4375, mode=RescalingMode.STANDARD, key=3580)
+    @example(n=2000, beta=2.0, log_extra=4.0, mode=RescalingMode.SHIFTED, key=7)
     def test_scalar_draws_are_the_vectorized_rows(self, n, beta, log_extra, mode, key):
         gamma = (n - 1) * beta / 2.0 + 10.0**log_extra
         try:
@@ -259,6 +263,43 @@ class TestMeasureCheck:
         atoms, weights = [-1.0, 0.0, 1.0], [0.25, 0.5, 0.25 + 5e-11]
         lagspec.SpectralMeasure(atoms, weights)
         scalar._check_measure(atoms, weights)
+
+
+def weights_near_the_tolerance(seed: int, n: int = 139) -> list:
+    """n seeded uniforms scaled to sum to 1 + 1e-10, which rounding puts on either side."""
+    rng = random.Random(seed)
+    raw = [rng.random() for _ in range(n)]
+    total = math.fsum(raw)
+    return [x / total * (1.0 + scalar._WEIGHT_SUM_TOL) for x in raw]
+
+
+def verdict(check, atoms, weights):
+    """The message of the ValueError ``check(atoms, weights)`` raises, or None."""
+    try:
+        check(atoms, weights)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestMeasureVerdicts:
+    # Seed 23: numpy's pairwise total is 1 + 0.99999786e-10 and fsum's
+    # 1 + 1.00000008e-10; seed 708 the other way round.
+    @pytest.mark.parametrize("seed", [23, 708])
+    def test_same_verdict_where_pairwise_and_fsum_totals_part(self, seed):
+        weights = weights_near_the_tolerance(seed)
+        tol = scalar._WEIGHT_SUM_TOL
+        fsum_refuses = abs(math.fsum(weights) - 1.0) > tol
+        assert (abs(float(np.sum(weights)) - 1.0) > tol) != fsum_refuses
+        atoms = [float(i) for i in range(len(weights))]
+        got = verdict(lagspec.SpectralMeasure, atoms, weights)
+        assert got == verdict(scalar._check_measure, atoms, weights)
+        assert (got is not None) == fsum_refuses
+
+    def test_total_past_the_double_range_is_refused(self):
+        for check in (lagspec.SpectralMeasure, scalar._check_measure):
+            with pytest.raises(ValueError, match="^weights must sum to 1 within 1e-10, got inf$"):
+                check([0.0, 1.0], [1e308, 1e308])
 
 
 def test_import_loads_no_numpy():

@@ -36,6 +36,10 @@ from lagspec.spectral import (
 )
 
 
+# The head of every eigensolver failure's message.
+EIGENSOLVER_FAILED = "tridiagonal eigensolver failed for matrix"
+
+
 def random_jacobi(seed, n):
     rng = np.random.default_rng(seed)
     return JacobiCoefficients(rng.uniform(-1, 1, n), rng.uniform(0.5, 1.5, n - 1))
@@ -269,8 +273,9 @@ class TestEigenSpectral:
         np.testing.assert_allclose(moments_of_measure(mu, 10), moments_via_operator(coeffs, 10),
                                    rtol=1e-10, atol=1e-10)
 
-    @pytest.mark.parametrize("n", [3, 129])
-    def test_solver_failure_raises(self, n, monkeypatch):
+    @pytest.mark.parametrize("n, reason", [(3, "no convergence"), (129, "LAPACK dlasda info 1")],
+                             ids=["3", "129"])
+    def test_solver_failure_raises(self, n, reason, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
 
@@ -279,11 +284,12 @@ class TestEigenSpectral:
 
         monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         replace_routine(monkeypatch, "dlasda", info_one)
-        with pytest.raises(NumericalError, match=f"size {n}"):
+        with pytest.raises(NumericalError, match=f"^{EIGENSOLVER_FAILED} of size {n}: {reason}$"):
             eigen_firstrow(np.zeros(n), np.ones(n - 1))
 
-    @pytest.mark.parametrize("fill", [None, np.nan], ids=["nothing", "nan"])
-    def test_unwritten_first_row_raises(self, fill, monkeypatch):
+    @pytest.mark.parametrize("fill, norm", [(None, "0.0"), (np.nan, "nan")],
+                             ids=["nothing", "nan"])
+    def test_unwritten_first_row_raises(self, fill, norm, monkeypatch):
         # The first row of V is read from dlasda's workspace, which LAPACK
         # does not document as an output; one that is not a finite unit
         # vector is refused, here from a dlasda that reports success and
@@ -294,7 +300,8 @@ class TestEigenSpectral:
             args[-1].value = 0
 
         replace_routine(monkeypatch, "dlasda", fake_dlasda)
-        with pytest.raises(NumericalError, match="size 129: LAPACK dlasda"):
+        with pytest.raises(NumericalError, match=f"^{EIGENSOLVER_FAILED} of size 129: LAPACK "
+                           f"dlasda left a first row of V with squared norm {norm}$"):
             eigen_firstrow(np.zeros(129), np.ones(128))
 
     def test_dense_cut_covers_the_svd_leaf(self):
@@ -306,7 +313,8 @@ class TestEigenSpectral:
             args[-1].value = 3  # LAPACK's info: the third pivot is not positive
 
         replace_routine(monkeypatch, "dpttrf", info_three)
-        with pytest.raises(NumericalError, match="size 129: LAPACK dpttrf info 3"):
+        with pytest.raises(NumericalError,
+                           match=f"^{EIGENSOLVER_FAILED} of size 129: LAPACK dpttrf info 3$"):
             eigen_firstrow(np.zeros(129), np.ones(128))
 
 
