@@ -24,12 +24,19 @@ coeffs`` never loads numpy either. Up to 64 rows it diagonalizes the model
 by the implicit QL method of ``lagspec.scalar``, whose measure agrees with
 ``eigen_spectral``'s to rounding and is checked by ``SpectralMeasure``'s
 own check; a measure above 64 rows and the experiment commands import
-numpy in their bodies.
+numpy in their bodies. None of the short commands imports ``dataclasses``
+(nor ``inspect`` with it), and only ``clt`` compiles the polynomial regex.
+
+The ``lagspec`` script and ``python -m lagspec.cli`` run :func:`script`,
+which freezes the garbage collector once ``main`` returns, so that the
+interpreter's collections at exit skip every object; ``main`` itself
+leaves the collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import re
@@ -76,8 +83,8 @@ def _fmt(value) -> str:
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # One term: [sign] [number ['*']] ['x' ['^' number]], with whitespace around any part.
 # ASCII only: in a str pattern \d and \s would match every Unicode digit and space.
-_TERM = re.compile(rf"\s*([+-]?)\s*(?:({_NUMBER})\s*(\*?))?\s*(?:(x)\s*(?:\^\s*({_NUMBER}))?)?\s*",
-                   re.ASCII)
+# Compiled on first use (re caches it), so a command that parses no polynomial never compiles it.
+_TERM = rf"\s*([+-]?)\s*(?:({_NUMBER})\s*(\*?))?\s*(?:(x)\s*(?:\^\s*({_NUMBER}))?)?\s*"
 
 
 def parse_poly(text: str) -> np.ndarray:
@@ -91,10 +98,11 @@ def parse_poly(text: str) -> np.ndarray:
     """
     from .experiments import MAX_POLY_DEGREE
 
+    term = re.compile(_TERM, re.ASCII)
     terms = {}
     pos = 0
     while pos < len(text) or not terms:
-        match = _TERM.match(text, pos)
+        match = term.match(text, pos)
         sign, number, star, x, exponent = match.groups()
         if (terms and not sign) or (number is None and x is None) or (star and x is None):
             raise ValueError(f"could not parse polynomial {text!r} at position {pos}")
@@ -609,5 +617,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def script() -> None:
+    """The ``lagspec`` command and ``python -m lagspec.cli``: ``main`` on ``sys.argv``, then exit.
+
+    Before exiting it freezes the garbage collector (``gc.freeze``): the
+    collections the interpreter runs at exit then skip every object, which
+    in a short command is a sizeable share of its run. atexit handlers and
+    the flush of stdout and stderr still run. ``main`` itself never
+    freezes, since tests and library callers run it in their own process.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    script()

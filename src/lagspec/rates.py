@@ -12,8 +12,11 @@ Candidate measures are restricted to an absolutely continuous bulk on
 [-2, 2] plus finitely many atoms; anything else is not representable here
 and would have infinite rate anyway.
 
-This module loads no numpy. The rates run on Python floats, the exact
-integer sequences and the list quadrature rules of :mod:`lagspec.moments`;
+This module loads neither numpy nor ``dataclasses``, which would load
+``inspect`` too and slow the start-up of ``lagspec rate``:
+:class:`AcPlusAtoms` is a plain frozen class. The rates run on Python
+floats, the exact integer sequences and the list quadrature rules of
+:mod:`lagspec.moments`;
 quadrature sums are ``math.fsum``'s correctly rounded ones, and the MDP
 rate's dot products are ``moments._dot``'s, summed left to right.
 """
@@ -21,7 +24,6 @@ rate's dot products are ``moments._dot``'s, summed left to right.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import NumericalError
@@ -66,7 +68,6 @@ def _fsum(terms: list) -> float:
         return sum(terms)
 
 
-@dataclass(frozen=True)
 class AcPlusAtoms:
     """A bulk density on (-2, 2) plus finitely many outlying atoms.
 
@@ -81,15 +82,15 @@ class AcPlusAtoms:
     once per quadrature node, and :func:`kl_semicircle` reads those values;
     they are kept in a tuple and the instance is frozen, so that they stay
     the density's.
+
+    Frozen means that assigning or deleting an attribute raises
+    AttributeError. Equality, hash and repr are over ``bulk_density`` and
+    ``atoms``, as a frozen dataclass's are; pickle and copy keep all three
+    attributes.
     """
 
-    bulk_density: Callable
-    atoms: Sequence = field(default_factory=tuple)
-    # bulk_density on the _BULK_NODES Chebyshev nodes, checked.
-    _bulk_values: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        atoms = tuple((float(loc), float(mass)) for loc, mass in self.atoms)
+    def __init__(self, bulk_density: Callable, atoms: Sequence = ()):
+        atoms = tuple((float(loc), float(mass)) for loc, mass in atoms)
         for i, (loc, mass) in enumerate(atoms):
             if abs(loc) < 2.0:
                 raise ValueError(
@@ -102,18 +103,38 @@ class AcPlusAtoms:
             if any(loc == other for other, _ in atoms[:i]):
                 raise ValueError(f"atom location {loc!r} is listed twice; "
                                  "give one atom per location")
-        object.__setattr__(self, "atoms", atoms)
         x, w = _chebyshev_lebesgue(_BULK_NODES)
-        vals = tuple(float(self.bulk_density(xj)) for xj in x)
+        vals = tuple(float(bulk_density(xj)) for xj in x)
         if not all(0.0 <= v < math.inf for v in vals):
             raise ValueError("bulk density must be finite and nonnegative")
-        object.__setattr__(self, "_bulk_values", vals)
         total = _fsum([wj * v for wj, v in zip(w, vals)]
                                  + [mass for _, mass in atoms])
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(
                 f"total mass must be 1 within {_MASS_TOL}, quadrature gives {total!r}"
             )
+        # Past __setattr__, which refuses every assignment; pickle and copy
+        # restore the same dict. _bulk_values: bulk_density on the
+        # _BULK_NODES Chebyshev nodes, checked.
+        vars(self).update(bulk_density=bulk_density, atoms=atoms, _bulk_values=vals)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.bulk_density, self.atoms) == (other.bulk_density, other.atoms)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.bulk_density, self.atoms))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(bulk_density={self.bulk_density!r}, "
+                f"atoms={self.atoms!r})")
 
 
 def f_outlier(x: float) -> float:

@@ -1,9 +1,11 @@
 """The Laguerre model on Python numbers: parameters, seeds, small draws and their spectra.
 
-This module loads no numpy. It holds the ensemble's parameters
-(:class:`EnsembleParams`, :class:`RescalingMode`), the seed map
-:func:`derive_seed`, the checks of Jacobi data and of spectral measures
-with their messages, and the two stages of a ``lagspec sample`` draw:
+This module loads neither numpy nor ``dataclasses``, which would load
+``inspect`` too and slow the start-up of ``lagspec sample``. It holds the
+ensemble's parameters (:class:`EnsembleParams`, a plain frozen class, and
+:class:`RescalingMode`), the seed map :func:`derive_seed`, the checks of
+Jacobi data and of spectral measures with their messages, and the two
+stages of a ``lagspec sample`` draw:
 
 - :func:`_draw`, the chi-squares of :mod:`lagspec.ensembles`' gamma sampler
   evaluated one entry at a time by :func:`_gamma`. It reads the same
@@ -30,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import NumericalError
 
@@ -80,7 +81,6 @@ class RescalingMode(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
 class EnsembleParams:
     """Size n, inverse temperature beta, parameter gamma, and centering mode.
 
@@ -89,34 +89,58 @@ class EnsembleParams:
     ill-defined; violations are rejected here rather than clamped. A gamma
     whose centering scale 2*gamma*n*beta overflows a float is rejected too.
     n may be any integer type, numpy's included.
+
+    Instances are frozen values: assigning or deleting an attribute raises
+    AttributeError, and equality, hash and repr are over the four fields,
+    as a frozen dataclass's are; pickle and copy keep them.
     """
 
-    n: int
-    beta: float
-    gamma: float
-    mode: RescalingMode = RescalingMode.STANDARD
-
-    def __post_init__(self):
+    def __init__(self, n: int, beta: float, gamma: float,
+                 mode: RescalingMode = RescalingMode.STANDARD):
         try:
-            valid_n = operator.index(self.n) >= 1
+            valid_n = operator.index(n) >= 1
         except TypeError:
             valid_n = False
         if not valid_n:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not (self.beta > 0) or not math.isfinite(self.beta):
-            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
-        if not math.isfinite(self.gamma) or not (self.gamma > (self.n - 1) * self.beta / 2.0):
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        if not (beta > 0) or not math.isfinite(beta):
+            raise ValueError(f"beta must be positive and finite, got {beta!r}")
+        if not math.isfinite(gamma) or not (gamma > (n - 1) * beta / 2.0):
             raise ValueError(
-                f"gamma must exceed (n-1)*beta/2 = {(self.n - 1) * self.beta / 2.0}, "
-                f"got {self.gamma!r}"
+                f"gamma must exceed (n-1)*beta/2 = {(n - 1) * beta / 2.0}, "
+                f"got {gamma!r}"
             )
-        if not math.isfinite(2.0 * float(self.gamma) * int(self.n) * float(self.beta)):
+        if not math.isfinite(2.0 * float(gamma) * int(n) * float(beta)):
             raise ValueError(
-                f"gamma = {self.gamma!r} is too large at n = {self.n}, beta = {self.beta!r}: "
+                f"gamma = {gamma!r} is too large at n = {n}, beta = {beta!r}: "
                 "the centering scale 2*gamma*n*beta overflows a float"
             )
-        if not isinstance(self.mode, RescalingMode):
-            raise ValueError(f"mode must be a RescalingMode, got {self.mode!r}")
+        if not isinstance(mode, RescalingMode):
+            raise ValueError(f"mode must be a RescalingMode, got {mode!r}")
+        # Past __setattr__, which refuses every assignment; pickle and copy
+        # restore the same dict.
+        vars(self).update(n=n, beta=beta, gamma=gamma, mode=mode)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return self.n, self.beta, self.gamma, self.mode
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(n={self.n!r}, beta={self.beta!r}, "
+                f"gamma={self.gamma!r}, mode={self.mode!r})")
 
     @property
     def beta_prime(self) -> float:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import importlib.util
 import io
 import json
@@ -962,9 +963,9 @@ class TestMpSanityCommand:
 
 
 def _modules_loaded(argv) -> list:
-    """lagspec modules, json, numpy, numpy.random and scipy modules in
-    ``sys.modules`` after ``import lagspec.cli`` and, unless ``argv`` is None,
-    ``main(argv)``, in a fresh interpreter."""
+    """lagspec modules, dataclasses, inspect, json, numpy, numpy.random and
+    scipy modules in ``sys.modules`` after ``import lagspec.cli`` and, unless
+    ``argv`` is None, ``main(argv)``, in a fresh interpreter."""
     code = ("import contextlib, io, sys\n"
             "import lagspec.cli\n"
             f"argv = {argv!r}\n"
@@ -972,7 +973,8 @@ def _modules_loaded(argv) -> list:
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert lagspec.cli.main(argv) == 0\n"
             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('lagspec', 'scipy', 'json') or m in ('numpy', 'numpy.random'))))")
+            "('lagspec', 'scipy', 'json') or m in ('dataclasses', 'inspect', 'numpy', "
+            "'numpy.random'))))")
     env = {**os.environ, "PYTHONPATH": str(Path(lagspec.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
@@ -1003,8 +1005,8 @@ class TestStartupImports:
         loaded = _modules_loaded(README_COMMANDS[name])
         assert "lagspec.rates" in loaded
         assert not {"lagspec.ensembles", "lagspec.experiments", "lagspec.spectral"} & set(loaded)
-        # All three rates run on Python floats.
-        assert "numpy" not in loaded
+        # All three rates run on Python floats, and AcPlusAtoms is no dataclass.
+        assert not {"numpy", "dataclasses", "inspect"} & set(loaded)
 
     def test_reference_commands_run_where_numpy_cannot_import(self, tmp_path):
         # A numpy package first on the path whose import fails: the six
@@ -1065,6 +1067,49 @@ class TestStartupImports:
     def test_readme_experiments_load_no_numpy_random(self, name):
         # The replicates' draws are computed from their seeds alone.
         assert "numpy.random" not in _modules_loaded(README_COMMANDS[name])
+
+
+class TestScriptEntry:
+    """``script`` freezes the garbage collector on its way out; ``main`` never does."""
+
+    ENV = {**os.environ, "PYTHONPATH": str(Path(lagspec.__file__).parents[1])}
+
+    def test_pyproject_script_is_the_module_entry(self):
+        text = (Path(lagspec.__file__).parents[2] / "pyproject.toml").read_text()
+        assert re.search(r'^lagspec = "lagspec\.cli:script"$', text, re.M)
+
+    def test_main_in_process_freezes_nothing_and_writes_what_a_fresh_process_writes(
+            self, tmp_path):
+        def flags(tag):
+            return ["--out", str(tmp_path / f"{tag}.csv"),
+                    "--hist-out", str(tmp_path / f"{tag}.txt")]
+
+        def written(tag):
+            return (tmp_path / f"{tag}.csv").read_bytes(), (tmp_path / f"{tag}.txt").read_bytes()
+
+        frozen = gc.get_freeze_count()
+        code = cli.main(README_COMMANDS["clt"] + flags("main"))
+        assert gc.get_freeze_count() == frozen
+        run = subprocess.run([sys.executable, "-m", "lagspec.cli", *README_COMMANDS["clt"],
+                              *flags("process")], capture_output=True, text=True, env=self.ENV)
+        assert (run.returncode, run.stdout, run.stderr) == (code, "", "")
+        assert written("process") == written("main")
+
+    @pytest.mark.parametrize("argv, status", [(README_COMMANDS["rate-outlier"], 0),
+                                              (["dance"], 2)])
+    def test_script_exits_with_mains_status_after_freezing(self, argv, status, capsys):
+        assert cli.main(argv) == status
+        expected = capsys.readouterr()
+        # The atexit hook still runs, and sees the frozen collector.
+        code = ("import atexit, gc, sys\n"
+                "import lagspec.cli\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                f"sys.argv = ['lagspec', *{argv!r}]\n"
+                "lagspec.cli.script()\n")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=self.ENV)
+        assert (run.returncode, run.stdout, run.stderr) == (
+            status, expected.out + "frozen True\n", expected.err)
 
 
 SUBCOMMANDS = ["sample", "moments", "rate", "clt", "mdp", "mp-sanity", "identities"]

@@ -1,6 +1,9 @@
 """Rate functions: outlier cost, KL term, and the two MDP rate forms."""
 
+import copy
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -121,6 +124,58 @@ class TestCandidateMeasure:
         mu = AcPlusAtoms(lambda x: 0.9 * SC(x), [(2.0, 0.1)])
         # F(2) = 0, so only the bulk KL term remains.
         assert ldp_rate(mu) == pytest.approx(kl_semicircle(mu), abs=1e-14)
+
+
+def nine_tenths_semicircle(x):
+    """A bulk of mass 0.9; defined at module level, so that pickle can name it."""
+    return 0.9 * math.sqrt(4.0 - x * x) / (2.0 * math.pi)
+
+
+class TestCandidateValue:
+    """AcPlusAtoms behaves as a frozen dataclass of ``bulk_density`` and ``atoms``."""
+
+    def test_constructor_signature(self):
+        p = inspect.Parameter
+        assert [(q.name, q.kind) for q in inspect.signature(AcPlusAtoms).parameters.values()] == [
+            ("bulk_density", p.POSITIONAL_OR_KEYWORD), ("atoms", p.POSITIONAL_OR_KEYWORD)]
+        assert AcPlusAtoms(SC).atoms == ()
+        mu = AcPlusAtoms(atoms=[[3, 0.1]], bulk_density=nine_tenths_semicircle)
+        assert (mu.bulk_density, mu.atoms) == (nine_tenths_semicircle, ((3.0, 0.1),))
+
+    @pytest.mark.parametrize("name", ["bulk_density", "atoms", "_bulk_values", "other"])
+    def test_assignment_and_deletion_raise(self, name):
+        mu = AcPlusAtoms(nine_tenths_semicircle, [(3.0, 0.1)])
+        before = dict(vars(mu))
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(mu, name, ())
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(mu, name)
+        assert vars(mu) == before
+
+    def test_equality_and_hash_are_over_density_and_atoms(self):
+        mu = AcPlusAtoms(nine_tenths_semicircle, [(3.0, 0.1)])
+        assert mu == AcPlusAtoms(nine_tenths_semicircle, ((3, 0.1),))
+        assert hash(mu) == hash((nine_tenths_semicircle, ((3.0, 0.1),)))
+        assert mu != AcPlusAtoms(nine_tenths_semicircle, [(-3.0, 0.1)])
+        assert mu != AcPlusAtoms(lambda x: nine_tenths_semicircle(x), [(3.0, 0.1)])
+        assert mu != (nine_tenths_semicircle, ((3.0, 0.1),))
+
+    def test_repr(self):
+        assert repr(AcPlusAtoms(nine_tenths_semicircle, [(3.0, 0.1)])) == (
+            f"AcPlusAtoms(bulk_density={nine_tenths_semicircle!r}, atoms=((3.0, 0.1),))")
+
+    def test_pickle_and_copy(self):
+        mu = AcPlusAtoms(nine_tenths_semicircle, [(3.0, 0.1)])
+        twins = [copy.copy(mu), copy.deepcopy(mu)] + [
+            pickle.loads(pickle.dumps(mu, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert type(twin) is AcPlusAtoms
+            assert twin == mu
+            assert vars(twin) == vars(mu)
+            assert ldp_rate(twin) == ldp_rate(mu)
+            with pytest.raises(AttributeError):
+                twin.atoms = ()
 
 
 class TestLdpRate:

@@ -7,9 +7,12 @@ scipy's tridiagonal eigh (dstevd). Its measure check is checked against
 ``SpectralMeasure``'s.
 """
 
+import copy
 import decimal
+import inspect
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -300,6 +303,60 @@ class TestMeasureVerdicts:
         for check in (lagspec.SpectralMeasure, scalar._check_measure):
             with pytest.raises(ValueError, match="^weights must sum to 1 within 1e-10, got inf$"):
                 check([0.0, 1.0], [1e308, 1e308])
+
+
+class TestEnsembleParamsValue:
+    """EnsembleParams behaves as a frozen dataclass of its four fields."""
+
+    def test_constructor_signature(self):
+        p = inspect.Parameter
+        assert [(q.name, q.kind, q.default)
+                for q in inspect.signature(EnsembleParams).parameters.values()] == [
+            ("n", p.POSITIONAL_OR_KEYWORD, p.empty),
+            ("beta", p.POSITIONAL_OR_KEYWORD, p.empty),
+            ("gamma", p.POSITIONAL_OR_KEYWORD, p.empty),
+            ("mode", p.POSITIONAL_OR_KEYWORD, RescalingMode.STANDARD)]
+        params = EnsembleParams(gamma=10.0, beta=2.0, n=3)
+        assert (params.n, params.beta, params.gamma, params.mode) == (
+            3, 2.0, 10.0, RescalingMode.STANDARD)
+
+    @pytest.mark.parametrize("name", ["n", "beta", "gamma", "mode", "beta_prime", "other"])
+    def test_assignment_and_deletion_raise(self, name):
+        params = EnsembleParams(3, 2.0, 10.0)
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(params, name, 4)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(params, name)
+        assert params == EnsembleParams(3, 2.0, 10.0)
+        assert not hasattr(params, "other")
+
+    def test_equality_and_hash_are_over_the_fields(self):
+        params = EnsembleParams(3, 2.0, 10.0)
+        assert params == EnsembleParams(3, 2.0, 10.0, RescalingMode.STANDARD)
+        assert hash(params) == hash((3, 2.0, 10.0, RescalingMode.STANDARD))
+        assert len({params, EnsembleParams(3, 2.0, 10.0)}) == 1
+        for other in (EnsembleParams(4, 2.0, 10.0), EnsembleParams(3, 1.0, 10.0),
+                      EnsembleParams(3, 2.0, 11.0), EnsembleParams(3, 2.0, 10.0,
+                                                                   RescalingMode.NONE)):
+            assert params != other
+        assert params != (3, 2.0, 10.0, RescalingMode.STANDARD)
+
+    def test_repr(self):
+        assert repr(EnsembleParams(3, 2.0, 10.0, RescalingMode.SHIFTED)) == (
+            "EnsembleParams(n=3, beta=2.0, gamma=10.0, "
+            "mode=<RescalingMode.SHIFTED: 'shifted'>)")
+
+    def test_pickle_and_copy(self):
+        params = EnsembleParams(np.int64(3), 2.0, 10.0, RescalingMode.SHIFTED)
+        twins = [copy.copy(params), copy.deepcopy(params)] + [
+            pickle.loads(pickle.dumps(params, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert type(twin) is EnsembleParams
+            assert twin == params
+            assert vars(twin) == vars(params)
+            with pytest.raises(AttributeError):
+                twin.n = 4
 
 
 def test_import_loads_no_numpy():
