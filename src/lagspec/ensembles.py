@@ -34,10 +34,9 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, _integer
 from .scalar import (_BOX_V, _GOLDEN, _MASK64, _SERIES_D, _SPLITMIX_A, _SPLITMIX_B,
-                     EnsembleParams, RescalingMode, _centering, _integer, _log_series,
-                     derive_seed)
+                     EnsembleParams, RescalingMode, _centering, _log_series, derive_seed)
 from .spectral import JacobiCoefficients, SpectralMeasure, _first_fault, eigen_spectral
 
 __all__ = [

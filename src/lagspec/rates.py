@@ -26,9 +26,10 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .errors import NumericalError
+from .errors import NumericalError, _integer
 from .moments import (
     NuVariant,
+    _check_xi,
     _chebyshev_lebesgue,
     _d_inverse,
     _d_rows,
@@ -236,7 +237,7 @@ def mdp_rate_series(
     m = [float(v) for v in m]
     if not all(math.isfinite(v) for v in m):
         raise ValueError("moments must be finite")
-    if k_trunc < 1:
+    if _integer(k_trunc, "k_trunc") < 1:
         raise ValueError(f"k_trunc must be >= 1, got {k_trunc}")
     if len(m) < k_trunc:
         raise ValueError(
@@ -274,6 +275,7 @@ def mdp_rate_density(
     grows without bound in the node count (the true rate is infinite outside
     L^2(mu_sc) perturbations); polynomial candidates with xi = 0 are exact.
     """
+    _check_xi(xi)
     x, w = _semicircle_gauss(_MDP_DENSITY_NODES)
     g_vals = [float(g(xj)) for xj in x]
     if not all(math.isfinite(v) for v in g_vals):

@@ -33,7 +33,7 @@ import enum
 import math
 import operator
 
-from .errors import NumericalError
+from .errors import NumericalError, _integer
 
 __all__ = ["EnsembleParams", "RescalingMode", "derive_seed"]
 
@@ -145,14 +145,6 @@ class EnsembleParams:
     @property
     def beta_prime(self) -> float:
         return self.beta / 2.0
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int; a float or other non-integer is rejected, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _splitmix(x: int) -> int:

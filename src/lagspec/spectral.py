@@ -21,12 +21,12 @@ numpy, by the implicit QL method of ``scalar._ql_spectrum``, and checks
 its measure with ``scalar._check_measure``, which is the check of
 :class:`SpectralMeasure` itself.
 
-The inverse direction costs O(n^2): a divide and conquer that merges the
-Jacobi matrices of two halves of the atoms with LAPACK's band reduction
-(dsbtrd), after Gragg & Harrod (Numer. Math. 44, 1984).
+The inverse direction costs O(n^2): a divide and conquer after Gragg &
+Harrod (Numer. Math. 44, 1984) reduces blocks of at most 56 atoms, and
+merges two halves' Jacobi matrices, with LAPACK's band reduction (dsbtrd).
 
-The four LAPACK routines these need beyond numpy's ``eigh`` (dpttrf,
-dlasda, dsytrd, dsbtrd) come, on first use, from the LAPACK that
+The three LAPACK routines these need beyond numpy's ``eigh`` (dpttrf,
+dlasda, dsbtrd) come, on first use, from the LAPACK that
 ``numpy.linalg`` is linked against when that is the 64-bit-integer
 OpenBLAS numpy's wheels bundle, so that ``scipy`` is never imported;
 otherwise (as with numpy linked against Accelerate or MKL) from scipy's
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, _integer
 from .scalar import (_EIGENSOLVER_FAILED, _NOT_FINITE, _NOT_POSITIVE, _WEIGHT_SUM_TOL,
                      _check_measure)
 
@@ -60,10 +60,12 @@ __all__ = [
 # (at least 1), below which inverting a measure is declared broken down.
 _REDUCTION_BREAKDOWN = 1e-12
 
-# Measures with at most this many atoms are inverted by one dense reduction;
-# larger ones are split in two until the blocks are this small. Smaller
-# blocks are slightly faster but lose accuracy on small-beta measures.
-_LEAF_ATOMS = 128
+# Measures are split in two until the blocks (leaves) have at most this many
+# atoms. Timed in one process (2-core x86-64 VM, numpy 2.4), leaves of 62 and
+# 125 atoms took 1.01-1.02 and 1.3 times as long as leaves of 31 at n = 1000,
+# leaves of 25 1.10 times as long as leaves of 50 at n = 200 and 400, and
+# leaves of 60 1.04-1.07 times as long as leaves of 30 at n = 120.
+_LEAF_ATOMS = 56
 
 # Jacobi matrices of at most this size are diagonalized as dense matrices by
 # numpy's LAPACK, larger ones through the bidiagonal SVD (eigen_spectral).
@@ -83,8 +85,6 @@ _SVD_LEAF = 25
 _LAPACK_ARGS = {
     # dpttrf(n, d, e, info)
     "dpttrf": "iddi",
-    # dsytrd(uplo, n, a, lda, d, e, tau, work, lwork, info)
-    "dsytrd": "cididdddii",
     # dsbtrd(vect, uplo, n, kd, ab, ldab, d, e, q, ldq, work, info)
     "dsbtrd": "cciididddidi",
     # dlasda(icompq, smlsiz, n, sqre, d, e, u, ldu, vt, k, difl, difr, z, poles,
@@ -157,7 +157,7 @@ class SpectralMeasure:
 
 def free_jacobi(n: int) -> JacobiCoefficients:
     """Truncation of the free Jacobi matrix: zero diagonal, unit off-diagonal."""
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return JacobiCoefficients(np.zeros(n), np.ones(n - 1))
 
@@ -263,7 +263,7 @@ def moments_via_operator(coeffs: JacobiCoefficients, order: int) -> np.ndarray:
     is supported on the first k + 1 coordinates, so the cost is O(order^2)
     whatever the matrix size.
     """
-    if order < 1:
+    if _integer(order, "moment order") < 1:
         raise ValueError(f"moment order must be >= 1, got {order}")
     w = min(order + 1, coeffs.n)
     return _window_moments(coeffs.diag[:w], coeffs.offdiag[: w - 1], order)
@@ -297,7 +297,7 @@ def moments_of_measure(measure: SpectralMeasure, order: int) -> np.ndarray:
     Each sum is accumulated with numpy's pairwise summation, which keeps
     cancellation mild even for high moments.
     """
-    if order < 1:
+    if _integer(order, "moment order") < 1:
         raise ValueError(f"moment order must be >= 1, got {order}")
     lam = measure.atoms
     w = measure.weights
@@ -318,8 +318,9 @@ def measure_to_coefficients(measure: SpectralMeasure, order: int) -> JacobiCoeff
     e1 fixed: its trailing block is the Jacobi matrix. The reduction here is
     a divide and conquer after Gragg & Harrod (Numer. Math. 44, 1984): the
     atoms are dealt into two halves, each half is reduced on its own, and
-    LAPACK's band reduction (dsbtrd) merges the two Jacobi matrices; blocks
-    of at most 128 atoms get LAPACK's dense Householder reduction (dsytrd).
+    LAPACK's band reduction (dsbtrd) merges the two Jacobi matrices. Blocks
+    of at most 56 atoms are reduced by dsbtrd too: their bordered matrix is
+    a band matrix whose half-bandwidth is the number of atoms.
     The cost is O(n^2) time at any ``order``, since a smaller ``order``
     truncates the full reduction (see also Gautschi, Orthogonal Polynomials,
     2004, section 2.2).
@@ -332,7 +333,7 @@ def measure_to_coefficients(measure: SpectralMeasure, order: int) -> JacobiCoeff
     fails or an off-diagonal up to ``order`` collapses (numerical breakdown,
     typically from nearly coincident atoms).
     """
-    if order < 1:
+    if _integer(order, "order") < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if order > measure.n:
         raise ValueError(f"order {order} exceeds the number of atoms {measure.n}")
@@ -359,32 +360,17 @@ def _bordered_tridiagonal(atoms: np.ndarray, masses: np.ndarray):
     matrix of the measure with these atoms and squared masses, normalized.
     """
     if atoms.size <= _LEAF_ATOMS:
-        return _dense_reduction(atoms, masses)
+        # The bordered matrix is a band matrix of half-bandwidth atoms.size.
+        band = np.zeros((atoms.size + 1, atoms.size + 1), order="F")
+        band[0, 1:] = atoms
+        band[1:, 0] = masses
+        return _band_reduction(band)
     # Dealing the ranks alternately keeps both halves heaviest first and
     # spreads the tiny weights over both; splitting the list into a heavy
     # and a light half loses accuracy on small-beta measures.
     da, ea = _bordered_tridiagonal(atoms[0::2], masses[0::2])
     db, eb = _bordered_tridiagonal(atoms[1::2], masses[1::2])
     return _band_merge(da, ea, db, eb)
-
-
-def _dense_reduction(atoms: np.ndarray, masses: np.ndarray):
-    """LAPACK's in-place Householder reduction (dsytrd) of the bordered matrix."""
-    n = atoms.size + 1
-    # Fortran order lets LAPACK overwrite the matrix instead of copying it.
-    bordered = np.zeros((n, n), order="F")
-    bordered[1:, 0] = masses
-    np.fill_diagonal(bordered[1:, 1:], atoms)
-    d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
-    # A first call with lwork = -1 only returns the optimal workspace size.
-    size = np.empty(1)
-    info = _run_lapack("dsytrd", b"L", n, bordered, n, d, e, tau, size, -1)
-    if info == 0:
-        work = np.empty(int(size[0]))
-        info = _run_lapack("dsytrd", b"L", n, bordered, n, d, e, tau, work, work.size)
-    if info != 0:
-        raise NumericalError(f"Householder tridiagonalization failed: LAPACK info {info}")
-    return d, e
 
 
 def _band_merge(da: np.ndarray, ea: np.ndarray, db: np.ndarray, eb: np.ndarray):
@@ -395,24 +381,30 @@ def _band_merge(da: np.ndarray, ea: np.ndarray, db: np.ndarray, eb: np.ndarray):
     row they give [[0, a e1^T, b e1^T], [a e1, J_a, 0], [b e1, 0, J_b]],
     orthogonally similar to the bordered matrix of all the atoms with e1
     fixed. In the row order (border, a_1, b_1, a_2, b_2, ...) it is a band
-    matrix of half-bandwidth 2, which dsbtrd reduces in O(n^2) by rotations
-    that leave the first row alone.
+    matrix of half-bandwidth 2.
     """
     ma, mb = da.size - 1, db.size - 1
-    size = 1 + ma + mb
-    # LAPACK lower band storage: band[i - j, j] holds A[i, j] for i - j <= 2.
-    band = np.zeros((3, size), order="F")
+    band = np.zeros((3, 1 + ma + mb), order="F")
     band[0, 1::2] = da[1:]
     band[0, 2::2] = db[1:]
     band[1, 0] = ea[0]
     band[2, 0] = eb[0]
     band[2, 1 : 2 * ma - 1 : 2] = ea[1:]
     band[2, 2 : 2 * mb : 2] = eb[1:]
-    d = np.empty(size)
-    e = np.empty(size - 1)
-    work = np.empty(size)
-    unused_q = np.empty(1)
-    info = _run_lapack("dsbtrd", b"N", b"L", size, 2, band, 3, d, e, unused_q, 1, work)
+    return _band_reduction(band)
+
+
+def _band_reduction(band: np.ndarray):
+    """Tridiagonal form (d, e), e1 fixed, of a symmetric band matrix A.
+
+    ``band`` holds A in LAPACK lower band storage, band[i - j, j] = A[i, j],
+    and is overwritten. dsbtrd reduces it in O(n^2) times the half-bandwidth
+    by rotations that leave the first row alone; Q is not formed.
+    """
+    kd, size = band.shape[0] - 1, band.shape[1]
+    d, e = np.empty(size), np.empty(size - 1)
+    info = _run_lapack("dsbtrd", b"N", b"L", size, kd, band, kd + 1, d, e, np.empty(1), 1,
+                       np.empty(size))
     if info != 0:
         raise NumericalError(f"band tridiagonalization failed: LAPACK info {info}")
     return d, e

@@ -324,6 +324,7 @@ class TestOrthonormalPolynomials:
 
     @pytest.mark.parametrize("k, message", [
         (-1, "k must be a nonnegative integer, got -1"),
+        (2.5, "k must be a nonnegative integer, got 2.5"),
         (41, "k 41 above the 64-bit-exact cap 40"),
     ])
     def test_degree_out_of_range(self, k, message):

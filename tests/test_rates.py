@@ -383,3 +383,11 @@ class TestMdpRateDensity:
     def test_nonfinite_candidate_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             mdp_rate_density(lambda x: np.full_like(np.asarray(x), np.nan), 0.0)
+
+    @pytest.mark.parametrize("xi", [float("nan"), float("inf"), -1.0])
+    def test_xi_checked_as_by_the_series(self, xi):
+        message = rf"^xi must be finite and >= 0, got {xi!r}$"
+        with pytest.raises(ValueError, match=message):
+            mdp_rate_series([0.0, 1.0, 0.0], xi, NuVariant.STANDARD, 3)
+        with pytest.raises(ValueError, match=message):
+            mdp_rate_density(lambda x: 1.0, xi)

@@ -30,7 +30,8 @@ from lagspec import scalar
 from lagspec.ensembles import (EnsembleParams, RescalingMode, _center, _window, derive_seed,
                                make_rng, rescale, sample_laguerre_tridiagonal)
 from lagspec.errors import NumericalError
-from lagspec.spectral import JacobiCoefficients, moments_of_measure, moments_via_operator
+from lagspec.spectral import (JacobiCoefficients, eigen_spectral, moments_of_measure,
+                              moments_via_operator)
 
 
 def oracles(diag, offdiag):
@@ -233,6 +234,30 @@ class TestQlSpectrum:
         for lam, _ in oracles(np.array(diag), np.array(offdiag)):
             np.testing.assert_allclose(lam, diag[0], rtol=1e-15, atol=0)
 
+    def test_underflowed_rotation_splits_the_block(self, monkeypatch):
+        # Valid Jacobi data on which one rotation's math.hypot returns 0:
+        # the QL splits the block there and still finds eigen_spectral's two
+        # atoms exactly, and its weights to rounding.
+        diag = [0.5243466703109485, 1e-178, -0.19542775330335038, 0.0, 0.0, 0.0,
+                -0.026500043078224067, 0.0, 1e-170]
+        offdiag = [0.8100594214291802, 2.1347088327510224e-239, 1.1174636390777169e-41,
+                   2.382170741028597e-224, 2.3898774113518076e-216, 0.3162239979332532,
+                   3.359060784827383e-102, 0.5276088092937392]
+        hypot, zeros = math.hypot, []
+
+        def counting_hypot(*args):
+            r = hypot(*args)
+            zeros.append(r == 0.0)
+            return r
+
+        monkeypatch.setattr(math, "hypot", counting_hypot)
+        atoms, weights = scalar._ql_spectrum(diag, offdiag)
+        monkeypatch.undo()
+        assert sum(zeros) == 1
+        mu = eigen_spectral(JacobiCoefficients(diag, offdiag))
+        assert atoms == mu.atoms.tolist()
+        np.testing.assert_allclose(weights, mu.weights, rtol=0, atol=1.2e-16)
+
     def test_no_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(scalar, "_QL_ITERATIONS", 2)
         with pytest.raises(NumericalError, match="^tridiagonal eigensolver failed for matrix "
@@ -329,6 +354,10 @@ class TestEnsembleParamsValue:
             delattr(params, name)
         assert params == EnsembleParams(3, 2.0, 10.0)
         assert not hasattr(params, "other")
+
+    def test_non_integer_size_rejected(self):
+        with pytest.raises(ValueError, match="^n must be a positive integer, got 2.5$"):
+            EnsembleParams(2.5, 2.0, 10.0)
 
     def test_equality_and_hash_are_over_the_fields(self):
         params = EnsembleParams(3, 2.0, 10.0)

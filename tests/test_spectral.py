@@ -25,6 +25,8 @@ from lagspec import spectral
 from lagspec.ensembles import (EnsembleParams, derive_seed, make_rng, rescale,
                                sample_laguerre_tridiagonal)
 from lagspec.errors import NumericalError
+from lagspec.moments import NuVariant
+from lagspec.rates import mdp_rate_series
 from lagspec.spectral import (
     JacobiCoefficients,
     SpectralMeasure,
@@ -426,8 +428,8 @@ class TestSzegoMap:
         # An order that stops short of the collapse is still answered.
         measure_to_coefficients(mu, 3)
 
-    # 300 atoms take two levels of band merges over 128-atom blocks; the
-    # orders cover the leading block and the coefficients past it.
+    # 300 atoms take three levels of band merges over leaves of 37 and 38
+    # atoms; the orders run from inside the leading leaf to all the atoms.
     @pytest.mark.parametrize("order", [5, 50, 129, 300])
     def test_matches_stieltjes_reference(self, order):
         mu = eigen_spectral(laguerre_jacobi(41, 300))
@@ -442,8 +444,11 @@ class TestSzegoMap:
         # Weights down to 4e-19: taking the atoms in their given order
         # instead of heaviest first loses this round trip to 2.6e-8.
         pytest.param(1, 400, 0.5, 3, id="tiny-weights"),
-        # The largest dense block, and one, two and four levels of band
-        # merges, the last with halves of unequal size.
+        # The largest leaf and one merge of two leaves; then two, two,
+        # three and five levels of band merges, the last with halves of
+        # unequal size.
+        pytest.param(3, spectral._LEAF_ATOMS, 2.0, 2, id="one-leaf"),
+        pytest.param(3, spectral._LEAF_ATOMS + 1, 2.0, 2, id="one-leaf-merge"),
         pytest.param(3, 128, 2.0, 2, id="one-block"),
         pytest.param(3, 129, 2.0, 2, id="one-merge"),
         pytest.param(3, 257, 2.0, 2, id="two-merges"),
@@ -463,26 +468,12 @@ class TestSzegoMap:
         np.testing.assert_array_equal(mu.weights, weights)
 
     def test_lapack_failure_raises(self, monkeypatch):
-        # dsytrd runs twice: a workspace query (lwork = -1), then the reduction.
-        dsytrd = spectral._lapack()[0]["dsytrd"]
-
+        # Two atoms are one leaf: dsbtrd of its bordered band is the only call.
         def failing(*args):
-            if args[-2].value == -1:
-                dsytrd(*args)
-            else:
-                args[-1].value = -1
+            args[-1].value = -1  # LAPACK's info argument
 
-        replace_routine(monkeypatch, "dsytrd", failing)
+        replace_routine(monkeypatch, "dsbtrd", failing)
         with pytest.raises(NumericalError, match="LAPACK info -1"):
-            measure_to_coefficients(SpectralMeasure([0.0, 1.0], [0.5, 0.5]), 2)
-
-    def test_workspace_query_failure_raises(self, monkeypatch):
-        def failing(*args):
-            assert args[-2].value == -1, "the reduction ran after a failed query"
-            args[-1].value = -7
-
-        replace_routine(monkeypatch, "dsytrd", failing)
-        with pytest.raises(NumericalError, match="LAPACK info -7"):
             measure_to_coefficients(SpectralMeasure([0.0, 1.0], [0.5, 0.5]), 2)
 
     def test_band_reduction_failure_raises(self, monkeypatch):
@@ -497,21 +488,20 @@ class TestSzegoMap:
     @pytest.mark.parametrize("routine", sorted(spectral._LAPACK_ARGS))
     def test_unexpected_band_routine_signature_refused(self, routine, monkeypatch):
         # Every routine taken from scipy's Cython table is checked against
-        # its argument kinds, here on another routine's capsule in its place.
+        # its argument kinds, here on dsytrd's capsule in its place.
         from scipy.linalg import cython_lapack
 
         capsules = cython_lapack.__pyx_capi__
-        monkeypatch.setitem(capsules, routine,
-                            capsules["dsbtrd" if routine == "dsytrd" else "dsytrd"])
+        monkeypatch.setitem(capsules, routine, capsules["dsytrd"])
         with pytest.raises(ImportError, match=f"LAPACK {routine} has an unexpected signature"):
             spectral._scipy_lapack()
 
-    @pytest.mark.parametrize("n", [1, 2, 60, 128])
-    def test_small_measures_use_one_dense_reduction(self, n, monkeypatch):
-        # Up to 128 atoms the result is bit for bit one dsytrd of the
-        # bordered matrix, heaviest atoms first, and no band merge runs. The
-        # dsytrd called here is the resolved one: numpy's and scipy's builds
-        # of LAPACK may round differently.
+    @pytest.mark.parametrize("n", [1, 2, 30, spectral._LEAF_ATOMS])
+    def test_small_measures_use_one_band_reduction(self, n, monkeypatch):
+        # Up to _LEAF_ATOMS atoms the result is bit for bit one dsbtrd of
+        # the bordered matrix in band storage, heaviest atoms first, and no
+        # band merge runs. The dsbtrd called here is the resolved one:
+        # numpy's and scipy's builds of LAPACK may round differently.
         def no_merge(*args):
             raise AssertionError("band merge ran")
 
@@ -521,23 +511,22 @@ class TestSzegoMap:
         mu = SpectralMeasure(np.sort(rng.normal(size=n)), weights / weights.sum())
         got = measure_to_coefficients(mu, n)
         heavy_first = np.argsort(-mu.weights, kind="stable")
-        bordered = np.zeros((n + 1, n + 1), order="F")
-        bordered[1:, 0] = np.sqrt(mu.weights[heavy_first])
-        bordered[1:, 1:] = np.diag(mu.atoms[heavy_first])
+        # Lower band storage, band[i - j, j] = A[i, j], half-bandwidth n.
+        band = np.zeros((n + 1, n + 1), order="F")
+        band[0, 1:] = mu.atoms[heavy_first]
+        band[1:, 0] = np.sqrt(mu.weights[heavy_first])
         routines, integer = spectral._lapack()
-        d, e, tau, lwork = np.empty(n + 1), np.empty(n), np.empty(n), np.empty(1)
-        args = (b"L", integer(n + 1), bordered, integer(n + 1), d, e, tau)
-        routines["dsytrd"](*args, lwork, integer(-1), integer(0))
-        work = np.empty(int(lwork[0]))
-        routines["dsytrd"](*args, work, integer(work.size), integer(0))
+        d, e, info = np.empty(n + 1), np.empty(n), integer(0)
+        routines["dsbtrd"](b"N", b"L", integer(n + 1), integer(n), band, integer(n + 1), d, e,
+                           np.empty(1), integer(1), np.empty(n + 1), info)
+        assert info.value == 0
         np.testing.assert_array_equal(got.diag, d[1:])
         np.testing.assert_array_equal(got.offdiag, np.abs(e[1:]))
 
     def test_memory_stays_far_below_a_dense_matrix(self):
         # One dense (n+1)^2 matrix at n = 2000 is 32 MB. The split keeps
-        # 129x129 dense blocks (0.13 MB) and 3-row band arrays (48 kB), and
-        # peaks near 0.3 MB; 2 MB leaves room for LAPACK's workspace choice
-        # and stays 16 times below a dense matrix.
+        # leaf bands of at most 57x57 (26 kB) and 3-row merge bands (48 kB),
+        # and peaks near 0.3 MB; 2 MB stays 16 times below a dense matrix.
         n = 2000
         mu = eigen_spectral(laguerre_jacobi(6, n))
         measure_to_coefficients(mu, n)  # LAPACK resolved and imported outside the trace
@@ -561,6 +550,28 @@ class TestFreeJacobi:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             free_jacobi(0)
+
+
+TWO_ATOMS = SpectralMeasure([0.0, 1.0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda k: measure_to_coefficients(TWO_ATOMS, k), "order",
+                 id="measure_to_coefficients"),
+    pytest.param(lambda k: moments_via_operator(free_jacobi(3), k), "moment order",
+                 id="moments_via_operator"),
+    pytest.param(lambda k: moments_of_measure(TWO_ATOMS, k), "moment order",
+                 id="moments_of_measure"),
+    pytest.param(free_jacobi, "n", id="free_jacobi"),
+    pytest.param(lambda k: mdp_rate_series([0, 1, 0], 0.0, NuVariant.STANDARD, k), "k_trunc",
+                 id="mdp_rate_series"),
+])
+def test_non_integer_orders_are_refused(call, name):
+    # A float is refused with a ValueError, as replicate_windows refuses a
+    # float window, and a numpy integer counts as the int it equals.
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got 2\.0$"):
+        call(2.0)
+    assert repr(call(np.int64(2))) == repr(call(2))
 
 
 def test_cli_import_loads_no_scipy_subpackage():
@@ -591,11 +602,11 @@ class TestLapackRoutes:
     @pytest.mark.parametrize("library", [
         pytest.param(object(), id="no-openblas"),
         pytest.param(fake_library(b"OpenBLAS 0.3.31 DYNAMIC_ARCH Haswell"), id="lp64"),
-        pytest.param(fake_library(b"OpenBLAS 0.3.31 USE64BITINT", ["dpttrf", "dsytrd", "dsbtrd"]),
+        pytest.param(fake_library(b"OpenBLAS 0.3.31 USE64BITINT", ["dpttrf", "dsbtrd"]),
                      id="no-dlasda"),
     ])
     def test_other_libraries_select_scipy(self, library):
-        # Only an ILP64 scipy-openblas exporting all four routines is used;
+        # Only an ILP64 scipy-openblas exporting all three routines is used;
         # anything else gets scipy's Cython table, with C ints.
         routines, integer = spectral._resolve_lapack(library)
         assert integer is ctypes.c_int
