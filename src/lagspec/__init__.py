@@ -29,6 +29,9 @@ _EXPORTS = {
     "ExperimentReport": "experiments",
     "LinearGamma": "experiments",
     "PowerLawGamma": "experiments",
+    "format_poly": "experiments",
+    "parse_gamma_rule": "experiments",
+    "parse_poly": "experiments",
     "predicted_clt": "experiments",
     "run_clt": "experiments",
     "run_mp_sanity": "experiments",

@@ -25,7 +25,8 @@ by the implicit QL method of ``lagspec.scalar``, whose measure agrees with
 ``eigen_spectral``'s to rounding and is checked by ``SpectralMeasure``'s
 own check; a measure above 64 rows and the experiment commands import
 numpy in their bodies. None of the short commands imports ``dataclasses``
-(nor ``inspect`` with it), and only ``clt`` compiles the polynomial regex.
+(nor ``inspect`` with it), and only the experiment commands load the
+polynomial and gamma-rule parsers and the regex, in ``lagspec.experiments``.
 
 The ``lagspec`` script and ``python -m lagspec.cli`` run :func:`script`,
 which freezes the garbage collector once ``main`` returns, so that the
@@ -39,7 +40,6 @@ import argparse
 import gc
 import math
 import os
-import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -61,7 +61,6 @@ REPORT_FIELDS = (
 )
 REPORT_COLUMNS = [column for column, _ in REPORT_FIELDS]
 
-_NU_QUAD_TOL = 1e-8
 _HIST_BINS = 20
 
 
@@ -74,76 +73,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
-
-
-# ---------------------------------------------------------------------------
-# polynomial flag parsing
-
-
-_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-# One term: [sign] [number ['*']] ['x' ['^' number]], with whitespace around any part.
-# ASCII only: in a str pattern \d and \s would match every Unicode digit and space.
-# Compiled on first use (re caches it), so a command that parses no polynomial never compiles it.
-_TERM = rf"\s*([+-]?)\s*(?:({_NUMBER})\s*(\*?))?\s*(?:(x)\s*(?:\^\s*({_NUMBER}))?)?\s*"
-
-
-def parse_poly(text: str) -> np.ndarray:
-    """Parse a monomial-sum polynomial like ``x^3`` or ``1+2x-0.5x^2``.
-
-    Returns coefficients low to high. Terms are read left to right; every
-    term after the first needs a sign, and repeated powers add up. A power
-    above MAX_POLY_DEGREE or one that is not an integer is rejected as its
-    term is read, and a coefficient that is not finite once the terms are
-    summed; all of these before any array is built.
-    """
-    from .experiments import MAX_POLY_DEGREE
-
-    term = re.compile(_TERM, re.ASCII)
-    terms = {}
-    pos = 0
-    while pos < len(text) or not terms:
-        match = term.match(text, pos)
-        sign, number, star, x, exponent = match.groups()
-        if (terms and not sign) or (number is None and x is None) or (star and x is None):
-            raise ValueError(f"could not parse polynomial {text!r} at position {pos}")
-        power = 0 if x is None else 1
-        if exponent is not None:
-            exponent = float(exponent)
-            if exponent > MAX_POLY_DEGREE:
-                raise ValueError(
-                    f"polynomial {text!r} has degree {exponent:g}, "
-                    f"above the cap {MAX_POLY_DEGREE}"
-                )
-            if exponent != int(exponent):
-                raise ValueError(
-                    f"could not parse polynomial {text!r}: exponent must be "
-                    "a nonnegative integer"
-                )
-            power = int(exponent)
-        coeff = 1.0 if number is None else float(number)
-        terms[power] = terms.get(power, 0.0) + (-coeff if sign == "-" else coeff)
-        pos = match.end()
-    if not all(math.isfinite(coeff) for coeff in terms.values()):
-        raise ValueError(f"polynomial {text!r} has a coefficient that is not finite")
-
-    import numpy as np
-
-    out = np.zeros(max(terms) + 1)
-    for power, coeff in terms.items():
-        out[power] = coeff
-    return out
-
-
-def parse_gamma_rule(text: str):
-    """Parse ``pow:<a>:<c>`` or ``lin:<tau>``."""
-    from .experiments import LinearGamma, PowerLawGamma
-
-    parts = text.split(":")
-    if parts[0] == "pow" and len(parts) == 3:
-        return PowerLawGamma(float(parts[1]), float(parts[2]))
-    if parts[0] == "lin" and len(parts) == 2:
-        return LinearGamma(float(parts[1]))
-    raise ValueError(f"gamma rule must be 'pow:<a>:<c>' or 'lin:<tau>', got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +282,7 @@ def _finish_experiment(args, report: ExperimentReport) -> int:
 
 
 def _cmd_clt(args) -> int:
-    from .experiments import run_clt
+    from .experiments import parse_gamma_rule, parse_poly, run_clt
 
     config = _experiment_config(args, parse_poly(args.poly),
                                 parse_gamma_rule(args.gamma_rule), args.mode)
@@ -363,7 +292,7 @@ def _cmd_clt(args) -> int:
 def _cmd_mdp(args) -> int:
     import numpy as np
 
-    from .experiments import MAX_POLY_DEGREE, run_clt
+    from .experiments import MAX_POLY_DEGREE, parse_gamma_rule, run_clt
 
     if not 1 <= args.k <= MAX_POLY_DEGREE:
         raise ValueError(f"moment index must be in 1..{MAX_POLY_DEGREE}, got {args.k}")
@@ -381,49 +310,9 @@ def _cmd_mp_sanity(args) -> int:
     return _finish_experiment(args, run_mp_sanity(config))
 
 
-def _identity_checks(order: int):
-    """The exact and quadrature cross-identities, as (name, passed) pairs.
-
-    The exact checks run on Python ints, so no product can wrap.
-    """
-    from .moments import (EXACT_ORDER_CAP, NuVariant, _d_rows, _dot, _dw, _nu,
-                          _nu_by_quadrature, _orthonormal_poly, _semicircle)
-
-    if order > EXACT_ORDER_CAP // 2:
-        raise ValueError(f"identities --order is capped at {EXACT_ORDER_CAP // 2}: the "
-                         "covariance check reads semicircle moments up to order 2*order, "
-                         f"capped at {EXACT_ORDER_CAP}")
-    checks = []
-
-    d = _d_rows(order)
-    msc = _semicircle(2 * order)
-    ddt = [[_dot(row_i, row_j) for row_j in d] for row_i in d]
-    cov = [[msc[i + j - 1] - msc[i - 1] * msc[j - 1] for j in range(1, order + 1)]
-           for i in range(1, order + 1)]
-    checks.append((f"ddt_covariance_order{order}", ddt == cov))
-
-    d15 = _d_rows(15)
-    for variant, tag in ((NuVariant.STANDARD, "nu"), (NuVariant.SHIFTED, "nu_hat")):
-        w = _dw(15, 1.0, variant)
-        ok = [_dot(row, w) for row in d15] == _nu(15, 1.0, variant)
-        checks.append((f"dw_telescoping_{tag}_order15", ok))
-
-    # Row i of P holds p_i's coefficients of x^1..x^i. D is unit lower
-    # triangular, so the exact integer product P D = I holds iff P = D^-1.
-    p = [_orthonormal_poly(i)[1:] + [0] * (20 - i) for i in range(1, 21)]
-    d20_columns = list(zip(*_d_rows(20)))
-    pd = [[_dot(row, column) for column in d20_columns] for row in p]
-    checks.append(("dinv_rows_polynomials_order20",
-                   pd == [[int(i == j) for j in range(20)] for i in range(20)]))
-
-    for variant, tag in ((NuVariant.STANDARD, "nu"), (NuVariant.SHIFTED, "nu_hat")):
-        ok = all(abs(closed - quad) <= _NU_QUAD_TOL for closed, quad in
-                 zip(_nu(15, 1.0, variant), _nu_by_quadrature(15, 1.0, variant)))
-        checks.append((f"nu_moment_quadrature_{tag}_order15", ok))
-    return checks
-
-
 def _cmd_identities(args) -> int:
+    from .moments import _identity_checks
+
     checks = _identity_checks(args.order)
     _emit_rows(checks, ["check", "result"], args.format, args.out)
     return 0 if all(ok for _, ok in checks) else 1

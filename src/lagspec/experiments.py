@@ -21,6 +21,8 @@ derive_seed(master_seed, i)), params)`` and reducing it on its own.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -43,6 +45,8 @@ __all__ = [
     "LinearGamma",
     "PowerLawGamma",
     "format_poly",
+    "parse_gamma_rule",
+    "parse_poly",
     "predicted_clt",
     "run_clt",
     "run_mp_sanity",
@@ -93,6 +97,16 @@ class LinearGamma:
 
 
 GammaRule = Union[PowerLawGamma, LinearGamma]
+
+
+def parse_gamma_rule(text: str) -> GammaRule:
+    """Parse ``pow:<a>:<c>`` or ``lin:<tau>``."""
+    parts = text.split(":")
+    if parts[0] == "pow" and len(parts) == 3:
+        return PowerLawGamma(float(parts[1]), float(parts[2]))
+    if parts[0] == "lin" and len(parts) == 2:
+        return LinearGamma(float(parts[1]))
+    raise ValueError(f"gamma rule must be 'pow:<a>:<c>' or 'lin:<tau>', got {text!r}")
 
 
 @dataclass
@@ -146,6 +160,54 @@ class ExperimentReport:
     z_score: float
     verdict: bool
     samples: np.ndarray | None = field(default=None, repr=False)
+
+
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# One term: [sign] [number ['*']] ['x' ['^' number]], with whitespace around any part.
+# ASCII only: in a str pattern \d and \s would match every Unicode digit and space.
+_TERM = re.compile(
+    rf"\s*([+-]?)\s*(?:({_NUMBER})\s*(\*?))?\s*(?:(x)\s*(?:\^\s*({_NUMBER}))?)?\s*", re.ASCII)
+
+
+def parse_poly(text: str) -> np.ndarray:
+    """Parse a monomial-sum polynomial like ``x^3`` or ``1+2x-0.5x^2``.
+
+    Returns coefficients low to high. Terms are read left to right; every
+    term after the first needs a sign, and repeated powers add up. A power
+    above MAX_POLY_DEGREE or one that is not an integer is rejected as its
+    term is read, and a coefficient that is not finite once the terms are
+    summed; all of these before any array is built.
+    """
+    terms = {}
+    pos = 0
+    while pos < len(text) or not terms:
+        match = _TERM.match(text, pos)
+        sign, number, star, x, exponent = match.groups()
+        if (terms and not sign) or (number is None and x is None) or (star and x is None):
+            raise ValueError(f"could not parse polynomial {text!r} at position {pos}")
+        power = 0 if x is None else 1
+        if exponent is not None:
+            exponent = float(exponent)
+            if exponent > MAX_POLY_DEGREE:
+                raise ValueError(
+                    f"polynomial {text!r} has degree {exponent:g}, "
+                    f"above the cap {MAX_POLY_DEGREE}"
+                )
+            if exponent != int(exponent):
+                raise ValueError(
+                    f"could not parse polynomial {text!r}: exponent must be "
+                    "a nonnegative integer"
+                )
+            power = int(exponent)
+        coeff = 1.0 if number is None else float(number)
+        terms[power] = terms.get(power, 0.0) + (-coeff if sign == "-" else coeff)
+        pos = match.end()
+    if not all(math.isfinite(coeff) for coeff in terms.values()):
+        raise ValueError(f"polynomial {text!r} has a coefficient that is not finite")
+    out = np.zeros(max(terms) + 1)
+    for power, coeff in terms.items():
+        out[power] = coeff
+    return out
 
 
 def format_poly(coeffs: np.ndarray) -> str:

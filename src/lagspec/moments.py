@@ -16,8 +16,9 @@ ints and floats by private helpers that return lists, and dot products by
 ``_dot``; the public functions hand exact sequences, D and the forward
 substitution by D back as numpy arrays, importing numpy when called. The
 quadrature rules and the quadrature twin of the nu moments are list
-helpers only. The ``moments`` and ``identities`` commands and the rate
-functions read the lists, so they run without numpy.
+helpers only. The ``moments`` command, the ``identities`` command's checks
+(:func:`_identity_checks`) and the rate functions read the lists, so they
+run without numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "NuVariant",
-    "EXACT_ORDER_CAP",
     "arcsine_moments",
     "d_inverse_apply",
     "d_matrix",
@@ -49,8 +49,10 @@ __all__ = [
 # Largest order with exact 64-bit integer binomials for every identity here.
 EXACT_ORDER_CAP = 40
 
-# Chebyshev nodes of the quadrature twin of the nu moments.
+# Chebyshev nodes of the quadrature twin of the nu moments, and its
+# tolerance against the closed form in _identity_checks.
 _NU_QUADRATURE_NODES = 64
+_NU_QUAD_TOL = 1e-8
 
 
 class NuVariant(enum.Enum):
@@ -381,3 +383,42 @@ def dw_vector(order: int, xi: float, variant: NuVariant = NuVariant.STANDARD) ->
     import numpy as np
 
     return np.array(_dw(order, xi, variant), dtype=np.float64)
+
+
+def _identity_checks(order: int) -> list:
+    """The exact and quadrature cross-identities, as (name, passed) pairs.
+
+    The exact checks run on Python ints, so no product can wrap.
+    """
+    if order > EXACT_ORDER_CAP // 2:
+        raise ValueError(f"identities --order is capped at {EXACT_ORDER_CAP // 2}: the "
+                         "covariance check reads semicircle moments up to order 2*order, "
+                         f"capped at {EXACT_ORDER_CAP}")
+    checks = []
+
+    d = _d_rows(order)
+    msc = _semicircle(2 * order)
+    ddt = [[_dot(row_i, row_j) for row_j in d] for row_i in d]
+    cov = [[msc[i + j - 1] - msc[i - 1] * msc[j - 1] for j in range(1, order + 1)]
+           for i in range(1, order + 1)]
+    checks.append((f"ddt_covariance_order{order}", ddt == cov))
+
+    d15 = _d_rows(15)
+    for variant, tag in ((NuVariant.STANDARD, "nu"), (NuVariant.SHIFTED, "nu_hat")):
+        w = _dw(15, 1.0, variant)
+        ok = [_dot(row, w) for row in d15] == _nu(15, 1.0, variant)
+        checks.append((f"dw_telescoping_{tag}_order15", ok))
+
+    # Row i of P holds p_i's coefficients of x^1..x^i. D is unit lower
+    # triangular, so the exact integer product P D = I holds iff P = D^-1.
+    p = [_orthonormal_poly(i)[1:] + [0] * (20 - i) for i in range(1, 21)]
+    d20_columns = list(zip(*_d_rows(20)))
+    pd = [[_dot(row, column) for column in d20_columns] for row in p]
+    checks.append(("dinv_rows_polynomials_order20",
+                   pd == [[int(i == j) for j in range(20)] for i in range(20)]))
+
+    for variant, tag in ((NuVariant.STANDARD, "nu"), (NuVariant.SHIFTED, "nu_hat")):
+        ok = all(abs(closed - quad) <= _NU_QUAD_TOL for closed, quad in
+                 zip(_nu(15, 1.0, variant), _nu_by_quadrature(15, 1.0, variant)))
+        checks.append((f"nu_moment_quadrature_{tag}_order15", ok))
+    return checks

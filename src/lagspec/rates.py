@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .errors import NumericalError, _integer
+from .errors import NumericalError, _Frozen, _integer
 from .moments import (
     NuVariant,
     _check_xi,
@@ -69,7 +69,7 @@ def _fsum(terms: list) -> float:
         return sum(terms)
 
 
-class AcPlusAtoms:
+class AcPlusAtoms(_Frozen):
     """A bulk density on (-2, 2) plus finitely many outlying atoms.
 
     ``bulk_density`` maps a point of (-2, 2), a Python float, to the
@@ -84,11 +84,11 @@ class AcPlusAtoms:
     they are kept in a tuple and the instance is frozen, so that they stay
     the density's.
 
-    Frozen means that assigning or deleting an attribute raises
-    AttributeError. Equality, hash and repr are over ``bulk_density`` and
-    ``atoms``, as a frozen dataclass's are; pickle and copy keep all three
-    attributes.
+    Instances are frozen values over ``bulk_density`` and ``atoms`` (see
+    ``errors._Frozen``); pickle and copy keep the density values too.
     """
+
+    _FIELDS = ("bulk_density", "atoms")
 
     def __init__(self, bulk_density: Callable, atoms: Sequence = ()):
         atoms = tuple((float(loc), float(mass)) for loc, mass in atoms)
@@ -114,28 +114,8 @@ class AcPlusAtoms:
             raise ValueError(
                 f"total mass must be 1 within {_MASS_TOL}, quadrature gives {total!r}"
             )
-        # Past __setattr__, which refuses every assignment; pickle and copy
-        # restore the same dict. _bulk_values: bulk_density on the
-        # _BULK_NODES Chebyshev nodes, checked.
+        # _bulk_values: bulk_density on the _BULK_NODES Chebyshev nodes, checked.
         vars(self).update(bulk_density=bulk_density, atoms=atoms, _bulk_values=vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.bulk_density, self.atoms) == (other.bulk_density, other.atoms)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.bulk_density, self.atoms))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(bulk_density={self.bulk_density!r}, "
-                f"atoms={self.atoms!r})")
 
 
 def f_outlier(x: float) -> float:

@@ -33,7 +33,7 @@ import enum
 import math
 import operator
 
-from .errors import NumericalError, _integer
+from .errors import NumericalError, _Frozen, _integer
 
 __all__ = ["EnsembleParams", "RescalingMode", "derive_seed"]
 
@@ -81,7 +81,7 @@ class RescalingMode(enum.Enum):
     NONE = "none"
 
 
-class EnsembleParams:
+class EnsembleParams(_Frozen):
     """Size n, inverse temperature beta, parameter gamma, and centering mode.
 
     gamma must exceed (n-1)*beta/2, otherwise the eigenvalue density (and
@@ -90,10 +90,10 @@ class EnsembleParams:
     whose centering scale 2*gamma*n*beta overflows a float is rejected too.
     n may be any integer type, numpy's included.
 
-    Instances are frozen values: assigning or deleting an attribute raises
-    AttributeError, and equality, hash and repr are over the four fields,
-    as a frozen dataclass's are; pickle and copy keep them.
+    Instances are frozen values over the four fields (see ``errors._Frozen``).
     """
+
+    _FIELDS = ("n", "beta", "gamma", "mode")
 
     def __init__(self, n: int, beta: float, gamma: float,
                  mode: RescalingMode = RescalingMode.STANDARD):
@@ -117,30 +117,7 @@ class EnsembleParams:
             )
         if not isinstance(mode, RescalingMode):
             raise ValueError(f"mode must be a RescalingMode, got {mode!r}")
-        # Past __setattr__, which refuses every assignment; pickle and copy
-        # restore the same dict.
         vars(self).update(n=n, beta=beta, gamma=gamma, mode=mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return self.n, self.beta, self.gamma, self.mode
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(n={self.n!r}, beta={self.beta!r}, "
-                f"gamma={self.gamma!r}, mode={self.mode!r})")
 
     @property
     def beta_prime(self) -> float:

@@ -63,32 +63,32 @@ class TestPolyParser:
     @given(case=_rendered_polys())
     def test_rendered_terms_parse_to_their_summed_coefficients(self, case):
         text, expected = case
-        np.testing.assert_array_equal(cli.parse_poly(text), expected)
+        np.testing.assert_array_equal(experiments.parse_poly(text), expected)
 
     def test_monomial(self):
-        np.testing.assert_array_equal(cli.parse_poly("x^3"), [0, 0, 0, 1])
+        np.testing.assert_array_equal(experiments.parse_poly("x^3"), [0, 0, 0, 1])
 
     def test_mixed(self):
-        np.testing.assert_array_equal(cli.parse_poly("1+2x-0.5x^2"), [1, 2, -0.5])
+        np.testing.assert_array_equal(experiments.parse_poly("1+2x-0.5x^2"), [1, 2, -0.5])
 
     def test_leading_sign_and_star(self):
-        np.testing.assert_array_equal(cli.parse_poly("-x"), [0, -1])
-        np.testing.assert_array_equal(cli.parse_poly("2*x^2"), [0, 0, 2])
+        np.testing.assert_array_equal(experiments.parse_poly("-x"), [0, -1])
+        np.testing.assert_array_equal(experiments.parse_poly("2*x^2"), [0, 0, 2])
 
     def test_whitespace_and_scientific(self):
-        np.testing.assert_array_equal(cli.parse_poly(" 1e-1 + x "), [0.1, 1])
+        np.testing.assert_array_equal(experiments.parse_poly(" 1e-1 + x "), [0.1, 1])
 
     def test_repeated_powers_accumulate(self):
-        np.testing.assert_array_equal(cli.parse_poly("x+x"), [0, 2])
+        np.testing.assert_array_equal(experiments.parse_poly("x+x"), [0, 2])
 
     @pytest.mark.parametrize("bad", ["", "x^", "x^-2", "2**x", "x^1.5", "y", "1+",
                                      "\u0663x", "x^\u0663", "x\u00a0+ 1"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
-            cli.parse_poly(bad)
+            experiments.parse_poly(bad)
 
     def test_degree_cap_is_accepted(self):
-        assert cli.parse_poly("x^20").size == 21
+        assert experiments.parse_poly("x^20").size == 21
 
     @pytest.mark.parametrize("bad, message", [
         ("x^21", "degree 21, above the cap 20"),
@@ -103,20 +103,20 @@ class TestPolyParser:
 
         monkeypatch.setattr(np, "zeros", no_array)
         with pytest.raises(ValueError, match=re.escape(message)):
-            cli.parse_poly(bad)
+            experiments.parse_poly(bad)
 
 
 class TestGammaRuleParser:
     def test_power(self):
-        assert cli.parse_gamma_rule("pow:2:1") == PowerLawGamma(2.0, 1.0)
+        assert experiments.parse_gamma_rule("pow:2:1") == PowerLawGamma(2.0, 1.0)
 
     def test_linear(self):
-        assert cli.parse_gamma_rule("lin:0.5") == LinearGamma(0.5)
+        assert experiments.parse_gamma_rule("lin:0.5") == LinearGamma(0.5)
 
     @pytest.mark.parametrize("bad", ["pow:2", "lin:0.5:1", "exp:2:1", "pow:a:b"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
-            cli.parse_gamma_rule(bad)
+            experiments.parse_gamma_rule(bad)
 
 
 def _report(verdict=True):
@@ -568,7 +568,7 @@ class TestIdentitiesCommand:
             return coeffs
 
         monkeypatch.setattr(moments, "_orthonormal_poly", perturbed)
-        checks = dict(cli._identity_checks(12))
+        checks = dict(moments._identity_checks(12))
         assert checks["dinv_rows_polynomials_order20"] is False
         assert checks["ddt_covariance_order12"] is True
 

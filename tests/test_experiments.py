@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from lagspec.ensembles import (
@@ -20,6 +22,7 @@ from lagspec.experiments import (
     LinearGamma,
     PowerLawGamma,
     format_poly,
+    parse_poly,
     predicted_clt,
     run_clt,
     run_mp_sanity,
@@ -500,3 +503,13 @@ class TestFormatPoly:
         assert format_poly(np.array([1.0, 2.0, -0.5])) == "1 + 2x - 0.5x^2"
         assert format_poly(np.array([0.0])) == "0"
         assert format_poly(np.array([0.0, -1.0])) == "-x"
+
+    # format_poly prints with :g, which keeps 6 significant digits.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(lambda mantissa, e: float(f"{mantissa}e{e}"),
+                              st.integers(-999999, 999999), st.integers(-8, 8)),
+                    min_size=1, max_size=21))
+    def test_parse_poly_reads_back_what_format_poly_prints(self, coeffs):
+        expected = np.trim_zeros(np.array(coeffs), "b")
+        np.testing.assert_array_equal(parse_poly(format_poly(coeffs)),
+                                      expected if expected.size else [0.0])

@@ -20,6 +20,17 @@ def test_name_is_the_defining_modules_object(name):
     assert getattr(sys.modules[value.__module__], name) is value
 
 
+def test_exports_are_the_names_each_submodule_defines_and_lists():
+    # A name a submodule re-exports maps to the module that defines it; a
+    # name with no __module__ (a constant) cannot be checked, so no __all__ holds one.
+    defined = {}
+    for sub in sorted(lagspec._SUBMODULES):
+        module = getattr(lagspec, sub)
+        defined.update({name: sub for name in module.__all__
+                        if getattr(module, name).__module__ == module.__name__})
+    assert lagspec._EXPORTS == defined
+
+
 def test_star_import_binds_all():
     namespace = {}
     exec("from lagspec import *", namespace)
