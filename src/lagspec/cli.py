@@ -43,7 +43,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import NumericalError
+from .errors import NumericalError, _fsum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -215,7 +215,7 @@ def _parse_atoms(text: str):
 
 def _cmd_rate(args) -> int:
     from .moments import NuVariant
-    from .rates import AcPlusAtoms, _fsum, _ldp_terms, f_outlier, mdp_rate_series
+    from .rates import AcPlusAtoms, _ldp_terms, f_outlier, mdp_rate_series
 
     if args.mdp_moments is None:
         _unused(args, ("xi", "variant", "trunc"), "without --mdp-moments")

@@ -1,9 +1,11 @@
-"""Shared across the package: the exception type, the integer check, the frozen-value base.
+"""Shared across the package: the exception type, the integer check, the overflow-safe sum
+``_fsum`` and the frozen-value base.
 
 ``_Frozen`` stands in for a frozen dataclass: ``dataclasses`` would load
 ``inspect`` and slow the start-up of the short commands.
 """
 
+import math
 import operator
 
 __all__ = ["NumericalError"]
@@ -19,6 +21,14 @@ def _integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _fsum(terms: list) -> float:
+    """math.fsum; where it refuses (overflow, inf - inf), the plain sum, +-inf or nan there."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return sum(terms)
 
 
 class _Frozen:

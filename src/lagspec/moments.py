@@ -356,6 +356,8 @@ def integrate_poly_against_moments(
     poly = np.asarray(poly, dtype=np.float64).reshape(-1)
     moments = np.asarray(moments, dtype=np.float64).reshape(-1)
     degree = poly.size - 1
+    if degree < 0:
+        raise ValueError("polynomial has no coefficients")
     if degree > moments.size:
         raise ValueError(
             f"polynomial degree {degree} exceeds available moments {moments.size}"

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .errors import NumericalError, _Frozen, _integer
+from .errors import NumericalError, _Frozen, _fsum, _integer
 from .moments import (
     NuVariant,
     _check_xi,
@@ -59,14 +59,6 @@ _MDP_DENSITY_NODES = 256
 _KL_DENSITY_FLOOR = 1e-300
 
 _MASS_TOL = 1e-8
-
-
-def _fsum(terms: list) -> float:
-    """math.fsum; where it refuses (overflow, inf - inf), the plain sum, +-inf or nan there."""
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):
-        return sum(terms)
 
 
 class AcPlusAtoms(_Frozen):

@@ -33,7 +33,7 @@ import enum
 import math
 import operator
 
-from .errors import NumericalError, _Frozen, _integer
+from .errors import NumericalError, _Frozen, _fsum, _integer
 
 __all__ = ["EnsembleParams", "RescalingMode", "derive_seed"]
 
@@ -237,8 +237,8 @@ def _check_measure(atoms: list, weights: list) -> None:
     This is ``SpectralMeasure``'s check: at least one atom, the atoms
     finite and strictly increasing (two eigenvalues closer than a float's
     spacing round to one float), the weights strictly positive and summing
-    to 1 within ``_WEIGHT_SUM_TOL``. The sum is ``math.fsum``'s, correctly
-    rounded.
+    to 1 within ``_WEIGHT_SUM_TOL``. The sum is ``errors._fsum``'s: that
+    is ``math.fsum``'s, correctly rounded.
     """
     if not atoms:
         raise ValueError("measure must have at least one atom")
@@ -248,10 +248,7 @@ def _check_measure(atoms: list, weights: list) -> None:
         raise ValueError("atoms must be strictly increasing")
     if not all(w > 0.0 for w in weights):
         raise ValueError("weights must be strictly positive")
-    try:
-        total = math.fsum(weights)
-    except OverflowError:  # finite positive weights whose sum exceeds the double range
-        total = math.inf
+    total = _fsum(weights)  # inf where finite positive weights overflow the double range
     if abs(total - 1.0) > _WEIGHT_SUM_TOL:
         raise ValueError(f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}")
 

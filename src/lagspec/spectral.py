@@ -30,7 +30,9 @@ dlasda, dsbtrd) come, on first use, from the LAPACK that
 ``numpy.linalg`` is linked against when that is the 64-bit-integer
 OpenBLAS numpy's wheels bundle, so that ``scipy`` is never imported;
 otherwise (as with numpy linked against Accelerate or MKL) from scipy's
-Cython LAPACK table through a signature-checked loader.
+Cython LAPACK table through a signature-checked loader. Any nonzero info
+they return is a NumericalError naming the routine (``LAPACK dsbtrd info
+3``), which :func:`eigen_spectral` words as its own failure.
 """
 
 from __future__ import annotations
@@ -170,7 +172,9 @@ def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
     exactly 0 (below the double range, as at small beta, or deflated by
     the solver) is dropped, so ``coeffs.n - measure.n`` atoms are lost, and
     the weights that remain still sum to 1 within 1e-10. Raises
-    NumericalError when LAPACK fails.
+    NumericalError when the solver fails: "tridiagonal eigensolver failed
+    for matrix of size <n>: <reason>", where a nonzero LAPACK info reads
+    "LAPACK <routine> info <info>".
 
     Matrices of size at most 64 go to numpy's dense ``eigh`` (dsyevd),
     whose reduction of a tridiagonal matrix reflects nothing before the
@@ -184,17 +188,16 @@ def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
     about 130 ms and 0.7 MB (traced) at size 2000 and 35 ms at size 1000.
     Neither path imports scipy where numpy bundles its own OpenBLAS.
     """
-    n = coeffs.n
-    if n <= _DENSE_EIGH_ATOMS:
-        # eigh reads only the lower triangle.
-        dense = np.diag(coeffs.diag) + np.diag(coeffs.offdiag, -1)
-        try:
+    try:
+        if coeffs.n <= _DENSE_EIGH_ATOMS:
+            # eigh reads only the lower triangle.
+            dense = np.diag(coeffs.diag) + np.diag(coeffs.offdiag, -1)
             lam, vecs = np.linalg.eigh(dense, UPLO="L")
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(_EIGENSOLVER_FAILED.format(n=n, reason=exc)) from exc
-        weights = vecs[0] ** 2
-    else:
-        lam, weights = _bidiagonal_spectrum(coeffs.diag, coeffs.offdiag)
+            weights = vecs[0] ** 2
+        else:
+            lam, weights = _bidiagonal_spectrum(coeffs.diag, coeffs.offdiag)
+    except (np.linalg.LinAlgError, NumericalError) as exc:
+        raise NumericalError(_EIGENSOLVER_FAILED.format(n=coeffs.n, reason=exc)) from exc
     kept = weights > 0
     return SpectralMeasure(lam[kept], weights[kept])
 
@@ -218,7 +221,7 @@ def _bidiagonal_spectrum(diag: np.ndarray, offdiag: np.ndarray):
     # J + sI = R^T R with R = D^1/2 L^T = diag(q) + superdiagonal f. It
     # overwrites d + shift with D and e with the subdiagonal of L.
     pivots = d + shift
-    _check(n, "dpttrf", _run_lapack("dpttrf", n, pivots, e))
+    _run_lapack("dpttrf", n, pivots, e)
     q = np.sqrt(pivots)
     f = np.zeros(n)  # LAPACK reads n - 1 entries
     f[:-1] = e * q[:-1]
@@ -233,25 +236,18 @@ def _bidiagonal_spectrum(diag: np.ndarray, offdiag: np.ndarray):
     levels = (n // (_SVD_LEAF + 1)).bit_length() + 1
     unused = np.zeros(1)
     work = np.zeros(6 * n + (_SVD_LEAF + 1) ** 2)
-    _check(n, "dlasda", _run_lapack(
+    _run_lapack(
         "dlasda", 0, _SVD_LEAF, n, 0, q, f, unused, n, unused, 1,
         np.zeros((n, levels), order="F"), np.zeros(n), np.zeros(n),
         np.zeros((n, 2 * levels), order="F"), 1, 1, n, 1, unused,
-        np.zeros(1), np.zeros(1), work, 7 * n))
+        np.zeros(1), np.zeros(1), work, 7 * n)
     first_row = work[:n]
     # WORK is not a documented output: accept it only as a unit vector.
     norm = float(np.sum(first_row**2))
     if not abs(norm - 1.0) <= _WEIGHT_SUM_TOL:
-        raise NumericalError(_EIGENSOLVER_FAILED.format(
-            n=n, reason=f"LAPACK dlasda left a first row of V with squared norm {norm!r}"))
+        raise NumericalError(f"LAPACK dlasda left a first row of V with squared norm {norm!r}")
     order = np.argsort(q)
     return np.ldexp(q[order] ** 2 - shift, k), first_row[order] ** 2
-
-
-def _check(n: int, routine: str, info: int) -> None:
-    if info != 0:
-        raise NumericalError(
-            _EIGENSOLVER_FAILED.format(n=n, reason=f"LAPACK {routine} info {info}"))
 
 
 def moments_via_operator(coeffs: JacobiCoefficients, order: int) -> np.ndarray:
@@ -403,19 +399,19 @@ def _band_reduction(band: np.ndarray):
     """
     kd, size = band.shape[0] - 1, band.shape[1]
     d, e = np.empty(size), np.empty(size - 1)
-    info = _run_lapack("dsbtrd", b"N", b"L", size, kd, band, kd + 1, d, e, np.empty(1), 1,
-                       np.empty(size))
-    if info != 0:
-        raise NumericalError(f"band tridiagonalization failed: LAPACK info {info}")
+    _run_lapack("dsbtrd", b"N", b"L", size, kd, band, kd + 1, d, e, np.empty(1), 1,
+                np.empty(size))
     return d, e
 
 
-def _run_lapack(routine: str, *args) -> int:
-    """Call a routine of ``_LAPACK_ARGS`` by reference; returns LAPACK's info.
+def _run_lapack(routine: str, *args) -> None:
+    """Call a routine of ``_LAPACK_ARGS`` by reference, LAPACK's info last.
 
     Chars are passed as bytes and double arrays as they are. An integer is
     passed as LAPACK's integer type, and where the routine takes an integer
-    array, as the length of a zeroed one: no caller reads one back.
+    array, as the length of a zeroed one: no caller reads one back. This is
+    the only reader of LAPACK's info: any nonzero value raises
+    NumericalError("LAPACK <routine> info <info>").
     """
     functions, integer = _lapack()
     info = integer(0)
@@ -423,7 +419,8 @@ def _run_lapack(routine: str, *args) -> int:
                          else np.zeros(a, dtype=integer) if kind == "I"
                          else a
                          for kind, a in zip(_LAPACK_ARGS[routine], args)), info)
-    return info.value
+    if info.value != 0:
+        raise NumericalError(f"LAPACK {routine} info {info.value}")
 
 
 @functools.cache

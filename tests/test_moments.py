@@ -361,6 +361,11 @@ class TestIntegration:
         with pytest.raises(ValueError, match="degree"):
             integrate_poly_against_moments(np.array([0.0, 1.0, 1.0]), np.zeros(1), 0.0)
 
+    def test_empty_polynomial_refused(self):
+        # The same refusal as predicted_clt's, not an IndexError from poly[0].
+        with pytest.raises(ValueError, match="^polynomial has no coefficients$"):
+            integrate_poly_against_moments([], [1.0], 1.0)
+
     def test_constant_term_drops_at_zero_mass(self):
         # Adding a constant to the polynomial cannot change zero-mass integrals.
         rng = np.random.default_rng(3)

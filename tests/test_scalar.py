@@ -272,6 +272,21 @@ class TestQlSpectrum:
             scalar._ql_spectrum(*scalar._rescaled_model(derive_seed(0, 0), params))
 
 
+class TestJacobiCheck:
+    @pytest.mark.parametrize("diag, offdiag, message", [
+        ([0.0, math.inf, 1.0], [1.0, 1.0], scalar._NOT_FINITE),
+        ([0.0, math.nan, 1.0], [1.0, 1.0], scalar._NOT_FINITE),
+        ([0.0, 1.0, 2.0], [1.0, math.nan], scalar._NOT_FINITE),
+        ([0.0, 1.0, 2.0], [1.0, 0.0], scalar._NOT_POSITIVE),
+        ([0.0, 1.0, 2.0], [-1.0, 1.0], scalar._NOT_POSITIVE),
+    ], ids=["diag-inf", "diag-nan", "offdiag-nan", "offdiag-zero", "offdiag-negative"])
+    def test_refuses_what_jacobi_coefficients_refuses(self, diag, offdiag, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            JacobiCoefficients(np.array(diag), np.array(offdiag))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scalar._check(diag, offdiag)
+
+
 class TestMeasureCheck:
     @pytest.mark.parametrize("atoms, weights", [
         ([0.0, math.inf], [0.5, 0.5]),
