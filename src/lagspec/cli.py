@@ -43,7 +43,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import NumericalError, _fsum
+from .errors import NumericalError, _fsum, _integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -294,8 +294,7 @@ def _cmd_mdp(args) -> int:
 
     from .experiments import MAX_POLY_DEGREE, parse_gamma_rule, run_clt
 
-    if not 1 <= args.k <= MAX_POLY_DEGREE:
-        raise ValueError(f"moment index must be in 1..{MAX_POLY_DEGREE}, got {args.k}")
+    _integer(args.k, "moment index", 1, MAX_POLY_DEGREE)
     config = _experiment_config(args, np.eye(args.k + 1)[args.k],
                                 parse_gamma_rule(args.gamma_rule), args.mode)
     report = run_clt(config)

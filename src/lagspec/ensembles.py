@@ -228,11 +228,8 @@ def replicate_windows(master_seed: int, replicates: int, params: EnsembleParams,
     NumericalError naming the first replicate whose window is not valid
     Jacobi data.
     """
-    replicates, window = _integer(replicates, "replicates"), _integer(window, "window")
-    if replicates < 0:
-        raise ValueError(f"replicates must be >= 0, got {replicates}")
-    if not 1 <= window <= params.n:
-        raise ValueError(f"window must be in 1..{params.n}, got {window}")
+    replicates = _integer(replicates, "replicates", 0)
+    window = _integer(window, "window", 1, params.n)
     for first in range(0, replicates, _BLOCK):
         rows = range(first, min(first + _BLOCK, replicates))
         # Rows that overflow or divide by zero are left to _first_fault.

@@ -1,4 +1,5 @@
-"""Shared across the package: the exception type, the integer check, the overflow-safe sum
+"""Shared across the package: the exception type, the integer check with optional bounds
+(``_integer``, whose docstring gives its three refusal wordings), the overflow-safe sum
 ``_fsum`` and the frozen-value base.
 
 ``_Frozen`` stands in for a frozen dataclass: ``dataclasses`` would load
@@ -15,12 +16,22 @@ class NumericalError(RuntimeError):
     """An iterative numerical procedure failed to converge or broke down."""
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int; a float or other non-integer is rejected, not truncated."""
+def _integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as a Python int, at least ``low`` and at most ``high`` where given.
+
+    A float or other non-integer is rejected, not truncated, as ``<name> must be an
+    integer, got <value!r>``; an int out of bounds as ``<name> must be >= <low>, got
+    <int>``, or as ``<name> must be in <low>..<high>, got <int>`` where ``high`` is given.
+    """
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if high is not None and not low <= number <= high:
+        raise ValueError(f"{name} must be in {low}..{high}, got {number}")
+    if low is not None and number < low:
+        raise ValueError(f"{name} must be >= {low}, got {number}")
+    return number
 
 
 def _fsum(terms: list) -> float:

@@ -127,8 +127,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _integer(self.master_seed, "master_seed")
-        if _integer(self.replicates, "replicates") < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        _integer(self.replicates, "replicates", 1)
         if self.b_n is not None and not (0.0 < self.b_n < np.inf):
             raise ValueError(f"b_n must be positive and finite, got {self.b_n!r}")
 
@@ -246,8 +245,6 @@ def predicted_clt(
         raise ValueError(f"polynomial must be a 1-D coefficient array, low to high (x^k is "
                          f"k zeros, then 1), got shape {poly.shape}")
     degree = poly.size - 1
-    if degree < 0:
-        raise ValueError("polynomial has no coefficients")
     if degree > MAX_POLY_DEGREE:
         raise ValueError(f"polynomial degree {degree} above cap {MAX_POLY_DEGREE}")
     if zeta < 0:
@@ -410,9 +407,7 @@ def run_mp_sanity(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError("MP sanity takes no speed b_n")
     if not isinstance(config.gamma_rule, LinearGamma):
         raise ValueError("MP sanity needs the linear gamma rule")
-    k = _integer(config.statistic, "statistic")
-    if not 1 <= k <= 4:
-        raise ValueError(f"moment index must be in 1..4, got {k}")
+    k = _integer(_integer(config.statistic, "statistic"), "moment index", 1, 4)
     tau = config.gamma_rule.tau
     params = config.ensemble_params()
     predicted_mean = float(mp_moments(k, tau)[k - 1])

@@ -26,8 +26,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from typing import TYPE_CHECKING
+
+from .errors import _integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,17 +64,8 @@ class NuVariant(enum.Enum):
 
 
 def _check_order(order: int) -> int:
-    """``order`` as an int; ValueError unless 1 <= order <= EXACT_ORDER_CAP.
-
-    Python and numpy integers are accepted (``operator.index``); a float is
-    refused, not truncated.
-    """
-    try:
-        value = operator.index(order)
-    except TypeError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
+    """``order`` as an int; ValueError unless 1 <= order <= EXACT_ORDER_CAP."""
+    value = _integer(order, "order", 1)
     if value > EXACT_ORDER_CAP:
         raise ValueError(
             f"order {order} above the 64-bit-exact cap {EXACT_ORDER_CAP}; "
@@ -225,8 +217,7 @@ def _chebyshev_lebesgue(n_nodes: int) -> tuple:
     < 2N; the nodes avoid the endpoints, absorbing inverse-square-root
     singularities there. Built once per node count, as tuples that no caller can change.
     """
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    n_nodes = _integer(n_nodes, "n_nodes", 1)
     x = tuple(2.0 * math.cos((2 * j - 1) * math.pi / (2 * n_nodes))
               for j in range(1, n_nodes + 1))
     return x, tuple((math.pi / n_nodes) * math.sqrt(4.0 - v * v) for v in x)
@@ -239,8 +230,7 @@ def _semicircle_gauss(n_nodes: int) -> tuple:
     x_j = 2 cos(j pi / (N+1)), weights (2/(N+1)) sin^2(j pi/(N+1)); exact
     for polynomials of degree < 2N.
     """
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    n_nodes = _integer(n_nodes, "n_nodes", 1)
     theta = [j * math.pi / (n_nodes + 1) for j in range(1, n_nodes + 1)]
     sines = [math.sin(t) for t in theta]
     return [2.0 * math.cos(t) for t in theta], [(2.0 / (n_nodes + 1)) * (s * s) for s in sines]
@@ -312,12 +302,7 @@ def d_inverse_apply(order: int, v: np.ndarray) -> np.ndarray:
 
 def _orthonormal_poly(k: int) -> list:
     """semicircle_orthonormal_poly(k) as a list of ints."""
-    try:
-        degree = operator.index(k)
-    except TypeError:
-        degree = -1
-    if degree < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    degree = _integer(k, "k", 0)
     if degree > EXACT_ORDER_CAP:
         raise ValueError(f"k {k} above the 64-bit-exact cap {EXACT_ORDER_CAP}")
     prev, cur = [], [1]
@@ -353,8 +338,13 @@ def integrate_poly_against_moments(
     """
     import numpy as np
 
-    poly = np.asarray(poly, dtype=np.float64).reshape(-1)
-    moments = np.asarray(moments, dtype=np.float64).reshape(-1)
+    poly = np.atleast_1d(np.asarray(poly, dtype=np.float64))
+    moments = np.atleast_1d(np.asarray(moments, dtype=np.float64))
+    if poly.ndim != 1:
+        raise ValueError(f"polynomial must be a 1-D coefficient array, low to high (x^k is "
+                         f"k zeros, then 1), got shape {poly.shape}")
+    if moments.ndim != 1:
+        raise ValueError(f"moments must be a 1-D array, got shape {moments.shape}")
     degree = poly.size - 1
     if degree < 0:
         raise ValueError("polynomial has no coefficients")

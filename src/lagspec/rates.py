@@ -209,8 +209,7 @@ def mdp_rate_series(
     m = [float(v) for v in m]
     if not all(math.isfinite(v) for v in m):
         raise ValueError("moments must be finite")
-    if _integer(k_trunc, "k_trunc") < 1:
-        raise ValueError(f"k_trunc must be >= 1, got {k_trunc}")
+    _integer(k_trunc, "k_trunc", 1)
     if len(m) < k_trunc:
         raise ValueError(
             f"truncation {k_trunc} exceeds moment sequence length {len(m)}"

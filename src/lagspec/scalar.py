@@ -97,12 +97,7 @@ class EnsembleParams(_Frozen):
 
     def __init__(self, n: int, beta: float, gamma: float,
                  mode: RescalingMode = RescalingMode.STANDARD):
-        try:
-            valid_n = operator.index(n) >= 1
-        except TypeError:
-            valid_n = False
-        if not valid_n:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
+        _integer(n, "n", 1)
         if not (beta > 0) or not math.isfinite(beta):
             raise ValueError(f"beta must be positive and finite, got {beta!r}")
         if not math.isfinite(gamma) or not (gamma > (n - 1) * beta / 2.0):
@@ -142,9 +137,7 @@ def derive_seed(master_seed: int, index: int) -> int:
     function of its integer arguments (Python or numpy integers; a float
     raises ValueError), so replication stays reproducible.
     """
-    index = _integer(index, "index")
-    if index < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
+    index = _integer(index, "index", 0)
     return _splitmix(_integer(master_seed, "seed") + (index + 1) * _GOLDEN)
 
 

@@ -159,8 +159,7 @@ class SpectralMeasure:
 
 def free_jacobi(n: int) -> JacobiCoefficients:
     """Truncation of the free Jacobi matrix: zero diagonal, unit off-diagonal."""
-    if _integer(n, "n") < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _integer(n, "n", 1)
     return JacobiCoefficients(np.zeros(n), np.ones(n - 1))
 
 
@@ -259,8 +258,7 @@ def moments_via_operator(coeffs: JacobiCoefficients, order: int) -> np.ndarray:
     is supported on the first k + 1 coordinates, so the cost is O(order^2)
     whatever the matrix size.
     """
-    if _integer(order, "moment order") < 1:
-        raise ValueError(f"moment order must be >= 1, got {order}")
+    _integer(order, "moment order", 1)
     w = min(order + 1, coeffs.n)
     return _window_moments(coeffs.diag[:w], coeffs.offdiag[: w - 1], order)
 
@@ -293,8 +291,7 @@ def moments_of_measure(measure: SpectralMeasure, order: int) -> np.ndarray:
     Each sum is accumulated with numpy's pairwise summation, which keeps
     cancellation mild even for high moments.
     """
-    if _integer(order, "moment order") < 1:
-        raise ValueError(f"moment order must be >= 1, got {order}")
+    _integer(order, "moment order", 1)
     lam = measure.atoms
     w = measure.weights
     out = np.empty(order)
@@ -329,8 +326,7 @@ def measure_to_coefficients(measure: SpectralMeasure, order: int) -> JacobiCoeff
     fails or an off-diagonal up to ``order`` collapses (numerical breakdown,
     typically from nearly coincident atoms).
     """
-    if _integer(order, "order") < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    _integer(order, "order", 1)
     if order > measure.n:
         raise ValueError(f"order {order} exceeds the number of atoms {measure.n}")
     # Heaviest atoms first: J does not depend on the order, but this one

@@ -50,9 +50,14 @@ class TestSemicircleMoments:
         with pytest.raises(ValueError, match="cap"):
             semicircle_moments(41)
 
-    @pytest.mark.parametrize("order", [0, 2.5, 6.0, "3"])
-    def test_order_must_be_a_positive_integer(self, order):
-        with pytest.raises(ValueError, match="^order must be a positive integer, got "):
+    @pytest.mark.parametrize("order, message", [
+        pytest.param(0, "order must be >= 1, got 0", id="0"),
+        pytest.param(2.5, "order must be an integer, got 2.5", id="2.5"),
+        pytest.param(6.0, "order must be an integer, got 6.0", id="6.0"),
+        pytest.param("3", "order must be an integer, got '3'", id="3"),
+    ])
+    def test_order_must_be_a_positive_integer(self, order, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             semicircle_moments(order)
 
     def test_numpy_integer_order_accepted(self):
@@ -323,8 +328,8 @@ class TestOrthonormalPolynomials:
         np.testing.assert_array_equal(semicircle_orthonormal_poly(3), [0, -2, 0, 1])
 
     @pytest.mark.parametrize("k, message", [
-        (-1, "k must be a nonnegative integer, got -1"),
-        (2.5, "k must be a nonnegative integer, got 2.5"),
+        (-1, "k must be >= 0, got -1"),
+        (2.5, "k must be an integer, got 2.5"),
         (41, "k 41 above the 64-bit-exact cap 40"),
     ])
     def test_degree_out_of_range(self, k, message):
@@ -365,6 +370,16 @@ class TestIntegration:
         # The same refusal as predicted_clt's, not an IndexError from poly[0].
         with pytest.raises(ValueError, match="^polynomial has no coefficients$"):
             integrate_poly_against_moments([], [1.0], 1.0)
+
+    def test_two_dimensional_input_refused(self):
+        # Neither argument is flattened into one long array; a 0-d polynomial
+        # is still one coefficient.
+        with pytest.raises(ValueError, match=r"^polynomial must be a 1-D coefficient array, "
+                                             r".*got shape \(2, 2\)$"):
+            integrate_poly_against_moments([[0.0, 1.0], [0.0, 1.0]], [1.0, 2.0, 3.0], 1.0)
+        with pytest.raises(ValueError, match=r"^moments must be a 1-D array, got shape \(2, 1\)$"):
+            integrate_poly_against_moments([0.0, 1.0], [[1.0], [2.0]], 1.0)
+        assert integrate_poly_against_moments(2.0, [1.0], 1.5) == 3.0
 
     def test_constant_term_drops_at_zero_mass(self):
         # Adding a constant to the polynomial cannot change zero-mass integrals.

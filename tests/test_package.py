@@ -74,7 +74,7 @@ def test_import_loads_no_submodule_until_a_name_is_used():
     env = {**os.environ, "PYTHONPATH": str(Path(lagspec.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.splitlines() == ["[]", "['lagspec.moments']"]
+    assert out.splitlines() == ["[]", "['lagspec.errors', 'lagspec.moments']"]
 
 
 def test_readme_quick_start_runs():

@@ -371,7 +371,7 @@ class TestEnsembleParamsValue:
         assert not hasattr(params, "other")
 
     def test_non_integer_size_rejected(self):
-        with pytest.raises(ValueError, match="^n must be a positive integer, got 2.5$"):
+        with pytest.raises(ValueError, match="^n must be an integer, got 2.5$"):
             EnsembleParams(2.5, 2.0, 10.0)
 
     def test_equality_and_hash_are_over_the_fields(self):

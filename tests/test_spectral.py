@@ -8,7 +8,9 @@ operator-side moments where atoms with an underflowed weight are dropped.
 """
 
 import ctypes
+import operator
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -21,11 +23,12 @@ import scipy.linalg
 from scipy.integrate import quad
 
 import lagspec
-from lagspec import spectral
-from lagspec.ensembles import (EnsembleParams, derive_seed, make_rng, rescale,
-                               sample_laguerre_tridiagonal)
+from lagspec import cli, moments, spectral
+from lagspec.ensembles import (EnsembleParams, RescalingMode, derive_seed, make_rng, rescale,
+                               replicate_windows, sample_laguerre_tridiagonal)
 from lagspec.errors import NumericalError
-from lagspec.moments import NuVariant
+from lagspec.experiments import ExperimentConfig, LinearGamma, run_mp_sanity
+from lagspec.moments import NuVariant, semicircle_moments, semicircle_orthonormal_poly
 from lagspec.rates import mdp_rate_series
 from lagspec.spectral import (
     JacobiCoefficients,
@@ -553,25 +556,90 @@ class TestFreeJacobi:
 
 
 TWO_ATOMS = SpectralMeasure([0.0, 1.0], [0.5, 0.5])
+THREE_ROWS = EnsembleParams(3, 2.0, 10.0)
 
 
-@pytest.mark.parametrize("call, name", [
-    pytest.param(lambda k: measure_to_coefficients(TWO_ATOMS, k), "order",
+def same_repr(a, b):
+    return repr(a) == repr(b)
+
+
+def config_with(replicates=100, statistic=1):
+    return ExperimentConfig(n=3, beta=2.0, gamma_rule=LinearGamma(0.5), replicates=replicates,
+                            master_seed=1, statistic=statistic, mode=RescalingMode.NONE)
+
+
+@pytest.mark.parametrize("call, name, same", [
+    pytest.param(lambda k: measure_to_coefficients(TWO_ATOMS, k), "order", same_repr,
                  id="measure_to_coefficients"),
-    pytest.param(lambda k: moments_via_operator(free_jacobi(3), k), "moment order",
+    pytest.param(lambda k: moments_via_operator(free_jacobi(3), k), "moment order", same_repr,
                  id="moments_via_operator"),
-    pytest.param(lambda k: moments_of_measure(TWO_ATOMS, k), "moment order",
+    pytest.param(lambda k: moments_of_measure(TWO_ATOMS, k), "moment order", same_repr,
                  id="moments_of_measure"),
-    pytest.param(free_jacobi, "n", id="free_jacobi"),
+    pytest.param(free_jacobi, "n", same_repr, id="free_jacobi"),
     pytest.param(lambda k: mdp_rate_series([0, 1, 0], 0.0, NuVariant.STANDARD, k), "k_trunc",
-                 id="mdp_rate_series"),
+                 same_repr, id="mdp_rate_series"),
+    pytest.param(semicircle_moments, "order", same_repr, id="semicircle_moments"),
+    pytest.param(semicircle_orthonormal_poly, "k", same_repr, id="semicircle_orthonormal_poly"),
+    # EnsembleParams and ExperimentConfig store the integer as the caller gave it.
+    pytest.param(lambda n: EnsembleParams(n, 2.0, 10.0), "n", operator.eq, id="EnsembleParams"),
+    pytest.param(lambda i: derive_seed(1, i), "index", same_repr, id="derive_seed"),
+    pytest.param(lambda r: list(replicate_windows(1, r, THREE_ROWS, 2)), "replicates",
+                 same_repr, id="replicate_windows-replicates"),
+    pytest.param(lambda w: list(replicate_windows(1, 2, THREE_ROWS, w)), "window",
+                 same_repr, id="replicate_windows-window"),
+    pytest.param(config_with, "replicates", operator.eq, id="ExperimentConfig"),
+    pytest.param(moments._chebyshev_lebesgue, "n_nodes", same_repr, id="_chebyshev_lebesgue"),
+    pytest.param(moments._semicircle_gauss, "n_nodes", same_repr, id="_semicircle_gauss"),
 ])
-def test_non_integer_orders_are_refused(call, name):
-    # A float is refused with a ValueError, as replicate_windows refuses a
-    # float window, and a numpy integer counts as the int it equals.
+def test_non_integer_orders_are_refused(call, name, same):
+    # A float is refused with a ValueError, and a numpy integer counts as the
+    # int it equals.
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got 2\.0$"):
         call(2.0)
-    assert repr(call(np.int64(2))) == repr(call(2))
+    assert same(call(np.int64(2)), call(2))
+
+
+@pytest.mark.parametrize("call, value, message", [
+    pytest.param(lambda k: measure_to_coefficients(TWO_ATOMS, k), 0,
+                 "order must be >= 1, got 0", id="measure_to_coefficients"),
+    pytest.param(lambda k: moments_via_operator(free_jacobi(3), k), 0,
+                 "moment order must be >= 1, got 0", id="moments_via_operator"),
+    pytest.param(lambda k: moments_of_measure(TWO_ATOMS, k), 0,
+                 "moment order must be >= 1, got 0", id="moments_of_measure"),
+    pytest.param(free_jacobi, 0, "n must be >= 1, got 0", id="free_jacobi"),
+    pytest.param(lambda k: mdp_rate_series([0, 1, 0], 0.0, NuVariant.STANDARD, k), 0,
+                 "k_trunc must be >= 1, got 0", id="mdp_rate_series"),
+    pytest.param(semicircle_moments, 0, "order must be >= 1, got 0", id="semicircle_moments"),
+    pytest.param(semicircle_orthonormal_poly, -1, "k must be >= 0, got -1",
+                 id="semicircle_orthonormal_poly"),
+    pytest.param(lambda n: EnsembleParams(n, 2.0, 10.0), np.int64(0), "n must be >= 1, got 0",
+                 id="EnsembleParams"),
+    pytest.param(lambda i: derive_seed(1, i), -1, "index must be >= 0, got -1",
+                 id="derive_seed"),
+    pytest.param(lambda r: list(replicate_windows(1, r, THREE_ROWS, 2)), -1,
+                 "replicates must be >= 0, got -1", id="replicate_windows-replicates"),
+    pytest.param(lambda w: list(replicate_windows(1, 2, THREE_ROWS, w)), 0,
+                 "window must be in 1..3, got 0", id="replicate_windows-window-low"),
+    pytest.param(lambda w: list(replicate_windows(1, 2, THREE_ROWS, w)), 4,
+                 "window must be in 1..3, got 4", id="replicate_windows-window-high"),
+    pytest.param(config_with, 0, "replicates must be >= 1, got 0", id="ExperimentConfig"),
+    pytest.param(lambda k: run_mp_sanity(config_with(statistic=k)), 0,
+                 "moment index must be in 1..4, got 0", id="run_mp_sanity-low"),
+    pytest.param(lambda k: run_mp_sanity(config_with(statistic=k)), 5,
+                 "moment index must be in 1..4, got 5", id="run_mp_sanity-high"),
+    pytest.param(moments._chebyshev_lebesgue, 0, "n_nodes must be >= 1, got 0",
+                 id="_chebyshev_lebesgue"),
+    pytest.param(moments._semicircle_gauss, 0, "n_nodes must be >= 1, got 0",
+                 id="_semicircle_gauss"),
+    pytest.param(lambda k: cli._cmd_mdp(types.SimpleNamespace(k=k)), 0,
+                 "moment index must be in 1..20, got 0", id="cli-mdp-low"),
+    pytest.param(lambda k: cli._cmd_mdp(types.SimpleNamespace(k=k)), 21,
+                 "moment index must be in 1..20, got 21", id="cli-mdp-high"),
+])
+def test_out_of_range_integers_are_refused(call, value, message):
+    # One wording for every bound: >= low, or in low..high where there is a high.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 def test_cli_import_loads_no_scipy_subpackage():
