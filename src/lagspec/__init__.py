@@ -40,7 +40,6 @@ _EXPORTS = {
     "d_inverse_apply": "moments",
     "d_matrix": "moments",
     "dw_vector": "moments",
-    "integrate_poly_against_moments": "moments",
     "mp_moments": "moments",
     "nu_density": "moments",
     "nu_moments": "moments",

@@ -29,14 +29,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .ensembles import EnsembleParams, RescalingMode, _integer, replicate_windows
-from .moments import (
-    EXACT_ORDER_CAP,
-    NuVariant,
-    integrate_poly_against_moments,
-    mp_moments,
-    nu_moments,
-    semicircle_moments,
-)
+from .moments import EXACT_ORDER_CAP, NuVariant, _dot, _nu, _semicircle, _semicircle_cov, mp_moments
 from .spectral import _window_moments
 
 __all__ = [
@@ -234,28 +227,33 @@ def predicted_clt(
 ) -> tuple[float, float]:
     """Limit mean and variance of the centered linear statistic of ``poly``.
 
-    Mean: integral of p against the corrective signed measure with
-    parameter zeta (zero total mass). Variance: the semicircle variance of
-    p, i.e. the integral of (p - mean_sc(p))^2 against the semicircle law.
-    Both via exact reference moments; degree capped at MAX_POLY_DEGREE to
-    stay inside the exact-moment range. ``poly`` is a 1-D coefficient array.
+    With c the coefficients of x^1..x^d (the constant term is not read),
+    the mean is <c, nu> over the moments of the corrective signed measure
+    with parameter zeta, and the variance is c^T Sigma c over the exact
+    integer semicircle covariance Sigma_ij = m_{i+j} - m_i m_j. Both are
+    summed left to right on Python floats; a variance past the float range
+    reads inf. ``poly`` is a nonempty 1-D array of finite coefficients, of
+    degree at most MAX_POLY_DEGREE.
     """
     poly = np.asarray(poly, dtype=np.float64)
     if poly.ndim != 1:
         raise ValueError(f"polynomial must be a 1-D coefficient array, low to high (x^k is "
                          f"k zeros, then 1), got shape {poly.shape}")
-    degree = poly.size - 1
-    if degree > MAX_POLY_DEGREE:
-        raise ValueError(f"polynomial degree {degree} above cap {MAX_POLY_DEGREE}")
+    if poly.size == 0:
+        raise ValueError("polynomial has no coefficients")
+    coeffs = poly.tolist()
+    c = coeffs[1:]
+    if len(c) > MAX_POLY_DEGREE:
+        raise ValueError(f"polynomial degree {len(c)} above cap {MAX_POLY_DEGREE}")
     if zeta < 0:
         raise ValueError(f"zeta must be >= 0, got {zeta!r}")
-    order = max(1, 2 * degree)
-    msc = semicircle_moments(order).astype(np.float64)
-    mean = integrate_poly_against_moments(poly, nu_moments(order, zeta, variant), 0.0)
-    p_squared = np.convolve(poly, poly)
-    second = integrate_poly_against_moments(p_squared, msc, 1.0)
-    first = integrate_poly_against_moments(poly, msc, 1.0)
-    return mean, second - first * first
+    if not all(math.isfinite(coeff) for coeff in coeffs):
+        raise ValueError(f"polynomial {coeffs} has a coefficient that is not finite")
+    mean = _dot(c, _nu(max(len(c), 1), zeta, variant))
+    var = _dot(c, [_dot(row, c) for row in _semicircle_cov(len(c))])
+    # Sigma is positive semidefinite, so a sum that is not finite (inf - inf
+    # or 0 * inf among the terms) comes from an overflow.
+    return float(mean), (float(var) if math.isfinite(var) else math.inf)
 
 
 def _summaries(samples: np.ndarray) -> tuple[float, float, float]:
@@ -366,17 +364,18 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError(f"{format_poly(poly)} at b_n = {speed!r}: sqrt(n beta'/b_n), xi_n "
                          "or the predicted variance is not finite")
 
-    degree = poly.size - 1
-    tail = poly[1:]
-    msc = semicircle_moments(max(degree, 1)).astype(np.float64)
+    order = max(poly.size - 1, 1)
+    msc = _semicircle(order)
+    tail = poly[1:].tolist()
 
     def statistic(m: np.ndarray) -> np.ndarray:
-        if degree < 1:  # a constant polynomial's statistic is identically 0
-            return np.zeros(len(m))
-        # vecdot's loop makes one BLAS ddot per replicate, as np.dot does; a
-        # matrix product may sum in another order and change the last bits
-        # of the reports.
-        return prefactor * np.vecdot(m - msc, tail)
+        # Left to right over the coefficients from 0.0, as moments._dot sums:
+        # elementwise operations round the same on every host, where a BLAS
+        # dot may pick its summation order at run time.
+        total = np.zeros(len(m))
+        for j, coeff in enumerate(tail):
+            total += (m[:, j] - msc[j]) * coeff
+        return prefactor * total
 
     def verdict(mean: float, var: float, se: float) -> bool:
         if predicted_var > 0.0:
@@ -390,7 +389,7 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
     return _run(
         config, params, label=format_poly(poly), zeta_or_xi=zeta_n,
         predicted_mean=predicted_mean, predicted_variance=predicted_var,
-        order=max(degree, 1), statistic=statistic, verdict=verdict,
+        order=order, statistic=statistic, verdict=verdict,
     )
 
 

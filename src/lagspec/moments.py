@@ -1,9 +1,9 @@
 """Reference moments, the corrective signed measures, and the D matrix.
 
 Moment sequences are plain 1-D arrays indexed from order 1: entry ``i``
-holds m_{i+1}. Total mass (m_0) is never stored; integration sites take it
-as an explicit argument, which keeps zero-mass signed measures and
-probability measures from being conflated.
+holds m_{i+1}. Total mass (m_0) is never stored, which keeps zero-mass
+signed measures and probability measures from being conflated; a reader
+that needs it supplies it (the semicircle covariance puts m_0 = 1).
 
 Everything combinatorial here (Catalan/central-binomial moments, the
 lower-triangular D matrix, the orthonormal-polynomial coefficients of the
@@ -39,7 +39,6 @@ __all__ = [
     "d_inverse_apply",
     "d_matrix",
     "dw_vector",
-    "integrate_poly_against_moments",
     "mp_moments",
     "nu_density",
     "nu_moments",
@@ -108,6 +107,12 @@ def semicircle_moments(order: int) -> np.ndarray:
     import numpy as np
 
     return np.array(_semicircle(order), dtype=np.int64)
+
+
+def _semicircle_cov(d: int) -> list:
+    """The semicircle covariance of x^i and x^j, i, j = 1..d, as ints: m_{i+j} - m_i m_j."""
+    m = [1] + _semicircle(max(2 * d, 1))
+    return [[m[i + j] - m[i] * m[j] for j in range(1, d + 1)] for i in range(1, d + 1)]
 
 
 def _arcsine(order: int) -> list:
@@ -326,38 +331,6 @@ def semicircle_orthonormal_poly(k: int) -> np.ndarray:
     return np.array(_orthonormal_poly(k), dtype=np.int64)
 
 
-def integrate_poly_against_moments(
-    poly: np.ndarray, moments: np.ndarray, total_mass: float
-) -> float:
-    """Integral of a polynomial against a measure known by its moments.
-
-    ``poly`` holds monomial coefficients c_0..c_d (low to high); the result
-    is c_0 * total_mass + sum_{j>=1} c_j m_j. The caller must state the
-    total mass explicitly (0 for the zero-mass signed measures, 1 for
-    probability measures).
-    """
-    import numpy as np
-
-    poly = np.atleast_1d(np.asarray(poly, dtype=np.float64))
-    moments = np.atleast_1d(np.asarray(moments, dtype=np.float64))
-    if poly.ndim != 1:
-        raise ValueError(f"polynomial must be a 1-D coefficient array, low to high (x^k is "
-                         f"k zeros, then 1), got shape {poly.shape}")
-    if moments.ndim != 1:
-        raise ValueError(f"moments must be a 1-D array, got shape {moments.shape}")
-    degree = poly.size - 1
-    if degree < 0:
-        raise ValueError("polynomial has no coefficients")
-    if degree > moments.size:
-        raise ValueError(
-            f"polynomial degree {degree} exceeds available moments {moments.size}"
-        )
-    out = poly[0] * float(total_mass)
-    if degree >= 1:
-        out += float(np.dot(poly[1:], moments[:degree]))
-    return out
-
-
 def _dw(order: int, xi: float, variant: NuVariant = NuVariant.STANDARD) -> list:
     """dw_vector as a list of floats."""
     order = _check_order(order)
@@ -389,11 +362,8 @@ def _identity_checks(order: int) -> list:
     checks = []
 
     d = _d_rows(order)
-    msc = _semicircle(2 * order)
     ddt = [[_dot(row_i, row_j) for row_j in d] for row_i in d]
-    cov = [[msc[i + j - 1] - msc[i - 1] * msc[j - 1] for j in range(1, order + 1)]
-           for i in range(1, order + 1)]
-    checks.append((f"ddt_covariance_order{order}", ddt == cov))
+    checks.append((f"ddt_covariance_order{order}", ddt == _semicircle_cov(order)))
 
     d15 = _d_rows(15)
     for variant, tag in ((NuVariant.STANDARD, "nu"), (NuVariant.SHIFTED, "nu_hat")):

@@ -63,7 +63,7 @@ def _run_main(tmp_path, monkeypatch, correct=True, code=0, labels=("a", "b"), va
               failed=None):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "workloads": [{"name": "w"}], "run_seconds": 1,
-        "end_to_end": [{"name": "op_p50_s", "better": "lower"}]}))
+        "end_to_end": [{"name": "op_p50_s", "better": "lower", "bound": 0.25}]}))
     log = tmp_path / "order.log"
     for label in labels:
         (tmp_path / label / "perfbench").mkdir(parents=True)
@@ -108,9 +108,26 @@ def test_two_labels_print_quartiles_and_pair_wins(tmp_path, monkeypatch, capsys)
     assert counts == "w failed/attempted operations: a 10/40, b 20/40"
     qa = statistics.quantiles(a, n=4, method="inclusive")
     qb = statistics.quantiles(b, n=4, method="inclusive")
+    # Both sides' IQR/median (about 0.8) exceed the bound, and the runs overlap.
     assert line == (
-        f"w op_p50_s (lower is better): a {qa[1]:.6g} [{qa[0]:.6g}, {qa[2]:.6g}], "
-        f"b {qb[1]:.6g} [{qb[0]:.6g}, {qb[2]:.6g}]; pairs won of 10: a 2, b 3")
+        f"w op_p50_s (lower is better, bound 0.25): "
+        f"a {qa[1]:.6g} [{qa[0]:.6g}, {qa[2]:.6g}] IQR/median {(qa[2] - qa[0]) / qa[1]:.3g}, "
+        f"b {qb[1]:.6g} [{qb[0]:.6g}, {qb[2]:.6g}] IQR/median {(qb[2] - qb[0]) / qb[1]:.3g}; "
+        f"pairs won of 10: a 2, b 3; unresolved: IQR/median above the bound")
+
+    def last_line(first, second):
+        summaries = tuple(bench_trajectory.summarise([_result(v) for v in values])
+                          for values in (first, second))
+        metrics = {"op_p50_s": {"better": "lower", "bound": 0.25}}
+        return bench_trajectory.compare("w", ("a", "b"), summaries, metrics)[-1]
+
+    tight = [1.0 + 0.01 * seed for seed in range(10)]
+    assert "unresolved" not in last_line(tight, [v + 0.05 for v in tight])
+    # One wide side is enough to leave the comparison unresolved ...
+    assert last_line(tight, [v + 0.05 for v in a]).endswith("; unresolved: IQR/median above "
+                                                            "the bound")
+    # ... unless every run of one side beats every run of the other.
+    assert "unresolved" not in last_line(a, [v + 1.0 for v in a])
 
 
 def test_one_label_prints_no_comparison(tmp_path, monkeypatch, capsys):

@@ -222,6 +222,18 @@ def test_readme_commands_are_the_readmes():
     assert list(README_COMMANDS.values()) == readme_digests.readme_commands(readme)
 
 
+def test_readme_clt_runs_without_blas_reductions(monkeypatch, capsys):
+    # The prediction sums on Python floats and the statistic in elementwise
+    # operations, left to right: no numpy dot, product or convolution is on the path.
+    def refused(*args, **kwargs):
+        raise AssertionError("a BLAS reduction was called")
+
+    for name in ("dot", "vecdot", "convolve", "matmul"):
+        monkeypatch.setattr(np, name, refused)
+    assert cli.main(README_COMMANDS["clt"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("x^3,2000,")
+
+
 CLT_ARGS = ["clt", "--n", "120", "--beta", "2", "--gamma-rule", "pow:3:1",
             "--poly", "x^2", "--replicates", "150", "--seed", "7"]
 
@@ -792,6 +804,14 @@ class TestCltCommand:
             assert cli.main(CLT_ARGS + ["--out", str(path)]) == 0
             paths.append(path.read_bytes())
         assert paths[0] == paths[1] == paths[2]
+
+    def test_constant_term_does_not_fail_a_correct_sampler(self, capsys):
+        # E[p^2] - E[p]^2 predicted 2.0 here, cancelling 1e8^2 against itself,
+        # and failed the verdict on a sample variance of 0.00996.
+        argv = ["clt", "--n", "500", "--beta", "2", "--gamma-rule", "pow:2:1", "--poly",
+                "1e8+0.1x^2", "--replicates", "2000", "--seed", "3", "--format", "json"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["predicted_var"] == 0.010000000000000002
 
     def test_histogram_emission(self, tmp_path):
         report_path = tmp_path / "r.csv"

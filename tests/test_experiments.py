@@ -27,7 +27,7 @@ from lagspec.experiments import (
     run_clt,
     run_mp_sanity,
 )
-from lagspec.moments import NuVariant, nu_moments, semicircle_moments
+from lagspec.moments import NuVariant, _dot, nu_moments, semicircle_moments
 from lagspec.spectral import JacobiCoefficients, moments_via_operator
 
 X2 = np.array([0.0, 0.0, 1.0])
@@ -146,6 +146,44 @@ class TestPredictedClt:
             quad_form = int(alpha @ (d @ d.T) @ alpha)
             assert var == float(quad_form)
 
+    def test_empty_polynomial_refused(self):
+        with pytest.raises(ValueError, match="^polynomial has no coefficients$"):
+            predicted_clt([], 1.0)
+
+    def test_two_dimensional_input_refused(self):
+        # A 2-D array is not read as one long polynomial.
+        with pytest.raises(ValueError, match=r"^polynomial must be a 1-D coefficient array, "
+                                             r".*got shape \(2, 2\)$"):
+            predicted_clt([[0.0, 1.0], [0.0, 1.0]], 1.0)
+
+    @pytest.mark.parametrize("poly", [[1.0, np.inf], [np.nan, 1.0], [0.0, -np.inf, 1.0]])
+    def test_non_finite_coefficient_refused(self, poly):
+        with pytest.raises(ValueError, match=r"^polynomial \[.*\] has a coefficient that is "
+                                             r"not finite$"):
+            predicted_clt(np.array(poly), 1.0)
+
+    @pytest.mark.parametrize("poly", [[0.0, 0.0, 1e200], [0.0, 0.0, 0.0, 1e308],
+                                      [0.0, 1e200, 0.0, -1e200]])
+    def test_overflowing_variance_reads_inf(self, poly):
+        # Among the terms of the last two are 0 * inf and inf - inf.
+        assert predicted_clt(np.array(poly), 1.0)[1] == np.inf
+
+    @pytest.mark.parametrize("poly", [[0.0, 0.0, 0.1], X5, [0.0, 0.3, 0.0, 0.7, 0.0, -0.1]])
+    def test_constant_term_is_not_read(self, poly):
+        # The statistic never reads the constant term, and neither does its
+        # prediction: E[p^2] - E[p]^2 would lose the variance of 0.1x^2 to
+        # cancellation against 1e8.
+        shifted = np.array(poly)
+        shifted[0] += 1e8
+        assert predicted_clt(np.array(poly), 1.5) == predicted_clt(shifted, 1.5)
+
+    def test_non_monomial_pinned_to_left_to_right_sums(self):
+        # 0.3x + 0.7x^3 - 0.1x^5 at zeta = 1, summed left to right on floats:
+        # mean 0.3*0 + 0.7*1 - 0.1*5 and variance c^T Sigma c row by row.
+        # Other summation orders give 0.19999999999999993 and 1.54.
+        mean, var = predicted_clt(np.array([0.0, 0.3, 0.0, 0.7, 0.0, -0.1]), 1.0)
+        assert (mean, var) == (0.19999999999999996, 1.5399999999999996)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
     def test_shifted_minus_standard_is_exact(self, k):
         # Difference of predicted means is m_k(shifted) - m_k(standard),
@@ -183,8 +221,9 @@ def clt_reference(config, count=None):
     degree = poly.size - 1
     scale = np.sqrt(config.n * config.beta / 2.0)
     msc = semicircle_moments(degree).astype(np.float64)
+    tail = poly[1:].tolist()
     return reference_samples(
-        config, degree, lambda m: float(scale * np.dot(poly[1:], m - msc)), count
+        config, degree, lambda m: float(scale * _dot((m - msc).tolist(), tail)), count
     )
 
 
@@ -234,6 +273,14 @@ class TestReplicateDriver:
         run, reference, config = ORACLE_CASES[case]
         report = run(config)
         assert np.array_equal(report.samples, reference(config))
+
+    def test_non_monomial_sample_pinned(self):
+        # Replicate 0 of 0.3x + 0.7x^3 - 0.1x^5, summed left to right over
+        # the coefficients. The elementwise operations round alike on every
+        # host; a BLAS dot gave 2.277058734129568 on one x86-64 OpenBLAS.
+        config = clt_config(n=200, gamma_rule=PowerLawGamma(2.0),
+                            statistic=np.array([0.0, 0.3, 0.0, 0.7, 0.0, -0.1]), replicates=100)
+        assert run_clt(config).samples[0] == 2.2770587341295685
 
     def test_same_config_twice(self):
         config = clt_config(statistic=X3, replicates=150)

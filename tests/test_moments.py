@@ -14,7 +14,6 @@ from lagspec.moments import (
     d_inverse_apply,
     d_matrix,
     dw_vector,
-    integrate_poly_against_moments,
     mp_moments,
     nu_density,
     nu_moments,
@@ -346,51 +345,6 @@ class TestOrthonormalPolynomials:
             for j in range(13):
                 inner = np.sum(w * values[i] * values[j])
                 assert abs(inner - (1.0 if i == j else 0.0)) < 1e-10
-
-
-class TestIntegration:
-    def test_second_moment_of_semicircle(self):
-        poly = np.array([0.0, 0.0, 1.0])
-        msc = semicircle_moments(4).astype(float)
-        assert integrate_poly_against_moments(poly, msc, 1.0) == 1.0
-
-    def test_constant_against_zero_mass(self):
-        assert integrate_poly_against_moments(np.array([1.0]), np.zeros(3), 0.0) == 0.0
-
-    def test_p3_against_nu(self):
-        p3 = semicircle_orthonormal_poly(3).astype(float)
-        val = integrate_poly_against_moments(p3, nu_moments(3, 1.0), 0.0)
-        assert val == 1.0
-
-    def test_degree_exceeds_moments(self):
-        with pytest.raises(ValueError, match="degree"):
-            integrate_poly_against_moments(np.array([0.0, 1.0, 1.0]), np.zeros(1), 0.0)
-
-    def test_empty_polynomial_refused(self):
-        # The same refusal as predicted_clt's, not an IndexError from poly[0].
-        with pytest.raises(ValueError, match="^polynomial has no coefficients$"):
-            integrate_poly_against_moments([], [1.0], 1.0)
-
-    def test_two_dimensional_input_refused(self):
-        # Neither argument is flattened into one long array; a 0-d polynomial
-        # is still one coefficient.
-        with pytest.raises(ValueError, match=r"^polynomial must be a 1-D coefficient array, "
-                                             r".*got shape \(2, 2\)$"):
-            integrate_poly_against_moments([[0.0, 1.0], [0.0, 1.0]], [1.0, 2.0, 3.0], 1.0)
-        with pytest.raises(ValueError, match=r"^moments must be a 1-D array, got shape \(2, 1\)$"):
-            integrate_poly_against_moments([0.0, 1.0], [[1.0], [2.0]], 1.0)
-        assert integrate_poly_against_moments(2.0, [1.0], 1.5) == 3.0
-
-    def test_constant_term_drops_at_zero_mass(self):
-        # Adding a constant to the polynomial cannot change zero-mass integrals.
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=6)
-        p = rng.normal(size=5)
-        shifted = p.copy()
-        shifted[0] += 11.0
-        a = integrate_poly_against_moments(p, m, 0.0)
-        b = integrate_poly_against_moments(shifted, m, 0.0)
-        assert a == b
 
 
 class TestDwVector:

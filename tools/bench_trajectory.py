@@ -15,16 +15,21 @@ metric, the runs' ``correct``, ``attempted`` and ``failed`` counts, each
 run's wall seconds, and the per-run values; plus the env block perfbench
 prints and the checkout's git sha. With two labels, each workload is then
 compared on stdout: each side's failed and attempted operations over all
-runs, and per end-to-end metric each side's median [q1, q3] and how many
-seed pairs each side wins (a tie counts for neither). Exit status: 0 when every run
-held its correctness oracles, 1 otherwise, 2 when a run could not
-complete.
+runs, and per end-to-end metric each side's median [q1, q3] and
+interquartile range over median, and how many seed pairs each side wins
+(a tie counts for neither). A metric is marked ``unresolved`` when either
+side's interquartile range over median exceeds the metric's bound in
+``BENCHMARK.json``, unless every run of one side beats every run of the
+other: the runs then spread too widely to tell a change within the bound.
+Exit status: 0 when every run held its correctness oracles, 1 otherwise,
+2 when a run could not complete.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -80,24 +85,35 @@ def summarise(results: list) -> dict:
     }
 
 
-def compare(workload: str, labels: tuple, summaries: tuple, better: dict) -> list:
+def compare(workload: str, labels: tuple, summaries: tuple, metrics: dict) -> list:
     """Lines comparing two labels' summaries of one workload: failures, then each metric.
 
-    ``better`` maps each metric name to "lower" or "higher". Run i of one
-    side is paired with run i of the other, which ran the same seed.
+    ``metrics`` maps each metric name to its BENCHMARK.json entry, whose
+    ``better`` is "lower" or "higher" and whose ``bound`` is the relative
+    change it allows. Run i of one side is paired with run i of the other,
+    which ran the same seed.
     """
     counts = ", ".join(f"{label} {sum(s['failed'])}/{sum(s['attempted'])}"
                        for label, s in zip(labels, summaries))
     lines = [f"{workload} failed/attempted operations: {counts}"]
     for name in summaries[0]["metrics"]:
         cells = [s["metrics"][name] for s in summaries]
-        sign = -1.0 if better[name] == "lower" else 1.0
+        better, bound = metrics[name]["better"], metrics[name]["bound"]
+        sign = -1.0 if better == "lower" else 1.0
         gains = [sign * (a - b) for a, b in zip(cells[0]["values"], cells[1]["values"])]
         wins = (sum(g > 0 for g in gains), sum(g < 0 for g in gains))
-        sides = ", ".join(f"{label} {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
-                          for label, c in zip(labels, cells))
-        lines.append(f"{workload} {name} ({better[name]} is better): {sides}; "
-                     f"pairs won of {len(gains)}: {labels[0]} {wins[0]}, {labels[1]} {wins[1]}")
+        spreads = [(c["q3"] - c["q1"]) / abs(c["median"]) if c["median"] else math.inf
+                   for c in cells]
+        first, second = (c["values"] for c in cells)
+        separated = max(first) < min(second) or max(second) < min(first)
+        sides = ", ".join(f"{label} {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] "
+                          f"IQR/median {spread:.3g}"
+                          for label, c, spread in zip(labels, cells, spreads))
+        line = (f"{workload} {name} ({better} is better, bound {bound:g}): {sides}; "
+                f"pairs won of {len(gains)}: {labels[0]} {wins[0]}, {labels[1]} {wins[1]}")
+        if max(spreads) > bound and not separated:
+            line += "; unresolved: IQR/median above the bound"
+        lines.append(line)
     return lines
 
 
@@ -166,10 +182,10 @@ def main(argv=None) -> int:
             fh.write("\n")
         print(f"wrote {path}")
     if len(summaries) == 2:
-        better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+        metrics = {m["name"]: m for m in benchmark["end_to_end"]}
         for workload in workloads:
             for line in compare(workload, tuple(summaries),
-                                tuple(s[workload] for s in summaries.values()), better):
+                                tuple(s[workload] for s in summaries.values()), metrics):
                 print(line)
     return 0 if all_correct else 1
 
