@@ -1,6 +1,6 @@
-"""Shared across the package: the exception type, the integer check with optional bounds
-(``_integer``, whose docstring gives its three refusal wordings), the overflow-safe sum
-``_fsum`` and the frozen-value base.
+"""Shared across the package: the exception type, the argument checks whose docstrings give
+their refusal wordings (``_integer`` and ``_real`` with optional bounds, ``_choice`` for enum
+members), the overflow-safe sum ``_fsum`` and the frozen-value base.
 
 ``_Frozen`` stands in for a frozen dataclass: ``dataclasses`` would load
 ``inspect`` and slow the start-up of the short commands.
@@ -32,6 +32,31 @@ def _integer(value, name: str, low: int | None = None, high: int | None = None) 
     if low is not None and number < low:
         raise ValueError(f"{name} must be >= {low}, got {number}")
     return number
+
+
+def _real(value, name: str, low=None, high=None, *, strict: bool = True) -> float:
+    """``value`` as a finite Python float, > ``low`` (>= unless ``strict``), <= ``high``: a str,
+    None, NaN, +-inf or what ``float`` refuses reads ``<name> must be a finite number``, a number
+    out of bounds ``<name> must be > <low>``, ``>= <low>`` or, where ``high`` is given (with a
+    strict ``low``), ``in (<low>, <high>]``; each then ``, got <value!r>``."""
+    try:
+        number = math.nan if isinstance(value, str) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if high is not None and not low < number <= high:
+        raise ValueError(f"{name} must be in ({low}, {high}], got {value!r}")
+    if low is not None and not (number > low if strict else number >= low):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value!r}")
+    return number
+
+
+def _choice(value, kind, name: str):
+    """``value``, a member of the enum ``kind``; else ``<name> must be a <kind>, got <value!r>``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _fsum(terms: list) -> float:

@@ -28,7 +28,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .ensembles import EnsembleParams, RescalingMode, _integer, replicate_windows
+from .ensembles import EnsembleParams, RescalingMode, replicate_windows
+from .errors import _choice, _integer, _real
 from .moments import EXACT_ORDER_CAP, NuVariant, _dot, _nu, _semicircle, _semicircle_cov, mp_moments
 from .spectral import _window_moments
 
@@ -60,12 +61,8 @@ class PowerLawGamma:
     coefficient: float = 1.0
 
     def __post_init__(self):
-        if not (self.exponent > 1.0):
-            raise ValueError(
-                f"power-law exponent must exceed 1, got {self.exponent!r}"
-            )
-        if not (self.coefficient > 0.0):
-            raise ValueError(f"coefficient must be positive, got {self.coefficient!r}")
+        _real(self.exponent, "power-law exponent", 1)
+        _real(self.coefficient, "coefficient", 0)
 
     def gamma_at(self, n: int, beta_prime: float) -> float:
         try:
@@ -82,8 +79,7 @@ class LinearGamma:
     tau: float
 
     def __post_init__(self):
-        if not (0.0 < self.tau <= 1.0):
-            raise ValueError(f"tau must lie in (0, 1], got {self.tau!r}")
+        _real(self.tau, "tau", 0, 1)
 
     def gamma_at(self, n: int, beta_prime: float) -> float:
         return n * beta_prime / self.tau
@@ -121,8 +117,9 @@ class ExperimentConfig:
     def __post_init__(self):
         _integer(self.master_seed, "master_seed")
         _integer(self.replicates, "replicates", 1)
-        if self.b_n is not None and not (0.0 < self.b_n < np.inf):
-            raise ValueError(f"b_n must be positive and finite, got {self.b_n!r}")
+        if self.b_n is not None:
+            _real(self.b_n, "b_n", 0)
+        _choice(self.mode, RescalingMode, "mode")
 
     def ensemble_params(self) -> EnsembleParams:
         gamma = self.gamma_rule.gamma_at(self.n, self.beta / 2.0)
@@ -245,8 +242,7 @@ def predicted_clt(
     c = coeffs[1:]
     if len(c) > MAX_POLY_DEGREE:
         raise ValueError(f"polynomial degree {len(c)} above cap {MAX_POLY_DEGREE}")
-    if zeta < 0:
-        raise ValueError(f"zeta must be >= 0, got {zeta!r}")
+    zeta = _real(zeta, "zeta", 0, strict=False)
     if not all(math.isfinite(coeff) for coeff in coeffs):
         raise ValueError(f"polynomial {coeffs} has a coefficient that is not finite")
     mean = _dot(c, _nu(max(len(c), 1), zeta, variant))

@@ -28,7 +28,7 @@ import functools
 import math
 from typing import TYPE_CHECKING
 
-from .errors import _integer
+from .errors import _choice, _integer, _real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,9 +73,9 @@ def _check_order(order: int) -> int:
     return value
 
 
-def _check_xi(xi: float) -> None:
-    if not (0.0 <= xi < math.inf):
-        raise ValueError(f"xi must be finite and >= 0, got {xi!r}")
+def _check_nu(xi, variant) -> float:
+    _choice(variant, NuVariant, "variant")
+    return _real(xi, "xi", 0, strict=False)
 
 
 def _binom(n: int, k: int) -> int:
@@ -130,8 +130,7 @@ def arcsine_moments(order: int) -> np.ndarray:
 
 def _mp(order: int, tau: float) -> list:
     """m_1..m_order of the Marchenko-Pastur law as floats (see mp_moments)."""
-    if not (0.0 < tau <= 1.0):
-        raise ValueError(f"tau must lie in (0, 1], got {tau!r}")
+    tau = _real(tau, "tau", 0, 1)
     order = _check_order(order)
     out = []
     for k in range(1, order + 1):
@@ -159,7 +158,7 @@ def mp_moments(order: int, tau: float) -> np.ndarray:
 def _nu(order: int, xi: float, variant: NuVariant = NuVariant.STANDARD) -> list:
     """Moments of the corrective signed measure as floats (see nu_moments)."""
     order = _check_order(order)
-    _check_xi(xi)
+    xi = _check_nu(xi, variant)
     out = [0.0] * order
     for k in range(1, order + 1, 2):
         coeff = _binom(k, (k - 3) // 2)
@@ -199,7 +198,7 @@ def nu_density(x, xi: float, variant: NuVariant = NuVariant.STANDARD):
     """
     import numpy as np
 
-    _check_xi(xi)
+    xi = _check_nu(xi, variant)
     arr = np.asarray(x, dtype=np.float64)
     if variant is NuVariant.STANDARD:
         if np.any(np.abs(arr) == 2.0):
@@ -250,7 +249,7 @@ def _nu_by_quadrature(order: int, xi: float, variant: NuVariant = NuVariant.STAN
     (``math.fsum``) of the rule's terms at xi = 1.
     """
     order = _check_order(order)
-    _check_xi(xi)
+    xi = _check_nu(xi, variant)
     x, w = _chebyshev_lebesgue(_NU_QUADRATURE_NODES)
     # The density is linear in xi: the terms are those of xi = 1, so no
     # term overflows, and each correctly rounded sum is scaled by xi.
@@ -334,10 +333,10 @@ def semicircle_orthonormal_poly(k: int) -> np.ndarray:
 def _dw(order: int, xi: float, variant: NuVariant = NuVariant.STANDARD) -> list:
     """dw_vector as a list of floats."""
     order = _check_order(order)
-    _check_xi(xi)
+    xi = _check_nu(xi, variant)
     if variant is NuVariant.STANDARD:
-        return [float(xi) if k >= 3 and k % 2 else 0.0 for k in range(1, order + 1)]
-    return [-float(xi)] + [0.0] * (order - 1)
+        return [xi if k >= 3 and k % 2 else 0.0 for k in range(1, order + 1)]
+    return [-xi] + [0.0] * (order - 1)
 
 
 def dw_vector(order: int, xi: float, variant: NuVariant = NuVariant.STANDARD) -> np.ndarray:

@@ -26,10 +26,10 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .errors import NumericalError, _Frozen, _fsum, _integer
+from .errors import NumericalError, _Frozen, _fsum, _integer, _real
 from .moments import (
     NuVariant,
-    _check_xi,
+    _check_nu,
     _chebyshev_lebesgue,
     _d_inverse,
     _d_rows,
@@ -83,16 +83,11 @@ class AcPlusAtoms(_Frozen):
     _FIELDS = ("bulk_density", "atoms")
 
     def __init__(self, bulk_density: Callable, atoms: Sequence = ()):
-        atoms = tuple((float(loc), float(mass)) for loc, mass in atoms)
-        for i, (loc, mass) in enumerate(atoms):
+        atoms = tuple((_real(loc, "atom location"), _real(mass, "atom mass", 0))
+                      for loc, mass in atoms)
+        for i, (loc, _) in enumerate(atoms):
             if abs(loc) < 2.0:
-                raise ValueError(
-                    f"atom at {loc} lies inside [-2, 2]; outliers only"
-                )
-            if not math.isfinite(loc):
-                raise ValueError(f"atom location must be finite, got {loc!r}")
-            if not (mass > 0.0):
-                raise ValueError(f"atom mass must be positive, got {mass!r}")
+                raise ValueError(f"atom at {loc} lies inside [-2, 2]; outliers only")
             if any(loc == other for other, _ in atoms[:i]):
                 raise ValueError(f"atom location {loc!r} is listed twice; "
                                  "give one atom per location")
@@ -100,12 +95,9 @@ class AcPlusAtoms(_Frozen):
         vals = tuple(float(bulk_density(xj)) for xj in x)
         if not all(0.0 <= v < math.inf for v in vals):
             raise ValueError("bulk density must be finite and nonnegative")
-        total = _fsum([wj * v for wj, v in zip(w, vals)]
-                                 + [mass for _, mass in atoms])
+        total = _fsum([wj * v for wj, v in zip(w, vals)] + [mass for _, mass in atoms])
         if abs(total - 1.0) > _MASS_TOL:
-            raise ValueError(
-                f"total mass must be 1 within {_MASS_TOL}, quadrature gives {total!r}"
-            )
+            raise ValueError(f"total mass must be 1 within {_MASS_TOL}, quadrature gives {total!r}")
         # _bulk_values: bulk_density on the _BULK_NODES Chebyshev nodes, checked.
         vars(self).update(bulk_density=bulk_density, atoms=atoms, _bulk_values=vals)
 
@@ -117,9 +109,7 @@ def f_outlier(x: float) -> float:
     defined for |x| >= 2 and zero at the edge. Where x^2 overflows, F is
     x^2/2 - 2 log|x| to double precision (inf once x^2/2 overflows too).
     """
-    a = abs(float(x))
-    if not (2.0 <= a < math.inf):
-        raise ValueError(f"|x| must be finite and >= 2, got {x!r}")
+    a = _real(abs(_real(x, "x")), "|x|", 2, strict=False)
     if a * a == math.inf:
         return a * (a / 2.0) - 2.0 * math.log(a)
     root = math.sqrt(a * a - 4.0)
@@ -246,7 +236,7 @@ def mdp_rate_density(
     grows without bound in the node count (the true rate is infinite outside
     L^2(mu_sc) perturbations); polynomial candidates with xi = 0 are exact.
     """
-    _check_xi(xi)
+    xi = _check_nu(xi, variant)
     x, w = _semicircle_gauss(_MDP_DENSITY_NODES)
     g_vals = [float(g(xj)) for xj in x]
     if not all(math.isfinite(v) for v in g_vals):

@@ -33,7 +33,7 @@ import enum
 import math
 import operator
 
-from .errors import NumericalError, _Frozen, _fsum, _integer
+from .errors import NumericalError, _choice, _Frozen, _fsum, _integer, _real
 
 __all__ = ["EnsembleParams", "RescalingMode", "derive_seed"]
 
@@ -88,7 +88,7 @@ class EnsembleParams(_Frozen):
     every chi-square degree of freedom in the tridiagonal model) would be
     ill-defined; violations are rejected here rather than clamped. A gamma
     whose centering scale 2*gamma*n*beta overflows a float is rejected too.
-    n may be any integer type, numpy's included.
+    n may be any integer type, numpy's included; beta and gamma become floats.
 
     Instances are frozen values over the four fields (see ``errors._Frozen``).
     """
@@ -97,22 +97,15 @@ class EnsembleParams(_Frozen):
 
     def __init__(self, n: int, beta: float, gamma: float,
                  mode: RescalingMode = RescalingMode.STANDARD):
-        _integer(n, "n", 1)
-        if not (beta > 0) or not math.isfinite(beta):
-            raise ValueError(f"beta must be positive and finite, got {beta!r}")
-        if not math.isfinite(gamma) or not (gamma > (n - 1) * beta / 2.0):
-            raise ValueError(
-                f"gamma must exceed (n-1)*beta/2 = {(n - 1) * beta / 2.0}, "
-                f"got {gamma!r}"
-            )
-        if not math.isfinite(2.0 * float(gamma) * int(n) * float(beta)):
-            raise ValueError(
-                f"gamma = {gamma!r} is too large at n = {n}, beta = {beta!r}: "
-                "the centering scale 2*gamma*n*beta overflows a float"
-            )
-        if not isinstance(mode, RescalingMode):
-            raise ValueError(f"mode must be a RescalingMode, got {mode!r}")
-        vars(self).update(n=n, beta=beta, gamma=gamma, mode=mode)
+        rows = _integer(n, "n", 1)
+        b, g = _real(beta, "beta", 0), _real(gamma, "gamma")
+        if not g > (rows - 1) * b / 2.0:
+            raise ValueError(f"gamma must exceed (n-1)*beta/2 = {(rows - 1) * b / 2.0}, "
+                             f"got {gamma!r}")
+        if not math.isfinite(2.0 * g * rows * b):
+            raise ValueError(f"gamma = {gamma!r} is too large at n = {n}, beta = {beta!r}: "
+                             "the centering scale 2*gamma*n*beta overflows a float")
+        vars(self).update(n=n, beta=b, gamma=g, mode=_choice(mode, RescalingMode, "mode"))
 
     @property
     def beta_prime(self) -> float:
@@ -196,9 +189,7 @@ def _draw(key: int, params: EnsembleParams) -> tuple[list, list]:
     half their degrees of freedom; the entries are formed as
     ``ensembles._window`` forms them.
     """
-    key, n = int(key), int(params.n)
-    # Python floats, so that no numpy scalar arithmetic (or warning) enters.
-    gamma, bp = float(params.gamma), float(params.beta_prime)
+    key, n, gamma, bp = int(key), int(params.n), params.gamma, params.beta_prime
     z = []
     for k in range(1, 2 * n):
         dof = 2.0 * gamma - bp * (k - 1.0) if k % 2 else bp * (2.0 * n - k)
@@ -228,10 +219,10 @@ def _check_measure(atoms: list, weights: list) -> None:
     """Raise ValueError unless the lists, of equal length, are a spectral measure.
 
     This is ``SpectralMeasure``'s check: at least one atom, the atoms
-    finite and strictly increasing (two eigenvalues closer than a float's
-    spacing round to one float), the weights strictly positive and summing
-    to 1 within ``_WEIGHT_SUM_TOL``. The sum is ``errors._fsum``'s: that
-    is ``math.fsum``'s, correctly rounded.
+    finite and strictly increasing (the eigensolvers :func:`_merge`
+    eigenvalues that round to one float), the weights strictly positive
+    and summing to 1 within ``_WEIGHT_SUM_TOL``. The sum is
+    ``errors._fsum``'s: that is ``math.fsum``'s, correctly rounded.
     """
     if not atoms:
         raise ValueError("measure must have at least one atom")
@@ -244,6 +235,16 @@ def _check_measure(atoms: list, weights: list) -> None:
     total = _fsum(weights)  # inf where finite positive weights overflow the double range
     if abs(total - 1.0) > _WEIGHT_SUM_TOL:
         raise ValueError(f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}")
+
+
+def _merge(pairs) -> tuple[list, list]:
+    """Atoms and weights of ascending (atom, weight) pairs: a pair of weight 0 is dropped, and
+    each run of equal atoms (eigenvalues that round to one float) is one atom, weights summed."""
+    merged = {}
+    for atom, weight in pairs:
+        if weight > 0.0:
+            merged[atom] = merged.get(atom, 0.0) + weight
+    return list(merged), list(merged.values())
 
 
 def _rescaled_model(key: int, params: EnsembleParams) -> tuple[list, list]:
@@ -274,7 +275,7 @@ def _ql_spectrum(diag: list, offdiag: list) -> tuple[list, list]:
     implicit QL (imtql2) with Wilkinson's shift, splitting where an
     off-diagonal entry is negligible beside its two diagonal neighbours.
     Each rotation updates the first row of the eigenvector matrix only.
-    Eigenvalues whose weight comes out as exactly 0 are left out. Raises
+    Eigenvalues of weight 0 are dropped and equal ones merged (:func:`_merge`). Raises
     NumericalError if an eigenvalue takes more than 30 iterations, and
     ValueError where ``SpectralMeasure`` would refuse the result (see
     :func:`_check_measure`).
@@ -326,8 +327,6 @@ def _ql_spectrum(diag: list, offdiag: list) -> tuple[list, list]:
                 d[lo] -= p
                 e[lo] = g
                 e[m] = 0.0
-    pairs = sorted((lam, x * x) for lam, x in zip(d, z))
-    atoms = [math.ldexp(lam, k) for lam, w in pairs if w > 0.0]
-    weights = [w for _, w in pairs if w > 0.0]
+    atoms, weights = _merge(sorted((math.ldexp(lam, k), x * x) for lam, x in zip(d, z)))
     _check_measure(atoms, weights)
     return atoms, weights

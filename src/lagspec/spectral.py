@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import NumericalError, _integer
 from .scalar import (_EIGENSOLVER_FAILED, _NOT_FINITE, _NOT_POSITIVE, _WEIGHT_SUM_TOL,
-                     _check_measure)
+                     _check_measure, _merge)
 
 __all__ = [
     "JacobiCoefficients",
@@ -169,8 +169,8 @@ def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
     The atoms are the eigenvalues; weight i is the squared first component
     of the i-th normalized eigenvector. An atom whose weight comes out as
     exactly 0 (below the double range, as at small beta, or deflated by
-    the solver) is dropped, so ``coeffs.n - measure.n`` atoms are lost, and
-    the weights that remain still sum to 1 within 1e-10. Raises
+    the solver) is dropped, and eigenvalues that round to one float are
+    one atom (``scalar._merge``); the weights still sum to 1 within 1e-10. Raises
     NumericalError when the solver fails: "tridiagonal eigensolver failed
     for matrix of size <n>: <reason>", where a nonzero LAPACK info reads
     "LAPACK <routine> info <info>".
@@ -197,8 +197,9 @@ def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
             lam, weights = _bidiagonal_spectrum(coeffs.diag, coeffs.offdiag)
     except (np.linalg.LinAlgError, NumericalError) as exc:
         raise NumericalError(_EIGENSOLVER_FAILED.format(n=coeffs.n, reason=exc)) from exc
-    kept = weights > 0
-    return SpectralMeasure(lam[kept], weights[kept])
+    if np.any(lam[1:] == lam[:-1]):
+        return SpectralMeasure(*_merge(zip(lam.tolist(), weights.tolist())))
+    return SpectralMeasure(lam[weights > 0], weights[weights > 0])
 
 
 def _bidiagonal_spectrum(diag: np.ndarray, offdiag: np.ndarray):

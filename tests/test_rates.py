@@ -386,7 +386,8 @@ class TestMdpRateDensity:
 
     @pytest.mark.parametrize("xi", [float("nan"), float("inf"), -1.0])
     def test_xi_checked_as_by_the_series(self, xi):
-        message = rf"^xi must be finite and >= 0, got {xi!r}$"
+        bound = ">= 0" if math.isfinite(xi) else "a finite number"
+        message = rf"^xi must be {bound}, got {xi!r}$"
         with pytest.raises(ValueError, match=message):
             mdp_rate_series([0.0, 1.0, 0.0], xi, NuVariant.STANDARD, 3)
         with pytest.raises(ValueError, match=message):

@@ -264,12 +264,19 @@ class TestQlSpectrum:
                            "of size 40: an eigenvalue did not converge in 2 QL iterations$"):
             scalar._ql_spectrum([0.0] * 40, [1.0] * 39)
 
-    def test_coincident_eigenvalues_are_refused(self):
+    def test_coincident_eigenvalues_are_merged(self):
         # --mode none at gamma = 1e31: the off-diagonals are a few ulps of the
-        # diagonal entries near 2e31, so eigenvalues round onto one float.
+        # diagonal entries near 2e31, so eigenvalues round onto one float; each
+        # such float is one atom, carrying the weights of the eigenvalues on it.
         params = EnsembleParams(50, 2.0, 1e31, RescalingMode.NONE)
-        with pytest.raises(ValueError, match="^atoms must be strictly increasing$"):
-            scalar._ql_spectrum(*scalar._rescaled_model(derive_seed(0, 0), params))
+        atoms, weights = scalar._ql_spectrum(*scalar._rescaled_model(derive_seed(0, 0), params))
+        assert len(atoms) < 50
+        scalar._check_measure(atoms, weights)
+
+    def test_merge_sums_the_weights_of_equal_atoms_and_drops_zero_weights(self):
+        pairs = [(-1.0, 0.0), (0.0, 0.125), (0.0, 0.25), (0.0, 0.125), (1.0, 0.5), (2.0, 0.0)]
+        assert scalar._merge(pairs) == ([0.0, 1.0], [0.5, 0.5])
+        assert scalar._merge([(-0.0, 0.5), (0.0, 0.5)]) == ([0.0], [1.0])
 
 
 class TestJacobiCheck:

@@ -8,6 +8,7 @@ operator-side moments where atoms with an underflowed weight are dropped.
 """
 
 import ctypes
+import math
 import operator
 import os
 import re
@@ -20,6 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import lagspec
@@ -27,9 +30,11 @@ from lagspec import cli, moments, spectral
 from lagspec.ensembles import (EnsembleParams, RescalingMode, derive_seed, make_rng, rescale,
                                replicate_windows, sample_laguerre_tridiagonal)
 from lagspec.errors import NumericalError
-from lagspec.experiments import ExperimentConfig, LinearGamma, run_mp_sanity
-from lagspec.moments import NuVariant, semicircle_moments, semicircle_orthonormal_poly
-from lagspec.rates import mdp_rate_series
+from lagspec.experiments import (ExperimentConfig, LinearGamma, PowerLawGamma, predicted_clt,
+                                 run_mp_sanity)
+from lagspec.moments import (NuVariant, dw_vector, mp_moments, nu_density, nu_moments,
+                             semicircle_moments, semicircle_orthonormal_poly)
+from lagspec.rates import AcPlusAtoms, f_outlier, mdp_rate_density, mdp_rate_series
 from lagspec.spectral import (
     JacobiCoefficients,
     SpectralMeasure,
@@ -563,9 +568,9 @@ def same_repr(a, b):
     return repr(a) == repr(b)
 
 
-def config_with(replicates=100, statistic=1):
+def config_with(replicates=100, statistic=1, mode=RescalingMode.NONE, b_n=None):
     return ExperimentConfig(n=3, beta=2.0, gamma_rule=LinearGamma(0.5), replicates=replicates,
-                            master_seed=1, statistic=statistic, mode=RescalingMode.NONE)
+                            master_seed=1, statistic=statistic, b_n=b_n, mode=mode)
 
 
 @pytest.mark.parametrize("call, name, same", [
@@ -640,6 +645,103 @@ def test_out_of_range_integers_are_refused(call, value, message):
     # One wording for every bound: >= low, or in low..high where there is a high.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+def bulk(x):
+    """A semicircle bulk of mass 0.9, leaving 0.1 to one atom."""
+    return 0.9 * math.sqrt(4.0 - x * x) / (2.0 * math.pi)
+
+
+# (id, the call with the real under test, its name, a value out of range, the refusal).
+REAL_SITES = [
+    ("EnsembleParams-beta", lambda v: EnsembleParams(5, v, 10.0), "beta", 0,
+     "beta must be > 0, got 0"),
+    ("EnsembleParams-gamma", lambda v: EnsembleParams(5, 2.0, v), "gamma", 4.0,
+     "gamma must exceed (n-1)*beta/2 = 4.0, got 4.0"),
+    ("PowerLawGamma-exponent", PowerLawGamma, "power-law exponent", 1.0,
+     "power-law exponent must be > 1, got 1.0"),
+    ("PowerLawGamma-coefficient", lambda v: PowerLawGamma(2.0, v), "coefficient", -1.0,
+     "coefficient must be > 0, got -1.0"),
+    ("LinearGamma", LinearGamma, "tau", 1.5, "tau must be in (0, 1], got 1.5"),
+    ("mp_moments", lambda v: mp_moments(3, v), "tau", 0.0, "tau must be in (0, 1], got 0.0"),
+    ("ExperimentConfig-b_n", lambda v: config_with(b_n=v), "b_n", 0.0,
+     "b_n must be > 0, got 0.0"),
+    ("predicted_clt", lambda v: predicted_clt(np.array([0.0, 1.0]), v), "zeta", -0.5,
+     "zeta must be >= 0, got -0.5"),
+    ("f_outlier", f_outlier, "x", -1.5, "|x| must be >= 2, got 1.5"),
+    ("AcPlusAtoms-location", lambda v: AcPlusAtoms(bulk, [(v, 0.1)]), "atom location", 1.0,
+     "atom at 1.0 lies inside [-2, 2]; outliers only"),
+    ("AcPlusAtoms-mass", lambda v: AcPlusAtoms(bulk, [(3.0, v)]), "atom mass", -0.1,
+     "atom mass must be > 0, got -0.1"),
+    ("nu_moments", lambda v: nu_moments(5, v), "xi", -1.0, "xi must be >= 0, got -1.0"),
+    ("dw_vector", lambda v: dw_vector(5, v), "xi", -1.0, "xi must be >= 0, got -1.0"),
+    ("nu_density", lambda v: nu_density(0.5, v), "xi", -1.0, "xi must be >= 0, got -1.0"),
+    ("_nu_by_quadrature", lambda v: moments._nu_by_quadrature(5, v), "xi", -1.0,
+     "xi must be >= 0, got -1.0"),
+    ("mdp_rate_series", lambda v: mdp_rate_series([0.0] * 5, v, NuVariant.STANDARD, 5), "xi",
+     -1.0, "xi must be >= 0, got -1.0"),
+    ("mdp_rate_density", lambda v: mdp_rate_density(lambda x: 0.0, v), "xi", -1.0,
+     "xi must be >= 0, got -1.0"),
+]
+REAL_IDS = [site[0] for site in REAL_SITES]
+
+
+# A str is refused, not parsed; b_n takes None, for the CLT.
+@pytest.mark.parametrize("call, name, value", [
+    pytest.param(call, name, value, id=f"{site}-{value!r}")
+    for site, call, name, *_ in REAL_SITES for value in ["2", None, math.nan, math.inf, -math.inf]
+    if not (name == "b_n" and value is None)])
+def test_non_finite_reals_are_refused(call, name, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a finite number')}, "
+                                         f"got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, value, message", [site[1:2] + site[3:] for site in REAL_SITES],
+                         ids=REAL_IDS)
+def test_out_of_range_reals_are_refused(call, value, message):
+    # One wording per bound (> low, >= low, in (low, high]); gamma's bound and an
+    # atom inside the bulk keep the messages that give their reasons.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@settings(max_examples=25, deadline=None)
+@given(value=st.one_of(st.floats(), st.none(), st.text(max_size=4)))
+@pytest.mark.parametrize("call", [site[1] for site in REAL_SITES], ids=REAL_IDS)
+def test_a_real_site_returns_or_raises_value_error(call, value):
+    # Never a TypeError from a comparison or from float() on what it cannot read.
+    try:
+        call(value)
+    except ValueError:
+        pass
+
+
+# Each call passes a member's value (a str) where an enum member belongs. Read
+# as a member, the str is neither: a test for STANDARD picks the shifted
+# numbers, a test for SHIFTED the standard ones, and the MDP rate's two forms
+# disagree. ExperimentConfig refuses it before a runner reads it.
+@pytest.mark.parametrize("call, name, kind", [
+    (lambda v: nu_moments(5, 1.0, v), "variant", NuVariant),
+    (lambda v: dw_vector(5, 1.0, v), "variant", NuVariant),
+    (lambda v: nu_density(0.5, 1.0, v), "variant", NuVariant),
+    (lambda v: moments._nu_by_quadrature(5, 1.0, v), "variant", NuVariant),
+    (lambda v: predicted_clt(np.array([0.0, 1.0]), 1.0, v), "variant", NuVariant),
+    (lambda v: mdp_rate_series([0.0, 0.0, 1.0, 0.0, 5.0], 1.0, v, 5), "variant", NuVariant),
+    (lambda v: mdp_rate_density(lambda x: 0.0, 1.0, v), "variant", NuVariant),
+    (lambda v: config_with(mode=v), "mode", RescalingMode),
+], ids=["nu_moments", "dw_vector", "nu_density", "_nu_by_quadrature", "predicted_clt",
+        "mdp_rate_series", "mdp_rate_density", "ExperimentConfig"])
+@pytest.mark.parametrize("value", ["standard", "shifted"])
+def test_choices_are_members_not_their_values(call, name, kind, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a {kind.__name__}, got '{value}'$"):
+        call(value)
+
+
+def test_run_mp_sanity_refuses_a_mode_string():
+    # Its own check would read "none" as a centering: "MP sanity runs on the uncentered matrix".
+    with pytest.raises(ValueError, match="^mode must be a RescalingMode, got 'none'$"):
+        run_mp_sanity(config_with(mode="none"))
 
 
 def test_cli_import_loads_no_scipy_subpackage():
