@@ -95,9 +95,12 @@ class AcPlusAtoms(_Frozen):
         vals = tuple(float(bulk_density(xj)) for xj in x)
         if not all(0.0 <= v < math.inf for v in vals):
             raise ValueError("bulk density must be finite and nonnegative")
-        total = _fsum([wj * v for wj, v in zip(w, vals)] + [mass for _, mass in atoms])
+        total = _fsum([wj * v for wj, v in zip(w, vals)]
+                                 + [mass for _, mass in atoms])
         if abs(total - 1.0) > _MASS_TOL:
-            raise ValueError(f"total mass must be 1 within {_MASS_TOL}, quadrature gives {total!r}")
+            raise ValueError(
+                f"total mass must be 1 within {_MASS_TOL}, quadrature gives {total!r}"
+            )
         # _bulk_values: bulk_density on the _BULK_NODES Chebyshev nodes, checked.
         vars(self).update(bulk_density=bulk_density, atoms=atoms, _bulk_values=vals)
 

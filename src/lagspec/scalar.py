@@ -238,8 +238,7 @@ def _check_measure(atoms: list, weights: list) -> None:
 
 
 def _merge(pairs) -> tuple[list, list]:
-    """Atoms and weights of ascending (atom, weight) pairs: a pair of weight 0 is dropped, and
-    each run of equal atoms (eigenvalues that round to one float) is one atom, weights summed."""
+    """Ascending (atom, weight) pairs as lists: drop weight 0, merge equal atoms, summing weights."""
     merged = {}
     for atom, weight in pairs:
         if weight > 0.0:

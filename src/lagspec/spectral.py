@@ -197,9 +197,7 @@ def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
             lam, weights = _bidiagonal_spectrum(coeffs.diag, coeffs.offdiag)
     except (np.linalg.LinAlgError, NumericalError) as exc:
         raise NumericalError(_EIGENSOLVER_FAILED.format(n=coeffs.n, reason=exc)) from exc
-    if np.any(lam[1:] == lam[:-1]):
-        return SpectralMeasure(*_merge(zip(lam.tolist(), weights.tolist())))
-    return SpectralMeasure(lam[weights > 0], weights[weights > 0])
+    return SpectralMeasure(*_merge(zip(lam.tolist(), weights.tolist())))
 
 
 def _bidiagonal_spectrum(diag: np.ndarray, offdiag: np.ndarray):
