@@ -28,10 +28,10 @@ numpy in their bodies. None of the short commands imports ``dataclasses``
 (nor ``inspect`` with it), and only the experiment commands load the
 polynomial and gamma-rule parsers and the regex, in ``lagspec.experiments``.
 
-The ``lagspec`` script and ``python -m lagspec.cli`` run :func:`script`,
-which freezes the garbage collector once ``main`` returns, so that the
-interpreter's collections at exit skip every object; ``main`` itself
-leaves the collector as it found it.
+The ``lagspec`` script and ``python -m lagspec.cli`` run :func:`script`: it
+sets OPENBLAS_NUM_THREADS to 1 unless given, and freezes the garbage
+collector once ``main`` returns, so that the interpreter's collections at
+exit skip every object. ``main`` leaves both as it found them.
 """
 
 from __future__ import annotations
@@ -202,17 +202,6 @@ def _cmd_moments(args) -> int:
     return 0
 
 
-def _parse_atoms(text: str):
-    atoms = []
-    if text.strip():
-        for chunk in text.split(","):
-            loc, _, mass = chunk.partition(":")
-            if not mass:
-                raise ValueError(f"atom spec must be loc:mass, got {chunk!r}")
-            atoms.append((float(loc), float(mass)))
-    return atoms
-
-
 def _cmd_rate(args) -> int:
     from .moments import NuVariant
     from .rates import AcPlusAtoms, _ldp_terms, f_outlier, mdp_rate_series
@@ -223,30 +212,27 @@ def _cmd_rate(args) -> int:
     if args.outlier is not None:
         rows.append(("f_outlier", f_outlier(args.outlier)))
     elif args.semicircle_atoms is not None:
-        atoms = _parse_atoms(args.semicircle_atoms)
-        bulk_mass = 1.0 - _fsum([mass for _, mass in atoms])
+        bulk_mass = 1.0 - _fsum([mass for _, mass in args.semicircle_atoms])
         if bulk_mass <= 0:
             raise ValueError("atom masses must leave positive bulk mass")
         mu = AcPlusAtoms(
             lambda x: bulk_mass * math.sqrt(4.0 - x * x) / (2.0 * math.pi),
-            atoms,
+            args.semicircle_atoms,
         )
         kl, outliers, rate = _ldp_terms(mu)
         rows += [("kl_term", kl), ("outlier_term", outliers), ("ldp_rate", rate)]
     else:
-        m = [float(v) for v in args.mdp_moments.split(",")]
+        m = args.mdp_moments
         trunc = args.trunc if args.trunc is not None else min(15, len(m))
-        rows.append(
-            ("mdp_rate",
-             mdp_rate_series(m, args.xi or 0.0, NuVariant(args.variant or "standard"), trunc))
-        )
+        variant = NuVariant(args.variant or "standard")
+        rows.append(("mdp_rate", mdp_rate_series(m, args.xi or 0.0, variant, trunc)))
     _emit_rows(rows, ["quantity", "value"], args.format, args.out)
     return 0
 
 
-def _experiment_config(args, statistic, gamma_rule, mode: str) -> ExperimentConfig:
-    """The run's configuration; ``--hist-out`` is checked first, before any replicate."""
-    from .experiments import ExperimentConfig
+def _experiment_config(args, statistic, gamma_rule=None) -> ExperimentConfig:
+    """The run's configuration, by default with the flags' gamma rule; ``--hist-out`` first."""
+    from .experiments import ExperimentConfig, parse_gamma_rule
     from .scalar import RescalingMode
 
     if (args.hist_out is not None and args.out is not None
@@ -255,12 +241,12 @@ def _experiment_config(args, statistic, gamma_rule, mode: str) -> ExperimentConf
     return ExperimentConfig(
         n=args.n,
         beta=args.beta,
-        gamma_rule=gamma_rule,
+        gamma_rule=parse_gamma_rule(args.gamma_rule) if gamma_rule is None else gamma_rule,
         replicates=args.replicates,
         master_seed=args.seed,
         statistic=statistic,
         b_n=getattr(args, "b_n", None),
-        mode=RescalingMode(mode),
+        mode=RescalingMode(getattr(args, "mode", "none")),
     )
 
 
@@ -282,22 +268,18 @@ def _finish_experiment(args, report: ExperimentReport) -> int:
 
 
 def _cmd_clt(args) -> int:
-    from .experiments import parse_gamma_rule, parse_poly, run_clt
+    from .experiments import parse_poly, run_clt
 
-    config = _experiment_config(args, parse_poly(args.poly),
-                                parse_gamma_rule(args.gamma_rule), args.mode)
-    return _finish_experiment(args, run_clt(config))
+    return _finish_experiment(args, run_clt(_experiment_config(args, parse_poly(args.poly))))
 
 
 def _cmd_mdp(args) -> int:
     import numpy as np
 
-    from .experiments import MAX_POLY_DEGREE, parse_gamma_rule, run_clt
+    from .experiments import MAX_POLY_DEGREE, run_clt
 
     _integer(args.k, "moment index", 1, MAX_POLY_DEGREE)
-    config = _experiment_config(args, np.eye(args.k + 1)[args.k],
-                                parse_gamma_rule(args.gamma_rule), args.mode)
-    report = run_clt(config)
+    report = run_clt(_experiment_config(args, np.eye(args.k + 1)[args.k]))
     report.statistic = f"m{args.k}"
     return _finish_experiment(args, report)
 
@@ -305,7 +287,7 @@ def _cmd_mdp(args) -> int:
 def _cmd_mp_sanity(args) -> int:
     from .experiments import LinearGamma, run_mp_sanity
 
-    config = _experiment_config(args, args.k, LinearGamma(args.tau), "none")
+    config = _experiment_config(args, args.k, LinearGamma(args.tau))
     return _finish_experiment(args, run_mp_sanity(config))
 
 
@@ -355,14 +337,41 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
+def _float(text: str) -> float:
+    """A number inside a list or rule flag, refused in the words argparse gives a float flag."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _atoms(text: str) -> list:
+    """argparse type of --semicircle-atoms: loc:mass[,loc:mass...] as (loc, mass) pairs."""
+    atoms = []
+    for chunk in text.split(",") if text.strip() else ():
+        loc, _, mass = chunk.partition(":")
+        if not mass:
+            raise argparse.ArgumentTypeError(f"atom spec must be loc:mass, got {chunk!r}")
+        atoms.append((_float(loc), _float(mass)))
+    return atoms
+
+
+def _floats(text: str) -> list:
+    """argparse type of --mdp-moments: comma-separated numbers."""
+    return [_float(v) for v in text.split(",")]
+
+
+def _gamma_rule(text: str) -> str:
+    """argparse type of --gamma-rule: its text, once each number in it reads as a float."""
+    for number in text.split(":")[1:]:
+        _float(number)
+    return text
+
+
 def _rescaling_modes() -> list:
     from .scalar import RescalingMode
 
     return [mode.value for mode in RescalingMode]
-
-
-# The centered modes: clt and mdp statistics are read from centered windows.
-_CENTERINGS = ("standard", "shifted")
 
 
 def _sample_flags(sub) -> None:
@@ -387,11 +396,11 @@ def _rate_flags(sub) -> None:
 
     selector = sub.add_mutually_exclusive_group(required=True)
     selector.add_argument("--outlier", type=float)
-    selector.add_argument("--semicircle-atoms",
+    selector.add_argument("--semicircle-atoms", type=_atoms,
                           help="loc:mass[,loc:mass...] on a rescaled semicircle bulk; "
                           "a list that starts with '-' needs the = form: "
                           "--semicircle-atoms=-3:0.05,3:0.05")
-    selector.add_argument("--mdp-moments",
+    selector.add_argument("--mdp-moments", type=_floats,
                           help="comma-separated moment sequence; a list that starts "
                           "with '-' needs the = form: --mdp-moments=-1,0,1")
     sub.add_argument("--xi", type=float)
@@ -399,31 +408,32 @@ def _rate_flags(sub) -> None:
     sub.add_argument("--trunc", type=int)
 
 
-def _experiment_flags(sub) -> None:
+def _experiment_flags(sub, centered: bool = True) -> None:
+    """Every experiment's flags; ``centered`` adds clt's and mdp's gamma rule and centered modes."""
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--beta", type=float, required=True)
     sub.add_argument("--replicates", type=int, required=True)
     sub.add_argument("--seed", type=int, required=True)
     sub.add_argument("--hist-out")
+    if centered:
+        sub.add_argument("--gamma-rule", required=True, type=_gamma_rule,
+                         help="pow:<a>:<c> or lin:<tau>")
+        sub.add_argument("--mode", default="standard", choices=("standard", "shifted"))
 
 
 def _clt_flags(sub) -> None:
     _experiment_flags(sub)
-    sub.add_argument("--gamma-rule", required=True, help="pow:<a>:<c> or lin:<tau>")
     sub.add_argument("--poly", required=True, help="e.g. x^3 or 1+2x-0.5x^2")
-    sub.add_argument("--mode", default="standard", choices=_CENTERINGS)
 
 
 def _mdp_flags(sub) -> None:
     _experiment_flags(sub)
-    sub.add_argument("--gamma-rule", required=True, help="pow:<a>:<c> or lin:<tau>")
     sub.add_argument("--b-n", type=float, required=True)
     sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--mode", default="standard", choices=_CENTERINGS)
 
 
 def _mp_sanity_flags(sub) -> None:
-    _experiment_flags(sub)
+    _experiment_flags(sub, centered=False)
     sub.add_argument("--tau", type=float, required=True)
     sub.add_argument("--k", type=int, required=True)
 
@@ -508,12 +518,14 @@ def main(argv=None) -> int:
 def script() -> None:
     """The ``lagspec`` command and ``python -m lagspec.cli``: ``main`` on ``sys.argv``, then exit.
 
-    Before exiting it freezes the garbage collector (``gc.freeze``): the
-    collections the interpreter runs at exit then skip every object, which
-    in a short command is a sizeable share of its run. atexit handlers and
-    the flush of stdout and stderr still run. ``main`` itself never
-    freezes, since tests and library callers run it in their own process.
+    OPENBLAS_NUM_THREADS defaults to 1, as no command calls a threaded BLAS
+    kernel. Before exiting it freezes the garbage collector (``gc.freeze``):
+    the collections the interpreter runs at exit then skip every object,
+    which in a short command is a sizeable share of its run. atexit handlers
+    and the flush of stdout and stderr still run. ``main`` itself does
+    neither, since tests and library callers run it in their own process.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     status = main()
     gc.freeze()
     sys.exit(status)

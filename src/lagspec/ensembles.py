@@ -287,7 +287,7 @@ def sample_spectral_measure(
     atoms. At small beta some weights fall below the double range; their
     atoms are dropped, so the measure may have fewer than ``params.n``
     atoms (about half of the draws at n = 400, beta = 0.2, gamma = n^3).
-    Up to 64 rows the eigensolve is numpy's dense ``eigh``; above, it is the
+    Up to 25 rows the eigensolve is numpy's dense ``eigh``; above, it is the
     bidiagonal SVD of :func:`eigen_spectral` and dominates the cost of a
     draw.
     """

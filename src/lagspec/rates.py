@@ -92,9 +92,7 @@ class AcPlusAtoms(_Frozen):
                 raise ValueError(f"atom location {loc!r} is listed twice; "
                                  "give one atom per location")
         x, w = _chebyshev_lebesgue(_BULK_NODES)
-        vals = tuple(float(bulk_density(xj)) for xj in x)
-        if not all(0.0 <= v < math.inf for v in vals):
-            raise ValueError("bulk density must be finite and nonnegative")
+        vals = tuple(_real(bulk_density(xj), "bulk density", 0, strict=False) for xj in x)
         total = _fsum([wj * v for wj, v in zip(w, vals)]
                                  + [mass for _, mass in atoms])
         if abs(total - 1.0) > _MASS_TOL:
@@ -199,9 +197,7 @@ def mdp_rate_series(
     inf and so does the result; a form that is not a number, or inf against
     a finite form, is a NumericalError too.
     """
-    m = [float(v) for v in m]
-    if not all(math.isfinite(v) for v in m):
-        raise ValueError("moments must be finite")
+    m = [_real(v, "moment") for v in m]
     _integer(k_trunc, "k_trunc", 1)
     if len(m) < k_trunc:
         raise ValueError(
@@ -241,9 +237,7 @@ def mdp_rate_density(
     """
     xi = _check_nu(xi, variant)
     x, w = _semicircle_gauss(_MDP_DENSITY_NODES)
-    g_vals = [float(g(xj)) for xj in x]
-    if not all(math.isfinite(v) for v in g_vals):
-        raise ValueError("candidate density returned non-finite values")
+    g_vals = [_real(g(xj), "candidate density") for xj in x]
     terms = []
     for xj, wj, gj in zip(x, w, g_vals):
         if variant is NuVariant.STANDARD:

@@ -9,7 +9,7 @@ the two directions, and :func:`moments_via_operator` /
 :func:`moments_of_measure` compute moments on either side without ever
 leaving it.
 
-The forward direction takes numpy's dense eigensolver up to size 64.
+The forward direction takes numpy's dense eigensolver up to size 25.
 Above that it needs only the first row of the eigenvectors (Golub &
 Welsch, Math. Comp. 23, 1969): the shifted matrix is factored as R^T R
 with R bidiagonal, and LAPACK's divide and conquer SVD of R (dlasda, Gu &
@@ -69,16 +69,10 @@ _REDUCTION_BREAKDOWN = 1e-12
 # leaves of 60 1.04-1.07 times as long as leaves of 30 at n = 120.
 _LEAF_ATOMS = 56
 
-# Jacobi matrices of at most this size are diagonalized as dense matrices by
-# numpy's LAPACK, larger ones through the bidiagonal SVD (eigen_spectral).
-# The two take the same time near 64 rows, and at 128 the SVD takes 0.6 of
-# the dense time (medians of 21 alternations, 2-core x86-64 VM, numpy 2.4).
-_DENSE_EIGH_ATOMS = 64
-
 # Largest bidiagonal block that LAPACK's divide and conquer SVD solves
 # directly, dgelsd's choice (ILAENV). dlasda hands a bidiagonal of at most
 # this size to dlasdq whole and then leaves no first row of V in its
-# workspace, so _DENSE_EIGH_ATOMS must stay at least this large.
+# workspace, so eigen_spectral gives such small matrices to numpy's eigh.
 _SVD_LEAF = 25
 
 # Argument kinds of the LAPACK routines called here: c a char, i an integer,
@@ -175,11 +169,10 @@ def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
     for matrix of size <n>: <reason>", where a nonzero LAPACK info reads
     "LAPACK <routine> info <info>".
 
-    Matrices of size at most 64 go to numpy's dense ``eigh`` (dsyevd),
-    whose reduction of a tridiagonal matrix reflects nothing before the
-    divide and conquer. Larger ones are scaled by a power of two, shifted
-    past their Gershgorin bound and factored as J + sI = R^T R with R upper
-    bidiagonal (dpttrf). With the SVD R = U S V^T the atoms are S^2 - s and
+    Matrices of size at most ``_SVD_LEAF`` = 25 go to numpy's dense ``eigh``
+    (dsyevd). Larger ones are scaled by a power of two, shifted past their
+    Gershgorin bound and factored as J + sI = R^T R with R upper bidiagonal
+    (dpttrf). With the SVD R = U S V^T the atoms are S^2 - s and
     the weights the squared first row of V. LAPACK's divide and conquer
     (dlasda) run for S alone still updates that row at every merge and
     leaves it in its workspace, which is read only if it is a unit vector
@@ -188,7 +181,7 @@ def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
     Neither path imports scipy where numpy bundles its own OpenBLAS.
     """
     try:
-        if coeffs.n <= _DENSE_EIGH_ATOMS:
+        if coeffs.n <= _SVD_LEAF:
             # eigh reads only the lower triangle.
             dense = np.diag(coeffs.diag) + np.diag(coeffs.offdiag, -1)
             lam, vecs = np.linalg.eigh(dense, UPLO="L")

@@ -40,7 +40,8 @@ def test_rejects_bad_arguments(argv):
         bench_trajectory.parse_args(argv)
 
 
-# A stand-in for perfbench/run.py: logs which checkout ran which seed, prints
+# A stand-in for perfbench/run.py: logs which checkout ran which seed, and its
+# bytecode cache prefix and whether that is an empty directory, prints
 # perfbench's env line and one result line, and exits with the given status.
 # op_p50_s is seed / 10 unless the checkout is given its ten values; each run
 # fails 1 of its 4 operations unless the checkout is given another count.
@@ -50,6 +51,10 @@ seed = int(sys.argv[sys.argv.index("--seed") + 1])
 values = {values}
 with open({log!r}, "a") as fh:
     fh.write(f"{{os.path.basename(os.getcwd())}} {{seed}}\\n")
+prefix = os.environ.get("PYTHONPYCACHEPREFIX")
+empty = prefix is not None and os.path.isdir(prefix) and not os.listdir(prefix)
+with open({log!r} + ".cache", "a") as fh:
+    fh.write(f"{{prefix}} {{empty}}\\n")
 if {code} == 3:
     sys.exit(3)
 print("env " + json.dumps({{"python": "3", "workload": "w", "seed": seed}}))
@@ -95,6 +100,20 @@ def test_main_alternates_runs_and_writes_one_file_per_checkout(tmp_path, monkeyp
         op = summary["metrics"]["op_p50_s"]
         assert op["values"] == [seed / 10 for seed in range(1, 11)]
         assert op["median"] == pytest.approx(0.55)
+
+
+def test_each_run_gets_a_fresh_empty_bytecode_cache(tmp_path, monkeypatch):
+    # Neither checkout may read the bytecode another run, or an old build of
+    # its own, left behind.
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "shared"))
+    status, runs = _run_main(tmp_path, monkeypatch)
+    assert status == 0
+    cached = [line.split() for line in (tmp_path / "order.log.cache").read_text().splitlines()]
+    assert len(cached) == len(runs) == 20
+    assert all(empty == "True" for _, empty in cached)
+    prefixes = [prefix for prefix, _ in cached]
+    assert len(set(prefixes)) == 20 and str(tmp_path / "shared") not in prefixes
+    assert not any(Path(prefix).exists() for prefix in prefixes)
 
 
 def test_two_labels_print_quartiles_and_pair_wins(tmp_path, monkeypatch, capsys):

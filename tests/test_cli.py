@@ -322,6 +322,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["rate", "--outlier", "a"], "--outlier", "a"),
+        (["rate", "--semicircle-atoms", "a:0.1"], "--semicircle-atoms", "a"),
+        (["rate", "--semicircle-atoms", "3:0.1,-3:x"], "--semicircle-atoms", "x"),
+        (["rate", "--mdp-moments", "0,a,1"], "--mdp-moments", "a"),
+        (CLT_ARGS + ["--gamma-rule", "pow:x:1"], "--gamma-rule", "x"),
+        (MDP_ARGS + ["--gamma-rule", "lin:"], "--gamma-rule", ""),
+    ], ids=["outlier", "atom-location", "atom-mass", "mdp-moment", "clt-gamma-rule",
+            "mdp-gamma-rule"])
+    def test_number_in_a_list_or_rule_is_refused_as_a_float_flag_is(self, argv, flag, value,
+                                                                     capsys):
+        # --outlier is an argparse float flag; the list and rule flags word a
+        # number that is not one the same way, naming the flag.
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: argument {flag}: invalid float value: "
+                                           f"{value!r}\n")
+
     @pytest.mark.parametrize("command", ["clt", "mdp"])
     def test_help_offers_only_the_centered_modes(self, command, capsys):
         # Both statistics are read from centered windows, so mode none is no choice.
@@ -382,7 +399,7 @@ class TestExitCodes:
         (["rate", "--semicircle-atoms", "3:inf,4:-inf"],
          "atom mass must be a finite number, got inf"),
         (["rate", "--mdp-moments", "0,0,nan", "--xi", "1", "--trunc", "3"],
-         "moments must be finite"),
+         "error: moment must be a finite number, got nan\n"),
         (["rate", "--mdp-moments", "0,0,1", "--xi", "inf", "--trunc", "3"],
          "xi must be a finite number, got inf"),
         (["moments", "--measure", "nu-hat", "--order", "9", "--xi", "nan"],
@@ -623,11 +640,11 @@ class TestSampleCommand:
         assert lines[0] == "atom,weight" and len(lines) == 21
         assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
 
-    @pytest.mark.parametrize("n", [1, 2, 25, 64, 65])
+    @pytest.mark.parametrize("n", [1, 2, 25, 26, 64, 65])
     def test_measure_is_the_library_measure_to_rounding(self, n, capsys):
         # Up to 64 rows the command diagonalizes the library's model by the QL
-        # on Python floats, the library by numpy's dense eigh; above, both by
-        # the bidiagonal SVD.
+        # on Python floats, the library by numpy's dense eigh up to 25 rows and
+        # by the bidiagonal SVD above; above 64 rows both by the SVD.
         assert cli.main(["sample", "--n", str(n), "--beta", "2", "--gamma", str(n * n),
                          "--seed", "5"]) == 0
         rows = np.array([line.split(",") for line in capsys.readouterr().out.split()[1:]],
@@ -864,6 +881,20 @@ class TestConfigFile:
         assert capsys.readouterr() == flagged
         assert _take_files(tmp_path) == flagged_files
 
+    @pytest.mark.parametrize("command, key, value, shown", [
+        ("clt", "gamma-rule", "pow:3:x", "x"),
+        ("rate", "mdp-moments", "0,a,1", "a"),
+        ("rate", "semicircle-atoms", "a:0.1", "a"),
+    ])
+    def test_list_and_rule_numbers_from_a_config_read_as_flags(self, command, key, value,
+                                                                shown, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(dict(self.BASE if command == "clt" else {},
+                                          **{key: value})))
+        assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"error: argument --{key}: invalid float value: "
+                                           f"{shown!r}\n")
+
     @pytest.mark.parametrize("key,value", [
         ("gamma-rule", 2), ("n", True), ("n", None), ("n", ""), ("beta", [2]),
         ("seed", {"a": 1}), ("mode", "-x"), ("mode", "none"), ("workers", 1), ("repl", 150),
@@ -1095,7 +1126,8 @@ class TestStartupImports:
 
 
 class TestScriptEntry:
-    """``script`` freezes the garbage collector on its way out; ``main`` never does."""
+    """``script`` runs OpenBLAS on one thread unless told otherwise, and freezes the garbage
+    collector on its way out; ``main`` does neither."""
 
     ENV = {**os.environ, "PYTHONPATH": str(Path(lagspec.__file__).parents[1])}
 
@@ -1135,6 +1167,30 @@ class TestScriptEntry:
                              env=self.ENV)
         assert (run.returncode, run.stdout, run.stderr) == (
             status, expected.out + "frozen True\n", expected.err)
+
+    @pytest.mark.parametrize("given, seen", [(None, "1"), ("2", "2")], ids=["unset", "two"])
+    def test_script_sets_one_openblas_thread_unless_the_environment_sets_it(self, given, seen):
+        # A measure of 65 rows imports numpy, and with it OpenBLAS, inside main.
+        env = {k: v for k, v in self.ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        code = ("import os, sys\n"
+                "import lagspec.cli\n"
+                "sys.argv = ['lagspec', 'sample', '--n', '65', '--beta', '2', '--gamma', '5000',"
+                " '--seed', '7', '--out', os.devnull]\n"
+                "try:\n"
+                "    lagspec.cli.script()\n"
+                "finally:\n"
+                "    print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env)
+        assert (run.returncode, run.stdout, run.stderr) == (0, f"{seen} True\n", "")
+
+    def test_main_leaves_the_environment_alone(self, monkeypatch, capsys):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        assert cli.main(README_COMMANDS["rate-outlier"]) == 0
+        assert dict(os.environ) == before
 
 
 SUBCOMMANDS = ["sample", "moments", "rate", "clt", "mdp", "mp-sanity", "identities"]

@@ -92,8 +92,15 @@ class TestKLSemicircle:
         assert kl_semicircle(half) == math.inf
 
     def test_negative_density_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="^bulk density must be >= 0, got "):
             AcPlusAtoms(lambda x: -SC(x) + 0.0 * np.asarray(x))
+
+    @pytest.mark.parametrize("value, shown", [("0.1", "'0.1'"), (None, "None"),
+                                              (math.nan, "nan"), (math.inf, "inf")])
+    def test_density_value_that_is_not_a_finite_number_rejected(self, value, shown):
+        with pytest.raises(ValueError, match=f"^bulk density must be a finite number, "
+                                             f"got {shown}$"):
+            AcPlusAtoms(lambda x: value)
 
 
 class TestCandidateMeasure:
@@ -253,8 +260,15 @@ class TestLdpRate:
 class TestMdpRateSeries:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_moments_rejected(self, bad):
-        with pytest.raises(ValueError, match="moments must be finite"):
+        with pytest.raises(ValueError, match="^moment must be a finite number, got "):
             mdp_rate_series(np.array([0.0, 0.0, bad]), 1.0, k_trunc=3)
+
+    @pytest.mark.parametrize("m, shown", [(["0", "0", "1"], "'0'"), ([0, None, 1], "None")],
+                             ids=["str", "none"])
+    def test_moment_that_is_not_a_number_rejected(self, m, shown):
+        # float() would parse the str and refuse None with an untyped TypeError.
+        with pytest.raises(ValueError, match=f"^moment must be a finite number, got {shown}$"):
+            mdp_rate_series(m, 0.0, k_trunc=3)
 
     @pytest.mark.parametrize("variant", list(NuVariant))
     @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0, 3.0])
@@ -381,8 +395,13 @@ class TestMdpRateDensity:
             assert series == pytest.approx(0.5 * np.sum(a**2), rel=1e-10)
 
     def test_nonfinite_candidate_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^candidate density must be a finite number, got "):
             mdp_rate_density(lambda x: np.full_like(np.asarray(x), np.nan), 0.0)
+
+    def test_candidate_returning_a_str_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^candidate density must be a finite number, got '1.0'$"):
+            mdp_rate_density(lambda x: "1.0", 0.0)
 
     @pytest.mark.parametrize("xi", [float("nan"), float("inf"), -1.0])
     def test_xi_checked_as_by_the_series(self, xi):

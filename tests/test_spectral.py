@@ -207,7 +207,7 @@ class TestEigenSpectral:
 
     @pytest.mark.parametrize("n, beta, gamma_power, seed", [
         *(pytest.param(n, 2.0, 2, n, id=str(n))
-          for n in (1, 2, 50, 64, 65, 128, 129, 200, 1000, 2000)),
+          for n in (1, 2, 25, 26, 50, 64, 65, 128, 129, 200, 1000, 2000)),
         # The first of the benchmark's small-beta draws, derive_seed(7, i),
         # where no weight underflows, in any of the three solvers.
         pytest.param(400, 0.2, 3, derive_seed(7, 5), id="small-beta"),
@@ -283,8 +283,10 @@ class TestEigenSpectral:
         np.testing.assert_allclose(moments_of_measure(mu, 10), moments_via_operator(coeffs, 10),
                                    rtol=1e-10, atol=1e-10)
 
-    @pytest.mark.parametrize("n, reason", [(3, "no convergence"), (129, "LAPACK dlasda info 1")],
-                             ids=["3", "129"])
+    @pytest.mark.parametrize("n, reason", [(3, "no convergence"), (25, "no convergence"),
+                                           (26, "LAPACK dlasda info 1"),
+                                           (129, "LAPACK dlasda info 1")],
+                             ids=["3", "25", "26", "129"])
     def test_solver_failure_raises(self, n, reason, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
@@ -313,10 +315,6 @@ class TestEigenSpectral:
         with pytest.raises(NumericalError, match=f"^{EIGENSOLVER_FAILED} of size 129: LAPACK "
                            f"dlasda left a first row of V with squared norm {norm}$"):
             eigen_firstrow(np.zeros(129), np.ones(128))
-
-    def test_dense_cut_covers_the_svd_leaf(self):
-        # dlasda leaves no first row of V for a bidiagonal of at most _SVD_LEAF rows.
-        assert spectral._DENSE_EIGH_ATOMS >= spectral._SVD_LEAF
 
     def test_factorization_failure_raises(self, monkeypatch):
         def info_three(*args):

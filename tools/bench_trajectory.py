@@ -6,7 +6,9 @@
 Each ``LABEL=CHECKOUT`` names a checkout of this repository (its
 ``perfbench/run.py`` and ``src/`` are the ones run). Every workload that
 ``BENCHMARK.json`` declares runs untraced (``--trace 0``), for its
-``run_seconds``, once per seed in ``SEEDS`` in every checkout. The runs
+``run_seconds``, once per seed in ``SEEDS`` in every checkout, each with
+a fresh, empty ``PYTHONPYCACHEPREFIX``: a working tree with old bytecode
+caches and a new export then both compile from source. The runs
 of different checkouts alternate, and which runs first alternates from
 seed to seed, so a drift of the host's speed hits them alike.
 ``BENCH_<label>.json`` is written to the repository root for each label.
@@ -34,6 +36,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -52,13 +55,17 @@ def _git(checkout: str, *args: str) -> str:
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple:
     """One untraced perfbench run: ``(env block, result object)``.
 
-    The result also carries the run's wall seconds, as ``wall_s``.
+    The run's PYTHONPYCACHEPREFIX is a fresh, empty directory, so that every
+    checkout compiles its modules from source, whatever ``__pycache__`` it
+    holds. The result also carries the run's wall seconds, as ``wall_s``.
     """
     argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    start = time.perf_counter()
-    res = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    wall = time.perf_counter() - start
+    with tempfile.TemporaryDirectory() as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        start = time.perf_counter()
+        res = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, env=env)
+        wall = time.perf_counter() - start
     lines = res.stdout.splitlines()
     if res.returncode not in (0, 1) or not lines:
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {res.returncode}:\n"
