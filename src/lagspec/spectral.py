@@ -15,8 +15,10 @@ Welsch, Math. Comp. 23, 1969): the shifted matrix is factored as R^T R
 with R bidiagonal, and LAPACK's divide and conquer SVD of R (dlasda, Gu &
 Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), asked for singular values
 only, still carries the first row of the right singular vectors, which is
-all the weights need. See :func:`eigen_spectral` for the details and what
-it costs. ``lagspec sample`` diagonalizes models of up to 64 rows without
+all the weights need. From ``_SPLIT_ROWS`` = 600 rows dlasda's top node is
+done here: the two halves of R are solved on two threads and merged by
+dlasd6. See :func:`eigen_spectral` for the details and what it costs.
+``lagspec sample`` diagonalizes models of up to 64 rows without
 numpy, by the implicit QL method of ``scalar._ql_spectrum``, and checks
 its measure with ``scalar._check_measure``, which is the check of
 :class:`SpectralMeasure` itself.
@@ -25,8 +27,8 @@ The inverse direction costs O(n^2): a divide and conquer after Gragg &
 Harrod (Numer. Math. 44, 1984) reduces blocks of at most 56 atoms, and
 merges two halves' Jacobi matrices, with LAPACK's band reduction (dsbtrd).
 
-The three LAPACK routines these need beyond numpy's ``eigh`` (dpttrf,
-dlasda, dsbtrd) come, on first use, from the LAPACK that
+The four LAPACK routines these need beyond numpy's ``eigh`` (dpttrf,
+dlasda, dlasd6, dsbtrd) come, on first use, from the LAPACK that
 ``numpy.linalg`` is linked against when that is the 64-bit-integer
 OpenBLAS numpy's wheels bundle, so that ``scipy`` is never imported;
 otherwise (as with numpy linked against Accelerate or MKL) from scipy's
@@ -40,6 +42,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +78,17 @@ _LEAF_ATOMS = 56
 # workspace, so eigen_spectral gives such small matrices to numpy's eigh.
 _SVD_LEAF = 25
 
+# Bidiagonals of at least this many rows have dlasda's top node done by
+# hand, its two halves solved on two threads (see _split_first_row). On a
+# 2-core x86-64 VM (numpy 2.4) that took 0.79-0.87 of one call's time from
+# 320 to 2000 rows, while on one CPU it costs a fixed 0.5-1 ms (a second
+# workspace and a thread): about 10% of the call at 320-400 rows, 3-6% at
+# 480-1400 and nothing measurable at 2000.
+_SPLIT_ROWS = 600
+
 # Argument kinds of the LAPACK routines called here: c a char, i an integer,
-# I an integer array, d a double array. The last argument of each is
-# LAPACK's info.
+# I an integer array given by its length, J an integer array given by its
+# values, d a double array. The last argument of each is LAPACK's info.
 _LAPACK_ARGS = {
     # dpttrf(n, d, e, info)
     "dpttrf": "iddi",
@@ -86,6 +97,10 @@ _LAPACK_ARGS = {
     # dlasda(icompq, smlsiz, n, sqre, d, e, u, ldu, vt, k, difl, difr, z, poles,
     #        givptr, givcol, ldgcol, perm, givnum, c, s, work, iwork, info)
     "dlasda": "iiiidddidIddddIIiIddddIi",
+    # dlasd6(icompq, nl, nr, sqre, d, vf, vl, alpha, beta, idxq, perm, givptr,
+    #        givcol, ldgcol, givnum, ldgnum, poles, difl, difr, z, k, c, s, work,
+    #        iwork, info)
+    "dlasd6": "iiiidddddJIiIididdddidddIi",
 }
 
 
@@ -176,9 +191,15 @@ def eigen_spectral(coeffs: JacobiCoefficients) -> SpectralMeasure:
     the weights the squared first row of V. LAPACK's divide and conquer
     (dlasda) run for S alone still updates that row at every merge and
     leaves it in its workspace, which is read only if it is a unit vector
-    (else NumericalError). On a 2-core x86-64 VM (numpy 2.4) this takes
-    about 130 ms and 0.7 MB (traced) at size 2000 and 35 ms at size 1000.
-    Neither path imports scipy where numpy bundles its own OpenBLAS.
+    (else NumericalError). From ``_SPLIT_ROWS`` = 600 rows the top node of
+    dlasda's tree is done by hand: R's upper and lower halves go to two
+    dlasda calls, one on a second thread, and one dlasd6 merges them, bit
+    for bit as one dlasda call would except at 26 * 2^j rows, where the
+    results agree to rounding. On a 2-core x86-64 VM (numpy 2.4) this takes
+    about 100 ms and 0.9 MB (traced) at size 2000 (125 ms in one dlasda
+    call) and 28 ms at size 1000 (35 ms); on one CPU the split costs about
+    as much as one call. Neither path imports scipy where numpy bundles its
+    own OpenBLAS.
     """
     try:
         if coeffs.n <= _SVD_LEAF:
@@ -219,26 +240,93 @@ def _bidiagonal_spectrum(diag: np.ndarray, offdiag: np.ndarray):
     # With singular values only, dlasda still carries the first and last
     # rows of V through every merge (it builds each secular equation from
     # them) and leaves the first in work[:n], in the order of S, which
-    # overwrites q. The arrays are sized as dlasda documents them for this
-    # mode: difl and poles by its tree's floor(log2(n / 26)) + 1 levels below
-    # 25-row leaves, plus one spare level for the rounding of LAPACK's own
-    # log2; u, vt, givptr, givcol, perm and givnum are not referenced; the
-    # scalars k, c and s each need an array of their own.
-    levels = (n // (_SVD_LEAF + 1)).bit_length() + 1
-    unused = np.zeros(1)
-    work = np.zeros(6 * n + (_SVD_LEAF + 1) ** 2)
-    _run_lapack(
-        "dlasda", 0, _SVD_LEAF, n, 0, q, f, unused, n, unused, 1,
-        np.zeros((n, levels), order="F"), np.zeros(n), np.zeros(n),
-        np.zeros((n, 2 * levels), order="F"), 1, 1, n, 1, unused,
-        np.zeros(1), np.zeros(1), work, 7 * n)
-    first_row = work[:n]
+    # overwrites q.
+    if n < _SPLIT_ROWS:
+        solve, work = _dlasda(q, f, 0)
+        solve()
+        first_row = work[:n]
+    else:
+        first_row = _split_first_row(q, f)
     # WORK is not a documented output: accept it only as a unit vector.
     norm = float(np.sum(first_row**2))
     if not abs(norm - 1.0) <= _WEIGHT_SUM_TOL:
         raise NumericalError(f"LAPACK dlasda left a first row of V with squared norm {norm!r}")
     order = np.argsort(q)
     return np.ldexp(q[order] ** 2 - shift, k), first_row[order] ** 2
+
+
+def _dlasda(q: np.ndarray, f: np.ndarray, sqre: int):
+    """``(solve, work)``: a values-only dlasda of a bidiagonal, not yet run.
+
+    The bidiagonal is diag(q) with superdiagonal f, n x (n + sqre). Every
+    array is allocated here, so ``solve()`` only makes the LAPACK call,
+    which overwrites q with the singular values and leaves the first and
+    last rows of V in work[:m] and work[m:2m], m = n + sqre. The arrays are
+    sized as dlasda documents them for this mode: difl and poles by its
+    tree's floor(log2(n / 26)) + 1 levels below 25-row leaves, plus one
+    spare level for the rounding of LAPACK's own log2; u, vt, givptr,
+    givcol, perm and givnum are not referenced; the scalars k, c and s each
+    need an array of their own.
+    """
+    n = q.size
+    m = n + sqre
+    levels = (n // (_SVD_LEAF + 1)).bit_length() + 1
+    unused = np.zeros(1)
+    work = np.zeros(6 * m + (_SVD_LEAF + 1) ** 2)
+    solve = _lapack_call(
+        "dlasda", 0, _SVD_LEAF, n, sqre, q, f, unused, m, unused, 1,
+        np.zeros((m, levels), order="F"), np.zeros(m), np.zeros(m),
+        np.zeros((m, 2 * levels), order="F"), 1, 1, m, 1, unused,
+        np.zeros(1), np.zeros(1), work, 7 * m)
+    return solve, work
+
+
+def _split_first_row(q: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """dlasda's top node done by hand: the first row of V, S left in q.
+
+    R is cut at dlasdt's centre row nl = n // 2 into an nl x (nl + 1)
+    upper bidiagonal and an nr x nr lower one, nr = n - nl - 1. The upper
+    half is solved on a second thread while this one solves the lower (the
+    LAPACK calls release the interpreter lock), and dlasd6 merges them as
+    dlasda's top node would, with row nl's q and f as alpha and beta. The
+    result is bit for bit that of one dlasda call on R, except where the
+    lower half's tree is one level shallower than inside R's (n = 26 * 2^j),
+    where it agrees to rounding.
+    """
+    n = q.size
+    nl = n // 2
+    nr = n - nl - 1
+    solve_upper, upper_work = _dlasda(q[:nl], f[:nl], 1)
+    solve_lower, lower_work = _dlasda(q[nl + 1:], f[nl + 1:], 0)
+    failures = []
+
+    def upper():
+        try:
+            solve_upper()
+        except Exception as exc:  # re-raised below, on the calling thread
+            failures.append(exc)
+
+    worker = threading.Thread(target=upper)
+    worker.start()
+    try:
+        solve_lower()
+    finally:
+        worker.join()
+    if failures:
+        raise failures[0]
+    m = nl + 1
+    vf = np.concatenate((upper_work[:m], lower_work[:nr]))
+    vl = np.concatenate((upper_work[m:2 * m], lower_work[nr:2 * nr]))
+    # IDXQ sorts each half's singular values ascending, 1-based within it.
+    idxq = np.zeros(n, dtype=np.int64)
+    idxq[:nl] = np.argsort(q[:nl], kind="stable") + 1
+    idxq[nl + 1:] = np.argsort(q[nl + 1:], kind="stable") + 1
+    unused = np.zeros(1)
+    _run_lapack(
+        "dlasd6", 0, nl, nr, 0, q, vf, vl, q[nl:nl + 1].copy(), f[nl:nl + 1].copy(), idxq,
+        1, 1, 1, n, unused, n, unused, np.zeros(n), np.zeros(n), np.zeros(n), 1,
+        np.zeros(1), np.zeros(1), np.zeros(4 * n), 3 * n)
+    return vf
 
 
 def moments_via_operator(coeffs: JacobiCoefficients, order: int) -> np.ndarray:
@@ -393,22 +481,52 @@ def _band_reduction(band: np.ndarray):
 
 
 def _run_lapack(routine: str, *args) -> None:
-    """Call a routine of ``_LAPACK_ARGS`` by reference, LAPACK's info last.
+    """Call a routine of ``_LAPACK_ARGS`` now; see :func:`_lapack_call`."""
+    _lapack_call(routine, *args)()
 
-    Chars are passed as bytes and double arrays as they are. An integer is
-    passed as LAPACK's integer type, and where the routine takes an integer
-    array, as the length of a zeroed one: no caller reads one back. This is
-    the only reader of LAPACK's info: any nonzero value raises
-    NumericalError("LAPACK <routine> info <info>").
+
+def _lapack_call(routine: str, *args):
+    """A call of a routine of ``_LAPACK_ARGS`` by reference, LAPACK's info last.
+
+    Chars are passed as bytes. An integer is passed as LAPACK's integer
+    type; an integer array given by its length as a zeroed one (no caller
+    reads one back), and one given by its values as a copy in that type.
+    A double array must be float64 and Fortran-contiguous (else TypeError,
+    before LAPACK runs) and is passed as its address. Every conversion and
+    allocation is made here, so the call returned only calls LAPACK and
+    reads its info, whatever thread runs it. It is the only reader of
+    LAPACK's info: any nonzero value raises NumericalError("LAPACK
+    <routine> info <info>").
     """
     functions, integer = _lapack()
     info = integer(0)
-    functions[routine](*(integer(a) if kind == "i"
-                         else np.zeros(a, dtype=integer) if kind == "I"
-                         else a
-                         for kind, a in zip(_LAPACK_ARGS[routine], args)), info)
-    if info.value != 0:
-        raise NumericalError(f"LAPACK {routine} info {info.value}")
+    integers = np.dtype(integer)
+    arrays = []  # what the pointers point into, kept alive by the call
+    pointers = []
+    for kind, a in zip(_LAPACK_ARGS[routine], args):
+        if kind == "i":
+            a = integer(a)
+        elif kind != "c":
+            if kind == "I":
+                a = np.zeros(a, dtype=integers)
+            elif kind == "J":
+                a = np.array(a, dtype=integers)
+            elif a.dtype != np.float64 or not a.flags.f_contiguous:
+                raise TypeError(f"LAPACK {routine} takes float64 Fortran-contiguous arrays, "
+                                f"got {a.dtype} of shape {a.shape}, Fortran-contiguous: "
+                                f"{a.flags.f_contiguous}")
+            arrays.append(a)
+            a = a.ctypes.data
+        pointers.append(a)
+    function = functions[routine]
+
+    def call():
+        function(*pointers, info)
+        if info.value != 0:
+            raise NumericalError(f"LAPACK {routine} info {info.value}")
+
+    call.arrays = arrays
+    return call
 
 
 @functools.cache
@@ -460,7 +578,7 @@ def _scipy_lapack():
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    spellings = {"c": "char *", "i": "int *", "I": "int *", "d": "double *"}
+    spellings = {"c": "char *", "i": "int *", "I": "int *", "J": "int *", "d": "double *"}
     routines = {}
     for routine, kinds in _LAPACK_ARGS.items():
         capsule = cython_lapack.__pyx_capi__[routine]
@@ -476,10 +594,8 @@ def _scipy_lapack():
 
 def _prototype(routine: str, integer):
     """ctypes prototype of a routine of ``_LAPACK_ARGS`` with this integer type."""
-    kinds = {
-        "c": ctypes.c_char_p,
-        "i": ctypes.POINTER(integer),
-        "I": np.ctypeslib.ndpointer(integer, flags="F_CONTIGUOUS"),
-        "d": np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS"),
-    }
+    # Arrays are passed as addresses, checked by _lapack_call: numpy's
+    # ndpointer argument types cost about 2 us per array on every call.
+    kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(integer), "I": ctypes.c_void_p,
+             "J": ctypes.c_void_p, "d": ctypes.c_void_p}
     return ctypes.CFUNCTYPE(None, *(kinds[kind] for kind in _LAPACK_ARGS[routine]))

@@ -1019,9 +1019,10 @@ class TestMpSanityCommand:
 
 
 def _modules_loaded(argv) -> list:
-    """lagspec modules, dataclasses, inspect, json, numpy, numpy.random and
-    scipy modules in ``sys.modules`` after ``import lagspec.cli`` and, unless
-    ``argv`` is None, ``main(argv)``, in a fresh interpreter."""
+    """lagspec modules, concurrent.futures, dataclasses, inspect, json, logging,
+    numpy, numpy.random and scipy modules in ``sys.modules`` after ``import
+    lagspec.cli`` and, unless ``argv`` is None, ``main(argv)``, in a fresh
+    interpreter."""
     code = ("import contextlib, io, sys\n"
             "import lagspec.cli\n"
             f"argv = {argv!r}\n"
@@ -1029,8 +1030,8 @@ def _modules_loaded(argv) -> list:
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert lagspec.cli.main(argv) == 0\n"
             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('lagspec', 'scipy', 'json') or m in ('dataclasses', 'inspect', 'numpy', "
-            "'numpy.random'))))")
+            "('lagspec', 'scipy', 'json') or m in ('concurrent.futures', 'dataclasses', "
+            "'inspect', 'logging', 'numpy', 'numpy.random'))))")
     env = {**os.environ, "PYTHONPATH": str(Path(lagspec.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
@@ -1118,6 +1119,15 @@ class TestStartupImports:
         assert "lagspec.experiments" in loaded
         assert "lagspec.rates" not in loaded
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+    @pytest.mark.parametrize("argv", [
+        README_COMMANDS["clt"], README_COMMANDS["mdp"], README_COMMANDS["mp-sanity"],
+        ["sample", "--n", "65", "--beta", "2", "--gamma", "5000", "--seed", "7"],
+    ], ids=["clt", "mdp", "mp-sanity", "sample-65"])
+    def test_commands_load_no_executor_and_no_logging(self, argv):
+        # eigen_spectral's second thread is a bare threading.Thread, which
+        # numpy has already imported; an executor would import both.
+        assert not {"concurrent.futures", "logging"} & set(_modules_loaded(argv))
 
     @pytest.mark.parametrize("name", ["clt", "mdp", "mp-sanity"])
     def test_readme_experiments_load_no_numpy_random(self, name):

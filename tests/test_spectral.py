@@ -1,7 +1,8 @@
 """Jacobi matrices, spectral measures, and the two-way mapping between them.
 
-eigen_spectral's two solvers (numpy's dense eigh up to 64 rows, the
-bidiagonal SVD above) are checked against closed forms and against
+eigen_spectral's two solvers (numpy's dense eigh up to 25 rows, the
+bidiagonal SVD above, its two halves on two threads from
+spectral._SPLIT_ROWS rows) are checked against closed forms and against
 two oracles, numpy's dense eigh and scipy's tridiagonal eigh (dstevd), both
 of which form every eigenvector. Measures are checked against their
 operator-side moments where atoms with an underflowed weight are dropped.
@@ -14,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 from pathlib import Path
@@ -72,7 +74,7 @@ def tridiagonal_firstrow_eigh(diag, offdiag):
 
 
 # Each size is checked against both, neither of which eigen_spectral uses
-# above 64 rows.
+# above 25 rows.
 ORACLES = (dense_firstrow_eigh, tridiagonal_firstrow_eigh)
 
 
@@ -85,10 +87,15 @@ def replace_routine(monkeypatch, routine, fake):
     """Make the resolved LAPACK call ``fake`` for ``routine``.
 
     ``fake`` receives the arguments as ctypes passes them, LAPACK's info
-    last.
+    last: an array as its address (see :func:`doubles`).
     """
     routines, integer = spectral._lapack()
     monkeypatch.setattr(spectral, "_lapack", lambda: ({**routines, routine: fake}, integer))
+
+
+def doubles(address, size):
+    """The ``size`` doubles at ``address``, as LAPACK receives a double array."""
+    return np.ctypeslib.as_array(ctypes.cast(address, ctypes.POINTER(ctypes.c_double)), (size,))
 
 
 def laguerre_jacobi(seed, n, beta=2.0, gamma_power=2):
@@ -251,8 +258,11 @@ class TestEigenSpectral:
     # its tree gains a level at every 26 * 2^k rows, and two of its arrays
     # are sized by that count of levels, also without singular vectors:
     # k = 3..6 on either side.
+    # The split into two halves (spectral._SPLIT_ROWS rows and up) agrees
+    # with the oracle to the same 1e-12 where the lower half's tree is one
+    # level shallower than inside the whole one, at 26 * 2^k rows.
     @pytest.mark.parametrize("n", [129, 207, 208, 209, 415, 416, 417,
-                                   831, 832, 833, 1663, 1664, 1665])
+                                   831, 832, 833, 1663, 1664, 1665, 3327, 3328, 3329])
     def test_svd_sizes_print_nothing(self, n, capfd):
         # LAPACK reports an illegal argument only by printing it.
         coeffs = laguerre_jacobi(n, n)
@@ -263,7 +273,9 @@ class TestEigenSpectral:
         assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize(
-        "seed,n,diag_normal", [(150, 150, False), (8, 200, True)], ids=["150", "200"]
+        "seed,n,diag_normal",
+        [(150, 150, False), (8, 200, True), (600, spectral._SPLIT_ROWS, False)],
+        ids=["150", "200", "split"],
     )
     def test_underflowed_weights_are_dropped(self, seed, n, diag_normal):
         # Some first-row weights lie below the double range and come out as
@@ -308,13 +320,100 @@ class TestEigenSpectral:
         # writes nothing, or NaN, to its workspace.
         def fake_dlasda(*args):
             if fill is not None:
-                args[-3][:] = fill  # WORK
+                doubles(args[-3], 6 * 129 + 26**2)[:] = fill  # WORK
             args[-1].value = 0
 
         replace_routine(monkeypatch, "dlasda", fake_dlasda)
         with pytest.raises(NumericalError, match=f"^{EIGENSOLVER_FAILED} of size 129: LAPACK "
                            f"dlasda left a first row of V with squared norm {norm}$"):
             eigen_firstrow(np.zeros(129), np.ones(128))
+
+    @pytest.mark.parametrize("n", [spectral._SPLIT_ROWS, 1000, 2000, 2001])
+    def test_split_equals_one_dlasda_call(self, n, monkeypatch):
+        # dlasda's top node done by hand (two halves, one dlasd6) gives its
+        # bits, where both halves' trees are as deep as inside the whole.
+        assert n >= spectral._SPLIT_ROWS
+        coeffs = laguerre_jacobi(n, n)
+        split = eigen_spectral(coeffs)
+        monkeypatch.setattr(spectral, "_SPLIT_ROWS", n + 1)
+        whole = eigen_spectral(coeffs)
+        np.testing.assert_array_equal(split.atoms, whole.atoms)
+        np.testing.assert_array_equal(split.weights, whole.weights)
+
+    def test_threaded_halves_equal_the_halves_run_inline(self, monkeypatch):
+        # The two halves share no array, so the thread changes no bit.
+        draws = [laguerre_jacobi(seed, spectral._SPLIT_ROWS + 23 * seed) for seed in range(20)]
+        threaded = [eigen_spectral(coeffs) for coeffs in draws]
+        started = []
+
+        class InlineThread:
+            """threading.Thread's stand-in: the target runs at start()."""
+
+            def __init__(self, target):
+                self.target = target
+
+            def start(self):
+                started.append(self)
+                self.target()
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(spectral, "threading", types.SimpleNamespace(Thread=InlineThread))
+        inline = [eigen_spectral(coeffs) for coeffs in draws]
+        assert len(started) == 20
+        for a, b in zip(threaded, inline):
+            np.testing.assert_array_equal(a.atoms, b.atoms)
+            np.testing.assert_array_equal(a.weights, b.weights)
+
+    def test_concurrent_callers_each_get_their_own_measure(self):
+        # Four callers on a 2-core host, each splitting its own matrices
+        # over two threads, with thread switches forced often: every
+        # measure is the one a lone call gives.
+        draws = [laguerre_jacobi(seed, spectral._SPLIT_ROWS + seed) for seed in range(8)]
+        alone = [eigen_spectral(coeffs) for coeffs in draws]
+        got = [None] * len(draws)
+
+        def caller(k):
+            for i in range(k, len(draws), 4):
+                got[i] = eigen_spectral(draws[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        for a, b in zip(got, alone):
+            np.testing.assert_array_equal(a.atoms, b.atoms)
+            np.testing.assert_array_equal(a.weights, b.weights)
+
+    @pytest.mark.parametrize("routine, sqre", [("dlasda", 1), ("dlasda", 0), ("dlasd6", 0)],
+                             ids=["upper-half", "lower-half", "merge"])
+    def test_split_failure_raises_on_the_calling_thread(self, routine, sqre, monkeypatch):
+        # The upper half (sqre = 1) is solved on a second thread, the lower
+        # half (sqre = 0) and their merge on the calling one. A nonzero info
+        # from any of them is the eigensolver's failure, with the usual
+        # wording, and the second thread has ended.
+        real = spectral._lapack()[0][routine]
+
+        def info_one(*args):
+            if args[3].value != sqre:  # SQRE, the fourth argument of both routines
+                return real(*args)
+            args[-1].value = 1
+
+        replace_routine(monkeypatch, routine, info_one)
+        threads = threading.active_count()
+        n = spectral._SPLIT_ROWS
+        with pytest.raises(NumericalError,
+                           match=f"^{EIGENSOLVER_FAILED} of size {n}: LAPACK {routine} info 1$"):
+            eigen_spectral(laguerre_jacobi(n, n))
+        assert threading.active_count() == threads
 
     def test_factorization_failure_raises(self, monkeypatch):
         def info_three(*args):
@@ -521,11 +620,9 @@ class TestSzegoMap:
         band = np.zeros((n + 1, n + 1), order="F")
         band[0, 1:] = mu.atoms[heavy_first]
         band[1:, 0] = np.sqrt(mu.weights[heavy_first])
-        routines, integer = spectral._lapack()
-        d, e, info = np.empty(n + 1), np.empty(n), integer(0)
-        routines["dsbtrd"](b"N", b"L", integer(n + 1), integer(n), band, integer(n + 1), d, e,
-                           np.empty(1), integer(1), np.empty(n + 1), info)
-        assert info.value == 0
+        d, e = np.empty(n + 1), np.empty(n)
+        spectral._run_lapack("dsbtrd", b"N", b"L", n + 1, n, band, n + 1, d, e, np.empty(1), 1,
+                             np.empty(n + 1))
         np.testing.assert_array_equal(got.diag, d[1:])
         np.testing.assert_array_equal(got.offdiag, np.abs(e[1:]))
 
@@ -792,8 +889,10 @@ class TestLapackRoutes:
 
     # Tolerances, not bit equality: numpy's and scipy's wheels may bundle
     # different OpenBLAS versions.
+    # 129 rows take one dlasda call, 1000 the two halves and dlasd6.
     @pytest.mark.parametrize("n", [129, 1000])
     def test_routes_agree_on_draws(self, n, monkeypatch):
+        assert (n >= spectral._SPLIT_ROWS) == (n == 1000)
         coeffs = laguerre_jacobi(n, n)
         mu = eigen_spectral(coeffs)
         scipy_lapack = spectral._scipy_lapack()
@@ -810,6 +909,22 @@ class TestLapackRoutes:
         ref = measure_to_coefficients(mu, mu.n)
         np.testing.assert_allclose(got.diag, ref.diag, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.offdiag, ref.offdiag, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("band, refused", [
+        (np.zeros((3, 6)), r"float64 of shape \(3, 6\), Fortran-contiguous: False"),
+        (np.zeros((3, 6), dtype=np.float32, order="F"),
+         r"float32 of shape \(3, 6\), Fortran-contiguous: True"),
+    ], ids=["c-order", "float32"])
+    def test_double_array_refused_before_lapack_runs(self, band, refused, monkeypatch):
+        # Arrays reach LAPACK as bare addresses, so their layout is checked
+        # first: a C-order or float32 band would be read as other numbers.
+        calls = []
+        replace_routine(monkeypatch, "dsbtrd", lambda *args: calls.append(args))
+        with pytest.raises(TypeError, match="^LAPACK dsbtrd takes float64 Fortran-contiguous "
+                           f"arrays, got {refused}$"):
+            spectral._run_lapack("dsbtrd", b"N", b"L", 6, 2, band, 3, np.empty(6), np.empty(5),
+                                 np.empty(1), 1, np.empty(6))
+        assert calls == []
 
     def test_numpy_route_loads_no_scipy(self):
         # The smallest and the largest benchmark size of the SVD path and a
